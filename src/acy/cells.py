@@ -428,7 +428,8 @@ def orbifold_cells(d_graph: Graph, a_cells: CellSystem) -> CellSystem:
                 kinds = kinds[1:] + kinds[:1]
             free_e, in_e, out_e = es
             l = lift_info[in_e.id][2]
-            assert lift_info[out_e.id][2] == l  # both legs touch the same copy
+            if lift_info[out_e.id][2] != l:
+                raise ValueError(f"centre triangle {t}: its legs lift to different cover copies")
             # lift: free edge from its source rep, into the centre, then the
             # out-of-centre member closing back at the start
             start = rep_of[free_e.src[1:-1]]
@@ -566,7 +567,8 @@ def standard_relations_e8star(graph: Graph | None = None) -> RelationSet:
 
     def eid(src, dst):
         hits = [e.id for e in g.out_edges[src] if e.dst == dst]
-        assert len(hits) == 1
+        if len(hits) != 1:
+            raise ValueError(f"expected one edge {src}->{dst} on E8*, found {len(hits)}")
         return hits[0]
 
     e12, e22, e23, e32 = eid("1", "2"), eid("2", "2"), eid("2", "3"), eid("3", "2")

@@ -761,182 +761,226 @@ def predicted_tables(h: int, blocks: dict, trivial_nu: bool, max_i: int, max_d: 
 # ---------------------------------------------------------------------------
 
 def _modp_rank(rows: list[dict[int, int]], p: int) -> int:
+    """Rank over F_p of sparse rows {column: value}; sparser rows go first,
+    so pivots are sparse and fill-in stays small."""
     pivots: dict[int, dict[int, int]] = {}
-    rank = 0
-    for row in rows:
+    for row in sorted(rows, key=len):
         row = dict(row)
         while row:
             lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
                 inv = pow(row[lead], -1, p)
-                row = {j: v * inv % p for j, v in row.items()}
-                pivots[lead] = row
-                rank += 1
+                pivots[lead] = {j: v * inv % p for j, v in row.items()}
                 break
             f = row[lead]
-            row = {j: (row.get(j, 0) - f * piv.get(j, 0)) % p
-                   for j in set(row) | set(piv)}
-            row = {j: v for j, v in row.items() if v}
-    return rank
+            for j, v in piv.items():
+                x = (row.get(j, 0) - f * v) % p
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
+    return len(pivots)
 
 
 class _Resolution:
-    """The period-4 window of the bimodule resolution, blockwise mod p.
+    """The period-4 window of the superpotential resolution of A as an
+    A-bimodule (Bocklandt, JPAA 212, 2008), over the image of A in F_p.
 
-    Spaces at stage r and total degree d, restricted to (left source u,
-    right target v); all five connecting maps preserve (u, v, d).  Stage
-    internal shifts: 0, 0, 1, 3, h; stage 5 equals stage 1 shifted by h.
+    Stage r at total degree d is A (x) V_r (x) A with V_0 = V_3 = S, V_1 the
+    edges, V_2 the relations (one per reversed edge) and V_4 = S twisted by
+    nu on the right; the internal shifts are 0, 0, 1, 3, h, and stage 5 is
+    stage 1 shifted by h.  Every map preserves (d, left source u, right
+    target v), so each block is ranked on its own.
+
+    The modular image -- the structure constants `A.red`, the dual bases and
+    the cell weights of `hom.tri_at` -- is reduced once, on construction; a
+    denominator that vanishes mod p raises ZeroDivisionError there, before
+    any rank is taken.  All later arithmetic is on ints mod p.  A mod-p rank
+    is at most the exact rank, so ranks that meet the dimension bound pin
+    the exact ranks and certify exactness.
     """
 
     def __init__(self, hom: Homology, emb: PrimeEmbedding):
-        self.hom = hom
-        self.A = hom.A
-        self.g = hom.g
-        self.emb = emb
-        self._red_cache: dict = {}
+        A, g = hom.A, hom.g
+        self.A, self.g, self.p = A, g, emb.p
 
-    def _val(self, x: Scalar) -> int:
-        v = x.reduce_mod(self.emb)
-        if v is None:
-            raise ZeroDivisionError("prime embedding failed on an entry")
-        return v
+        def reduce(c: Scalar) -> int:
+            r = c.reduce_mod(emb)
+            if r is None:
+                raise ZeroDivisionError("prime embedding failed on an entry")
+            return r
 
-    def basis(self, stage: int, d: int, u: str, v: str) -> list:
-        A, g = self.A, self.g
-        shift = (0, 0, 1, 3, self.g.h)[stage]
-        n = d - shift
+        def image(vec: dict) -> list[tuple[int, int]]:
+            return [(j, r) for j, c in vec.items() if (r := reduce(c))]
+
+        # red[k][(i, e)] = basis i of degree k-1 times edge e; empty past the top
+        self.red = [{key: image(vec) for key, vec in tab.items()} for tab in A.red] + [{}]
+        self.duals = [{i: image(vec) for i, vec in tab.items()} for tab in A.duals]
+        self.tri = {a: [(b, c, reduce(w)) for b, c, w in terms]
+                    for a, terms in hom.tri_at.items()}
+        # blocks of A by one endpoint: starts[k][m] = [(v, idxs)], ends[k][m] = [(u, idxs)]
+        self.starts: list[dict] = [{} for _ in range(A.top + 1)]
+        self.ends: list[dict] = [{} for _ in range(A.top + 1)]
+        for k, blocks in enumerate(A.block_index):
+            for (s, t), idxs in blocks.items():
+                self.starts[k].setdefault(s, []).append((t, idxs))
+                self.ends[k].setdefault(t, []).append((s, idxs))
+        self._left: dict = {}       # (e, k, i) -> e times basis i of degree k
+        self._dual_memo: dict = {}  # (m, j) -> _dual_sum, for the current degree only
+
+    def _times(self, k: int, vec: dict, path: tuple[int, ...]) -> dict:
+        """A degree-k vector times a path, mod p."""
+        p = self.p
+        for eid in path:
+            k += 1
+            if not vec:
+                break
+            red = self.red[k]
+            out: dict[int, int] = {}
+            for i, c in vec.items():
+                for j, x in red.get((i, eid), ()):
+                    out[j] = out.get(j, 0) + c * x
+            vec = {j: c % p for j, c in out.items() if c % p}
+        return vec
+
+    def _edge_times(self, eid: int, k: int, i: int) -> dict:
+        key = (eid, k, i)
+        hit = self._left.get(key)
+        if hit is None:
+            A = self.A
+            hit = self._times(1, {A.index_of[1][(eid,)]: 1}, A.basis[k][i].path)
+            self._left[key] = hit
+        return hit
+
+    def _dual_sum(self, m: int, j: int) -> dict:
+        """z |-> sum_s sum_w z w (x) w* for the basis element z = (m, j), keyed
+        by stage-3 basis triples; memoised for the current degree."""
+        hit = self._dual_memo.get((m, j))
+        if hit is None:
+            A, p = self.A, self.p
+            acc: dict = {}
+            end = A.basis[m][j].dst
+            for s in range(A.top - m + 1):
+                for _, ws in self.starts[s].get(end, ()):
+                    for w in ws:
+                        zw = self._times(m, {j: 1}, A.basis[s][w].path)
+                        for jj, c2 in zw.items():
+                            for kk, c3 in self.duals[s][w]:
+                                key = (m + s, jj, kk)
+                                acc[key] = acc.get(key, 0) + c2 * c3
+            hit = {key: c % p for key, c in acc.items() if c % p}
+            self._dual_memo[(m, j)] = hit
+        return hit
+
+    def _bases(self, d: int) -> list[dict]:
+        """Domain bases of stages 0..4 at total degree d, one pass per stage,
+        bucketed by (u, v); empty blocks are absent."""
+        A, g, top = self.A, self.g, self.A.top
         out = []
-        if stage in (0, 3, 4):
-            # stage 4 is A (x) N: the right end is twisted by nu
-            right = g.nu_vertex_pow(v, 2) if stage == 4 else v
-            for p in range(0, min(n, A.top) + 1):
-                q = n - p
-                if q > A.top or q < 0:
-                    continue
-                for (s, m), idxs in A.block_index[p].items():
-                    if s != u:
-                        continue
-                    ydx = A.block_index[q].get((m, right), ())
-                    for i in idxs:
-                        for i2 in ydx:
-                            out.append((p, i, i2))
-        else:
-            n -= 1
-            for e in g.edges:
-                mid_in = e.src if stage == 1 else e.dst
-                mid_out = e.dst if stage == 1 else e.src
-                for p in range(0, min(n, A.top) + 1):
-                    q = n - p
-                    if q > A.top or q < 0:
-                        continue
-                    for i in A.block_index[p].get((u, mid_in), ()):
-                        for i2 in A.block_index[q].get((mid_out, v), ()):
-                            out.append((p, i, e.id, i2))
+        for stage, shift in enumerate((0, 0, 1, 3, g.h)):
+            n = d - shift
+            by_block: dict = {}
+            if stage in (1, 2):
+                n -= 1
+                for e in g.edges:
+                    a, b = (e.src, e.dst) if stage == 1 else (e.dst, e.src)
+                    for k in range(max(0, n - top), min(n, top) + 1):
+                        for u, xs in self.ends[k].get(a, ()):
+                            for v, ys in self.starts[n - k].get(b, ()):
+                                by_block.setdefault((u, v), []).extend(
+                                    (k, x, e.id, y) for x in xs for y in ys)
+            else:
+                for k in range(max(0, n - top), min(n, top) + 1):
+                    for (u, m), xs in A.block_index[k].items():
+                        for w, ys in self.starts[n - k].get(m, ()):
+                            # stage 4 is A (x) N: the right end is twisted by nu
+                            v = g.nu_v[w] if stage == 4 else w
+                            by_block.setdefault((u, v), []).extend(
+                                (k, x, y) for x in xs for y in ys)
+            out.append(by_block)
         return out
 
-    def _matrix(self, stage: int, d: int, u: str, v: str):
-        """Rows of mu_stage at (d, u, v) over target positions, mod p."""
-        A, g = self.A, self.g
-        dom = self.basis(stage, d, u, v)
-        if stage == 0:
-            tgt = [(i,) for i in A.block_index[d].get((u, v), ())] if 0 <= d <= A.top else []
-            pos = {e: k for k, e in enumerate(tgt)}
-            rows = []
-            for (p, i, i2) in dom:
-                vec = A.mul_basis(p, i, d - p, i2)
-                rows.append({pos[(ii,)]: self._val(c) for ii, c in vec.items()})
-            return rows, len(tgt)
-        tgt = self.basis(stage - 1, d, u, v)
-        pos = {e: k for k, e in enumerate(tgt)}
+    def _image(self, stage: int, d: int, elt: tuple):
+        """mu_stage of one domain basis element, as (target element, coefficient)
+        pairs mod p; a target element may repeat."""
+        A, red = self.A, self.red
+        if stage == 0:  # x (x) y |-> xy
+            k, x, y = elt
+            yield from self._times(k, {x: 1}, A.basis[d - k][y].path).items()
+        elif stage == 1:  # x (x) e (x) y |-> xe (x) y - x (x) ey
+            k, x, e, y = elt
+            for j, c in red[k + 1].get((x, e), ()):
+                yield (k + 1, j, y), c
+            for j, c in self._edge_times(e, d - 1 - k, y).items():
+                yield (k, x, j), -c
+        elif stage == 2:  # x (x) a~ (x) y |-> sum W_abc (xb (x) c (x) y + x (x) b (x) cy)
+            k, x, e, y = elt
+            for b, cc, w in self.tri[e]:
+                for j, c in red[k + 1].get((x, b), ()):
+                    yield (k + 1, j, cc, y), w * c
+                for j, c in self._edge_times(cc, d - 2 - k, y).items():
+                    yield (k, x, b, j), w * c
+        elif stage == 3:  # x (x) y |-> sum_e (xe (x) e~ (x) y - x (x) e~ (x) ey)
+            k, x, y = elt
+            m = A.basis[k][x].dst
+            for e in self.g.out_edges[m]:
+                for j, c in red[k + 1].get((x, e.id), ()):
+                    yield (k + 1, j, e.id, y), c
+            for e in self.g.in_edges[m]:
+                for j, c in self._edge_times(e.id, d - 3 - k, y).items():
+                    yield (k, x, e.id, j), -c
+        else:  # x (x) y |-> sum_w xy w (x) w*
+            k, x, y = elt
+            q = d - self.g.h - k
+            for j, c in self._times(k, {x: 1}, A.basis[q][y].path).items():
+                for key, z in self._dual_sum(k + q, j).items():
+                    yield key, c * z
+
+    def _rows(self, stage: int, d: int, dom: list, tgt: list) -> list[dict]:
+        """Rows of mu_stage on one block, over target positions, mod p."""
+        p = self.p
+        pos = {elt: t for t, elt in enumerate(tgt)}
         rows = []
-        if stage == 1:
-            for (p, i, eid, i2) in dom:
-                out: dict[int, int] = {}
-                q = d - 1 - p
-                xa = A.mul_edge(p, A.unit(p, i), eid)
-                for ii, c in xa.items():
-                    _accum_modp(out, pos[(p + 1, ii, i2)], self._val(c), self.emb.p)
-                e1 = A.index_of[1][(eid,)]
-                ay = A.mul(1, A.unit(1, e1), q, A.unit(q, i2))
-                for ii, c in ay.items():
-                    _accum_modp(out, pos[(p, i, ii)], -self._val(c), self.emb.p)
-                rows.append(out)
-        elif stage == 2:
-            for (p, i, eid, i2) in dom:
-                out = {}
-                q = d - 2 - p
-                for (b, cc, w) in self.hom.tri_at[eid]:
-                    xb = A.mul_edge(p, A.unit(p, i), b)
-                    for ii, c in xb.items():
-                        _accum_modp(out, pos[(p + 1, ii, cc, i2)],
-                                    self._val(w * c), self.emb.p)
-                    e1 = A.index_of[1][(cc,)]
-                    cy = A.mul(1, A.unit(1, e1), q, A.unit(q, i2))
-                    for ii, c in cy.items():
-                        _accum_modp(out, pos[(p, i, b, ii)],
-                                    self._val(w * c), self.emb.p)
-                rows.append(out)
-        elif stage == 3:
-            for (p, i, i2) in dom:
-                out = {}
-                q = d - 3 - p
-                for e in g.edges:
-                    xa = A.mul_edge(p, A.unit(p, i), e.id)
-                    for ii, c in xa.items():
-                        _accum_modp(out, pos[(p + 1, ii, e.id, i2)],
-                                    self._val(c), self.emb.p)
-                    e1 = A.index_of[1][(e.id,)]
-                    ay = A.mul(1, A.unit(1, e1), q, A.unit(q, i2))
-                    for ii, c in ay.items():
-                        _accum_modp(out, pos[(p, i, e.id, ii)],
-                                    -self._val(c), self.emb.p)
-                rows.append(out)
-        elif stage == 4:
-            T = A.top
-            for (p, i, i2) in dom:
-                out = {}
-                q = d - self.g.h - p
-                xy = A.mul_basis(p, i, q, i2)
-                for ii, c in xy.items():
-                    cv = self._val(c)
-                    m = p + q
-                    for s in range(T + 1):
-                        if m + s > T:
-                            continue
-                        for wi, wstar in A.dual_pairs(s):
-                            zw = A.mul_basis(m, ii, s, wi)
-                            for jj, c2 in zw.items():
-                                c2v = cv * self._val(c2) % self.emb.p
-                                if not c2v:
-                                    continue
-                                for kk, c3 in wstar.items():
-                                    _accum_modp(out, pos[(m + s, jj, kk)],
-                                                c2v * self._val(c3), self.emb.p)
-                rows.append(out)
-        return rows, len(tgt)
+        for elt in dom:
+            out: dict[int, int] = {}
+            for key, c in self._image(stage, d, elt):
+                t = pos[key]
+                out[t] = out.get(t, 0) + c
+            rows.append({t: c % p for t, c in out.items() if c % p})
+        return rows
 
-    def rank(self, stage: int, d: int, u: str, v: str) -> tuple[int, int, int]:
-        """(rank, dim domain, dim target) of mu_stage mod p at the block."""
-        rows, nt = self._matrix(stage, d, u, v)
-        return _modp_rank(rows, self.emb.p), len(rows), nt
-
-
-def _accum_modp(out: dict, key, val: int, p: int):
-    cur = (out.get(key, 0) + val) % p
-    if cur:
-        out[key] = cur
-    elif key in out:
-        del out[key]
+    def degree(self, d: int) -> dict:
+        """{(u, v): [(rank, dim domain, dim target) of mu_0..mu_4]} for every
+        block at total degree d with a nonzero space; other blocks are zero."""
+        A = self.A
+        bases = self._bases(d)
+        targets = [A.block_index[d] if 0 <= d <= A.top else {}] + bases[:4]
+        out = {}
+        for blk in set(targets[0]).union(*bases):
+            row = []
+            for stage in range(5):
+                dom = bases[stage].get(blk, ())
+                tgt = targets[stage].get(blk, ())
+                rk = _modp_rank(self._rows(stage, d, dom, tgt), self.p) if dom and tgt else 0
+                row.append((rk, len(dom), len(tgt)))
+            out[blk] = row
+        self._dual_memo = {}
+        return out
 
 
 def verify_resolution(hom: Homology, cutoff: int | None = None, tries: int = 4) -> dict:
     """Certified exactness of the bimodule resolution through total degree
     <= cutoff (default 2h).
 
-    d o d = 0 is checked exactly on bimodule generators (relations and the
-    dual-basis identity); node exactness then follows from mod-p ranks
-    reaching the dimension bound, which certifies the exact ranks.
+    d o d = 0 is checked exactly on bimodule generators: the relations and
+    the dual-basis identity.  Node exactness then follows from ranks taken
+    over a modular image of the algebra, built once per prime: a mod-p rank
+    is at most the exact rank, so mod-p ranks that meet the dimension bound
+    pin the exact ranks.  A prime whose image has a vanishing denominator is
+    skipped, up to `tries` primes.  Returns `ok`, `cutoff`, `failures` (each
+    naming the check and, for a node, its (d, u, v) block) and the `prime`
+    that was used.
     """
     A, g = hom.A, hom.g
     cutoff = cutoff if cutoff is not None else 2 * g.h
@@ -978,11 +1022,11 @@ def verify_resolution(hom: Homology, cutoff: int | None = None, tries: int = 4) 
     # mod-p rank certificates per node, degree and block
     for attempt in range(tries):
         emb = PrimeEmbedding.find(hom.cells.tower, skip=attempt)
-        res = _Resolution(hom, emb)
         try:
-            failures = _resolution_ranks(res, cutoff)
+            res = _Resolution(hom, emb)
         except ZeroDivisionError:
             continue
+        failures = _resolution_ranks(res, cutoff)
         return {"ok": not failures, "cutoff": cutoff, "failures": failures,
                 "prime": emb.p}
     return {"ok": False, "cutoff": cutoff,
@@ -1008,34 +1052,32 @@ def _resolution_ranks(res: _Resolution, cutoff: int) -> list:
     """Exactness failures; empty means certified exact through the cutoff.
 
     Nodes beyond stage 4 repeat with shift h, so checking nodes 0..4 at all
-    degrees <= cutoff covers the whole periodic complex in that range."""
-    A, g = res.A, res.g
+    degrees <= cutoff covers the whole periodic complex in that range.  A
+    block absent from `res.degree(d)` is zero at every stage, and so is its
+    stage 5 (whose domain has the dimension of stage 4's), so it is exact."""
+    g = res.g
+    vi = g.vindex
     failures = []
+    rank1: dict = {}  # (d, u, v) -> rank of mu_1, reread as mu_5 at degree d + h
     for d in range(cutoff + 1):
-        for u in g.vertices:
-            for v in g.vertices:
-                dims = {}
-                ranks = {}
-                for stage in range(5):
-                    rk, nd, nt = res.rank(stage, d, u, v)
-                    dims[stage] = nd
-                    ranks[stage] = rk
-                # mu5 at the twisted block (d,u,v) equals mu1 at (d-h, u, nu^-1 v)
-                v5 = g.nu_vertex_pow(v, 2)
-                rk5 = res.rank(1, d - g.h, u, v5)[0] if d - g.h >= 0 else 0
-                adim = len(A.block_index[d].get((u, v), ())) if 0 <= d <= A.top else 0
-                if ranks[0] != adim:
-                    failures.append(("mu0-not-surjective", d, u, v))
-                if ranks[0] + ranks[1] != dims[0]:
-                    failures.append(("node0", d, u, v))
-                if ranks[1] + ranks[2] != dims[1]:
-                    failures.append(("node1", d, u, v))
-                if ranks[2] + ranks[3] != dims[2]:
-                    failures.append(("node2", d, u, v))
-                if ranks[3] + ranks[4] != dims[3]:
-                    failures.append(("node3", d, u, v))
-                if ranks[4] + rk5 != dims[4]:
-                    failures.append(("node4", d, u, v))
+        blocks = res.degree(d)
+        for u, v in sorted(blocks, key=lambda b: (vi[b[0]], vi[b[1]])):
+            (r0, n0, adim), (r1, n1, _), (r2, n2, _), (r3, n3, _), (r4, n4, _) = blocks[(u, v)]
+            rank1[(d, u, v)] = r1
+            # mu5 at the twisted block (d,u,v) equals mu1 at (d-h, u, nu^-1 v)
+            rk5 = rank1.get((d - g.h, u, g.nu_vertex_pow(v, 2)), 0)
+            if r0 != adim:
+                failures.append(("mu0-not-surjective", d, u, v))
+            if r0 + r1 != n0:
+                failures.append(("node0", d, u, v))
+            if r1 + r2 != n1:
+                failures.append(("node1", d, u, v))
+            if r2 + r3 != n2:
+                failures.append(("node2", d, u, v))
+            if r3 + r4 != n3:
+                failures.append(("node3", d, u, v))
+            if r4 + rk5 != n4:
+                failures.append(("node4", d, u, v))
     return failures
 
 

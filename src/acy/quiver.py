@@ -116,9 +116,6 @@ class Graph:
         out.sort()
         return out
 
-    def nu_edge(self, eid: int) -> int:
-        return self.nu_e[eid]
-
     def nu_vertex_pow(self, v: str, k: int) -> str:
         k %= 3
         for _ in range(k):

@@ -43,7 +43,8 @@ def coxeter_minpoly(h: int) -> tuple[int, ...]:
     x = sympy.Symbol("x")
     poly = sympy.Poly(sympy.minimal_polynomial(2 * sympy.cos(sympy.pi / h), x), x)
     coeffs = [int(c) for c in reversed(poly.all_coeffs())]
-    assert coeffs[-1] == 1
+    if coeffs[-1] != 1:
+        raise ArithmeticError(f"minimal polynomial of 2cos(pi/{h}) is not monic: {coeffs}")
     return tuple(coeffs)
 
 
@@ -362,19 +363,6 @@ class Scalar:
     def is_real(self) -> bool:
         return not self.im
 
-    def is_rational(self) -> bool:
-        if self.im or len(self.re) > 1 or (self.re and 0 not in self.re):
-            return False
-        return not self.re or not any(self.re[0][2:])
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("scalar is not rational")
-        if not self.re:
-            return Fraction(0)
-        b = self.re[0]
-        return Fraction(b[1], b[0])
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.tower.from_fraction(other)
@@ -465,12 +453,6 @@ class Scalar:
         if not self.im:
             return self
         return Scalar(self.tower, self.re, _dneg(self.im))
-
-    def real_part(self) -> "Scalar":
-        return Scalar(self.tower, dict(self.re))
-
-    def imag_part(self) -> "Scalar":
-        return Scalar(self.tower, dict(self.im) if self.im else {})
 
     # -- tower management --------------------------------------------------------------
 

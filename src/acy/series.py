@@ -106,12 +106,6 @@ class IntPoly:
             return self
         return IntPoly([x // g for x in self.c])
 
-    def eval_fraction(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for coef in reversed(self.c):
-            acc = acc * x + coef
-        return acc
-
     def __repr__(self):
         if not self.c:
             return "0"

@@ -1,8 +1,10 @@
 import pytest
 
-from acy.homology import (build_report, cyclic_from_hh, euler_from_hc,
+import acy.homology
+from acy.homology import (_Resolution, build_report, cyclic_from_hh, euler_from_hc,
                           hh0_direct, predicted_tables, structure_from_euler,
                           verify_resolution)
+from acy.scalar import PrimeEmbedding, Scalar
 from acy.series import euler_characteristic_hc
 
 
@@ -112,10 +114,140 @@ def test_duality_and_symmetry(pipe):
 
 
 def test_resolution_exactness(pipe):
-    for spec in ("A4", "E8*"):
+    # D9 and E8* take the trivial-nu (period-4) path, A4 and A7 the twisted one
+    for spec in ("A4", "A7", "E8*", "D9"):
         _, _, _, hom = pipe(spec)
         res = verify_resolution(hom)
         assert res["ok"], res
+
+
+# Per stage r of the resolution (r = 0..4) and total degree d = 0..2h, summed
+# over all (u, v) blocks: the mod-p rank of mu_r, the dimension of its domain
+# and the dimension of its target, as lists over d.  The numbers and primes
+# were recorded from the earlier blockwise elimination, which built exact
+# tower products and reduced them entry by entry.
+RESOLUTION_PIN = {
+    "A5": (1073742721, [
+        ([6, 9, 6, 0, 0, 0, 0, 0, 0, 0, 0],
+         [6, 18, 27, 18, 6, 0, 0, 0, 0, 0, 0],
+         [6, 9, 6, 0, 0, 0, 0, 0, 0, 0, 0]),
+        ([0, 9, 21, 18, 6, 0, 0, 0, 0, 0, 0],
+         [0, 9, 30, 42, 30, 9, 0, 0, 0, 0, 0],
+         [6, 18, 27, 18, 6, 0, 0, 0, 0, 0, 0]),
+        ([0, 0, 9, 24, 24, 9, 0, 0, 0, 0, 0],
+         [0, 0, 9, 30, 42, 30, 9, 0, 0, 0, 0],
+         [0, 9, 30, 42, 30, 9, 0, 0, 0, 0, 0]),
+        ([0, 0, 0, 6, 18, 21, 9, 0, 0, 0, 0],
+         [0, 0, 0, 6, 18, 27, 18, 6, 0, 0, 0],
+         [0, 0, 9, 30, 42, 30, 9, 0, 0, 0, 0]),
+        ([0, 0, 0, 0, 0, 6, 9, 6, 0, 0, 0],
+         [0, 0, 0, 0, 0, 6, 18, 27, 18, 6, 0],
+         [0, 0, 0, 6, 18, 27, 18, 6, 0, 0, 0]),
+    ]),
+    "E8*": (1073741857, [
+        ([4, 8, 12, 12, 8, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+         [4, 16, 44, 80, 112, 128, 112, 80, 44, 16, 4, 0, 0, 0, 0, 0, 0],
+         [4, 8, 12, 12, 8, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+        ([0, 8, 32, 68, 104, 124, 112, 80, 44, 16, 4, 0, 0, 0, 0, 0, 0],
+         [0, 8, 40, 104, 192, 272, 304, 272, 192, 104, 40, 8, 0, 0, 0, 0, 0],
+         [4, 16, 44, 80, 112, 128, 112, 80, 44, 16, 4, 0, 0, 0, 0, 0, 0]),
+        ([0, 0, 8, 36, 88, 148, 192, 192, 148, 88, 36, 8, 0, 0, 0, 0, 0],
+         [0, 0, 8, 40, 104, 192, 272, 304, 272, 192, 104, 40, 8, 0, 0, 0, 0],
+         [0, 8, 40, 104, 192, 272, 304, 272, 192, 104, 40, 8, 0, 0, 0, 0, 0]),
+        ([0, 0, 0, 4, 16, 44, 80, 112, 124, 104, 68, 32, 8, 0, 0, 0, 0],
+         [0, 0, 0, 4, 16, 44, 80, 112, 128, 112, 80, 44, 16, 4, 0, 0, 0],
+         [0, 0, 8, 40, 104, 192, 272, 304, 272, 192, 104, 40, 8, 0, 0, 0, 0]),
+        ([0, 0, 0, 0, 0, 0, 0, 0, 4, 8, 12, 12, 8, 4, 0, 0, 0],
+         [0, 0, 0, 0, 0, 0, 0, 0, 4, 16, 44, 80, 112, 128, 112, 80, 44],
+         [0, 0, 0, 4, 16, 44, 80, 112, 128, 112, 80, 44, 16, 4, 0, 0, 0]),
+    ]),
+    "D6": (1073742073, [
+        ([6, 10, 10, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+         [6, 20, 40, 60, 40, 20, 6, 0, 0, 0, 0, 0, 0],
+         [6, 10, 10, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+        ([0, 10, 30, 54, 40, 20, 6, 0, 0, 0, 0, 0, 0],
+         [0, 10, 40, 96, 100, 80, 48, 10, 0, 0, 0, 0, 0],
+         [6, 20, 40, 60, 40, 20, 6, 0, 0, 0, 0, 0, 0]),
+        ([0, 0, 10, 42, 60, 60, 42, 10, 0, 0, 0, 0, 0],
+         [0, 0, 10, 48, 80, 100, 96, 40, 10, 0, 0, 0, 0],
+         [0, 10, 40, 96, 100, 80, 48, 10, 0, 0, 0, 0, 0]),
+        ([0, 0, 0, 6, 20, 40, 54, 30, 10, 0, 0, 0, 0],
+         [0, 0, 0, 6, 20, 40, 60, 40, 20, 6, 0, 0, 0],
+         [0, 0, 10, 48, 80, 100, 96, 40, 10, 0, 0, 0, 0]),
+        ([0, 0, 0, 0, 0, 0, 6, 10, 10, 6, 0, 0, 0],
+         [0, 0, 0, 0, 0, 0, 6, 20, 40, 60, 40, 20, 6],
+         [0, 0, 0, 6, 20, 40, 60, 40, 20, 6, 0, 0, 0]),
+    ]),
+    "D5*": (1073742721, [
+        ([6, 9, 6, 0, 0, 0, 0, 0, 0, 0, 0],
+         [6, 18, 27, 18, 6, 0, 0, 0, 0, 0, 0],
+         [6, 9, 6, 0, 0, 0, 0, 0, 0, 0, 0]),
+        ([0, 9, 21, 18, 6, 0, 0, 0, 0, 0, 0],
+         [0, 9, 30, 42, 30, 9, 0, 0, 0, 0, 0],
+         [6, 18, 27, 18, 6, 0, 0, 0, 0, 0, 0]),
+        ([0, 0, 9, 24, 24, 9, 0, 0, 0, 0, 0],
+         [0, 0, 9, 30, 42, 30, 9, 0, 0, 0, 0],
+         [0, 9, 30, 42, 30, 9, 0, 0, 0, 0, 0]),
+        ([0, 0, 0, 6, 18, 21, 9, 0, 0, 0, 0],
+         [0, 0, 0, 6, 18, 27, 18, 6, 0, 0, 0],
+         [0, 0, 9, 30, 42, 30, 9, 0, 0, 0, 0]),
+        ([0, 0, 0, 0, 0, 6, 9, 6, 0, 0, 0],
+         [0, 0, 0, 0, 0, 6, 18, 27, 18, 6, 0],
+         [0, 0, 0, 6, 18, 27, 18, 6, 0, 0, 0]),
+    ]),
+}
+
+
+def test_resolution_ranks_pinned(pipe):
+    for spec, (prime, stages) in RESOLUTION_PIN.items():
+        g, cells, _, hom = pipe(spec)
+        emb = PrimeEmbedding.find(cells.tower)
+        assert emb.p == prime, spec
+        res = _Resolution(hom, emb)
+        got = [([], [], []) for _ in range(5)]
+        for d in range(2 * g.h + 1):
+            blocks = res.degree(d).values()
+            for r in range(5):
+                for k in range(3):
+                    got[r][k].append(sum(b[r][k] for b in blocks))
+        assert got == [tuple(map(list, s)) for s in stages], spec
+        out = verify_resolution(hom)
+        assert (out["ok"], out["failures"], out["prime"]) == (True, [], prime), spec
+
+
+def test_resolution_detects_a_corrupted_modular_image(pipe, monkeypatch):
+    # zero the first reduced cell weight: mu_2 loses rank at one block
+    class Corrupted(_Resolution):
+        def __init__(self, hom, emb):
+            super().__init__(hom, emb)
+            a = min(a for a, terms in self.tri.items() if terms)
+            b, c, _ = self.tri[a][0]
+            self.tri[a][0] = (b, c, 0)
+
+    _, _, _, hom = pipe("A4")
+    monkeypatch.setattr(acy.homology, "_Resolution", Corrupted)
+    out = verify_resolution(hom)
+    assert not out["ok"]
+    assert out["failures"] == [("node1", 2, "1,0", "0,0"), ("node2", 2, "1,0", "0,0")]
+
+
+def test_resolution_skips_a_prime_that_fails_to_reduce(pipe, monkeypatch):
+    _, cells, _, hom = pipe("A4")
+    first = PrimeEmbedding.find(cells.tower).p
+    reduce_mod = Scalar.reduce_mod
+    monkeypatch.setattr(Scalar, "reduce_mod",
+                        lambda x, emb: None if emb.p == first else reduce_mod(x, emb))
+    out = verify_resolution(hom)
+    assert out["ok"], out
+    assert out["prime"] == PrimeEmbedding.find(cells.tower, skip=1).p != first
+
+
+def test_resolution_without_a_usable_prime(pipe, monkeypatch):
+    _, _, _, hom = pipe("A4")
+    monkeypatch.setattr(Scalar, "reduce_mod", lambda x, emb: None)
+    out = verify_resolution(hom, tries=2)
+    assert not out["ok"]
+    assert out["failures"] == [("no-usable-prime", 2)]
 
 
 def test_euler_two_way(pipe):
