@@ -40,6 +40,7 @@ class GradedAlgebra:
         self.graph = graph
         self.relations = relations
         self.tower = relations.tower
+        self._one = self.tower.one()  # shared: scalars are immutable
         self.top = graph.h - 3
         self.basis: list[list[BasisElt]] = []
         self.block_index: list[dict[tuple[str, str], list[int]]] = []
@@ -55,7 +56,6 @@ class GradedAlgebra:
 
     def _build(self, check_hilbert: bool):
         g = self.graph
-        tower = self.tower
         verts = g.vertices
         b0 = [BasisElt((), v, v) for v in verts]
         self.basis.append(b0)
@@ -89,20 +89,10 @@ class GradedAlgebra:
                             continue
                         vec: dict[int, Scalar] = {}
                         for (b_e, c_e), coeff in rel.terms.items():
-                            left = self.red[k - 1][(w_i, b_e)] if k >= 2 else None
                             # (w * b_e) reduced over basis[k-1], then append c_e
-                            for j, cj in left.items():
-                                t = mono_pos[(j, c_e)]
-                                x = coeff * cj
-                                cur = vec.get(t)
-                                if cur is None:
-                                    vec[t] = x
-                                else:
-                                    s = cur + x
-                                    if s.is_zero():
-                                        del vec[t]
-                                    else:
-                                        vec[t] = s
+                            left = self.red[k - 1][(w_i, b_e)]
+                            linalg.axpy(vec, ((mono_pos[(j, c_e)], cj)
+                                              for j, cj in left.items()), coeff)
                         elim.add(vec)
                 for elim in elim_by_block.values():
                     pivots_vec.update(elim.pivots)
@@ -123,7 +113,7 @@ class GradedAlgebra:
             red_k: dict[tuple[int, int], dict] = {}
             for t, (i, e) in enumerate(monos):
                 if t in basis_of_mono:
-                    red_k[(i, e.id)] = {basis_of_mono[t]: tower.one()}
+                    red_k[(i, e.id)] = {basis_of_mono[t]: self._one}
                 else:
                     piv = pivots_vec[t]
                     red_k[(i, e.id)] = {basis_of_mono[s]: -cs for s, cs in piv.items()
@@ -164,7 +154,7 @@ class GradedAlgebra:
     # -- multiplication ---------------------------------------------------------
 
     def unit(self, k: int, i: int) -> dict:
-        return {i: self.tower.one()}
+        return {i: self._one}
 
     def mul_edge(self, k: int, vec: dict, eid: int) -> dict:
         """Right-multiply a degree-k vector by an edge; degree k+1 (or 0)."""
@@ -174,19 +164,8 @@ class GradedAlgebra:
         out: dict[int, Scalar] = {}
         for i, c in vec.items():
             hit = red.get((i, eid))
-            if not hit:
-                continue
-            for j, x in hit.items():
-                t = c * x
-                cur = out.get(j)
-                if cur is None:
-                    out[j] = t
-                else:
-                    s = cur + t
-                    if s.is_zero():
-                        del out[j]
-                    else:
-                        out[j] = s
+            if hit:
+                linalg.axpy(out, hit.items(), c)
         return out
 
     def mul_path(self, k: int, vec: dict, path: tuple[int, ...]) -> tuple[int, dict]:
@@ -215,25 +194,13 @@ class GradedAlgebra:
         for i2, c2 in v2.items():
             for i1, c1 in v1.items():
                 prod = self.mul_basis(k1, i1, k2, i2)
-                if not prod:
-                    continue
-                c = c1 * c2
-                for j, x in prod.items():
-                    t = c * x
-                    cur = out.get(j)
-                    if cur is None:
-                        out[j] = t
-                    else:
-                        s = cur + t
-                        if s.is_zero():
-                            del out[j]
-                        else:
-                            out[j] = s
+                if prod:
+                    linalg.axpy(out, prod.items(), c1 * c2)
         return out
 
     def reduce_path(self, src: str, path: tuple[int, ...]) -> tuple[int, dict]:
         """Class of a raw path in the quotient."""
-        vec = {self.graph.vindex[src]: self.tower.one()}
+        vec = {self.graph.vindex[src]: self._one}
         return self.mul_path(0, vec, path)
 
     # -- Nakayama -----------------------------------------------------------------
@@ -253,17 +220,7 @@ class GradedAlgebra:
         for _ in range(power):
             out: dict[int, Scalar] = {}
             for i, c in vec.items():
-                for j, x in self.beta_basis(k, i).items():
-                    t = c * x
-                    cur = out.get(j)
-                    if cur is None:
-                        out[j] = t
-                    else:
-                        s = cur + t
-                        if s.is_zero():
-                            del out[j]
-                        else:
-                            out[j] = s
+                linalg.axpy(out, self.beta_basis(k, i).items(), c)
             vec = out
         return vec
 

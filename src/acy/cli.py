@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -25,15 +24,6 @@ from .series import euler_characteristic_hc
 from .solver import SolverError, solve_cells
 
 EXIT_OK, EXIT_INPUT, EXIT_MATH, EXIT_SOLVER = 0, 2, 3, 4
-
-
-def _worker_cap() -> int:
-    # ACY_THREADS caps worker parallelism; the exact pipeline runs a single
-    # deterministic worker, which every cap admits.
-    try:
-        return max(1, int(os.environ.get("ACY_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(doc, args, text: str | None = None):
@@ -78,7 +68,6 @@ def _tool_meta(seed: int, tower) -> dict:
         "seed": seed,
         "basis_order": "echelon over lexicographic path order (edge ids)",
         "tower": tower.describe(),
-        "workers": _worker_cap(),
     }
 
 

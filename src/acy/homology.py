@@ -12,6 +12,12 @@ Chain spaces are S-centralizers of twisted bimodules:
 Differential matrices depend only on (formula type, twist mod 3, internal
 degree); the period-12 structure and the homology/cohomology sharing are
 automatic, and for trivial nu all twists collapse to one block family.
+
+The four maps mu_1..mu_4 of the superpotential resolution are written once,
+as terms on bimodule generators (`differentials`).  Everything else is
+derived from that table: `Homology.mat` applies the Hochschild rule to it,
+`_Resolution` reduces it mod p, and `verify_resolution` composes it on
+generators, exactly and mod p.
 """
 
 from __future__ import annotations
@@ -19,15 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg, series
-from .algebra import GradedAlgebra
+from .algebra import AlgebraError, GradedAlgebra
 from .cells import CellSystem
 from .scalar import PrimeEmbedding, Scalar
 
-__all__ = ["Homology", "hh0_direct", "cyclic_from_hh", "structure_from_euler",
-           "verify_resolution", "HomologyReport", "build_report"]
+__all__ = ["Homology", "differentials", "hh0_direct", "cyclic_from_hh",
+           "structure_from_euler", "verify_resolution", "HomologyReport", "build_report"]
 
 _HOM_KINDS = ("N", "VN", "TVN", "N")
 _COH_KINDS = ("N", "TVN", "VN", "N")
+# The chain space of V_r (x) A, r = 0..4: vertex generators (V_0 = V_3 = S,
+# and V_4 = S twisted by nu) give N, the edges V_1 give V (x) N, and the
+# reversed edges V_2 give V~ (x) N.
+_STAGE_KINDS = ("N", "VN", "TVN", "N", "N")
 
 
 def _shift_hom(i: int, h: int) -> int:
@@ -40,6 +50,62 @@ def _shift_coh(i: int, h: int) -> int:
     return -s * h - (0, 2, 3, 3)[r]
 
 
+def _gen_degrees(h: int) -> tuple[int, ...]:
+    """Degrees of the generators of V_0..V_4."""
+    return (0, 1, 2, 3, h)
+
+
+def differentials(A: GradedAlgebra, cells: CellSystem) -> dict:
+    """mu_1..mu_4 of the superpotential resolution of A as an A-bimodule
+    (Bocklandt, JPAA 212, 2008; Ginzburg, math/0612139), on generators.
+
+    mu[r][v] lists the terms (left, v', right, c) of mu_r(1 (x) v (x) 1),
+    which is the sum of c * left (x) v' (x) right: left and right are basis
+    elements (degree, index) of A, v' is a generator of V_(r-1) and c is an
+    exact scalar.  The generators of V_1 and V_2 are edge ids (e~ in V_2
+    runs against e); those of V_0, V_3 and V_4 are vertices.
+
+      mu_1(e)   = e (x) 1 - 1 (x) e
+      mu_2(a~)  = sum W_abc (b (x) c (x) 1 + 1 (x) b (x) c)
+      mu_3(1_m) = sum_e (e (x) e~ (x) 1 - 1 (x) e~ (x) e)
+      mu_4(1_m) = sum_w w (x) w*
+
+    The factors 1 are the idempotents at the generator's own ends, and w*
+    enters mu_4 as one term per basis element in its support.
+    """
+    A.build_form()
+    g, one, T = A.graph, A.tower.one(), A.top
+    minus = -one
+
+    def edge(eid: int) -> tuple[int, int]:
+        return 1, A.index_of[1][(eid,)]
+
+    def idem(v: str) -> tuple[int, int]:
+        return 0, g.vindex[v]
+
+    mu: dict[int, dict] = {r: {} for r in range(1, 5)}
+    for a in g.edges:
+        mu[1][a.id] = [(edge(a.id), a.dst, idem(a.dst), one),
+                       (idem(a.src), a.src, edge(a.id), minus)]
+        terms = mu[2][a.id] = []
+        for b in g.out_edges[a.dst]:
+            for c in g.out_edges[b.dst]:
+                if c.dst != a.src:
+                    continue
+                w = cells.weight(a.id, b.id, c.id)
+                if not w.is_zero():
+                    terms += [(edge(b.id), c.id, idem(a.src), w),
+                              (idem(a.dst), b.id, edge(c.id), w)]
+    for m in g.vertices:
+        mu[3][m] = ([(edge(e.id), e.id, idem(m), one) for e in g.out_edges[m]]
+                    + [(idem(m), e.id, edge(e.id), minus) for e in g.in_edges[m]])
+        mu[4][m] = [((p, w), A.basis[p][w].dst, (T - p, j), c)
+                    for p in range(T + 1)
+                    for (s, _), ws in A.block_index[p].items() if s == m
+                    for w in ws for j, c in A.duals[p][w].items()]
+    return mu
+
+
 class Homology:
     """Matrices, ranks and graded tables for one algebra with cell data."""
 
@@ -50,14 +116,7 @@ class Homology:
         self.cells = cells
         self.tower = A.tower
         self.trivial_nu = self.g.nu_is_trivial()
-        self.tri_at: dict[int, list] = {e.id: [] for e in self.g.edges}
-        for a in self.g.edges:
-            for b in self.g.out_edges[a.dst]:
-                for c in self.g.out_edges[b.dst]:
-                    if c.dst == a.src:
-                        w = cells.weight(a.id, b.id, c.id)
-                        if not w.is_zero():
-                            self.tri_at[a.id].append((b.id, c.id, w))
+        self.mu = differentials(A, cells)
         self._space_cache: dict = {}
         self._mat_cache: dict = {}
         self._rank_cache: dict = {}
@@ -104,21 +163,17 @@ class Homology:
 
     # -- differentials ------------------------------------------------------------
 
-    def _addin(self, out: dict, pos: dict, elt, val: Scalar):
-        p = pos.get(elt)
-        if p is None:
-            if not val.is_zero():
-                raise AssertionError(f"image element {elt} escapes the target space")
-            return
-        cur = out.get(p)
-        if cur is None:
-            out[p] = val
-        else:
-            s = cur + val
-            if s.is_zero():
-                del out[p]
-            else:
-                out[p] = s
+    def _addin(self, out: dict, pos: dict, v, vec: dict, c: Scalar):
+        """out += c * vec at the target positions of the elements (v, x) of
+        V (x) N, or of (x,) when v is None (a vertex generator)."""
+        items = []
+        for ii, x in vec.items():
+            elt = (ii,) if v is None else (v, ii)
+            p = pos.get(elt)
+            if p is None:
+                raise AlgebraError(f"image element {elt} escapes the target space")
+            items.append((p, x))
+        linalg.axpy(out, items, c)
 
     def _nu_edge_pow(self, eid: int, k: int) -> int:
         k %= 3
@@ -135,88 +190,50 @@ class Homology:
         return hit
 
     def mat(self, r: int, twist: int, j: int) -> dict:
-        """Matrix of the type-r formula at twist `twist`, domain internal j.
+        """Matrix of mu_r on the centralizers at twist `twist`, domain internal j.
 
-        r=1: VN(t,j) -> N(t,j)        a(x)x |-> x b^(-t)(a) - ax
-        r=2: TVN(t,j) -> VN(t,j+1)    a~(x)x |-> sum W_abb' (b'(x)x b^(-t)(b) + b(x)b'x)
-        r=3: N(t,j) -> TVN(t,j+2)     x |-> sum_a a~ (x) (x b^(-t)(a) - ax)
-        r=4: N(t+1,j) -> N(t,j+top)   y |-> sum_j w_j* b(y) b^(-t)(w_j)
+        r=1: VN(t,j) -> N(t,j)        r=2: TVN(t,j) -> VN(t,j+1)
+        r=3: N(t,j) -> TVN(t,j+2)     r=4: N(t+1,j) -> N(t,j+top)
+
+        Derived from the generator terms by the Hochschild rule: a term
+        (l, v', rt, c) of mu_r(v) sends (v, x) to c (v', rt x~ b^(-t)(l)),
+        where x~ = b(x) on the nu-twisted V_4 and x~ = x otherwise.  The generator
+        of an element x of N is its source vertex.
         """
         key = (r, self._tw(twist), j)
         hit = self._mat_cache.get(key)
         if hit is not None:
             return hit
-        A, g = self.A, self.g
+        A = self.A
         t = self._tw(twist)
         inv = (3 - t) % 3
+        twisted = r == 4
+        dk, tk = _STAGE_KINDS[r], _STAGE_KINDS[r - 1]
+        gdeg = _gen_degrees(self.g.h)
+        k = j - (dk != "N")  # degree of the algebra factor x of the domain
+        pos = self._pos(tk, t, k + gdeg[r] - gdeg[r - 1] + (tk != "N"))
         cols = []
-        if r == 1:
-            dom = self.space("VN", t, j)
-            pos = self._pos("N", t, j)
-            for (eid, i) in dom:
-                out: dict = {}
-                vec = A.mul_edge(j - 1, A.unit(j - 1, i), self._nu_edge_pow(eid, inv))
-                for ii, c in vec.items():
-                    self._addin(out, pos, (ii,), c)
-                e1 = A.index_of[1][(eid,)]
-                vec = A.mul(1, A.unit(1, e1), j - 1, A.unit(j - 1, i))
-                for ii, c in vec.items():
-                    self._addin(out, pos, (ii,), -c)
-                cols.append(out)
-            nt = len(pos)
-        elif r == 2:
-            dom = self.space("TVN", t, j)
-            pos = self._pos("VN", t, j + 1)
-            for (eid, i) in dom:
-                out: dict = {}
-                for (b, c, w) in self.tri_at[eid]:
-                    vec = A.mul_edge(j - 1, A.unit(j - 1, i), self._nu_edge_pow(b, inv))
-                    for ii, cc in vec.items():
-                        self._addin(out, pos, (c, ii), w * cc)
-                    e1 = A.index_of[1][(c,)]
-                    vec = A.mul(1, A.unit(1, e1), j - 1, A.unit(j - 1, i))
-                    for ii, cc in vec.items():
-                        self._addin(out, pos, (b, ii), w * cc)
-                cols.append(out)
-            nt = len(pos)
-        elif r == 3:
-            dom = self.space("N", t, j)
-            pos = self._pos("TVN", t, j + 2)
-            for (i,) in dom:
-                out: dict = {}
-                for e in g.edges:
-                    vec = A.mul_edge(j, A.unit(j, i), self._nu_edge_pow(e.id, inv))
-                    for ii, c in vec.items():
-                        self._addin(out, pos, (e.id, ii), c)
-                    e1 = A.index_of[1][(e.id,)]
-                    vec = A.mul(1, A.unit(1, e1), j, A.unit(j, i))
-                    for ii, c in vec.items():
-                        self._addin(out, pos, (e.id, ii), -c)
-                cols.append(out)
-            nt = len(pos)
-        elif r == 4:
-            dom = self.space("N", (t + 1) % 3, j)
-            pos = self._pos("N", t, j + A.top)
-            T = A.top
-            for (i,) in dom:
-                out: dict = {}
-                if j == 0:  # positive internal degrees map to zero by grading
-                    by = A.beta_vec(j, A.unit(j, i))
-                    for p in range(T + 1):
-                        q = T - p
-                        for wi, wstar in A.dual_pairs(p):
-                            z = A.mul(q, wstar, j, by)
-                            if not z:
-                                continue
-                            bw = A.beta_vec(p, A.unit(p, wi), power=inv)
-                            vec = A.mul(q + j, z, p, bw)
-                            for ii, c in vec.items():
-                                self._addin(out, pos, (ii,), c)
-                cols.append(out)
-            nt = len(pos)
-        else:
-            raise ValueError(f"unknown formula type {r}")
-        hit = {"cols": cols, "nd": len(cols), "nt": nt}
+        for elt in self.space(dk, t + twisted, j):
+            if dk == "N":
+                (i,) = elt
+                gen = A.basis[k][i].src
+            else:
+                gen, i = elt
+            x = A.beta_vec(k, A.unit(k, i)) if twisted else A.unit(k, i)
+            out: dict = {}
+            for (kl, il), v, (kr, ir), c in self.mu[r][gen]:
+                if k + kl + kr > A.top:
+                    continue
+                vec = x
+                if kl == 1:
+                    vec = A.mul_edge(k, vec, self._nu_edge_pow(A.basis[1][il].path[0], inv))
+                elif kl:
+                    vec = A.mul(k, vec, kl, A.beta_vec(kl, A.unit(kl, il), power=inv))
+                if kr:
+                    vec = A.mul(kr, A.unit(kr, ir), k + kl, vec)
+                self._addin(out, pos, None if tk == "N" else v, vec, c)
+            cols.append(out)
+        hit = {"cols": cols, "nd": len(cols), "nt": len(pos)}
         self._mat_cache[key] = hit
         return hit
 
@@ -241,9 +258,9 @@ class Homology:
 
     def _dom_ok(self, r: int, j: int) -> bool:
         top = self.A.top
-        if r in (1, 2):
-            return 1 <= j <= top + 1
-        return 0 <= j <= top
+        if _STAGE_KINDS[r] == "N":
+            return 0 <= j <= top
+        return 1 <= j <= top + 1
 
     def rank(self, r: int, twist: int, j: int) -> int:
         if not self._dom_ok(r, j):
@@ -275,7 +292,7 @@ class Homology:
             return 0
         out = dim - self.rank_hom(i, d) - self.rank_hom(i + 1, d)
         if out < 0:
-            raise AssertionError(f"negative HH dimension at (i={i}, d={d})")
+            raise AlgebraError(f"negative HH dimension at (i={i}, d={d})")
         return out
 
     def hh_table(self, max_i: int, max_d: int) -> dict[tuple[int, int], int]:
@@ -291,7 +308,7 @@ class Homology:
         out = dict(table)
         nv = len(self.g.vertices)
         if out.get((0, 0), 0) != nv:
-            raise AssertionError("HH_0 at degree 0 is not S")
+            raise AlgebraError("HH_0 at degree 0 is not S")
         del out[(0, 0)]
         return out
 
@@ -301,7 +318,7 @@ class Homology:
             return 0
         out = dim - self.rank_coh(i, d) - self.rank_coh(i + 1, d)
         if out < 0:
-            raise AssertionError(f"negative HH^ dimension at (i={i}, d={d})")
+            raise AlgebraError(f"negative HH^ dimension at (i={i}, d={d})")
         return out
 
     def coh_table(self, max_i: int, dmin: int, dmax: int) -> dict[tuple[int, int], int]:
@@ -338,17 +355,7 @@ class Homology:
         for col in m2["cols"]:
             acc: dict = {}
             for p, c in col.items():
-                for q, x in m1["cols"][p].items():
-                    t = c * x
-                    cur = acc.get(q)
-                    if cur is None:
-                        acc[q] = t
-                    else:
-                        s = cur + t
-                        if s.is_zero():
-                            del acc[q]
-                        else:
-                            acc[q] = s
+                linalg.axpy(acc, m1["cols"][p].items(), c)
             if acc:
                 return False
         return True
@@ -560,19 +567,8 @@ def hh0_direct(A: GradedAlgebra) -> dict[int, int]:
                     for yi in yblk:
                         xy = A.mul_basis(p, i, q, yi)
                         yx = A.mul_basis(q, yi, p, i)
-                        vec = {}
-                        for ii, c in xy.items():
-                            vec[pos[ii]] = c
-                        for ii, c in yx.items():
-                            cur = vec.get(pos[ii])
-                            if cur is None:
-                                vec[pos[ii]] = -c
-                            else:
-                                s2 = cur - c
-                                if s2.is_zero():
-                                    del vec[pos[ii]]
-                                else:
-                                    vec[pos[ii]] = s2
+                        vec = {pos[ii]: c for ii, c in xy.items()}
+                        linalg.axpy(vec, ((pos[ii], -c) for ii, c in yx.items()))
                         elim.add(vec)
         dim = len(cyclic) - elim.rank
         if dim:
@@ -602,11 +598,11 @@ def cyclic_from_hh(hh_reduced: dict, max_d: int, max_i: int) -> dict[tuple[int, 
         for n in range(top, -1, -1):
             hc_n = col.get(n + 1, 0) - hc_next
             if hc_n < 0:
-                raise AssertionError(f"negative HC at (i={n}, d={d})")
+                raise AlgebraError(f"negative HC at (i={n}, d={d})")
             vals[n] = hc_n
             hc_next = hc_n
         if vals.get(0, 0) != col.get(0, 0):
-            raise AssertionError(f"HC_0 != HH_0 at degree {d}")
+            raise AlgebraError(f"HC_0 != HH_0 at degree {d}")
         for n, v in vals.items():
             if v and n <= max_i:
                 out[(n, d)] = v
@@ -663,9 +659,9 @@ def structure_from_euler(h: int, chi: list[int], c_series: dict[int, int],
             elif 2 <= d <= h - 2:
                 X[d] = -v
             elif v:
-                raise AssertionError(f"structure bookkeeping leftover at degree {d}: {v}")
+                raise AlgebraError(f"structure bookkeeping leftover at degree {d}: {v}")
         if any(v < 0 for v in X.values()) or K.get(0, 0) < 0:
-            raise AssertionError("negative structure dimensions")
+            raise AlgebraError("negative structure dimensions")
         return {"C": C, "X": X, "K": K}
     period = 3 * h
     coeff = [0] * (4 * h + 1)
@@ -675,13 +671,13 @@ def structure_from_euler(h: int, chi: list[int], c_series: dict[int, int],
     if coeff[h]:
         K1 = {0: -coeff[h]}
         if K1[0] < 0:
-            raise AssertionError("negative K1")
+            raise AlgebraError("negative K1")
     if hh1 is None or hh4 is None:
-        raise AssertionError("non-trivial nu requires computed HH1 and HH4 tables")
+        raise AlgebraError("non-trivial nu requires computed HH1 and HH4 tables")
     X1 = sub(dict(hh1), C)
     X3 = sub(dict(hh4), {d + h: v for d, v in K1.items()})
     if any(v < 0 for v in X1.values()) or any(v < 0 for v in X3.values()):
-        raise AssertionError("negative X1/X3")
+        raise AlgebraError("negative X1/X3")
     # X2 at degrees 2..h-1: coeff_d = C - X1 + X2 (below h)
     X2 = {}
     for d in range(0, h):
@@ -698,7 +694,7 @@ def structure_from_euler(h: int, chi: list[int], c_series: dict[int, int],
     if v:
         K2[0] = v
     if any(x < 0 for x in list(X2.values()) + list(X4.values()) + list(K2.values())):
-        raise AssertionError("negative structure dimensions")
+        raise AlgebraError("negative structure dimensions")
     return {"C": C, "X1": X1, "X2": X2, "X3": X3, "X4": X4, "K1": K1, "K2": K2}
 
 
@@ -789,16 +785,16 @@ class _Resolution:
 
     Stage r at total degree d is A (x) V_r (x) A with V_0 = V_3 = S, V_1 the
     edges, V_2 the relations (one per reversed edge) and V_4 = S twisted by
-    nu on the right; the internal shifts are 0, 0, 1, 3, h, and stage 5 is
-    stage 1 shifted by h.  Every map preserves (d, left source u, right
+    nu on the right; the generators have degrees 0, 1, 2, 3, h, and stage 5
+    is stage 1 shifted by h.  Every map preserves (d, left source u, right
     target v), so each block is ranked on its own.
 
     The modular image -- the structure constants `A.red`, the dual bases and
-    the cell weights of `hom.tri_at` -- is reduced once, on construction; a
-    denominator that vanishes mod p raises ZeroDivisionError there, before
-    any rank is taken.  All later arithmetic is on ints mod p.  A mod-p rank
-    is at most the exact rank, so ranks that meet the dimension bound pin
-    the exact ranks and certify exactness.
+    the generator terms of `hom.mu` (see `differentials`) -- is reduced once,
+    on construction; a denominator that vanishes mod p raises
+    ZeroDivisionError there, before any rank is taken.  All later arithmetic
+    is on ints mod p.  A mod-p rank is at most the exact rank, so ranks that
+    meet the dimension bound pin the exact ranks and certify exactness.
     """
 
     def __init__(self, hom: Homology, emb: PrimeEmbedding):
@@ -814,11 +810,18 @@ class _Resolution:
         def image(vec: dict) -> list[tuple[int, int]]:
             return [(j, r) for j, c in vec.items() if (r := reduce(c))]
 
+        def edge(factor: tuple[int, int]):
+            # the factors of mu_1..mu_3 are edges and idempotents (None)
+            k, i = factor
+            return A.basis[1][i].path[0] if k else None
+
         # red[k][(i, e)] = basis i of degree k-1 times edge e; empty past the top
         self.red = [{key: image(vec) for key, vec in tab.items()} for tab in A.red] + [{}]
         self.duals = [{i: image(vec) for i, vec in tab.items()} for tab in A.duals]
-        self.tri = {a: [(b, c, reduce(w)) for b, c, w in terms]
-                    for a, terms in hom.tri_at.items()}
+        # mu[r][v] = [(left edge or None, v', right edge or None, c mod p)], r = 1..3
+        self.mu = {r: {v: [(edge(l), w, edge(rt), reduce(c)) for l, w, rt, c in terms]
+                       for v, terms in hom.mu[r].items()}
+                   for r in (1, 2, 3)}
         # blocks of A by one endpoint: starts[k][m] = [(v, idxs)], ends[k][m] = [(u, idxs)]
         self.starts: list[dict] = [{} for _ in range(A.top + 1)]
         self.ends: list[dict] = [{} for _ in range(A.top + 1)]
@@ -831,7 +834,6 @@ class _Resolution:
 
     def _times(self, k: int, vec: dict, path: tuple[int, ...]) -> dict:
         """A degree-k vector times a path, mod p."""
-        p = self.p
         for eid in path:
             k += 1
             if not vec:
@@ -839,9 +841,8 @@ class _Resolution:
             red = self.red[k]
             out: dict[int, int] = {}
             for i, c in vec.items():
-                for j, x in red.get((i, eid), ()):
-                    out[j] = out.get(j, 0) + c * x
-            vec = {j: c % p for j, c in out.items() if c % p}
+                linalg.axpy(out, red.get((i, eid), ()), c, self.p)
+            vec = out
         return vec
 
     def _edge_times(self, eid: int, k: int, i: int) -> dict:
@@ -859,17 +860,15 @@ class _Resolution:
         hit = self._dual_memo.get((m, j))
         if hit is None:
             A, p = self.A, self.p
-            acc: dict = {}
+            hit = {}
             end = A.basis[m][j].dst
             for s in range(A.top - m + 1):
                 for _, ws in self.starts[s].get(end, ()):
                     for w in ws:
                         zw = self._times(m, {j: 1}, A.basis[s][w].path)
                         for jj, c2 in zw.items():
-                            for kk, c3 in self.duals[s][w]:
-                                key = (m + s, jj, kk)
-                                acc[key] = acc.get(key, 0) + c2 * c3
-            hit = {key: c % p for key, c in acc.items() if c % p}
+                            linalg.axpy(hit, (((m + s, jj, kk), c3)
+                                              for kk, c3 in self.duals[s][w]), c2, p)
             self._dual_memo[(m, j)] = hit
         return hit
 
@@ -878,11 +877,10 @@ class _Resolution:
         bucketed by (u, v); empty blocks are absent."""
         A, g, top = self.A, self.g, self.A.top
         out = []
-        for stage, shift in enumerate((0, 0, 1, 3, g.h)):
+        for stage, shift in enumerate(_gen_degrees(g.h)):
             n = d - shift
             by_block: dict = {}
             if stage in (1, 2):
-                n -= 1
                 for e in g.edges:
                     a, b = (e.src, e.dst) if stage == 1 else (e.dst, e.src)
                     for k in range(max(0, n - top), min(n, top) + 1):
@@ -902,53 +900,68 @@ class _Resolution:
         return out
 
     def _image(self, stage: int, d: int, elt: tuple):
-        """mu_stage of one domain basis element, as (target element, coefficient)
-        pairs mod p; a target element may repeat."""
-        A, red = self.A, self.red
+        """mu_stage of one domain basis element at total degree d, as (target
+        element, coefficient) pairs mod p; a target element may repeat."""
+        A = self.A
         if stage == 0:  # x (x) y |-> xy
             k, x, y = elt
             yield from self._times(k, {x: 1}, A.basis[d - k][y].path).items()
-        elif stage == 1:  # x (x) e (x) y |-> xe (x) y - x (x) ey
-            k, x, e, y = elt
-            for j, c in red[k + 1].get((x, e), ()):
-                yield (k + 1, j, y), c
-            for j, c in self._edge_times(e, d - 1 - k, y).items():
-                yield (k, x, j), -c
-        elif stage == 2:  # x (x) a~ (x) y |-> sum W_abc (xb (x) c (x) y + x (x) b (x) cy)
-            k, x, e, y = elt
-            for b, cc, w in self.tri[e]:
-                for j, c in red[k + 1].get((x, b), ()):
-                    yield (k + 1, j, cc, y), w * c
-                for j, c in self._edge_times(cc, d - 2 - k, y).items():
-                    yield (k, x, b, j), w * c
-        elif stage == 3:  # x (x) y |-> sum_e (xe (x) e~ (x) y - x (x) e~ (x) ey)
-            k, x, y = elt
-            m = A.basis[k][x].dst
-            for e in self.g.out_edges[m]:
-                for j, c in red[k + 1].get((x, e.id), ()):
-                    yield (k + 1, j, e.id, y), c
-            for e in self.g.in_edges[m]:
-                for j, c in self._edge_times(e.id, d - 3 - k, y).items():
-                    yield (k, x, e.id, j), -c
-        else:  # x (x) y |-> sum_w xy w (x) w*
+        elif stage == 4:
+            # x (x) y |-> sum_w xy w (x) w*.  The generic rule would give
+            # sum_w x w (x) w* b(y); the two agree by the dual-basis identity
+            # sum_w a w (x) w* = sum_w w (x) w* b(a), which the exact check of
+            # mu_4 mu_5 on generators verifies.
             k, x, y = elt
             q = d - self.g.h - k
             for j, c in self._times(k, {x: 1}, A.basis[q][y].path).items():
                 for key, z in self._dual_sum(k + q, j).items():
                     yield key, c * z
+        else:  # x (x) v (x) y |-> sum c (x l) (x) v' (x) (r y) over the terms of mu_stage(v)
+            if stage == 3:
+                k, x, y = elt
+                gen = A.basis[k][x].dst
+            else:
+                k, x, gen, y = elt
+            ky = d - stage - k  # V_1..V_3 sit in degrees 1..3
+            for l, v, r, c in self.mu[stage][gen]:
+                xl = self.red[k + 1].get((x, l), ()) if l is not None else ((x, 1),)
+                ry = self._edge_times(r, ky, y).items() if r is not None else ((y, 1),)
+                kl = k + (l is not None)
+                for j, a in xl:
+                    for jj, b in ry:
+                        yield ((kl, j, v, jj) if stage > 1 else (kl, j, jj)), c * a * b
 
     def _rows(self, stage: int, d: int, dom: list, tgt: list) -> list[dict]:
         """Rows of mu_stage on one block, over target positions, mod p."""
-        p = self.p
         pos = {elt: t for t, elt in enumerate(tgt)}
-        rows = []
-        for elt in dom:
-            out: dict[int, int] = {}
-            for key, c in self._image(stage, d, elt):
-                t = pos[key]
-                out[t] = out.get(t, 0) + c
-            rows.append({t: c % p for t, c in out.items() if c % p})
-        return rows
+        return [linalg.axpy({}, [(pos[key], c) for key, c in self._image(stage, d, elt)],
+                            p=self.p)
+                for elt in dom]
+
+    def d_squared(self) -> list:
+        """Generators v of V_r, r = 1..5, with mu_(r-1) mu_r (1 (x) v (x) 1)
+        nonzero mod p: the maps that are ranked must form a complex.  mu_0 is
+        multiplication and mu_5 is mu_1 into the nu-twisted V_4, h degrees up."""
+        g, vid = self.g, self.g.vindex
+        gdeg = _gen_degrees(g.h)
+        bad = []
+        for r in range(1, 6):
+            stage = (r - 1) % 4 + 1
+            d = gdeg[stage]
+            if stage in (1, 2):
+                gens = [(e.id, (0, vid[e.src], e.id, vid[e.dst]) if stage == 1
+                         else (0, vid[e.dst], e.id, vid[e.src])) for e in g.edges]
+            else:
+                gens = [(m, (0, vid[m], vid[m])) for m in g.vertices]
+            for gen, elt in gens:
+                acc: dict = {}
+                for key, c in self._image(stage, d, elt):
+                    linalg.axpy(acc, self._image(r - 1, d + (g.h if r == 5 else 0), key),
+                                c, self.p)
+                if acc:
+                    bad.append(("d2-modp", r, gen))
+        self._dual_memo = {}
+        return bad
 
     def degree(self, d: int) -> dict:
         """{(u, v): [(rank, dim domain, dim target) of mu_0..mu_4]} for every
@@ -969,54 +982,54 @@ class _Resolution:
         return out
 
 
+def _d_squared_exact(hom: Homology) -> list:
+    """Generators v of V_r, r = 1..5, with mu_(r-1) mu_r (1 (x) v (x) 1) != 0,
+    composed exactly from the terms of `hom.mu`.  mu_0 is multiplication;
+    mu_5 is mu_1 into V_4, whose right end is twisted by nu, so mu_4 acts on
+    l (x) 1 (x) r as on l (x) 1 (x) b(r)."""
+    A, mu = hom.A, hom.mu
+    bad = []
+    for r in range(1, 6):
+        for gen, terms in mu[(r - 1) % 4 + 1].items():
+            acc: dict = {}
+            for (kl, il), v, (kr, ir), c in terms:
+                if r == 1:
+                    linalg.axpy(acc, (((kl + kr, i), x)
+                                      for i, x in A.mul_basis(kl, il, kr, ir).items()), c)
+                    continue
+                for (kl2, il2), v2, (kr2, ir2), c2 in mu[r - 1][v]:
+                    if r == 5:
+                        rvec = A.mul(kr2, A.unit(kr2, ir2), kr, A.beta_basis(kr, ir))
+                    else:
+                        rvec = A.mul_basis(kr2, ir2, kr, ir)
+                    if not rvec:
+                        continue
+                    cc = c * c2
+                    for i, x in A.mul_basis(kl, il, kl2, il2).items():
+                        linalg.axpy(acc, (((kl + kl2, i, v2, kr2 + kr, j), y)
+                                          for j, y in rvec.items()), cc * x)
+            if acc:
+                bad.append(("d2-exact", r, gen))
+    return bad
+
+
 def verify_resolution(hom: Homology, cutoff: int | None = None, tries: int = 4) -> dict:
     """Certified exactness of the bimodule resolution through total degree
     <= cutoff (default 2h).
 
-    d o d = 0 is checked exactly on bimodule generators: the relations and
-    the dual-basis identity.  Node exactness then follows from ranks taken
-    over a modular image of the algebra, built once per prime: a mod-p rank
-    is at most the exact rank, so mod-p ranks that meet the dimension bound
-    pin the exact ranks.  A prime whose image has a vanishing denominator is
-    skipped, up to `tries` primes.  Returns `ok`, `cutoff`, `failures` (each
-    naming the check and, for a node, its (d, u, v) block) and the `prime`
-    that was used.
+    The maps are those of `differentials`.  d o d = 0 is checked on
+    bimodule generators, for mu_0 mu_1 up to mu_4 mu_5: first exactly, then
+    on the modular image of each prime, before any rank is taken.  Node
+    exactness then follows from ranks taken over that image, built once per
+    prime: a mod-p rank is at most the exact rank, so mod-p ranks that meet
+    the dimension bound pin the exact ranks.  A prime whose image has a
+    vanishing denominator is skipped, up to `tries` primes.  Returns `ok`,
+    `cutoff`, `failures` (each naming the check and, for d o d, the index r
+    and generator of mu_(r-1) mu_r, for a node its (d, u, v) block) and the
+    `prime` that was used.
     """
-    A, g = hom.A, hom.g
-    cutoff = cutoff if cutoff is not None else 2 * g.h
-    failures = []
-    # exact: relations reduce to zero (mu1 mu2 and mu2 mu3)
-    for rel in A.relations.relations:
-        acc: dict = {}
-        for (b, c), w in rel.terms.items():
-            _, vec = A.reduce_path(g.edge_by_id[b].src, (b, c))
-            for ii, cc in vec.items():
-                cur = acc.get(ii)
-                s = w * cc if cur is None else cur + w * cc
-                if s.is_zero():
-                    acc.pop(ii, None)
-                else:
-                    acc[ii] = s
-        if acc:
-            failures.append(("d2-relations", rel.edge_id))
-    # exact: dual-basis identity  sum_j w_j a (x) w_j* = sum_j w_j (x) a w_j*
-    A.build_form()
-    T = A.top
-    for e in g.edges:
-        lhs: dict = {}
-        rhs: dict = {}
-        for p in range(T + 1):
-            for wi, wstar in A.dual_pairs(p):
-                wa = A.mul_edge(p, A.unit(p, wi), e.id)
-                for ii, c in wa.items():
-                    for jj, c2 in wstar.items():
-                        _acc_scalar(lhs, ((p + 1, ii), (T - p, jj)), c * c2)
-                e1 = A.index_of[1][(e.id,)]
-                aw = A.mul(1, A.unit(1, e1), T - p, wstar)
-                for jj, c2 in aw.items():
-                    _acc_scalar(rhs, ((p, wi), (T - p + 1, jj)), c2)
-        if not _dicts_equal(lhs, rhs):
-            failures.append(("d2-dual-basis", e.id))
+    cutoff = cutoff if cutoff is not None else 2 * hom.g.h
+    failures = _d_squared_exact(hom)
     if failures:
         return {"ok": False, "cutoff": cutoff, "failures": failures}
     # mod-p rank certificates per node, degree and block
@@ -1026,26 +1039,11 @@ def verify_resolution(hom: Homology, cutoff: int | None = None, tries: int = 4) 
             res = _Resolution(hom, emb)
         except ZeroDivisionError:
             continue
-        failures = _resolution_ranks(res, cutoff)
+        failures = res.d_squared() + _resolution_ranks(res, cutoff)
         return {"ok": not failures, "cutoff": cutoff, "failures": failures,
                 "prime": emb.p}
     return {"ok": False, "cutoff": cutoff,
             "failures": [("no-usable-prime", tries)]}
-
-
-def _acc_scalar(out: dict, key, val):
-    cur = out.get(key)
-    s = val if cur is None else cur + val
-    if s.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = s
-
-
-def _dicts_equal(a: dict, b: dict) -> bool:
-    if set(a) != set(b):
-        return False
-    return all(a[k] == b[k] for k in a)
 
 
 def _resolution_ranks(res: _Resolution, cutoff: int) -> list:

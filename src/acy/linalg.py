@@ -8,43 +8,42 @@ choice is deterministic (lowest index), so echelon bases are reproducible.
 from __future__ import annotations
 
 __all__ = ["Eliminator", "rank", "nullspace", "invert_dense",
-           "vec_add", "vec_scale", "vec_sub_scaled"]
+           "axpy", "vec_scale", "vec_sub_scaled"]
 
 
 def vec_scale(v: dict, c) -> dict:
     return {i: x * c for i, x in v.items()}
 
 
-def vec_add(v: dict, w: dict) -> dict:
-    out = dict(v)
-    for i, x in w.items():
-        cur = out.get(i)
-        if cur is None:
-            out[i] = x
-        else:
-            s = cur + x
-            if s.is_zero():
-                del out[i]
-            else:
+def axpy(out: dict, items, c=None, p: int = 0) -> dict:
+    """out += c * vec in place, where `items` yields vec's (index, value)
+    pairs and c=None means 1; entries that become zero are dropped.
+
+    Values are tower scalars, or ints mod p when p is given."""
+    if p:
+        c = 1 if c is None else c
+        for i, x in items:
+            s = (out.get(i, 0) + c * x) % p
+            if s:
                 out[i] = s
+            else:
+                out.pop(i, None)
+        return out
+    for i, x in items:
+        t = x if c is None else c * x
+        cur = out.get(i)
+        if cur is not None:
+            t = cur + t
+            if t.is_zero():
+                del out[i]
+                continue
+        out[i] = t
     return out
 
 
 def vec_sub_scaled(v: dict, w: dict, c) -> dict:
     """v - c*w."""
-    out = dict(v)
-    for i, x in w.items():
-        t = x * c
-        cur = out.get(i)
-        if cur is None:
-            out[i] = -t
-        else:
-            s = cur - t
-            if s.is_zero():
-                del out[i]
-            else:
-                out[i] = s
-    return out
+    return axpy(dict(v), w.items(), -c)
 
 
 class Eliminator:

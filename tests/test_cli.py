@@ -103,3 +103,16 @@ def test_verify_all_a4():
     for line in ("cells_type_I: pass", "hilbert: pass", "duality: pass",
                  "resolution: pass", "euler: pass", "hh0_cross: pass"):
         assert line in out, line
+
+
+def test_failed_math_check_exits_3(monkeypatch, capsys):
+    # a rank above the dimension bound makes an HH dimension negative: a typed
+    # math failure, reported with exit 3 and no traceback
+    import acy.cli
+    from acy.homology import Homology
+
+    monkeypatch.setattr(Homology, "rank", lambda self, r, twist, j: 10**6)
+    assert acy.cli.main(["compute", "--graph", "A4"]) == 3
+    err = capsys.readouterr().err
+    assert "mathematical check failed: negative HH dimension" in err
+    assert "Traceback" not in err

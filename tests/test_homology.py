@@ -1,9 +1,13 @@
+import hashlib
+import json
+
 import pytest
 
 import acy.homology
-from acy.homology import (_Resolution, build_report, cyclic_from_hh, euler_from_hc,
-                          hh0_direct, predicted_tables, structure_from_euler,
-                          verify_resolution)
+from acy.algebra import AlgebraError
+from acy.homology import (Homology, _Resolution, build_report, cyclic_from_hh,
+                          differentials, euler_from_hc, hh0_direct, predicted_tables,
+                          structure_from_euler, verify_resolution)
 from acy.scalar import PrimeEmbedding, Scalar
 from acy.series import euler_characteristic_hc
 
@@ -57,7 +61,7 @@ def test_cyclic_bookkeeping():
     hh = {(0, 2): 1, (1, 2): 1}
     assert cyclic_from_hh(hh, 4, 6) == {(0, 2): 1}
     # inconsistent table (HC_0 != HH_0) raises
-    with pytest.raises(AssertionError):
+    with pytest.raises(AlgebraError):
         cyclic_from_hh({(1, 2): 1}, 4, 6)
 
 
@@ -111,6 +115,41 @@ def test_duality_and_symmetry(pipe):
         assert hom.verify_duality() == []
         hh = hom.hh_table(17, 4 * hom.g.h)
         assert hom.verify_dim_symmetry(hh, 4 * hom.g.h) == []
+
+
+# sha256 of every differential matrix Homology.mat(r, t, j), in exact normal
+# form, as the four hand-written formulas gave them; the number of matrices
+# comes first.
+MAT_PIN = {
+    "A4": (24, "b366835c68bda232c60c643b95d631cdc18f7ebb022be662da57f4475dfc79ae"),
+    "A5": (36, "a9ddfe5a579645b329b626126c61ca5d466c063070bbab320c817a0743920913"),
+    "E8*": (24, "0fe75489705fb95d1580d3e46548a3b02cf3f27a666a415ff4c50674e7e13263"),
+    "D6": (16, "ed065ef627d3ef247ff43bf119bb45fe99557e21f6dffacad0af99c101a8538c"),
+    "D5*": (36, "7bd249140be95d2f486b472f79d91bd53d54a8d0b14075422a673d882eebf0ea"),
+}
+
+
+def _mat_digest(hom) -> tuple[int, str]:
+    def normal_form(x):
+        return [sorted(x.re.items()), sorted(x.im.items()) if x.im else []]
+
+    out = []
+    for r in range(1, 5):
+        for t in sorted({hom._tw(t) for t in range(3)}):
+            for j in range(hom.A.top + 2):
+                if not hom._dom_ok(r, j):
+                    continue
+                m = hom.mat(r, t, j)
+                out.append([r, t, j, m["nd"], m["nt"],
+                            [sorted((p, normal_form(c)) for p, c in col.items())
+                             for col in m["cols"]]])
+    return len(out), hashlib.sha256(json.dumps(out, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_differential_matrices_pinned(pipe):
+    for spec, pin in MAT_PIN.items():
+        _, _, _, hom = pipe(spec)
+        assert _mat_digest(hom) == pin, spec
 
 
 def test_resolution_exactness(pipe):
@@ -215,20 +254,61 @@ def test_resolution_ranks_pinned(pipe):
         assert (out["ok"], out["failures"], out["prime"]) == (True, [], prime), spec
 
 
-def test_resolution_detects_a_corrupted_modular_image(pipe, monkeypatch):
-    # zero the first reduced cell weight: mu_2 loses rank at one block
+def _with_first_weight(change):
+    """A _Resolution whose first reduced cell weight is replaced by
+    change(w, p) in its modular image of mu_2."""
     class Corrupted(_Resolution):
         def __init__(self, hom, emb):
             super().__init__(hom, emb)
-            a = min(a for a, terms in self.tri.items() if terms)
-            b, c, _ = self.tri[a][0]
-            self.tri[a][0] = (b, c, 0)
+            a = min(a for a, terms in self.mu[2].items() if terms)
+            terms = self.mu[2][a]
+            # the two terms of mu_2(a~) that carry one weight W_abc come first
+            for n in (0, 1):
+                left, v, right, w = terms[n]
+                terms[n] = (left, v, right, change(w, self.p))
+    return Corrupted
 
+
+def test_resolution_detects_a_corrupted_modular_image(pipe, monkeypatch):
+    # zero the first reduced cell weight: mu_2 loses rank at one block, and
+    # mu_2 mu_3 no longer vanishes mod p at the ends of that edge
     _, _, _, hom = pipe("A4")
-    monkeypatch.setattr(acy.homology, "_Resolution", Corrupted)
+    monkeypatch.setattr(acy.homology, "_Resolution", _with_first_weight(lambda w, p: 0))
     out = verify_resolution(hom)
     assert not out["ok"]
-    assert out["failures"] == [("node1", 2, "1,0", "0,0"), ("node2", 2, "1,0", "0,0")]
+    assert out["failures"] == [("d2-modp", 3, "0,0"), ("d2-modp", 3, "1,0"),
+                               ("node1", 2, "1,0", "0,0"), ("node2", 2, "1,0", "0,0")]
+
+
+def test_resolution_detects_a_rank_preserving_slip(pipe, monkeypatch):
+    # one reduced cell weight raised by 1 keeps every rank; the generator
+    # check of the modular maps finds mu_2 mu_3 != 0 at both ends of the edge
+    monkeypatch.setattr(acy.homology, "_Resolution",
+                        _with_first_weight(lambda w, p: (w + 1) % p))
+    for spec in ("A4", "A5", "E8*", "D6"):
+        g, _, _, hom = pipe(spec)
+        a = g.edge_by_id[min(a for a, terms in hom.mu[2].items() if terms)]
+        out = verify_resolution(hom)
+        assert not out["ok"], spec
+        assert sorted(out["failures"]) == sorted(
+            ("d2-modp", 3, m) for m in {a.src, a.dst}), spec
+
+
+def test_resolution_detects_a_sign_flip_in_mu1(pipe, monkeypatch):
+    # mu_1(e) = e (x) 1 + 1 (x) e: mu_0 mu_1(e) = 2e on every edge
+    def flipped(A, cells):
+        mu = differentials(A, cells)
+        for terms in mu[1].values():
+            left, v, right, c = terms[1]
+            terms[1] = (left, v, right, -c)
+        return mu
+
+    g, cells, A, _ = pipe("A4")
+    monkeypatch.setattr(acy.homology, "differentials", flipped)
+    out = verify_resolution(Homology(A, cells))
+    assert not out["ok"]
+    assert [f for f in out["failures"] if f[1] == 1] == [
+        ("d2-exact", 1, e.id) for e in g.edges]
 
 
 def test_resolution_skips_a_prime_that_fails_to_reduce(pipe, monkeypatch):
