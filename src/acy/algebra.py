@@ -40,7 +40,7 @@ class GradedAlgebra:
         self.graph = graph
         self.relations = relations
         self.tower = relations.tower
-        self._one = self.tower.one()  # shared: scalars are immutable
+        self.one = self.tower.one()  # shared: scalars are immutable
         self.top = graph.h - 3
         self.basis: list[list[BasisElt]] = []
         self.block_index: list[dict[tuple[str, str], list[int]]] = []
@@ -113,7 +113,7 @@ class GradedAlgebra:
             red_k: dict[tuple[int, int], dict] = {}
             for t, (i, e) in enumerate(monos):
                 if t in basis_of_mono:
-                    red_k[(i, e.id)] = {basis_of_mono[t]: self._one}
+                    red_k[(i, e.id)] = {basis_of_mono[t]: self.one}
                 else:
                     piv = pivots_vec[t]
                     red_k[(i, e.id)] = {basis_of_mono[s]: -cs for s, cs in piv.items()
@@ -154,7 +154,7 @@ class GradedAlgebra:
     # -- multiplication ---------------------------------------------------------
 
     def unit(self, k: int, i: int) -> dict:
-        return {i: self._one}
+        return {i: self.one}
 
     def mul_edge(self, k: int, vec: dict, eid: int) -> dict:
         """Right-multiply a degree-k vector by an edge; degree k+1 (or 0)."""
@@ -165,7 +165,7 @@ class GradedAlgebra:
         for i, c in vec.items():
             hit = red.get((i, eid))
             if hit:
-                linalg.axpy(out, hit.items(), c)
+                linalg.axpy(out, hit.items(), self.axpy_coef(c))
         return out
 
     def mul_path(self, k: int, vec: dict, path: tuple[int, ...]) -> tuple[int, dict]:
@@ -195,12 +195,20 @@ class GradedAlgebra:
             for i1, c1 in v1.items():
                 prod = self.mul_basis(k1, i1, k2, i2)
                 if prod:
-                    linalg.axpy(out, prod.items(), c1 * c2)
+                    linalg.axpy(out, prod.items(), self.axpy_coef(self.times(c1, c2)))
         return out
+
+    def times(self, a: Scalar, b: Scalar) -> Scalar:
+        """a * b, with no multiply when a factor is the shared one."""
+        return b if a is self.one else a if b is self.one else a * b
+
+    def axpy_coef(self, c: Scalar) -> Scalar | None:
+        """c as an `axpy` factor: None (no multiply) for the shared one."""
+        return None if c is self.one else c
 
     def reduce_path(self, src: str, path: tuple[int, ...]) -> tuple[int, dict]:
         """Class of a raw path in the quotient."""
-        vec = {self.graph.vindex[src]: self._one}
+        vec = {self.graph.vindex[src]: self.one}
         return self.mul_path(0, vec, path)
 
     # -- Nakayama -----------------------------------------------------------------
@@ -220,7 +228,7 @@ class GradedAlgebra:
         for _ in range(power):
             out: dict[int, Scalar] = {}
             for i, c in vec.items():
-                linalg.axpy(out, self.beta_basis(k, i).items(), c)
+                linalg.axpy(out, self.beta_basis(k, i).items(), self.axpy_coef(c))
             vec = out
         return vec
 
@@ -285,7 +293,7 @@ class GradedAlgebra:
         for i, x in vec.items():
             coeff = self.f_coeff.get(i)
             if coeff is not None:
-                acc = acc + coeff * x
+                acc = acc + self.times(coeff, x)
         return acc
 
     def pair(self, k: int, v1: dict, v2: dict) -> Scalar:

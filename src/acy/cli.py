@@ -153,12 +153,10 @@ def cmd_verify(args) -> int:
         if want in ("d2", "all"):
             checks["d2"] = not hom.check_d_squared(14, 4 * graph.h)
         if want in ("euler", "all"):
-            from .homology import cyclic_from_hh, euler_from_hc, _shift_hom
+            from .homology import cyclic_from_hh, euler_from_hc
 
             cutoff = 4 * graph.h
-            i_full = 13
-            while _shift_hom(i_full + 1, graph.h) <= cutoff:
-                i_full += 1
+            i_full = Homology.index_bound(graph.h, cutoff)
             hh = hom.hh_table(i_full, cutoff)
             hc = cyclic_from_hh(hom.reduced(hh), cutoff, i_full)
             checks["euler"] = euler_from_hc(hc, cutoff) == euler_characteristic_hc(graph, cutoff)

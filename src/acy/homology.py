@@ -74,7 +74,7 @@ def differentials(A: GradedAlgebra, cells: CellSystem) -> dict:
     enters mu_4 as one term per basis element in its support.
     """
     A.build_form()
-    g, one, T = A.graph, A.tower.one(), A.top
+    g, one, T = A.graph, A.one, A.top
     minus = -one
 
     def edge(eid: int) -> tuple[int, int]:
@@ -120,6 +120,15 @@ class Homology:
         self._space_cache: dict = {}
         self._mat_cache: dict = {}
         self._rank_cache: dict = {}
+
+    @staticmethod
+    def index_bound(h: int, cutoff: int, max_index: int = 13) -> int:
+        """The largest homological index whose chain spaces can be nonzero at
+        a degree <= cutoff, and at least max_index."""
+        i = max_index
+        while _shift_hom(i + 1, h) <= cutoff:
+            i += 1
+        return i
 
     # -- chain space bases ------------------------------------------------------
 
@@ -362,46 +371,64 @@ class Homology:
 
     # duality pairings ----------------------------------------------------------
 
-    def _pair_elts(self, e1, k1: str, t1: int, j1: int, e2, k2: str, t2: int, j2: int):
-        """The duality pairing of a C_jdx element (first slot) with a
-        C_(11-jdx) element (second slot); twists satisfy t1 + t2 = 2 mod 3.
+    def pairing(self, jdx: int, d: int) -> list[dict]:
+        """The duality pairing of C_jdx(d) with C_(11-jdx)(3h-d), as one sparse
+        row {column: value} per C_jdx(d) basis element; the twists satisfy
+        t1 + t2 = 2 mod 3.
 
         The value is the plain product f(x1 x2) of the N-components; for the
-        V/V~ factors composability forces the matching a1 = nu^t1(a2).  The
+        V/V~ factors composability forces the matching a1 = nu^t1(a2).  Since
+        A_top lies on the nu-diagonal, f(x1 x2) can be nonzero only for x2 in
+        the block (r(x1), nu(s(x1))), so each row reads just that block.  The
         family of valid identifications is a torsor under powers of beta;
         this member is the one with untwisted products."""
-        A = self.A
-        if k1 == "N":
-            (i1,), (i2,) = e1, e2
-            return A.f(A.mul(j1, A.unit(j1, i1), j2, A.unit(j2, i2)))
-        (a1, i1), (a2, i2) = e1, e2
-        if a1 != self._nu_edge_pow(a2, t1):
-            return self.tower.zero()
-        return A.f(A.mul(j1 - 1, A.unit(j1 - 1, i1), j2 - 1, A.unit(j2 - 1, i2)))
-
-    def pairing(self, jdx: int, d: int):
-        """Rows: C_jdx(d) basis; columns: C_(11-jdx)(3h-d) basis."""
-        h = self.g.h
+        A, g, h = self.A, self.g, self.g.h
         i1, i2 = jdx, 11 - jdx
         t1, t2 = (i1 // 4) % 3, (i2 // 4) % 3
         j1 = d - _shift_hom(i1, h)
         j2 = (3 * h - d) - _shift_hom(i2, h)
-        k1, k2 = _HOM_KINDS[i1 % 4], _HOM_KINDS[i2 % 4]
-        s1 = self.space(k1, t1, j1)
-        s2 = self.space(k2, t2, j2)
-        rows = [[self._pair_elts(e1, k1, self._tw(t1), j1, e2, k2, self._tw(t2), j2)
-                 for e2 in s2] for e1 in s1]
-        return rows, s1, s2
+        kind = _HOM_KINDS[i1 % 4]
+        edged = kind != "N"  # then C_(11-jdx) has edge factors too
+        k1, k2 = j1 - edged, j2 - edged  # degrees of the algebra factors
+        cols = self._pos(_HOM_KINDS[i2 % 4], t2, j2)
+        rows = []
+        for elt in self.space(kind, t1, j1):
+            i = elt[-1]
+            a2 = self._nu_edge_pow(elt[0], -self._tw(t1)) if edged else None
+            x = A.basis[k1][i]
+            row = {}
+            for y in A.block_index[k2].get((x.dst, g.nu_v[x.src]), ()):
+                col = cols.get((a2, y) if edged else (y,))
+                if col is not None:
+                    v = A.f(A.mul_basis(k1, i, k2, y))
+                    if not v.is_zero():
+                        row[col] = v
+            rows.append(row)
+        return rows
 
     def verify_duality(self, max_d: int | None = None) -> list:
         """mu'_i = (-1)^i (mu'_(12-i))^* exactly for i = 1..6, and
-        (mu'_12)^* = mu'_12 o beta; returns failing (i, d) pairs."""
+        (mu'_12)^* = mu'_12 o beta; returns failing (i, d) pairs.
+
+        At (i, d) the identity reads M_i^T P_(i-1) = (-1)^i P_i M_(12-i), with
+        M the differential matrices and P the block-sparse `pairing`s.  Both
+        sides are accumulated as sparse rows over the C_i(d) basis and
+        compared row by row as dicts, so the work follows their support.  A
+        pairing is built once: P_i is the right side at step i and the left
+        side at step i + 1."""
         h = self.g.h
         if max_d is None:
             max_d = 3 * h
+        pairs: dict = {}
+
+        def pairing(jdx: int, d: int) -> list[dict]:
+            hit = pairs.get((jdx, d))
+            if hit is None:
+                hit = pairs[(jdx, d)] = self.pairing(jdx, d)
+            return hit
+
         bad = []
         for i in range(1, 7):
-            sign = -1 if i % 2 else 1
             for d in range(max_d + 1):
                 r, t, j = self._hom_params(i, d)
                 rv, tv, jv = self._hom_params(12 - i, 3 * h - d)
@@ -411,54 +438,55 @@ class Homology:
                 m_v = self.mat(rv, tv, jv)
                 if m_i["nd"] == 0 or m_v["nd"] == 0:
                     continue
-                lhs_pair, _, _ = self.pairing(i - 1, d)
-                rhs_pair, _, _ = self.pairing(i, d)
-                ok = True
-                for wi in range(m_i["nd"]):
-                    col_w = m_i["cols"][wi]
-                    for vi in range(m_v["nd"]):
-                        lhs = self.tower.zero()
-                        for p, c in col_w.items():
-                            lhs = lhs + c * lhs_pair[p][vi]
-                        rhs = self.tower.zero()
-                        for q, c in m_v["cols"][vi].items():
-                            rhs = rhs + c * rhs_pair[wi][q]
-                        if lhs != rhs * sign:
-                            ok = False
-                            break
-                    if not ok:
+                lhs_pair = pairing(i - 1, d)
+                rhs_pair = pairing(i, d)
+                m_v_rows: list[list] = [[] for _ in range(m_v["nt"])]
+                for vi, col in enumerate(m_v["cols"]):
+                    for q, c in col.items():
+                        m_v_rows[q].append((vi, c))
+                for col_w, prow in zip(m_i["cols"], rhs_pair):
+                    lhs: dict = {}
+                    for p, c in col_w.items():
+                        linalg.axpy(lhs, lhs_pair[p].items(), c)
+                    rhs: dict = {}
+                    for q, c in prow.items():
+                        linalg.axpy(rhs, m_v_rows[q], -c if i % 2 else c)
+                    if lhs != rhs:
+                        bad.append((i, d))
                         break
-                if not ok:
-                    bad.append((i, d))
         if not self._check_mu12_beta():
             bad.append((12, "beta"))
         return bad
 
     def _check_mu12_beta(self) -> bool:
         """(mu'_12)^* = mu'_12 o beta: f(mu'_12(x) y) = f(x mu'_12(beta y))
-        for x, y in the degree-zero part of A^S."""
-        A = self.A
+        for x, y in the degree-zero part of A^S.
+
+        Both sides are sparse dicts over the idempotent pairs (x, y), built in
+        one pass over the support of each column: a top element t ends at one
+        idempotent e_b and starts at one e_a, so f(t e_b) and f(e_a t) are the
+        only values it contributes."""
+        A, vi, T = self.A, self.g.vindex, self.A.top
         m = self.mat(4, 2, 0)
         dom = self.space("N", 0, 0)
-        tgt = self.space("N", 2, A.top)
-        col_of = {elt: m["cols"][p] for p, elt in enumerate(dom)}
-        for (ia,) in dom:
-            for (ib,) in dom:
-                lhs = self.tower.zero()
-                for p, c in col_of[(ia,)].items():
-                    (it,) = tgt[p]
-                    lhs = lhs + c * A.f(A.mul(A.top, A.unit(A.top, it),
-                                              0, A.unit(0, ib)))
-                yb = A.beta_vec(0, A.unit(0, ib))
-                rhs = self.tower.zero()
-                for ii, cc in yb.items():
-                    for p, c in col_of[(ii,)].items():
-                        (it,) = tgt[p]
-                        rhs = rhs + cc * c * A.f(
-                            A.mul(0, A.unit(0, ia), A.top, A.unit(A.top, it)))
-                if lhs != rhs:
-                    return False
-        return True
+        tgt = self.space("N", 2, T)
+        # y = e_b with beta(y) = sum cc e_c, listed under c
+        beta_of: dict[int, list] = {}
+        for (ib,) in dom:
+            for ic, cc in A.beta_vec(0, A.unit(0, ib)).items():
+                beta_of.setdefault(ic, []).append((ib, cc))
+        lhs: dict = {}
+        rhs: dict = {}
+        for (ic,), col in zip(dom, m["cols"]):
+            for p, c in col.items():
+                (it,) = tgt[p]
+                top = A.basis[T][it]
+                a, b = vi[top.src], vi[top.dst]
+                linalg.axpy(lhs, [((ic, b), A.f(A.mul_basis(T, it, 0, b)))], c)
+                fa = A.times(c, A.f(A.mul_basis(0, a, T, it)))
+                for ib, cc in beta_of.get(ic, ()):
+                    linalg.axpy(rhs, [((a, ib), fa)], A.axpy_coef(cc))
+        return lhs == rhs
 
     def verify_dim_symmetry(self, table: dict, max_d: int) -> list:
         """dim HH_i,d = dim HH_(11-i),(3h-d) for i = 1..10, and
@@ -986,7 +1014,11 @@ def _d_squared_exact(hom: Homology) -> list:
     """Generators v of V_r, r = 1..5, with mu_(r-1) mu_r (1 (x) v (x) 1) != 0,
     composed exactly from the terms of `hom.mu`.  mu_0 is multiplication;
     mu_5 is mu_1 into V_4, whose right end is twisted by nu, so mu_4 acts on
-    l (x) 1 (x) r as on l (x) 1 (x) b(r)."""
+    l (x) 1 (x) r as on l (x) 1 (x) b(r).
+
+    Each pair of terms scales its right product once; no multiply is spent
+    on a factor that is the algebra's shared one, as the unit coefficients
+    of mu_1 and mu_3 and the structure constants of monomials are."""
     A, mu = hom.A, hom.mu
     bad = []
     for r in range(1, 6):
@@ -995,19 +1027,22 @@ def _d_squared_exact(hom: Homology) -> list:
             for (kl, il), v, (kr, ir), c in terms:
                 if r == 1:
                     linalg.axpy(acc, (((kl + kr, i), x)
-                                      for i, x in A.mul_basis(kl, il, kr, ir).items()), c)
+                                      for i, x in A.mul_basis(kl, il, kr, ir).items()),
+                                A.axpy_coef(c))
                     continue
                 for (kl2, il2), v2, (kr2, ir2), c2 in mu[r - 1][v]:
                     if r == 5:
                         rvec = A.mul(kr2, A.unit(kr2, ir2), kr, A.beta_basis(kr, ir))
                     else:
                         rvec = A.mul_basis(kr2, ir2, kr, ir)
-                    if not rvec:
+                    lvec = A.mul_basis(kl, il, kl2, il2)
+                    if not (rvec and lvec):
                         continue
-                    cc = c * c2
-                    for i, x in A.mul_basis(kl, il, kl2, il2).items():
+                    cc = A.times(c, c2)
+                    right = [(j, A.times(cc, y)) for j, y in rvec.items()]
+                    for i, x in lvec.items():
                         linalg.axpy(acc, (((kl + kl2, i, v2, kr2 + kr, j), y)
-                                          for j, y in rvec.items()), cc * x)
+                                          for j, y in right), A.axpy_coef(x))
             if acc:
                 bad.append(("d2-exact", r, gen))
     return bad
@@ -1166,10 +1201,7 @@ def build_report(A: GradedAlgebra, cells: CellSystem, max_index: int = 13,
     h = g.h
     cutoff = cutoff if cutoff is not None else 4 * h
     hom = Homology(A, cells)
-    # indices that can be nonzero within the degree cutoff
-    i_full = max_index
-    while _shift_hom(i_full + 1, h) <= cutoff:
-        i_full += 1
+    i_full = Homology.index_bound(h, cutoff, max_index)
     hh_full = hom.hh_table(i_full, cutoff)
     hh = {(i, d): v for (i, d), v in hh_full.items() if i <= max_index}
     reduced = hom.reduced(hh_full)

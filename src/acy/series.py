@@ -1,6 +1,12 @@
 """Integer-polynomial toolkit: the closed-form Hilbert series, determinant
 identities, and the Euler characteristic of reduced cyclic homology extracted
-from prod_s det H_A(t^s)."""
+from prod_s det H_A(t^s).
+
+Both series are read off one sparse recurrence for the coefficients of
+G = M^(-1), M = 1 - Dt + D^T t^2 - t^3: the Hilbert series is
+G (1 - P t^h), and log det M is integrated from the traces tr(M' G), so the
+Euler path never expands a determinant.  `det_hilbert` (fraction-free
+Bareiss over Z[t]) and `series_log` serve the closed-form identities."""
 
 from __future__ import annotations
 
@@ -196,44 +202,56 @@ class RationalFunction:
 # Hilbert series of the quotient algebra
 # ---------------------------------------------------------------------------
 
+def _inverse_series(g: Graph, N: int):
+    """Yield the matrix coefficients G^0..G^N of G = M^(-1), where
+    M = 1 - Dt + D^T t^2 - t^3, as lists of rows.
+
+    M G = 1 gives G^k = D G^(k-1) - D^T G^(k-2) + G^(k-3); row i of D G is
+    the sum of the rows G[t] over the edges i -> t, so D is applied as
+    adjacency lists and each step costs n^2 times the mean degree.
+    """
+    n = len(g.vertices)
+    vi = g.vindex
+    outs: list[list[int]] = [[] for _ in range(n)]  # row i of D G: rows t, i -> t
+    ins: list[list[int]] = [[] for _ in range(n)]   # row i of D^T G: rows t, t -> i
+    for e in g.edges:
+        outs[vi[e.src]].append(vi[e.dst])
+        ins[vi[e.dst]].append(vi[e.src])
+    zero = [[0] * n for _ in range(n)]
+    g1 = [[int(i == j) for j in range(n)] for i in range(n)]  # G^(k-1)
+    g2 = g3 = zero                                              # G^(k-2), G^(k-3)
+    yield g1
+    for _ in range(N):
+        G = []
+        for i in range(n):
+            acc = list(g3[i])
+            for t in outs[i]:
+                acc = [a + b for a, b in zip(acc, g1[t])]
+            for t in ins[i]:
+                acc = [a - b for a, b in zip(acc, g2[t])]
+            G.append(acc)
+        g1, g2, g3 = G, g1, g2
+        yield G
+
+
 def hilbert_closed_form(g: Graph, N: int) -> list[list[list[int]]]:
     """Matrix coefficients H^0..H^N of (1 - P t^h) / (1 - Dt + D^T t^2 - t^3).
 
-    Recurrence: H^k = D H^(k-1) - D^T H^(k-2) + H^(k-3) - delta(k, h) P.
+    H = M^(-1) (1 - P t^h), so H^k = G^k - G^(k-h) P with G = M^(-1) from
+    `_inverse_series`; column j of G P is column nu^(-1)(j) of G.
     """
     if N < g.h:
         raise ValueError(f"cutoff {N} must be at least h = {g.h}")
-    n = len(g.vertices)
-    D = g.adjacency()
-    DT = [list(r) for r in zip(*D)]
-    P = g.permutation_matrix()
-    out = []
-    for k in range(N + 1):
-        if k == 0:
-            H = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        else:
-            H = _mm(D, out[k - 1])
-            if k >= 2:
-                H = _msub(H, _mm(DT, out[k - 2]))
-            if k >= 3:
-                H = _madd(H, out[k - 3])
-            if k == g.h:
-                H = _msub(H, P)
-        out.append(H)
+    vi = g.vindex
+    back = [0] * len(g.vertices)  # back[j] = nu^(-1)(j)
+    for v, w in g.nu_v.items():
+        back[vi[w]] = vi[v]
+    G = list(_inverse_series(g, N))
+    out = G[:g.h]
+    for k in range(g.h, N + 1):
+        out.append([[a - low[b] for a, b in zip(row, back)]
+                    for row, low in zip(G[k], G[k - g.h])])
     return out
-
-
-def _mm(A, B):
-    n = len(A)
-    return [[sum(A[i][t] * B[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-
-
-def _madd(A, B):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def _msub(A, B):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def poly_det_bareiss(M: list[list[IntPoly]]) -> IntPoly:
@@ -261,23 +279,27 @@ def poly_det_bareiss(M: list[list[IntPoly]]) -> IntPoly:
     return det if sign == 1 else -det
 
 
+def _nu_cycles(g: Graph) -> list[int]:
+    """Lengths of the cycles of nu on the vertices."""
+    out, seen = [], set()
+    for v in g.vertices:
+        w, clen = v, 0
+        while w not in seen:
+            seen.add(w)
+            w = g.nu_v[w]
+            clen += 1
+        if clen:
+            out.append(clen)
+    return out
+
+
 def det_hilbert(g: Graph) -> RationalFunction:
     """det H_A(t) = det(1 - P t^h) / det(1 - Dt + D^T t^2 - t^3), reduced."""
     n = len(g.vertices)
     D = g.adjacency()
     # numerator from the cycle type of nu
     num = IntPoly([1])
-    seen = set()
-    for v in g.vertices:
-        if v in seen:
-            continue
-        w, clen = v, 0
-        while True:
-            seen.add(w)
-            w = g.nu_v[w]
-            clen += 1
-            if w == v:
-                break
+    for clen in _nu_cycles(g):
         num = num * (IntPoly.const(1) - IntPoly.monomial(g.h * clen))
     M = [[IntPoly([1 if i == j else 0, -D[i][j], D[j][i], -1 if i == j else 0])
           for j in range(n)] for i in range(n)]
@@ -322,48 +344,51 @@ def _mobius(n: int) -> int:
     return out
 
 
+def _log_det_power_sums(g: Graph, N: int) -> list[int]:
+    """q_0..q_N with log det H_A(t) = sum_(m >= 1) q_m t^m / m (q_0 = 0).
+
+    The denominator is read through traces, not expanded: with G = M^(-1),
+    (log det M)' = tr(M' G) and M' = -D + 2 D^T t - 3 t^2, so
+    m [t^m] log det M = -tr(D G^(m-1)) + 2 tr(D^T G^(m-2)) - 3 tr(G^(m-3)).
+    tr(D G) sums G[dst][src] and tr(D^T G) sums G[src][dst] over the edges.
+    The numerator det(1 - P t^h) is the product of 1 - t^(h l) over the
+    nu-cycles of length l, whose logs add -h l at every multiple of h l."""
+    vi = g.vindex
+    arcs = [(vi[e.src], vi[e.dst]) for e in g.edges]
+    q = [0] * (N + 1)
+    for k, G in enumerate(_inverse_series(g, N - 1)):
+        # the t^k coefficient of tr(M' G) enters q_(k+1), q_(k+2), q_(k+3)
+        q[k + 1] += sum(G[b][a] for a, b in arcs)
+        if k + 2 <= N:
+            q[k + 2] -= 2 * sum(G[a][b] for a, b in arcs)
+        if k + 3 <= N:
+            q[k + 3] += 3 * sum(G[i][i] for i in range(len(G)))
+    for clen in _nu_cycles(g):
+        for m in range(g.h * clen, N + 1, g.h * clen):
+            q[m] -= g.h * clen
+    return q
+
+
 def euler_characteristic_hc(g: Graph, N: int | None = None) -> list[int]:
     """Coefficients a_0..a_N of chi(t) = sum a_k t^k, where
-    prod_k (1 - t^k)^(-a_k) = prod_s det H_A(t^s).  Default N = 4h."""
+    prod_k (1 - t^k)^(-a_k) = prod_s det H_A(t^s).  Default N = 4h.
+
+    Taking logs, L = sum_s log det H_A(t^s) has r L_r = sum_(s | r) s q_(r/s)
+    with q from `_log_det_power_sums`, and r L_r = sum_(d | r) d a_d, which
+    Moebius inversion solves; all of it is integer arithmetic."""
     if N is None:
         N = 4 * g.h
     if N < 3 * g.h:
         raise ValueError(f"cutoff {N} must be at least 3h = {3 * g.h}")
-    det = det_hilbert(g)
-    # L(t) = sum_s [log num(t^s) - log den(t^s)]
-    L = [Fraction(0)] * (N + 1)
-    base_num = det.num.c
-    base_den = det.den.c
-    # normalize so constant terms are 1 (they agree up to an overall rational)
-    if base_num[0] != base_den[0]:
-        raise ArithmeticError("determinant does not have constant term 1")
-    c0 = Fraction(base_num[0])
-    num0 = [Fraction(x) / c0 for x in base_num]
-    den0 = [Fraction(x) / c0 for x in base_den]
+    q = _log_det_power_sums(g, N)
+    rL = [0] * (N + 1)
     for s in range(1, N + 1):
-        for coeffs, sgn in ((num0, 1), (den0, -1)):
-            if len(coeffs) <= 1:
-                continue
-            # substitute t -> t^s
-            sub = [Fraction(0)] * (N + 1)
-            for i, x in enumerate(coeffs):
-                if i * s > N:
-                    break
-                sub[i * s] = x
-            sub[0] = Fraction(1)
-            lg = series_log(sub, N)
-            for k in range(N + 1):
-                L[k] += sgn * lg[k]
-    # r L_r = sum_{d|r} d a_d  =>  r a_r = sum_{d|r} mu(r/d) d L_d
+        for m in range(1, N // s + 1):
+            rL[s * m] += s * q[m]
     a = [0] * (N + 1)
     for r in range(1, N + 1):
-        acc = Fraction(0)
-        for d in range(1, r + 1):
-            if r % d == 0:
-                m = _mobius(r // d)
-                if m:
-                    acc += m * d * L[d]
-        if acc.denominator != 1 or acc.numerator % r:
+        acc = sum(_mobius(r // d) * d_rL for d, d_rL in enumerate(rL) if d and r % d == 0)
+        if acc % r:
             raise ArithmeticError(f"non-integer Euler coefficient at degree {r}")
-        a[r] = acc.numerator // r
+        a[r] = acc // r
     return a

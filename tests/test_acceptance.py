@@ -25,7 +25,7 @@ from acy.algebra import GradedAlgebra
 from acy.cells import (derive_relations, gauge_transform, verify_type_I,
                        verify_type_II)
 from acy.homology import (Homology, build_report, cyclic_from_hh, euler_from_hc,
-                          hh0_direct, predicted_tables, _shift_hom)
+                          hh0_direct, predicted_tables)
 from acy.quiver import build_family, parse_graph_spec
 from acy.series import (IntPoly, RationalFunction, det_hilbert,
                         euler_characteristic_hc, hilbert_closed_form)
@@ -116,9 +116,7 @@ def expected_cohomology(name: str, hh: dict):
 def computed_tables(name: str):
     g, cells, A, hom = pipeline(name)
     cutoff = 4 * g.h
-    i_full = 13
-    while _shift_hom(i_full + 1, g.h) <= cutoff:
-        i_full += 1
+    i_full = Homology.index_bound(g.h, cutoff)
     hh_full = hom.hh_table(i_full, cutoff)
     hc_red = cyclic_from_hh(hom.reduced(hh_full), cutoff, i_full)
     hh = {(i, d): v for (i, d), v in hh_full.items() if i <= 13}
@@ -292,9 +290,7 @@ def test_euler_two_way_all_table_graphs():
     for name in TABLE_GRAPHS:
         g, _, _, hom = pipeline(name)
         cutoff = 4 * g.h
-        i_full = 13
-        while _shift_hom(i_full + 1, g.h) <= cutoff:
-            i_full += 1
+        i_full = Homology.index_bound(g.h, cutoff)
         hh = hom.hh_table(i_full, cutoff)
         hc = cyclic_from_hh(hom.reduced(hh), cutoff, i_full)
         assert euler_from_hc(hc, cutoff) == euler_characteristic_hc(g, cutoff), name

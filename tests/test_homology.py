@@ -117,6 +117,46 @@ def test_duality_and_symmetry(pipe):
         assert hom.verify_dim_symmetry(hh, 4 * hom.g.h) == []
 
 
+def _bump_first_entry(hom, r, t, j):
+    """Add 1 to the first nonzero entry of the cached matrix mat(r, t, j)."""
+    for col in hom.mat(r, t, j)["cols"]:
+        if col:
+            p = min(col)
+            col[p] = col[p] + hom.tower.one()
+            return
+    raise AssertionError(f"mat{(r, t, j)} is zero")
+
+
+# verify_duality after one entry of mu'_2 = mat(2, 0, j) is raised by 1, for
+# the first j where mu'_2 is nonzero.  With trivial nu the same matrix also
+# serves mu'_6 and mu'_10, so it fails at more (i, d).
+MU2_FAULT = {
+    "A9": (2, [(2, 3)]),
+    "D9": (2, [(2, 3), (2, 6), (6, 12), (6, 15)]),
+    "E8*": (1, [(2, 2), (2, 6), (6, 10), (6, 14)]),
+}
+
+
+def test_duality_detects_a_perturbed_differential(pipe):
+    for spec, (j, want) in MU2_FAULT.items():
+        _, cells, A, _ = pipe(spec)
+        hom = Homology(A, cells)
+        assert not any(hom.mat(2, 0, j - 1)["cols"]), spec
+        _bump_first_entry(hom, 2, 0, j)
+        assert hom.verify_duality() == want, spec
+
+
+def test_duality_detects_a_perturbed_mu12(pipe):
+    # mu'_12 on degree zero is mat(4, 2, 0); a nontrivial nu keeps it apart
+    # from mu'_4 and mu'_8, so only the beta identity fails
+    for spec in ("A4", "A9"):
+        _, cells, A, _ = pipe(spec)
+        hom = Homology(A, cells)
+        _bump_first_entry(hom, 4, 2, 0)
+        assert not hom._check_mu12_beta(), spec
+        assert hom.verify_duality() == [(12, "beta")], spec
+
+
 # sha256 of every differential matrix Homology.mat(r, t, j), in exact normal
 # form, as the four hand-written formulas gave them; the number of matrices
 # comes first.
@@ -334,11 +374,7 @@ def test_euler_two_way(pipe):
     for spec in ("A6", "D6*"):
         g, _, _, hom = pipe(spec)
         cutoff = 4 * g.h
-        i_full = 13
-        from acy.homology import _shift_hom
-
-        while _shift_hom(i_full + 1, g.h) <= cutoff:
-            i_full += 1
+        i_full = Homology.index_bound(g.h, cutoff)
         hh = hom.hh_table(i_full, cutoff)
         hc = cyclic_from_hh(hom.reduced(hh), cutoff, i_full)
         assert euler_from_hc(hc, cutoff) == euler_characteristic_hc(g, cutoff)

@@ -1,7 +1,8 @@
+import functools
 from fractions import Fraction
 
 from acy.quiver import build_family, parse_graph_spec
-from acy.series import (IntPoly, RationalFunction, det_hilbert,
+from acy.series import (IntPoly, RationalFunction, _mobius, det_hilbert,
                         euler_characteristic_hc, hilbert_closed_form,
                         poly_det_bareiss, series_log)
 
@@ -204,3 +205,76 @@ def test_rational_function_equality():
     b = RationalFunction(IntPoly([1, 0, 0, 1]), IntPoly([1]))  # 1 + t^3
     assert a == b
     assert a.to_doc() == {"numerator": [1, 0, 0, 1], "denominator": [1]}
+
+
+EQUIVALENCE_GRAPHS = ("A4", "A5", "A6", "A7", "A8", "A9", "D6", "D9", "D12",
+                      "E8", "E8*", "A5*", "A7*", "D5*")
+
+
+def euler_by_expanded_determinant(g, N: int) -> list[int]:
+    """chi from the expanded det H_A: log of num(t^s) and den(t^s) for every
+    s <= N in Fraction arithmetic, then Moebius inversion of r L_r."""
+    det = det_hilbert(g)
+    c0 = Fraction(det.num.c[0])
+    assert det.den.c[0] == det.num.c[0]
+    L = [Fraction(0)] * (N + 1)
+    for s in range(1, N + 1):
+        for poly, sgn in ((det.num, 1), (det.den, -1)):
+            sub = [Fraction(0)] * (N + 1)
+            for i, x in enumerate(poly.c):
+                if i * s <= N:
+                    sub[i * s] = Fraction(x) / c0
+            for k, x in enumerate(series_log(sub, N)):
+                L[k] += sgn * x
+    a = [0] * (N + 1)
+    for r in range(1, N + 1):
+        acc = sum(_mobius(r // d) * d * L[d] for d in range(1, r + 1) if r % d == 0)
+        assert acc.denominator == 1 and acc.numerator % r == 0
+        a[r] = acc.numerator // r
+    return a
+
+
+def hilbert_by_dense_recurrence(g, N: int) -> list[list[list[int]]]:
+    """H^k = D H^(k-1) - D^T H^(k-2) + H^(k-3) - delta(k, h) P, dense."""
+    n = len(g.vertices)
+    D = g.adjacency()
+    P = g.permutation_matrix()
+
+    def mm(X, Y):
+        return [[sum(X[i][t] * Y[t][j] for t in range(n)) for j in range(n)]
+                for i in range(n)]
+
+    out = []
+    for k in range(N + 1):
+        H = [[int(i == j) if k == 0 else 0 for j in range(n)] for i in range(n)]
+        terms = []
+        if k >= 1:
+            terms.append((1, mm(D, out[k - 1])))
+        if k >= 2:
+            terms.append((-1, mm([list(r) for r in zip(*D)], out[k - 2])))
+        if k >= 3:
+            terms.append((1, out[k - 3]))
+        if k == g.h:
+            terms.append((-1, P))
+        for sgn, X in terms:
+            H = [[a + sgn * b for a, b in zip(ra, rb)] for ra, rb in zip(H, X)]
+        out.append(H)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def graph(spec: str):
+    return parse_graph_spec(spec)
+
+
+def test_euler_matches_the_expanded_determinant():
+    for spec in EQUIVALENCE_GRAPHS:
+        g = graph(spec)
+        N = 4 * g.h
+        assert euler_characteristic_hc(g, N) == euler_by_expanded_determinant(g, N), spec
+
+
+def test_hilbert_matches_the_dense_recurrence():
+    for spec in EQUIVALENCE_GRAPHS:
+        g = graph(spec)
+        assert hilbert_closed_form(g, 2 * g.h) == hilbert_by_dense_recurrence(g, 2 * g.h), spec
