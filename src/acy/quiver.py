@@ -17,6 +17,7 @@ built-in cell data; they can only enter through user-supplied files.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from . import linalg
@@ -69,6 +70,7 @@ class Graph:
                 raise GraphError(f"edge {e.id} has unknown endpoint")
             self.out_edges[e.src].append(e)
             self.in_edges[e.dst].append(e)
+        self._validate_nu()
         self.nu_e = dict(nu_e) if nu_e is not None else self._derive_edge_nu()
         self._validate()
         self.phi = phi if phi is not None else perron_frobenius(self)[1]
@@ -124,31 +126,39 @@ class Graph:
 
     # -- validation -------------------------------------------------------------
 
-    def _derive_edge_nu(self) -> dict[int, int]:
-        if all(v == w for v, w in self.nu_v.items()):
-            return {e.id: e.id for e in self.edges}
-        classes = self.parallel_classes()
-        if any(len(es) > 1 for es in classes.values()):
-            raise GraphError("nontrivial nu requires an explicit edge map "
-                             "in the presence of parallel edges")
-        nu_e = {}
-        for e in self.edges:
-            targets = classes.get((self.nu_v[e.src], self.nu_v[e.dst]))
-            if not targets:
-                raise GraphError(f"nu does not map edge {e.id} to an edge")
-            nu_e[e.id] = targets[0].id
-        return nu_e
-
-    def _validate(self):
+    def _validate_nu(self):
+        """nu is a permutation of order dividing 3 whose matrix P commutes with
+        Delta: for a permutation, P Delta = Delta P says exactly that s -> d
+        and nu(s) -> nu(d) have the same multiplicity, which also gives
+        P Delta^T = Delta^T P."""
         for v in self.vertices:
             if v not in self.nu_v or self.nu_v[v] not in self.vindex:
                 raise GraphError(f"nu undefined or out of range at vertex {v!r}")
         for v in self.vertices:
             if self.nu_vertex_pow(v, 3) != v:
                 raise GraphError(f"nu^3 != id at vertex {v!r}")
+        mult = Counter((e.src, e.dst) for e in self.edges)
+        nu = self.nu_v
+        for (s, d), m in mult.items():
+            if mult[(nu[s], nu[d])] != m:
+                raise GraphError(f"P does not commute with the adjacency matrix "
+                                 f"at {s!r} -> {d!r}")
+
+    def _derive_edge_nu(self) -> dict[int, int]:
+        if self.nu_is_trivial():
+            return {e.id: e.id for e in self.edges}
+        classes = self.parallel_classes()
+        if any(len(es) > 1 for es in classes.values()):
+            raise GraphError("nontrivial nu requires an explicit edge map "
+                             "in the presence of parallel edges")
+        return {e.id: classes[(self.nu_v[e.src], self.nu_v[e.dst])][0].id for e in self.edges}
+
+    def _validate(self):
+        if set(self.nu_e) != set(self.edge_by_id):
+            raise GraphError("edge nu must be defined on exactly the edge ids")
         for eid, fid in self.nu_e.items():
-            e, f = self.edge_by_id.get(eid), self.edge_by_id.get(fid)
-            if e is None or f is None:
+            e, f = self.edge_by_id[eid], self.edge_by_id.get(fid)
+            if f is None:
                 raise GraphError("edge nu refers to unknown edge ids")
             if f.src != self.nu_v[e.src] or f.dst != self.nu_v[e.dst]:
                 raise GraphError(f"edge nu is not over vertex nu at edge {eid}")
@@ -161,13 +171,6 @@ class Graph:
                 ca, cb = self.coloring.get(e.src), self.coloring.get(e.dst)
                 if ca is None or cb is None or (ca + 1) % 3 != cb:
                     raise GraphError(f"edge {e.id} ({e.src}->{e.dst}) violates the colouring")
-        delta = self.adjacency()
-        P = self.permutation_matrix()
-        if _matmul(P, delta) != _matmul(delta, P):
-            raise GraphError("P does not commute with the adjacency matrix")
-        deltaT = [list(r) for r in zip(*delta)]
-        if _matmul(P, deltaT) != _matmul(deltaT, P):
-            raise GraphError("P does not commute with the transposed adjacency matrix")
         if not self.nu_is_trivial():
             if any(len(es) > 1 for es in self.parallel_classes().values()):
                 raise GraphError("graphs with nontrivial P must not have parallel edges")
@@ -188,17 +191,16 @@ class Graph:
         return f"Graph({self.name}: |V|={len(self.vertices)}, |E|={len(self.edges)}, h={self.h})"
 
 
-def _matmul(A, B):
-    n, m, k = len(A), len(B[0]), len(B)
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # Perron-Frobenius data
 # ---------------------------------------------------------------------------
 
 def perron_frobenius(g: Graph) -> tuple[Scalar, dict[str, Scalar]]:
-    """Exact ([3]_q, phi) with Delta phi = [3] phi, phi normalized to min 1."""
+    """Exact ([3]_q, phi) with Delta phi = [3] phi, phi normalized to min 1.
+
+    An exact nullspace: the route for A*, E8* and graph files without pf
+    data.  The A and D families and the unfoldings pass closed forms instead.
+    """
     tower = g.tower
     three = tower.quantum(3)
     n = len(g.vertices)
@@ -219,18 +221,21 @@ def perron_frobenius(g: Graph) -> tuple[Scalar, dict[str, Scalar]]:
         raise GraphError(f"Perron-Frobenius eigenspace has dimension {len(kernel)}, expected 1")
     vec = kernel[0]
     phi = {v: vec.get(j, tower.zero()) for j, v in enumerate(g.vertices)}
-    # make entries positive, then normalize the minimum to 1
-    any_entry = next(iter(phi.values()))
-    if not any_entry.is_positive():
+    if not next(iter(phi.values())).is_positive():
         phi = {v: -x for v, x in phi.items()}
+    return three, _normalize_min(phi)
+
+
+def _normalize_min(phi: dict[str, Scalar]) -> dict[str, Scalar]:
+    """phi scaled so that its minimum entry is 1; every entry must be positive."""
     minimum = None
     for x in phi.values():
-        if x.is_zero() or not x.is_positive():
+        if not x.is_positive():
             raise GraphError("Perron-Frobenius vector is not strictly positive")
         if minimum is None or (minimum - x).is_positive():
             minimum = x
     inv = minimum.inverse()
-    return three, {v: x * inv for v, x in phi.items()}
+    return {v: x * inv for v, x in phi.items()}
 
 
 def opposite(g: Graph) -> Graph:
@@ -258,7 +263,13 @@ def _build_a(n: int) -> Graph:
                 eid += 1
     nu_v = {label[(p, l)]: label[(k - p - l, p)] for (p, l) in verts}
     coloring = {label[(p, l)]: (p - l) % 3 for (p, l) in verts}
-    return Graph(f"A{n}", n, [label[v] for v in verts], edges, nu_v, coloring)
+    # SU(3) quantum dimensions [p+1][l+1][p+l+2]/[2] (Evans-Pugh, Muenster
+    # J. Math. 2, 2009): the Perron-Frobenius vector, 1 at (0, 0)
+    tower = FieldTower(n)
+    q = [tower.quantum(m) for m in range(n)]
+    inv2 = q[2].inverse()
+    phi = {label[(p, l)]: q[p + 1] * q[l + 1] * q[p + l + 2] * inv2 for (p, l) in verts}
+    return Graph(f"A{n}", n, [label[v] for v in verts], edges, nu_v, coloring, phi=phi)
 
 
 def _build_astar(n: int) -> Graph:
@@ -299,7 +310,8 @@ def unfold(g: Graph, name: str) -> Graph:
     nu_v = {f"{v}_{a}": f"{v}_{(a + shift) % 3}" for a in range(3) for v in g.vertices}
     nu_e = {emap[(e.id, a)]: emap[(e.id, (a + shift) % 3)] for a in range(3) for e in g.edges}
     coloring = {f"{v}_{a}": a for a in range(3) for v in g.vertices}
-    out = Graph(name, g.h, verts, edges, nu_v, coloring, nu_e=nu_e)
+    phi = {f"{v}_{a}": g.phi[v] for a in range(3) for v in g.vertices}
+    out = Graph(name, g.h, verts, edges, nu_v, coloring, nu_e=nu_e, phi=phi)
     out.base_graph = g
     out.base_edge_of = {emap[(e.id, a)]: (e.id, a) for a in range(3) for e in g.edges}
     return out
@@ -369,7 +381,10 @@ def _build_d(n: int) -> Graph:
     for l in range(3):
         coloring[f"c{l}"] = a.coloring[centre]
     nu_v = {v: v for v in verts}
-    g = Graph(f"D{n}", n, verts, edges, nu_v, coloring)
+    third = a.phi[centre] / 3
+    phi = {f"[{r}]": a.phi[r] for r in reps}
+    phi.update({f"c{l}": third for l in range(3)})
+    g = Graph(f"D{n}", n, verts, edges, nu_v, coloring, phi=_normalize_min(phi))
     g.cover = a
     g.cover_lift = lift_of_edge
     g.cover_orbit_rep = orbit_rep

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 
 import mpmath
 from mpmath import mp
@@ -34,18 +34,39 @@ __all__ = ["FieldTower", "Scalar", "PrimeEmbedding"]
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """Ascending integer coefficients of the n-th cyclotomic polynomial:
+    z^n - 1 divided exactly by Phi_d for every proper divisor d of n."""
+    f = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for d in range(1, n):
+        if n % d == 0:
+            f, _ = _poly_divmod(f, _cyclotomic(d))
+    return tuple(int(c) for c in f)
+
+
+@lru_cache(maxsize=None)
 def coxeter_minpoly(h: int) -> tuple[int, ...]:
-    """Ascending integer coefficients of the minimal polynomial of 2cos(pi/h)."""
+    """Ascending integer coefficients of the minimal polynomial of 2cos(pi/h).
+
+    zeta = exp(i pi/h) has minimal polynomial Phi_2h, which is palindromic of
+    degree 2m; Phi_2h(z) = z^m psi(z + 1/z) and psi is the one for
+    zeta + 1/zeta = 2cos(pi/h).  psi is read off by peeling the top power
+    (z + 1/z)^j = sum_i C(j, i) z^(j - 2i) from z^-m Phi_2h, all in integers.
+    """
     if h < 3:
         raise ValueError(f"coxeter number must be >= 3, got {h}")
-    import sympy
-
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(sympy.minimal_polynomial(2 * sympy.cos(sympy.pi / h), x), x)
-    coeffs = [int(c) for c in reversed(poly.all_coeffs())]
-    if coeffs[-1] != 1:
-        raise ArithmeticError(f"minimal polynomial of 2cos(pi/{h}) is not monic: {coeffs}")
-    return tuple(coeffs)
+    phi = _cyclotomic(2 * h)
+    m = (len(phi) - 1) // 2
+    laurent = {j - m: a for j, a in enumerate(phi)}   # z^-m Phi_2h, a_j = a_-j
+    psi = [0] * (m + 1)
+    for j in range(m, -1, -1):
+        b = psi[j] = laurent.get(j, 0)
+        if b:
+            for i in range(j + 1):
+                laurent[j - 2 * i] = laurent.get(j - 2 * i, 0) - b * comb(j, i)
+    if any(laurent.values()) or psi[-1] != 1:
+        raise ArithmeticError(f"Phi_{2 * h} is not palindromic in z + 1/z")
+    return tuple(psi)
 
 
 def _bnormalize(den: int, nums: tuple[int, ...]) -> tuple[int, ...]:
@@ -129,6 +150,27 @@ class _BaseField:
                     if r:
                         out[j] += v * r
         return _bnormalize(a[0] * b[0], tuple(out))
+
+    def norm(self, a: tuple[int, ...]) -> Fraction:
+        """N_{Q(c)/Q}(a): the determinant of multiplication by a, by
+        fraction-free (Bareiss) elimination on the integer numerator."""
+        D = self.D
+        num = (1,) + a[1:]
+        cols = [self.mul(num, (1,) + (0,) * j + (1,) + (0,) * (D - 1 - j))[1:] for j in range(D)]
+        m = [list(r) for r in zip(*cols)]
+        sign, prev = 1, 1
+        for k in range(D - 1):
+            if m[k][k] == 0:
+                swap = next((i for i in range(k + 1, D) if m[i][k]), None)
+                if swap is None:
+                    return Fraction(0)
+                m[k], m[swap] = m[swap], m[k]
+                sign = -sign
+            for i in range(k + 1, D):
+                for j in range(k + 1, D):
+                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            prev = m[k][k]
+        return Fraction(sign * m[D - 1][D - 1], a[0] ** D)
 
     def inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
         if _bis_zero(a):
@@ -721,8 +763,6 @@ class PrimeEmbedding:
 
     @classmethod
     def find(cls, tower: FieldTower, skip: int = 0, start: int = 1 << 30) -> "PrimeEmbedding":
-        from sympy import isprime
-
         h = tower.h
         step = 2 * h
         while step % 4:
@@ -731,7 +771,7 @@ class PrimeEmbedding:
         found = 0
         while True:
             p += step
-            if not isprime(p):
+            if not _isprime(p):
                 continue
             emb = cls._try_build(tower, p)
             if emb is None:
@@ -742,8 +782,6 @@ class PrimeEmbedding:
 
     @classmethod
     def _try_build(cls, tower: FieldTower, p: int) -> "PrimeEmbedding | None":
-        from sympy import sqrt_mod
-
         h = tower.h
         e = (p - 1) // (2 * h)
         c_img = None
@@ -768,14 +806,72 @@ class PrimeEmbedding:
             for n in reversed(g[1:]):
                 v = (v * c_img + n) % p
             v = v * pow(den, -1, p) % p
-            r = sqrt_mod(v, p)
+            r = _sqrt_mod(v, p)
             if r is None:
                 return None
-            root_imgs.append(int(r))
-        i_img = sqrt_mod(p - 1, p)
+            root_imgs.append(r)
+        i_img = _sqrt_mod(p - 1, p)
         if i_img is None:
             return None
-        return cls(p, c_img, tuple(root_imgs), int(i_img))
+        return cls(p, c_img, tuple(root_imgs), i_img)
+
+
+# Miller-Rabin with the first 13 prime bases is exact for n below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _isprime(n: int) -> bool:
+    """Deterministic primality test for n < _MR_LIMIT."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is beyond the deterministic Miller-Rabin range")
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _sqrt_mod(a: int, p: int) -> int | None:
+    """The square root of a mod an odd prime p that is <= p // 2 (Tonelli-Shanks),
+    or None for a non-residue."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while not q & 1:
+        q >>= 1
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
 
 
 # ---------------------------------------------------------------------------
@@ -832,24 +928,32 @@ def _pslq_base_sqrt(h: int, g: tuple[int, ...], prec: int, maxcoeff: int):
     return None
 
 
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    """The nonnegative square root of q if it is rational, else None."""
+    if q < 0:
+        return None
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
 def _base_sqrt(h: int, g: tuple[int, ...]) -> tuple[int, ...] | None:
     """Exact sqrt of g in Q(c) if it is a square there, else None.
 
-    Sound filters first (mod-p non-residues certify non-squares, verified
-    numeric reconstruction certifies squares); sympy factorization decides
-    any case the filters leave open.
+    Sound filters first: g = y^2 forces N(g) = N(y)^2, so a norm that is not
+    a rational square certifies a non-square, and so does a mod-p non-residue;
+    a verified numeric reconstruction certifies a square.  Factoring z^2 - g
+    over Q(c) with sympy decides any case the filters leave open.
     """
     g = _bnormalize(g[0], g[1:])
     if _bis_zero(g):
         return _bzero(_base_field(h).D)
     base = _base_field(h)
     if base.D == 1:
-        q = Fraction(g[1], g[0])
-        if q < 0:
-            return None
-        rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-        if rn * rn == q.numerator and rd * rd == q.denominator:
-            return _bnormalize(rd, (rn,))
+        r = _rational_sqrt(Fraction(g[1], g[0]))
+        return None if r is None else _bnormalize(r.denominator, (r.numerator,))
+    if _rational_sqrt(base.norm(g)) is None:
         return None
     plain = FieldTower(h)
     scalar_g = Scalar(plain, {0: g})
@@ -863,17 +967,22 @@ def _base_sqrt(h: int, g: tuple[int, ...]) -> tuple[int, ...] | None:
     hit = _pslq_base_sqrt(h, g, 400, 10 ** 24)
     if hit is not None:
         return hit
-    # complete decision
-    import sympy
-
-    theta = 2 * sympy.cos(sympy.pi / h)
-    expr = sympy.nsimplify(sum(Fraction(n, g[0]) * theta ** i for i, n in enumerate(g[1:])))
-    z = sympy.Symbol("z")
-    factors = sympy.factor_list(z ** 2 - expr, z, extension=theta)[1]
-    if not any(sympy.degree(f, z) == 1 for f, _ in factors):
+    if not _factor_is_square(h, g):
         return None
     for prec in (800, 1600, 3200):
         hit = _pslq_base_sqrt(h, g, prec, 10 ** (prec // 16))
         if hit is not None:
             return hit
     raise ArithmeticError("square certified by sympy but reconstruction failed")
+
+
+def _factor_is_square(h: int, g: tuple[int, ...]) -> bool:
+    """Complete decision: z^2 - g has a linear factor over Q(2cos(pi/h)).
+    The only use of sympy; imported here so that no other path loads it."""
+    import sympy
+
+    theta = 2 * sympy.cos(sympy.pi / h)
+    expr = sympy.nsimplify(sum(Fraction(n, g[0]) * theta ** i for i, n in enumerate(g[1:])))
+    z = sympy.Symbol("z")
+    factors = sympy.factor_list(z ** 2 - expr, z, extension=theta)[1]
+    return any(sympy.degree(f, z) == 1 for f, _ in factors)

@@ -10,7 +10,6 @@ re-verified exactly; a system that survives is certified.
 from __future__ import annotations
 
 import mpmath
-import numpy as np
 
 from .cells import CellSystem, compile_equations, verify_type_I, verify_type_II
 from .quiver import Graph
@@ -50,6 +49,8 @@ class _NumericSystem:
             self.eqs_f.append((terms, float(eq.rhs.value(prec))))
 
     def residual(self, x):
+        import numpy as np
+
         out = np.empty(len(self.eqs_f))
         for i, (terms, rhs) in enumerate(self.eqs_f):
             acc = -rhs
@@ -62,6 +63,8 @@ class _NumericSystem:
         return out
 
     def jacobian(self, x):
+        import numpy as np
+
         J = np.zeros((len(self.eqs_f), self.n_unknowns))
         for i, (terms, _) in enumerate(self.eqs_f):
             for c, idx in terms:
@@ -206,6 +209,7 @@ def solve_cells(graph: Graph, seed: int = 0, digits: int = 70,
     sys = _NumericSystem(graph, orbit_invariant)
     if sys.n_unknowns == 0:
         return CellSystem(graph, graph.tower, {}, label="solved")
+    import numpy as np
     from scipy.optimize import least_squares
 
     rng = np.random.default_rng(seed)

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -204,3 +206,19 @@ def test_solver_deterministic():
     b = solve_cells(g, seed=4)
     assert a.tower.fingerprint == b.tower.fingerprint
     assert a.weights == b.weights
+
+
+def test_builtin_setup_loads_neither_sympy_nor_numpy():
+    # graph, shipped cells and relations for A12 and D9 (whose orbifold cells
+    # adjoin sqrt(3)) run on integer formulas alone; sympy is only the lazy
+    # fallback of the square test and numpy only serves the live solver
+    code = ("import sys\n"
+            "import acy.solver\n"
+            "from acy.cells import builtin_cells, derive_relations\n"
+            "from acy.quiver import parse_graph_spec\n"
+            "for spec in ('A12', 'D9'):\n"
+            "    derive_relations(builtin_cells(parse_graph_spec(spec)))\n"
+            "print(sorted(m for m in ('sympy', 'numpy', 'scipy') if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -148,3 +150,76 @@ def test_catalog():
     d_row = [r for r in rows if r["family"] == "D"][0]
     assert d_row["example"]["name"] == "D9" and d_row["example"]["P"] == "identity"
     assert any("E4(12)" in (r["note"] or "") for r in rows)
+
+
+def _loop_graph_doc(phi_values):
+    """Three vertices with a loop each, nu cycling them; at h = 4, [3] = 1,
+    so every positive vector is a [3]-eigenvector."""
+    from acy.scalar import FieldTower
+
+    tower = FieldTower(4)
+    verts = ["x", "y", "z"]
+    return {"schema": "acy-graph/1", "name": "loops", "h": 4, "vertices": verts,
+            "edges": [{"id": i, "src": v, "dst": v} for i, v in enumerate(verts)],
+            "nu": {"vertex_map": {"x": "y", "y": "z", "z": "x"}},
+            "pf": {"tower": tower.to_doc(),
+                   "coords": {v: tower.from_fraction(q).to_coords()
+                              for v, q in zip(verts, phi_values)}}}
+
+
+def test_closed_form_phi_matches_the_nullspace():
+    # A(n) from the quantum dimensions, D(n) from its cover, the unfoldings
+    # from their base: each equals the exact nullspace route
+    specs = ([f"A{n}" for n in range(4, 16)] + [f"D{n}" for n in (6, 9, 12, 15)]
+             + [f"D{n}*" for n in range(5, 10)] + ["E8"])
+    for spec in specs:
+        g = parse_graph_spec(spec)
+        val, phi = perron_frobenius(g)
+        assert val == g.tower.quantum(3), spec
+        assert all(g.phi[v] == phi[v] for v in g.vertices), spec
+
+
+def test_nu_not_commuting_with_delta_raises():
+    # the 3-cycle a -> b -> c -> a plus a chord a -> c; the rotation a -> b -> c
+    # sends the chord to b -> a, which is not an edge
+    pairs = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")]
+    doc = {"schema": "acy-graph/1", "name": "chord", "h": 4, "vertices": ["a", "b", "c"],
+           "edges": [{"id": i, "src": s, "dst": d} for i, (s, d) in enumerate(pairs)],
+           "nu": {"vertex_map": {"a": "b", "b": "c", "c": "a"}}}
+    with pytest.raises(GraphError, match="does not commute"):
+        load_graph(doc)
+
+
+def test_partial_edge_map_raises():
+    doc = save_graph(build_family("A", 5))
+    del doc["nu"]["edge_map"]["0"]
+    with pytest.raises(GraphError, match="edge nu"):
+        load_graph(doc)
+
+
+def test_phi_gate_rejects_a_changed_coordinate():
+    doc = save_graph(build_family("A", 6))
+    v = doc["vertices"][1]
+    coords = doc["pf"]["coords"][v]["re"]["0"]
+    coords[1] += 1
+    with pytest.raises(GraphError, match=r"not a \[3\]-eigenvector"):
+        load_graph(doc)
+
+
+def test_phi_gate_rejects_a_phi_that_is_not_nu_invariant():
+    assert load_graph(_loop_graph_doc([1, 1, 1])).phi["z"] == 1
+    with pytest.raises(GraphError, match="not nu-invariant"):
+        load_graph(_loop_graph_doc([1, 2, 3]))
+
+
+def test_cli_rejects_a_graph_file_with_a_bad_phi(tmp_path):
+    from acy.cli import EXIT_INPUT
+
+    doc = save_graph(build_family("A", 6))
+    doc["pf"]["coords"][doc["vertices"][1]]["re"]["0"][1] += 1
+    path = tmp_path / "a6_bad_phi.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "acy.cli", "compute", "--graph", f"file:{path}"],
+                          capture_output=True, text=True)
+    assert proc.returncode == EXIT_INPUT
+    assert "not a [3]-eigenvector" in proc.stderr and "Traceback" not in proc.stderr

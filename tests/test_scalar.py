@@ -4,7 +4,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from acy.scalar import FieldTower, PrimeEmbedding, Scalar, coxeter_minpoly
+from acy.scalar import (FieldTower, PrimeEmbedding, Scalar, _base_field, _base_sqrt,
+                        _factor_is_square, _isprime, _sqrt_mod, coxeter_minpoly)
 
 
 def test_quantum_examples():
@@ -141,3 +142,57 @@ def test_serialization_round_trip():
     doc = x.to_coords()
     back = Scalar.from_coords(FieldTower.from_doc(t.to_doc()), doc)
     assert back == x
+
+
+# -- the integer routes against sympy, used here only as an oracle ------------------
+
+def test_coxeter_minpoly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for h in range(3, 61):
+        ref = sympy.Poly(sympy.minimal_polynomial(2 * sympy.cos(sympy.pi / h), x), x)
+        assert coxeter_minpoly(h) == tuple(int(c) for c in reversed(ref.all_coeffs())), h
+
+
+def test_isprime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for lo, hi in ((2, 5000), (2 ** 30, 2 ** 30 + 20000)):
+        assert [n for n in range(lo, hi) if _isprime(n)] == \
+            [n for n in range(lo, hi) if sympy.isprime(n)]
+    with pytest.raises(ValueError):
+        _isprime(43 ** 16)  # no factor <= 41, beyond the exact range
+
+
+def test_sqrt_mod_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    primes = [3, 5, 7, 13, 17, 97, 257, 65537, 1073741953, 1073742113]
+    for p in primes:
+        assert sympy.isprime(p)
+        for a in [0, 1, p - 1] + [rng.randrange(p) for _ in range(60)]:
+            assert _sqrt_mod(a, p) == sympy.sqrt_mod(a, p), (a, p)
+
+
+def test_base_sqrt_matches_the_factor_route():
+    # the norm, mod-p and PSLQ filters decide these without sympy; their
+    # decisions must be the ones the complete factorization gives
+    for h in (5, 7, 8, 9, 12):
+        t = FieldTower(h)
+        c = t.generator()
+        cands = [t.from_fraction(a) + c * b for a in (1, 2, 3) for b in (-1, 0, 1)]
+        cands += [y * y * k for y in (t.one() + c, 2 - c, t.quantum(3)) for k in (1, 3)]
+        for x in cands:
+            g = x.re[0]
+            root = _base_sqrt(h, g)
+            assert (root is not None) == _factor_is_square(h, g), (h, g)
+            if root is not None:
+                assert _base_field(h).mul(root, root) == g
+
+
+def test_norm_filter_refutes_sqrt3_at_h9():
+    # 3 is a residue at every prime p = 1 mod 36 that the mod-p filter uses;
+    # N(3) = 27 is not a rational square, which settles it
+    base = _base_field(9)
+    three = FieldTower(9).from_fraction(3).re[0]
+    assert base.norm(three) == 27
+    assert _base_sqrt(9, three) is None
