@@ -196,3 +196,161 @@ def test_norm_filter_refutes_sqrt3_at_h9():
     three = FieldTower(9).from_fraction(3).re[0]
     assert base.norm(three) == 27
     assert _base_sqrt(9, three) is None
+
+
+# -- properties (Hypothesis) ----------------------------------------------------------
+
+from functools import lru_cache  # noqa: E402
+
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from acy.scalar import _bnormalize, _bone, _cyclotomic  # noqa: E402
+
+PROPS = settings(deadline=None, max_examples=60)
+BASE_HS = (3, 4, 5, 6, 7, 8, 9, 12, 13, 15, 18)
+
+
+@lru_cache(maxsize=None)
+def _chain(name):
+    """A chain of towers, each adjoining one root to the one before."""
+    if name == "h7":
+        return (FieldTower(7),)
+    if name == "h8":
+        t = FieldTower(8)
+        return (t, t.adjoin_sqrt(t.quantum(3))[0])
+    t = FieldTower(5)
+    t1 = t.adjoin_sqrt(t.from_fraction(2))[0]
+    t2 = t1.adjoin_sqrt(t.from_fraction(3))[0]
+    assert t2.degree == 8
+    return (t, t1, t2)
+
+
+def _tower(name):
+    return _chain(name)[-1]
+
+
+_coeff = st.one_of(st.just(Fraction(0)),
+                   st.fractions(min_value=-9, max_value=9, max_denominator=6))
+
+
+@st.composite
+def base_elements(draw, h):
+    D = _base_field(h).D
+    nums = draw(st.lists(st.integers(-40, 40), min_size=D, max_size=D))
+    return _bnormalize(draw(st.integers(1, 12)), tuple(nums))
+
+
+@st.composite
+def scalars(draw, t, cplx=False):
+    def part():
+        out = {}
+        for mask in range(1 << len(t.roots)):
+            b = t.from_base(draw(st.lists(_coeff, min_size=t.degree_base,
+                                          max_size=t.degree_base))).re.get(0)
+            if b is not None:
+                out[mask] = b
+        return out
+
+    re = part()
+    im = part() if cplx and draw(st.booleans()) else None
+    return Scalar(t, re, im)
+
+
+@st.composite
+def tower_and_scalars(draw, n=3, cplx=False):
+    t = _tower(draw(st.sampled_from(("h7", "h8", "h5"))))
+    return (t,) + tuple(draw(scalars(t, cplx)) for _ in range(n))
+
+
+@PROPS
+@given(tower_and_scalars(cplx=True))
+def test_field_axioms(args):
+    t, a, b, c = args
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + t.zero() == a and a * t.one() == a and (a * t.zero()).is_zero()
+    assert (a - a).is_zero() and a - b == -(b - a)
+    # normal form: equal values are identical dicts
+    d = (a + b) - b
+    assert d.re == a.re and (d.im or {}) == (a.im or {})
+
+
+@PROPS
+@given(tower_and_scalars(n=1, cplx=True))
+def test_inverse_property(args):
+    t, a = args
+    assume(not a.is_zero())
+    inv = a.inverse()
+    assert a * inv == 1 and inv * a == t.one()
+    assert inv.inverse() == a
+    if a.is_real():
+        assert inv.is_real()
+
+
+@pytest.mark.parametrize("h", BASE_HS)
+def test_base_inverse_of_the_generator(h):
+    # c's multiplication matrix has a zero (0,0) entry: the elimination swaps rows
+    base = _base_field(h)
+    c = FieldTower(h).generator().re[0] if base.D > 1 else (1, 1)
+    inv = base.inv(c)
+    assert base.mul(c, inv) == _bone(base.D)
+    assert inv == _bnormalize(inv[0], inv[1:]) and inv[0] > 0
+    with pytest.raises(ZeroDivisionError):
+        base.inv((1,) + (0,) * base.D)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(BASE_HS).flatmap(
+    lambda h: st.tuples(st.just(h), base_elements(h), base_elements(h))))
+def test_base_inverse_and_norm(args):
+    h, a, b = args
+    base = _base_field(h)
+    assert base.norm(base.mul(a, b)) == base.norm(a) * base.norm(b)
+    assume(any(a[1:]))
+    inv = base.inv(a)
+    assert base.mul(a, inv) == _bone(base.D)
+    assert inv == _bnormalize(inv[0], inv[1:]) and inv[0] > 0
+    assert base.norm(inv) == 1 / base.norm(a)
+
+
+@PROPS
+@given(st.data())
+def test_lift_and_coerce_commute_with_arithmetic(data):
+    chain = _chain(data.draw(st.sampled_from(("h8", "h5"))))
+    i = data.draw(st.integers(0, len(chain) - 2))
+    small, big = chain[i], chain[-1]
+    a, b = data.draw(scalars(small, cplx=True)), data.draw(scalars(small, cplx=True))
+    c = data.draw(scalars(big))
+    la, lb = a.lift(big), b.lift(big)
+    assert la.tower is big and la == a
+    assert (a + b).lift(big) == la + lb and (a * b).lift(big) == la * lb
+    assert a + c == la + c and c * a == c * la
+    assert (a * c).tower is big
+    if not a.is_zero():
+        assert a.inverse().lift(big) == la.inverse()
+
+
+@PROPS
+@given(tower_and_scalars(n=2, cplx=True))
+def test_reduce_mod_is_a_ring_homomorphism(args):
+    t, a, b = args
+    emb = PrimeEmbedding.find(t)
+    p = emb.p
+    pa, pb = a.reduce_mod(emb), b.reduce_mod(emb)
+    assume(pa is not None and pb is not None)
+    assert (a + b).reduce_mod(emb) == (pa + pb) % p
+    assert (a * b).reduce_mod(emb) == pa * pb % p
+    assert (-a).reduce_mod(emb) == -pa % p
+    if pa:
+        assert a.inverse().reduce_mod(emb) == pow(pa, -1, p)
+
+
+def test_cyclotomic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 121):
+        ref = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
+        assert _cyclotomic(n) == tuple(int(c) for c in reversed(ref)), n
