@@ -36,7 +36,7 @@ class GradedAlgebra:
     """Bases, reduction tables, multiplication, the non-degenerate form and
     its dual bases, and the Nakayama action, for A = A(G, W)."""
 
-    def __init__(self, graph: Graph, relations: RelationSet, check_hilbert: bool = True):
+    def __init__(self, graph: Graph, relations: RelationSet):
         self.graph = graph
         self.relations = relations
         self.tower = relations.tower
@@ -49,12 +49,12 @@ class GradedAlgebra:
         self.red: list[dict[tuple[int, int], dict]] = []
         self._mul_cache: dict = {}
         self._beta_cache: dict = {}
-        self._build(check_hilbert)
+        self._build()
         self._form_built = False
 
     # -- construction -------------------------------------------------------
 
-    def _build(self, check_hilbert: bool):
+    def _build(self):
         g = self.graph
         verts = g.vertices
         b0 = [BasisElt((), v, v) for v in verts]
@@ -65,7 +65,7 @@ class GradedAlgebra:
         rels_at = {}
         for r in self.relations.relations:
             rels_at.setdefault(r.src, []).append(r)
-        H = series.hilbert_closed_form(g, g.h) if check_hilbert else None
+        H = series.hilbert_closed_form(g, g.h)
         vi = g.vindex
         for k in range(1, self.top + 2):
             prev = self.basis[k - 1]
@@ -123,19 +123,14 @@ class GradedAlgebra:
                 self.index_of.append(new_index)
                 self.block_index.append(new_blocks)
                 self.red.append(red_k)
-            if check_hilbert:
-                want = H[k] if k <= self.top + 1 else None
-                dims: dict[tuple[str, str], int] = {}
-                for (s, d), idxs in new_blocks.items():
-                    dims[(s, d)] = len(idxs)
-                for a in verts:
-                    for b in verts:
-                        got = dims.get((a, b), 0)
-                        expect = want[vi[a]][vi[b]] if k <= g.h else 0
-                        if got != expect:
-                            raise AlgebraError(
-                                f"Hilbert gate failed for {g.name} at degree {k}, "
-                                f"block {a}->{b}: dim {got}, closed form {expect}")
+            for a in verts:
+                for b in verts:
+                    got = len(new_blocks.get((a, b), ()))
+                    expect = H[k][vi[a]][vi[b]]
+                    if got != expect:
+                        raise AlgebraError(
+                            f"Hilbert gate failed for {g.name} at degree {k}, "
+                            f"block {a}->{b}: dim {got}, closed form {expect}")
             if k == self.top + 1 and new_basis:
                 raise AlgebraError(f"A_{k} is nonzero above the top degree for {g.name}")
 
@@ -295,10 +290,6 @@ class GradedAlgebra:
             if coeff is not None:
                 acc = acc + self.times(coeff, x)
         return acc
-
-    def pair(self, k: int, v1: dict, v2: dict) -> Scalar:
-        """(x, y) = f(xy) for x of degree k, y of degree top - k."""
-        return self.f(self.mul(k, v1, self.top - k, v2))
 
     def _verify_symmetry(self):
         g, T = self.graph, self.top

@@ -23,7 +23,8 @@ from .scalar import FieldTower, Scalar
 __all__ = ["CellSystem", "RelationSet", "CellReport", "compile_equations",
            "verify_type_I", "verify_type_II", "derive_relations",
            "gauge_transform", "check_nu_invariance",
-           "orbifold_cells", "unfold_cells", "builtin_cells", "builtin_relations",
+           "orbifold_cells", "unfold_cells", "builtin_cells", "family_cells",
+           "builtin_relations",
            "standard_relations_e8star", "standard_relations_e8", "cells_to_doc", "cells_from_doc",
            "relations_to_doc", "relations_from_doc"]
 
@@ -500,31 +501,39 @@ def _load_cell_doc(name: str) -> dict:
 
 def builtin_cells(graph: Graph) -> CellSystem:
     """Certified built-in cells: frozen data for A, A*, E8*; orbifold/unfold
-    constructions for D, D*, E8.  Raises for families without data.
+    constructions for D, D*, E8.  Raises for families without data."""
+    return family_cells(graph, _frozen_cells)
+
+
+def _frozen_cells(graph: Graph) -> CellSystem:
+    name = graph.name
+    if name.startswith("A"):
+        return cells_from_doc(graph, _load_cell_doc(f"cells_{name.replace('*', 's')}.json"))
+    if name == "E8*":
+        return cells_from_doc(graph, _load_cell_doc("cells_E8s.json"))
+    raise ValueError(f"no built-in cell data for {name}: user data required")
+
+
+def family_cells(graph: Graph, base_cells) -> CellSystem:
+    """Cells for any graph from `base_cells`, which supplies them for A, A*,
+    E8* and graphs outside the families: D is the orbifold of A, D* and E8
+    the unfoldings of A* and E8*.
 
     Graphs loaded from files are accepted when structurally identical to the
     built-in family of the same name (cells are built on a canonical twin
     and re-tagged)."""
     name = graph.name
-    if name.startswith("A"):
-        doc = _load_cell_doc(f"cells_{name.replace('*', 's')}.json")
-        return cells_from_doc(graph, doc)
-    if name == "E8*":
-        doc = _load_cell_doc("cells_E8s.json")
-        return cells_from_doc(graph, doc)
     if name == "E8":
         twin = graph if hasattr(graph, "base_graph") else _canonical_twin(graph)
-        cells = unfold_cells(twin, builtin_cells(build_family("E8*")))
+        cells = unfold_cells(twin, base_cells(build_family("E8*")))
     elif name.startswith("D") and name.endswith("*"):
-        n = int(name[1:-1])
         twin = graph if hasattr(graph, "base_graph") else _canonical_twin(graph)
-        cells = unfold_cells(twin, builtin_cells(build_family("A*", n)))
+        cells = unfold_cells(twin, base_cells(build_family("A*", int(name[1:-1]))))
     elif name.startswith("D"):
-        n = int(name[1:])
         twin = graph if hasattr(graph, "cover") else _canonical_twin(graph)
-        cells = orbifold_cells(twin, builtin_cells(build_family("A", n)))
+        cells = orbifold_cells(twin, base_cells(build_family("A", int(name[1:]))))
     else:
-        raise ValueError(f"no built-in cell data for {name}: user data required")
+        return base_cells(graph)
     if twin is graph:
         return cells
     return CellSystem(graph, cells.tower, cells.weights, label=cells.label)

@@ -16,10 +16,10 @@ import sys
 
 from . import __version__
 from .algebra import AlgebraError, GradedAlgebra
-from .cells import (builtin_cells, cells_from_doc, derive_relations,
+from .cells import (builtin_cells, cells_from_doc, derive_relations, family_cells,
                     verify_type_I, verify_type_II)
 from .homology import Homology, build_report, verify_resolution
-from .quiver import GraphError, build_family, family_catalog, parse_graph_spec
+from .quiver import GraphError, family_catalog, parse_graph_spec
 from .series import euler_characteristic_hc
 from .solver import SolverError, solve_cells
 
@@ -42,19 +42,7 @@ def _load_cells(graph, spec: str, seed: int, precision: int):
     if spec == "builtin":
         return builtin_cells(graph)
     if spec == "solve":
-        from .cells import orbifold_cells, unfold_cells
-
-        name = graph.name
-        if name.startswith("D") and name.endswith("*"):
-            base = build_family("A*", int(name[1:-1]))
-            return unfold_cells(graph, solve_cells(base, seed=seed, digits=precision))
-        if name.startswith("D"):
-            base = build_family("A", int(name[1:]))
-            return orbifold_cells(graph, solve_cells(base, seed=seed, digits=precision))
-        if name == "E8":
-            base = build_family("E8*")
-            return unfold_cells(graph, solve_cells(base, seed=seed, digits=precision))
-        return solve_cells(graph, seed=seed, digits=precision)
+        return family_cells(graph, lambda base: solve_cells(base, seed=seed, digits=precision))
     if spec.startswith("file:"):
         with open(spec[5:], "r", encoding="utf-8") as fh:
             return cells_from_doc(graph, json.load(fh))

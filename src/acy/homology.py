@@ -1194,8 +1194,7 @@ class HomologyReport:
 
 
 def build_report(A: GradedAlgebra, cells: CellSystem, max_index: int = 13,
-                 cutoff: int | None = None, with_resolution: bool = True,
-                 with_duality: bool = True) -> HomologyReport:
+                 cutoff: int | None = None, with_resolution: bool = True) -> HomologyReport:
     """Full pipeline after the algebra: complexes, tables, verifications."""
     g = A.graph
     h = g.h
@@ -1216,9 +1215,8 @@ def build_report(A: GradedAlgebra, cells: CellSystem, max_index: int = 13,
     checks["d2"] = not hom.check_d_squared(min(max_index + 1, 14), cutoff)
     hh0_complex = {d: v for (i, d), v in hh_full.items() if i == 0}
     checks["hh0_cross"] = hh0_complex == {d: v for d, v in hh0.items() if v}
-    if with_duality:
-        checks["duality"] = not hom.verify_duality()
-        checks["dim_symmetry"] = not hom.verify_dim_symmetry(hh_full, cutoff)
+    checks["duality"] = not hom.verify_duality()
+    checks["dim_symmetry"] = not hom.verify_dim_symmetry(hh_full, cutoff)
     checks["periodicity"] = not hom.verify_periodicity(hh_full, i_full, cutoff)
     chi = series.euler_characteristic_hc(g, cutoff)
     checks["euler"] = euler_from_hc(hc_red, cutoff) == chi

@@ -65,14 +65,6 @@ class Eliminator:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, v: dict) -> dict:
-        v = dict(v)
-        for i in sorted(v):
-            piv = self.pivots.get(i)
-            if piv is not None and i in v:
-                v = vec_sub_scaled(v, piv, v[i])
-        return v
-
     def add(self, v: dict, tag=None) -> dict | None:
         """Insert a vector; returns a kernel combination if it was dependent
         (only when tracking), else None for dependent / {} marker otherwise."""

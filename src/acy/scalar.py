@@ -36,12 +36,22 @@ __all__ = ["FieldTower", "Scalar", "PrimeEmbedding"]
 @lru_cache(maxsize=None)
 def _cyclotomic(n: int) -> tuple[int, ...]:
     """Ascending integer coefficients of the n-th cyclotomic polynomial:
-    z^n - 1 divided exactly by Phi_d for every proper divisor d of n."""
-    f = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    z^n - 1 divided exactly by the monic Phi_d for every proper divisor d of n."""
+    f = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            f, _ = _poly_divmod(f, _cyclotomic(d))
-    return tuple(int(c) for c in f)
+            q = _cyclotomic(d)
+            k = len(q) - 1
+            quot = [0] * (len(f) - k)
+            for i in range(len(quot) - 1, -1, -1):
+                t = quot[i] = f[i + k]
+                if t:
+                    for j, y in enumerate(q):
+                        f[i + j] -= t * y
+            if any(f[:k]):
+                raise ArithmeticError(f"Phi_{d} does not divide z^{n} - 1 exactly")
+            f = quot
+    return tuple(f)
 
 
 @lru_cache(maxsize=None)
@@ -151,84 +161,68 @@ class _BaseField:
                         out[j] += v * r
         return _bnormalize(a[0] * b[0], tuple(out))
 
-    def norm(self, a: tuple[int, ...]) -> Fraction:
-        """N_{Q(c)/Q}(a): the determinant of multiplication by a, by
-        fraction-free (Bareiss) elimination on the integer numerator."""
+    def _eliminate(self, a: tuple[int, ...], rhs: bool = False) -> tuple[int, list[list[int]]]:
+        """Fraction-free (Bareiss) elimination on the integer matrix whose
+        column j is a's numerator times c^j; with rhs, e_1 rides along as an
+        extra column.  Returns (sign of the row swaps, rows), the last pivot
+        being sign * det; sign is 0 when the matrix is singular."""
         D = self.D
-        num = (1,) + a[1:]
-        cols = [self.mul(num, (1,) + (0,) * j + (1,) + (0,) * (D - 1 - j))[1:] for j in range(D)]
+        top_row = [-m for m in self.minpoly[:-1]]  # c^D
+        col = list(a[1:])
+        cols = [col]
+        for _ in range(D - 1):
+            top = col[-1]
+            col = [0] + col[:-1]
+            if top:
+                col = [x + top * r for x, r in zip(col, top_row)]
+            cols.append(col)
         m = [list(r) for r in zip(*cols)]
+        if rhs:
+            for i, row in enumerate(m):
+                row.append(int(i == 0))
+        width = len(m[0])
         sign, prev = 1, 1
         for k in range(D - 1):
             if m[k][k] == 0:
                 swap = next((i for i in range(k + 1, D) if m[i][k]), None)
                 if swap is None:
-                    return Fraction(0)
+                    return 0, m
                 m[k], m[swap] = m[swap], m[k]
                 sign = -sign
-            for i in range(k + 1, D):
-                for j in range(k + 1, D):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return Fraction(sign * m[D - 1][D - 1], a[0] ** D)
+            pivot_row = m[k]
+            pivot = pivot_row[k]
+            for row in m[k + 1:]:
+                f = row[k]
+                for j in range(k + 1, width):
+                    row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+            prev = pivot
+        return sign, m
+
+    def norm(self, a: tuple[int, ...]) -> Fraction:
+        """N_{Q(c)/Q}(a): the determinant of multiplication by a."""
+        sign, m = self._eliminate(a)
+        return Fraction(sign * m[-1][-1], a[0] ** self.D)
 
     def inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
+        """a^-1 = a_den * adj(M) e_1 / det(M), M multiplication by a's
+        numerator: the eliminated system is back-substituted in integers
+        (Cohen, GTM 138, 2.2 and 4.3)."""
         if _bis_zero(a):
             raise ZeroDivisionError("inverse of zero in base field")
-        m = [Fraction(c) for c in self.minpoly]
-        f = _poly_trim([Fraction(n, a[0]) for n in a[1:]])
-        r0, r1 = m, f
-        s0, s1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if not r1:
+        sign, m = self._eliminate(a, rhs=True)
+        D = self.D
+        det = m[-1][D - 1]
+        if not sign or not det:
             raise ZeroDivisionError("element not invertible (degenerate tower)")
-        lead = r1[0]
-        coeffs = [c / lead for c in s1]
-        coeffs += [Fraction(0)] * (self.D - len(coeffs))
-        den = 1
-        for c in coeffs[: self.D]:
-            den = den * c.denominator // gcd(den, c.denominator)
-        return _bnormalize(den, tuple(int(c * den) for c in coeffs[: self.D]))
-
-
-def _poly_trim(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_sub(p, q):
-    n = max(len(p), len(q))
-    out = [(p[i] if i < len(p) else Fraction(0)) - (q[i] if i < len(q) else Fraction(0))
-           for i in range(n)]
-    return _poly_trim(out)
-
-
-def _poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(p, q):
-    p = list(p)
-    out = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    while p and len(p) >= len(q):
-        f = p[-1] / q[-1]
-        k = len(p) - len(q)
-        out[k] = f
-        for i, y in enumerate(q):
-            p[k + i] -= f * y
-        p = _poly_trim(p)
-    return _poly_trim(out), p
+        # x = det * M^-1 e_1 is integral (Cramer), so each division is exact
+        x = [0] * D
+        for i in range(D - 1, -1, -1):
+            row = m[i]
+            acc = det * row[D]
+            for j in range(i + 1, D):
+                acc -= row[j] * x[j]
+            x[i] = acc // row[i]
+        return _bnormalize(det, tuple(a[0] * v for v in x))
 
 
 @lru_cache(maxsize=None)
@@ -884,22 +878,20 @@ def _sqrt_in_tower(tower: FieldTower, g: tuple[int, ...]) -> Scalar | None:
     Kummer: sqrt(g) lies in the multiquadratic tower iff g * prod_{i in S} g_i
     is a square in Q(c) for some subset S of the adjoined roots.
     """
+    base = tower.base
     r = len(tower.roots)
     for mask in range(1 << r):
-        cand = g
+        prod = _bone(tower.degree_base)
         for i in range(r):
             if mask >> i & 1:
-                cand = tower.base.mul(cand, tower.roots[i])
-        s = _base_sqrt(tower.h, cand)
+                prod = base.mul(prod, tower.roots[i])
+        s = _base_sqrt(tower.h, base.mul(g, prod))
         if s is None:
             continue
+        # sqrt(g) = sqrt(g * prod) / sqrt(prod) = s * sqrt(prod) / prod
         out = Scalar(tower, {mask: s})
         if mask:
-            prod = _bone(tower.degree_base)
-            for i in range(r):
-                if mask >> i & 1:
-                    prod = tower.base.mul(prod, tower.roots[i])
-            out = out * Scalar(tower, {0: tower.base.inv(prod)})
+            out = out * Scalar(tower, {0: base.inv(prod)})
         if not out.is_positive():
             out = -out
         return out

@@ -97,6 +97,22 @@ def test_compute_from_graph_file(tmp_path):
     assert doc["graph"] == "D9" and all(doc["checks"].values())
 
 
+def test_compute_solve_from_graph_files(tmp_path):
+    # a file-loaded D or D* graph has no cover or base graph attached: the
+    # solved base cells reach it through the canonical built-in twin
+    from acy.quiver import save_graph
+
+    for family, n in (("D", 6), ("D*", 5)):
+        g = build_family(family, n)
+        path = tmp_path / f"{g.name}.json"
+        path.write_text(json.dumps(save_graph(g)))
+        code, out, err = run_cli("compute", "--graph", f"file:{path}", "--cells", "solve",
+                                 "--format", "json")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["graph"] == g.name and all(doc["checks"].values())
+
+
 def test_verify_all_a4():
     code, out, _ = run_cli("verify", "--graph", "A4", "--check", "all")
     assert code == 0
