@@ -161,11 +161,10 @@ class _BaseField:
                         out[j] += v * r
         return _bnormalize(a[0] * b[0], tuple(out))
 
-    def _eliminate(self, a: tuple[int, ...], rhs: bool = False) -> tuple[int, list[list[int]]]:
-        """Fraction-free (Bareiss) elimination on the integer matrix whose
-        column j is a's numerator times c^j; with rhs, e_1 rides along as an
-        extra column.  Returns (sign of the row swaps, rows), the last pivot
-        being sign * det; sign is 0 when the matrix is singular."""
+    def _eliminate(self, a: tuple[int, ...]) -> tuple[int, list[list[int]]]:
+        """Fraction-free (Bareiss) elimination on the integer matrix M whose
+        column j is a's numerator times c^j, with e_1 riding along as column
+        D.  Returns (det(M), the eliminated rows)."""
         D = self.D
         top_row = [-m for m in self.minpoly[:-1]]  # c^D
         col = list(a[1:])
@@ -176,11 +175,8 @@ class _BaseField:
             if top:
                 col = [x + top * r for x, r in zip(col, top_row)]
             cols.append(col)
+        cols.append([1] + [0] * (D - 1))
         m = [list(r) for r in zip(*cols)]
-        if rhs:
-            for i, row in enumerate(m):
-                row.append(int(i == 0))
-        width = len(m[0])
         sign, prev = 1, 1
         for k in range(D - 1):
             if m[k][k] == 0:
@@ -193,15 +189,14 @@ class _BaseField:
             pivot = pivot_row[k]
             for row in m[k + 1:]:
                 f = row[k]
-                for j in range(k + 1, width):
+                for j in range(k + 1, D + 1):
                     row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
             prev = pivot
-        return sign, m
+        return sign * m[-1][D - 1], m
 
     def norm(self, a: tuple[int, ...]) -> Fraction:
         """N_{Q(c)/Q}(a): the determinant of multiplication by a."""
-        sign, m = self._eliminate(a)
-        return Fraction(sign * m[-1][-1], a[0] ** self.D)
+        return Fraction(self._eliminate(a)[0], a[0] ** self.D)
 
     def inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
         """a^-1 = a_den * adj(M) e_1 / det(M), M multiplication by a's
@@ -209,12 +204,11 @@ class _BaseField:
         (Cohen, GTM 138, 2.2 and 4.3)."""
         if _bis_zero(a):
             raise ZeroDivisionError("inverse of zero in base field")
-        sign, m = self._eliminate(a, rhs=True)
-        D = self.D
-        det = m[-1][D - 1]
-        if not sign or not det:
+        det, m = self._eliminate(a)
+        if not det:
             raise ZeroDivisionError("element not invertible (degenerate tower)")
         # x = det * M^-1 e_1 is integral (Cramer), so each division is exact
+        D = self.D
         x = [0] * D
         for i in range(D - 1, -1, -1):
             row = m[i]
