@@ -340,15 +340,10 @@ def check_nu_invariance(cells: CellSystem) -> str:
 
     for (i, j), terms_list in blocks.items():
         ti, tj = g.nu_v[i], g.nu_v[j]
-        target = blocks.get((ti, tj), [])
-        elim = linalg.Eliminator()
-        for terms in target:
-            elim.add(vec(terms))
-        r0 = elim.rank
-        for terms in terms_list:
-            mapped = {(g.nu_e[b], g.nu_e[c]): w for (b, c), w in terms.items()}
-            elim.add(vec(mapped))
-        if elim.rank != r0:
+        target = [vec(terms) for terms in blocks.get((ti, tj), [])]
+        mapped = [vec({(g.nu_e[b], g.nu_e[c]): w for (b, c), w in terms.items()})
+                  for terms in terms_list]
+        if linalg.rank(target + mapped) != linalg.rank(target):
             return "unstable"
     return "span-stable"
 

@@ -78,6 +78,8 @@ def cmd_graphs_list(args) -> int:
 
 
 def cmd_compute(args) -> int:
+    if args.periods < 1:
+        raise GraphError(f"--periods must be >= 1, got {args.periods}")
     graph = parse_graph_spec(args.graph)
     if args.cutoff_degree is not None and args.cutoff_degree < 3 * graph.h:
         raise GraphError(f"--cutoff-degree must be >= 3h = {3 * graph.h} "

@@ -406,9 +406,10 @@ class Homology:
             rows.append(row)
         return rows
 
-    def verify_duality(self, max_d: int | None = None) -> list:
+    def verify_duality(self) -> list:
         """mu'_i = (-1)^i (mu'_(12-i))^* exactly for i = 1..6, and
-        (mu'_12)^* = mu'_12 o beta; returns failing (i, d) pairs.
+        (mu'_12)^* = mu'_12 o beta, for d = 0..3h; returns failing (i, d)
+        pairs.
 
         At (i, d) the identity reads M_i^T P_(i-1) = (-1)^i P_i M_(12-i), with
         M the differential matrices and P the block-sparse `pairing`s.  Both
@@ -417,8 +418,6 @@ class Homology:
         pairing is built once: P_i is the right side at step i and the left
         side at step i + 1."""
         h = self.g.h
-        if max_d is None:
-            max_d = 3 * h
         pairs: dict = {}
 
         def pairing(jdx: int, d: int) -> list[dict]:
@@ -429,7 +428,7 @@ class Homology:
 
         bad = []
         for i in range(1, 7):
-            for d in range(max_d + 1):
+            for d in range(3 * h + 1):
                 r, t, j = self._hom_params(i, d)
                 rv, tv, jv = self._hom_params(12 - i, 3 * h - d)
                 if not (self._dom_ok(r, j) and self._dom_ok(rv, jv)):
@@ -586,7 +585,7 @@ def hh0_direct(A: GradedAlgebra) -> dict[int, int]:
     for k in range(1, A.top + 1):
         cyclic = [i for (s, d), idxs in A.block_index[k].items() if s == d for i in idxs]
         pos = {i: p for p, i in enumerate(cyclic)}
-        elim = linalg.Eliminator()
+        commutators = []
         for p in range(1, k):
             q = k - p
             for (s, d), idxs in A.block_index[p].items():
@@ -597,8 +596,8 @@ def hh0_direct(A: GradedAlgebra) -> dict[int, int]:
                         yx = A.mul_basis(q, yi, p, i)
                         vec = {pos[ii]: c for ii, c in xy.items()}
                         linalg.axpy(vec, ((pos[ii], -c) for ii, c in yx.items()))
-                        elim.add(vec)
-        dim = len(cyclic) - elim.rank
+                        commutators.append(vec)
+        dim = len(cyclic) - linalg.rank(commutators)
         if dim:
             out[k] = dim
     return out
@@ -784,29 +783,6 @@ def predicted_tables(h: int, blocks: dict, trivial_nu: bool, max_i: int, max_d: 
 # resolution exactness (Eq.-9-style bimodule complex)
 # ---------------------------------------------------------------------------
 
-def _modp_rank(rows: list[dict[int, int]], p: int) -> int:
-    """Rank over F_p of sparse rows {column: value}; sparser rows go first,
-    so pivots are sparse and fill-in stays small."""
-    pivots: dict[int, dict[int, int]] = {}
-    for row in sorted(rows, key=len):
-        row = dict(row)
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                inv = pow(row[lead], -1, p)
-                pivots[lead] = {j: v * inv % p for j, v in row.items()}
-                break
-            f = row[lead]
-            for j, v in piv.items():
-                x = (row.get(j, 0) - f * v) % p
-                if x:
-                    row[j] = x
-                else:
-                    row.pop(j, None)
-    return len(pivots)
-
-
 class _Resolution:
     """The period-4 window of the superpotential resolution of A as an
     A-bimodule (Bocklandt, JPAA 212, 2008), over the image of A in F_p.
@@ -815,7 +791,8 @@ class _Resolution:
     edges, V_2 the relations (one per reversed edge) and V_4 = S twisted by
     nu on the right; the generators have degrees 0, 1, 2, 3, h, and stage 5
     is stage 1 shifted by h.  Every map preserves (d, left source u, right
-    target v), so each block is ranked on its own.
+    target v), so each block is ranked on its own, by `linalg.rank` over F_p:
+    the same elimination that gives the exact ranks.
 
     The modular image -- the structure constants `A.red`, the dual bases and
     the generator terms of `hom.mu` (see `differentials`) -- is reduced once,
@@ -1003,7 +980,7 @@ class _Resolution:
             for stage in range(5):
                 dom = bases[stage].get(blk, ())
                 tgt = targets[stage].get(blk, ())
-                rk = _modp_rank(self._rows(stage, d, dom, tgt), self.p) if dom and tgt else 0
+                rk = linalg.rank(self._rows(stage, d, dom, tgt), self.p) if dom and tgt else 0
                 row.append((rk, len(dom), len(tgt)))
             out[blk] = row
         self._dual_memo = {}

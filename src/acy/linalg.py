@@ -1,18 +1,16 @@
-"""Exact sparse Gaussian elimination over tower scalars.
+"""Sparse Gaussian elimination over tower scalars or the integers mod p.
 
-Vectors are dicts {index: Scalar}; matrices are lists of such vectors
-(column-wise: vectors[j] is the image of domain basis element j).  Pivot
-choice is deterministic (lowest index), so echelon bases are reproducible.
+Vectors are dicts {index: value}; matrices are lists of such vectors
+(column-wise: vectors[j] is the image of domain basis element j).  One
+forward echelon accumulator, `Eliminator`, serves every caller: ranks, the
+reduced echelon form (unique for a given span, so the output does not depend
+on insertion order), kernels and inverses.  Pivot choice is deterministic
+(lowest index).
 """
 
 from __future__ import annotations
 
-__all__ = ["Eliminator", "rank", "nullspace", "invert_dense",
-           "axpy", "vec_scale", "vec_sub_scaled"]
-
-
-def vec_scale(v: dict, c) -> dict:
-    return {i: x * c for i, x in v.items()}
+__all__ = ["Eliminator", "rank", "nullspace", "invert_dense", "axpy"]
 
 
 def axpy(out: dict, items, c=None, p: int = 0) -> dict:
@@ -41,76 +39,77 @@ def axpy(out: dict, items, c=None, p: int = 0) -> dict:
     return out
 
 
-def vec_sub_scaled(v: dict, w: dict, c) -> dict:
-    """v - c*w."""
-    return axpy(dict(v), w.items(), -c)
-
-
 class Eliminator:
-    """Reduced-echelon accumulator.
+    """Forward echelon accumulator over tower scalars (p = 0) or F_p.
 
-    Pivot vectors are normalized to 1 at their pivot index and kept mutually
-    reduced, so a single pass over a vector's initial support reduces it
-    completely.  With track=True, kernel combinations are reported.
+    `pivots[lead]` is a stored vector whose lowest index is `lead`, with
+    value 1 there.  A new vector is reduced at its lowest index until that
+    index is free, then stored normalised; `reduced` back-substitutes once.
     """
 
-    def __init__(self, one=None, track: bool = False):
+    def __init__(self, p: int = 0):
+        self.p = p
         self.pivots: dict[int, dict] = {}
-        self.combs: dict[int, dict] | None = {} if track else None
-        self.one = one
-        if track and one is None:
-            raise ValueError("tracking requires the scalar one of the tower")
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def add(self, v: dict, tag=None) -> dict | None:
-        """Insert a vector; returns a kernel combination if it was dependent
-        (only when tracking), else None for dependent / {} marker otherwise."""
+    def add(self, v: dict) -> None:
+        """Insert a vector; it adds a pivot unless it is in the span."""
+        p, pivots = self.p, self.pivots
         v = dict(v)
-        comb = {tag: self.one} if self.combs is not None else None
-        for i in sorted(v):
-            piv = self.pivots.get(i)
-            if piv is not None and i in v:
-                c = v[i]
-                v = vec_sub_scaled(v, piv, c)
-                if comb is not None:
-                    comb = vec_sub_scaled(comb, self.combs[i], c)
-        if not v:
-            return comb if comb is not None else None
-        p = min(v)
-        inv = v[p].inverse()
-        v = vec_scale(v, inv)
-        if comb is not None:
-            comb = vec_scale(comb, inv)
-        for i in self.pivots:
-            piv = self.pivots[i]
-            if p in piv:
-                c = piv[p]
-                self.pivots[i] = vec_sub_scaled(piv, v, c)
-                if comb is not None:
-                    self.combs[i] = vec_sub_scaled(self.combs[i], comb, c)
-        self.pivots[p] = v
-        if comb is not None:
-            self.combs[p] = comb
-        return None
+        while v:
+            lead = min(v)
+            piv = pivots.get(lead)
+            if piv is None:
+                if p:
+                    inv = pow(v[lead], -1, p)
+                    pivots[lead] = {i: x * inv % p for i, x in v.items()}
+                else:
+                    inv = v[lead].inverse()
+                    pivots[lead] = {i: x * inv for i, x in v.items()}
+                return
+            axpy(v, piv.items(), -v[lead], p)
+
+    def reduced(self) -> dict[int, dict]:
+        """The reduced echelon form {lead: row}: each row is 1 at its lead and
+        0 at every other lead.  Rows are reduced in place, from the highest
+        lead down, so later `add`s still see an echelon form."""
+        pivots, p = self.pivots, self.p
+        for lead in sorted(pivots, reverse=True):
+            row = pivots[lead]
+            for j in [j for j in row if j != lead and j in pivots]:
+                axpy(row, pivots[j].items(), -row[j], p)
+        return pivots
 
 
-def rank(vectors) -> int:
-    e = Eliminator()
-    for v in vectors:
+def rank(vectors, p: int = 0) -> int:
+    """Rank of the vectors, over F_p when p is given; sparser vectors go
+    first, so pivots stay sparse and fill-in small."""
+    e = Eliminator(p)
+    for v in sorted(vectors, key=len):
         e.add(v)
     return e.rank
 
 
 def nullspace(vectors, one) -> list[dict]:
-    """Kernel of the column-wise matrix, as combinations {column: Scalar}."""
-    e = Eliminator(one=one, track=True)
-    out = []
+    """Kernel of the column-wise matrix, as combinations {column: Scalar}:
+    one per column that depends on the columns before it, in ascending
+    order, with 1 there and 0 at every other such column."""
+    rows: dict[int, dict] = {}
     for j, v in enumerate(vectors):
-        k = e.add(v, tag=j)
-        if k is not None:
+        for i, x in v.items():
+            rows.setdefault(i, {})[j] = x
+    e = Eliminator()
+    for row in sorted(rows.values(), key=len):
+        e.add(row)
+    red = e.reduced()
+    out = []
+    for j in range(len(vectors)):
+        if j not in red:
+            k = {lead: -row[j] for lead, row in red.items() if j in row}
+            k[j] = one
             out.append(k)
     return out
 
@@ -119,11 +118,12 @@ def invert_dense(cols: list[dict], n: int, one) -> list[dict]:
     """Inverse of an n x n matrix given column-wise; raises on singularity.
 
     Returns inverse columns: inv[j] expresses e_j over the original columns.
+    They are read off the reduced form of the rows [M^T | I].
     """
-    e = Eliminator(one=one, track=True)
+    e = Eliminator()
     for j in range(n):
-        if e.add(cols[j], tag=j) is not None:
-            raise ValueError("singular matrix")
-    if e.rank != n:
+        e.add({**cols[j], n + j: one})
+    red = e.reduced()
+    if any(lead >= n for lead in red):
         raise ValueError("singular matrix")
-    return [e.combs[i] for i in range(n)]
+    return [{j - n: x for j, x in red[i].items() if j >= n} for i in range(n)]

@@ -279,7 +279,10 @@ class FieldTower:
         return Scalar(self, {0: b})
 
     def generator(self) -> Scalar:
-        """The element c = 2cos(pi/h)."""
+        """The element c = 2cos(pi/h); at degree 1 (h = 3) it is the rational
+        root of the minimal polynomial."""
+        if self.degree_base == 1:
+            return self.from_fraction(-self.base.minpoly[0])
         return Scalar(self, {0: (1, 0, 1) + (0,) * (self.degree_base - 2)})
 
     def root(self, i: int) -> Scalar:
@@ -750,12 +753,13 @@ class PrimeEmbedding:
         self.i_img = i_img
 
     @classmethod
-    def find(cls, tower: FieldTower, skip: int = 0, start: int = 1 << 30) -> "PrimeEmbedding":
+    def find(cls, tower: FieldTower, skip: int = 0) -> "PrimeEmbedding":
+        """The (skip+1)-th usable prime above 2^30."""
         h = tower.h
         step = 2 * h
         while step % 4:
             step += 2 * h
-        p = start - (start % step) + 1
+        p = (1 << 30) - (1 << 30) % step + 1
         found = 0
         while True:
             p += step

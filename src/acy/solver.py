@@ -18,17 +18,21 @@ from .scalar import FieldTower, Scalar
 __all__ = ["solve_cells", "SolverError"]
 
 
+_MAX_STARTS = 20   # random least-squares starts before giving up
+
+
 class SolverError(RuntimeError):
     pass
 
 
 class _NumericSystem:
-    """Compiled equations with unknowns indexed by triangle (or nu-orbit)."""
+    """Compiled equations with unknowns indexed by triangle, or by nu-orbit
+    when nu is nontrivial."""
 
-    def __init__(self, graph: Graph, orbit_invariant: bool):
+    def __init__(self, graph: Graph):
         self.graph = graph
         tris = graph.triangles()
-        if orbit_invariant:
+        if not graph.nu_is_trivial():
             orbit_of = {}
             for t in tris:
                 orb = min(t, _canon_nu(graph, t, 1), _canon_nu(graph, t, 2))
@@ -198,15 +202,12 @@ def _find_exponents(target: float, table, tol=1e-7):
     return hits
 
 
-def solve_cells(graph: Graph, seed: int = 0, digits: int = 70,
-                orbit_invariant: bool | None = None, max_tries: int = 20) -> CellSystem:
+def solve_cells(graph: Graph, seed: int = 0, digits: int = 70) -> CellSystem:
     """Solve the type I/II system and return exactly verified cells.
 
     Raises SolverError on Newton divergence or failed exactification.
     """
-    if orbit_invariant is None:
-        orbit_invariant = not graph.nu_is_trivial()
-    sys = _NumericSystem(graph, orbit_invariant)
+    sys = _NumericSystem(graph)
     if sys.n_unknowns == 0:
         return CellSystem(graph, graph.tower, {}, label="solved")
     import numpy as np
@@ -214,7 +215,7 @@ def solve_cells(graph: Graph, seed: int = 0, digits: int = 70,
 
     rng = np.random.default_rng(seed)
     sol = None
-    for attempt in range(max_tries):
+    for _ in range(_MAX_STARTS):
         scale = rng.uniform(0.6, 3.0)
         x0 = rng.uniform(0.4, 1.6, size=sys.n_unknowns) * scale
         res = least_squares(sys.residual, x0, jac=sys.jacobian, method="lm",
@@ -224,7 +225,7 @@ def solve_cells(graph: Graph, seed: int = 0, digits: int = 70,
             break
     if sol is None:
         raise SolverError(f"least squares did not converge for {graph.name} "
-                          f"after {max_tries} starts")
+                          f"after {_MAX_STARTS} starts")
     x = sys.refine_mp(sol, digits)
 
     # reconstruct each squared weight over the alphabet

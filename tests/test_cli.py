@@ -61,6 +61,12 @@ def test_bad_inputs():
     assert code == 2 and "3h" in err
 
 
+def test_compute_rejects_periods_below_one():
+    for periods in ("0", "-1"):
+        code, out, err = run_cli("compute", "--graph", "A4", "--periods", periods)
+        assert code == 2 and "--periods" in err and out == ""
+
+
 def test_verify_commands():
     code, out, _ = run_cli("verify", "--graph", "A5", "--check", "duality")
     assert code == 0 and "duality: pass" in out

@@ -1,0 +1,186 @@
+"""Properties of the sparse elimination in `acy.linalg`, over towers with
+0-2 adjoined roots (real and complex entries) and over F_p."""
+
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from acy.linalg import Eliminator, axpy, invert_dense, nullspace, rank
+from acy.scalar import FieldTower, PrimeEmbedding, Scalar
+
+PROPS = settings(deadline=None, max_examples=40)
+TOWERS = ("h7", "h8", "h8i", "h5")
+PRIMES = (2, 7, 1000003)
+
+
+@lru_cache(maxsize=None)
+def _tower(name):
+    if name == "h7":
+        return FieldTower(7)
+    if name.startswith("h8"):
+        t = FieldTower(8)
+        return t.adjoin_sqrt(t.quantum(3))[0]
+    t = FieldTower(5)
+    t = t.adjoin_sqrt(t.from_fraction(2))[0]
+    return t.adjoin_sqrt(FieldTower(5).from_fraction(3))[0]
+
+
+def _entries(ring):
+    """Nonzero entries: tower scalars with small integer coordinates, complex
+    for 'h8i', or ints in [1, p)."""
+    if isinstance(ring, int):
+        return st.integers(1, ring - 1)
+    t = _tower(ring)
+
+    @st.composite
+    def scalar(draw):
+        def part():
+            out = {}
+            for mask in range(1 << len(t.roots)):
+                if draw(st.booleans()):
+                    b = t.from_base(draw(st.lists(st.integers(-3, 3), min_size=t.degree_base,
+                                                  max_size=t.degree_base))).re.get(0)
+                    if b is not None:
+                        out[mask] = b
+            return out
+
+        return Scalar(t, part(), part() if ring == "h8i" else None)
+
+    return scalar().filter(lambda x: not x.is_zero())
+
+
+def _p(ring):
+    return ring if isinstance(ring, int) else 0
+
+
+@st.composite
+def matrices(draw, ring):
+    """(number of columns, sparse rows); some rows are combinations of
+    others, so ranks below full occur."""
+    ncols = draw(st.integers(1, 6))
+    entry = _entries(ring)
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        cols = draw(st.lists(st.integers(0, ncols - 1), max_size=ncols, unique=True))
+        rows.append({j: draw(entry) for j in cols})
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        comb: dict = {}
+        for row in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+            axpy(comb, row.items(), draw(entry), _p(ring))
+        rows.append(comb)
+    return ncols, draw(st.permutations(rows))
+
+
+def _transpose(rows, ncols):
+    out = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
+
+
+def _rank(rows, ring):
+    return rank(rows, ring) if isinstance(ring, int) else rank(rows)
+
+
+def _one(ring):
+    return 1 if isinstance(ring, int) else _tower(ring).one()
+
+
+def _rings(*kinds):
+    return [pytest.param(r, id=r if isinstance(r, str) else f"F{r}")
+            for kind in kinds for r in kind]
+
+
+@pytest.mark.parametrize("ring", _rings(TOWERS, PRIMES))
+@PROPS
+@given(data=st.data())
+def test_rank_of_transpose_and_of_shuffled_rows(ring, data):
+    ncols, rows = data.draw(matrices(ring))
+    r = _rank(rows, ring)
+    assert r <= min(len(rows), ncols)
+    assert _rank(_transpose(rows, ncols), ring) == r
+    assert _rank(data.draw(st.permutations(rows)), ring) == r
+
+
+@pytest.mark.parametrize("ring", _rings(TOWERS))
+@PROPS
+@given(data=st.data())
+def test_rank_mod_p_is_at_most_the_exact_rank(ring, data):
+    # the premise of every modular certificate
+    _, rows = data.draw(matrices(ring))
+    emb = PrimeEmbedding.find(_tower(ring))
+    images = [{j: x.reduce_mod(emb) for j, x in row.items()} for row in rows]
+    assert all(x is not None for row in images for x in row.values())
+    images = [{j: x for j, x in row.items() if x} for row in images]
+    assert rank(images, emb.p) <= rank(rows)
+
+
+@pytest.mark.parametrize("ring", _rings(TOWERS, PRIMES))
+@PROPS
+@given(data=st.data())
+def test_reduced_form_is_unique_and_spans_the_rows(ring, data):
+    _, rows = data.draw(matrices(ring))
+    forms = []
+    for order in (rows, data.draw(st.permutations(rows))):
+        e = Eliminator(_p(ring))
+        for row in order:
+            e.add(row)
+        forms.append(e.reduced())
+    red = forms[0]
+    assert forms[1] == red and len(red) == _rank(rows, ring)
+    for lead, row in red.items():
+        assert min(row) == lead and row[lead] == 1
+        assert not any(lead in other for other_lead, other in red.items() if other_lead != lead)
+    # the rows of the reduced form are independent and span every input row
+    span = Eliminator(_p(ring))
+    for row in red.values():
+        span.add(row)
+    assert span.rank == len(red)
+    for row in rows:
+        span.add(row)
+    assert span.rank == len(red)
+
+
+def _apply(cols, x):
+    """The column-wise matrix times the vector x = {column: value}."""
+    out: dict = {}
+    for j, c in x.items():
+        axpy(out, cols[j].items(), c)
+    return out
+
+
+@pytest.mark.parametrize("ring", _rings(TOWERS))
+@PROPS
+@given(data=st.data())
+def test_nullspace_is_annihilated_and_complements_the_rank(ring, data):
+    ncols, rows = data.draw(matrices(ring))
+    cols = _transpose(rows, ncols)
+    kernel = nullspace(cols, _one(ring))
+    assert all(_apply(cols, k) == {} for k in kernel)
+    assert len(kernel) + rank(cols) == len(cols)
+    # one vector per column that depends on the ones before, with 1 there
+    free = [max(k) for k in kernel]
+    assert free == sorted(set(free)) and all(k[max(k)] == 1 for k in kernel)
+
+
+@pytest.mark.parametrize("ring", _rings(TOWERS))
+@PROPS
+@given(data=st.data())
+def test_invert_dense_gives_the_two_sided_inverse(ring, data):
+    n = data.draw(st.integers(1, 4))
+    entry = _entries(ring)
+    cols = [{i: data.draw(entry) for i in data.draw(st.lists(st.integers(0, n - 1),
+                                                             unique=True))}
+            for _ in range(n)]
+    if rank(cols) < n:
+        with pytest.raises(ValueError):
+            invert_dense(cols, n, _one(ring))
+        return
+    inv = invert_dense(cols, n, _one(ring))
+    one = _one(ring)
+    for j in range(n):
+        assert _apply(cols, inv[j]) == {j: one}       # M . M^-1 = I
+        assert _apply(inv, cols[j]) == {j: one}       # M^-1 . M = I

@@ -292,14 +292,22 @@ def test_inverse_property(args):
 
 @pytest.mark.parametrize("h", BASE_HS)
 def test_base_inverse_of_the_generator(h):
-    # c's multiplication matrix has a zero (0,0) entry: the elimination swaps rows
+    # for D > 1, c's multiplication matrix has a zero (0,0) entry: the
+    # elimination swaps rows
     base = _base_field(h)
-    c = FieldTower(h).generator().re[0] if base.D > 1 else (1, 1)
+    c = FieldTower(h).generator().re[0]
     inv = base.inv(c)
     assert base.mul(c, inv) == _bone(base.D)
     assert inv == _bnormalize(inv[0], inv[1:]) and inv[0] > 0
     with pytest.raises(ZeroDivisionError):
         base.inv((1,) + (0,) * base.D)
+
+
+def test_generator_and_quantum_integers_at_h3():
+    # 2cos(pi/3) = 1 is rational: the base field is Q itself
+    t = FieldTower(3)
+    assert t.generator() == 1
+    assert [t.quantum(n) for n in range(6)] == [0, 1, 1, 0, -1, -1]
 
 
 @settings(deadline=None, max_examples=200)
