@@ -11,14 +11,16 @@ coefficient, and the top degree pairs one-dimensionally along nu.
 
 from __future__ import annotations
 
+import copy
+import operator
 from dataclasses import dataclass
 
 from . import linalg, series
 from .cells import RelationSet
 from .quiver import Graph
-from .scalar import Scalar
+from .scalar import PrimeEmbedding, Scalar
 
-__all__ = ["GradedAlgebra", "AlgebraError", "BasisElt"]
+__all__ = ["GradedAlgebra", "AlgebraError", "BasisElt", "residue"]
 
 
 class AlgebraError(RuntimeError):
@@ -32,22 +34,55 @@ class BasisElt:
     dst: str
 
 
+class _Products(dict):
+    """products[k1, i1, k2, i2]: the product of two basis elements, as a
+    degree k1+k2 vector, computed on first use."""
+
+    def __init__(self, A: "GradedAlgebra"):
+        super().__init__()
+        self.A = A
+
+    def __missing__(self, key):
+        k1, i1, k2, i2 = key
+        A = self.A
+        b2 = A.basis[k2][i2]
+        if A.basis[k1][i1].dst != b2.src or k1 + k2 > A.top:
+            hit = {}
+        else:
+            _, hit = A.mul_path(k1, A.unit(k1, i1), b2.path)
+        self[key] = hit
+        return hit
+
+
+def residue(c: Scalar, emb: PrimeEmbedding) -> int:
+    """c mod p under a prime embedding; ZeroDivisionError when a denominator
+    of c vanishes mod p."""
+    r = c.reduce_mod(emb)
+    if r is None:
+        raise ZeroDivisionError("prime embedding failed on an entry")
+    return r
+
+
 class GradedAlgebra:
     """Bases, reduction tables, multiplication, the non-degenerate form and
-    its dual bases, and the Nakayama action, for A = A(G, W)."""
+    its dual bases, and the Nakayama action, for A = A(G, W).
+
+    Coefficients are tower scalars (p = 0), or ints mod p on the image
+    `reduce_mod` returns; multiplication and the Nakayama action serve both."""
 
     def __init__(self, graph: Graph, relations: RelationSet):
         self.graph = graph
         self.relations = relations
         self.tower = relations.tower
         self.one = self.tower.one()  # shared: scalars are immutable
+        self.p = 0
         self.top = graph.h - 3
         self.basis: list[list[BasisElt]] = []
         self.block_index: list[dict[tuple[str, str], list[int]]] = []
         self.index_of: list[dict[tuple[int, ...], int]] = []
         # reduction of monomials (prev basis index, edge id) -> vec over basis
         self.red: list[dict[tuple[int, int], dict]] = []
-        self._mul_cache: dict = {}
+        self.products = _Products(self)
         self._beta_cache: dict = {}
         self._build()
         self._form_built = False
@@ -160,7 +195,7 @@ class GradedAlgebra:
         for i, c in vec.items():
             hit = red.get((i, eid))
             if hit:
-                linalg.axpy(out, hit.items(), self.axpy_coef(c))
+                linalg.axpy(out, hit.items(), self.axpy_coef(c), self.p)
         return out
 
     def mul_path(self, k: int, vec: dict, path: tuple[int, ...]) -> tuple[int, dict]:
@@ -173,16 +208,7 @@ class GradedAlgebra:
 
     def mul_basis(self, k1: int, i1: int, k2: int, i2: int) -> dict:
         """Product of two basis elements, as a degree k1+k2 vector (memoized)."""
-        key = (k1, i1, k2, i2)
-        hit = self._mul_cache.get(key)
-        if hit is None:
-            b2 = self.basis[k2][i2]
-            if self.basis[k1][i1].dst != b2.src or k1 + k2 > self.top:
-                hit = {}
-            else:
-                _, hit = self.mul_path(k1, self.unit(k1, i1), b2.path)
-            self._mul_cache[key] = hit
-        return hit
+        return self.products[k1, i1, k2, i2]
 
     def mul(self, k1: int, v1: dict, k2: int, v2: dict) -> dict:
         out: dict[int, Scalar] = {}
@@ -190,7 +216,8 @@ class GradedAlgebra:
             for i1, c1 in v1.items():
                 prod = self.mul_basis(k1, i1, k2, i2)
                 if prod:
-                    linalg.axpy(out, prod.items(), self.axpy_coef(self.times(c1, c2)))
+                    linalg.axpy(out, prod.items(), self.axpy_coef(self.times(c1, c2)),
+                                self.p)
         return out
 
     def times(self, a: Scalar, b: Scalar) -> Scalar:
@@ -223,7 +250,7 @@ class GradedAlgebra:
         for _ in range(power):
             out: dict[int, Scalar] = {}
             for i, c in vec.items():
-                linalg.axpy(out, self.beta_basis(k, i).items(), self.axpy_coef(c))
+                linalg.axpy(out, self.beta_basis(k, i).items(), self.axpy_coef(c), self.p)
             vec = out
         return vec
 
@@ -340,6 +367,24 @@ class GradedAlgebra:
                     for q, cq in inv[r].items():
                         dual[yidx[q]] = cq
                     self.duals[p][x_i] = dual
+
+    def reduce_mod(self, emb: PrimeEmbedding) -> "GradedAlgebra":
+        """The image of A over F_p: the same bases, with the structure
+        constants, the dual bases and the unit reduced once, and fresh memos
+        (the form `f` stays over the tower).  Raises ZeroDivisionError when a
+        denominator vanishes mod p."""
+        self.build_form()
+
+        def image(vec: dict) -> dict:
+            return {i: r for i, c in vec.items() if (r := residue(c, emb))}
+
+        out = copy.copy(self)
+        out.p, out.one = emb.p, 1
+        out.times = operator.mul  # an int product costs less than the test for one
+        out.red = [{key: image(vec) for key, vec in tab.items()} for tab in self.red]
+        out.duals = [{i: image(vec) for i, vec in tab.items()} for tab in self.duals]
+        out.products, out._beta_cache = _Products(out), {}
+        return out
 
     def dual_pairs(self, p: int):
         """Iterate (w basis index, w* vector) at degree p (w* has degree top-p)."""

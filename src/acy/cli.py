@@ -134,7 +134,7 @@ def cmd_verify(args) -> int:
             details["hilbert_error"] = str(exc)
             A = None
     if want in ("duality", "euler", "resolution", "d2", "hh0", "all") and checks.get("hilbert"):
-        hom = Homology(A, cells)
+        hom = Homology(A)
         if want in ("duality", "all"):
             bad = hom.verify_duality()
             checks["duality"] = not bad

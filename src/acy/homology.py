@@ -16,8 +16,9 @@ automatic, and for trivial nu all twists collapse to one block family.
 The four maps mu_1..mu_4 of the superpotential resolution are written once,
 as terms on bimodule generators (`differentials`).  Everything else is
 derived from that table: `Homology.mat` applies the Hochschild rule to it,
-`_Resolution` reduces it mod p, and `verify_resolution` composes it on
-generators, exactly and mod p.
+and `_Resolution` applies it to the bimodule resolution by one rule, over
+the tower or over the algebra's image in F_p; `verify_resolution` composes
+it on generators in both rings and ranks it over F_p.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg, series
-from .algebra import AlgebraError, GradedAlgebra
+from .algebra import AlgebraError, GradedAlgebra, residue
 from .cells import CellSystem
 from .scalar import PrimeEmbedding, Scalar
 
@@ -55,7 +56,7 @@ def _gen_degrees(h: int) -> tuple[int, ...]:
     return (0, 1, 2, 3, h)
 
 
-def differentials(A: GradedAlgebra, cells: CellSystem) -> dict:
+def differentials(A: GradedAlgebra) -> dict:
     """mu_1..mu_4 of the superpotential resolution of A as an A-bimodule
     (Bocklandt, JPAA 212, 2008; Ginzburg, math/0612139), on generators.
 
@@ -71,7 +72,8 @@ def differentials(A: GradedAlgebra, cells: CellSystem) -> dict:
       mu_4(1_m) = sum_w w (x) w*
 
     The factors 1 are the idempotents at the generator's own ends, and w*
-    enters mu_4 as one term per basis element in its support.
+    enters mu_4 as one term per basis element in its support.  mu_2 reads
+    the weights W_abc off the relations A was built from.
     """
     A.build_form()
     g, one, T = A.graph, A.one, A.top
@@ -87,15 +89,11 @@ def differentials(A: GradedAlgebra, cells: CellSystem) -> dict:
     for a in g.edges:
         mu[1][a.id] = [(edge(a.id), a.dst, idem(a.dst), one),
                        (idem(a.src), a.src, edge(a.id), minus)]
-        terms = mu[2][a.id] = []
-        for b in g.out_edges[a.dst]:
-            for c in g.out_edges[b.dst]:
-                if c.dst != a.src:
-                    continue
-                w = cells.weight(a.id, b.id, c.id)
-                if not w.is_zero():
-                    terms += [(edge(b.id), c.id, idem(a.src), w),
-                              (idem(a.dst), b.id, edge(c.id), w)]
+    # the relation at a runs r(a) -> s(a): (src, dst) = (a.dst, a.src)
+    for rel in A.relations.relations:
+        mu[2][rel.edge_id] = [t for (b, c), w in rel.terms.items()
+                              for t in ((edge(b), c, idem(rel.dst), w),
+                                        (idem(rel.src), b, edge(c), w))]
     for m in g.vertices:
         mu[3][m] = ([(edge(e.id), e.id, idem(m), one) for e in g.out_edges[m]]
                     + [(idem(m), e.id, edge(e.id), minus) for e in g.in_edges[m]])
@@ -109,14 +107,13 @@ def differentials(A: GradedAlgebra, cells: CellSystem) -> dict:
 class Homology:
     """Matrices, ranks and graded tables for one algebra with cell data."""
 
-    def __init__(self, A: GradedAlgebra, cells: CellSystem):
+    def __init__(self, A: GradedAlgebra):
         A.build_form()
         self.A = A
         self.g = A.graph
-        self.cells = cells
         self.tower = A.tower
         self.trivial_nu = self.g.nu_is_trivial()
-        self.mu = differentials(A, cells)
+        self.mu = differentials(A)
         self._space_cache: dict = {}
         self._mat_cache: dict = {}
         self._rank_cache: dict = {}
@@ -254,16 +251,16 @@ class Homology:
         return r0 + 1, t, d - _shift_hom(i, h)
 
     def _coh_params(self, i: int, d: int):
-        """Formula (r, twist, internal j, sign) for mu_i^*, domain D^(i-1)."""
+        """Formula (r, twist, internal j) for mu_i^*, domain D^(i-1)."""
         h = self.g.h
         t, r0 = divmod(i - 1, 4)
         if r0 == 0:
-            return 3, (3 - t) % 3, d + t * h, -1
+            return 3, (3 - t) % 3, d + t * h
         if r0 == 1:
-            return 2, (3 - t) % 3, d + t * h + 2, 1
+            return 2, (3 - t) % 3, d + t * h + 2
         if r0 == 2:
-            return 1, (3 - t) % 3, d + t * h + 3, -1
-        return 4, (2 - t) % 3, d + t * h + 3, 1
+            return 1, (3 - t) % 3, d + t * h + 3
+        return 4, (2 - t) % 3, d + t * h + 3
 
     def _dom_ok(self, r: int, j: int) -> bool:
         top = self.A.top
@@ -281,27 +278,22 @@ class Homology:
             self._rank_cache[key] = hit
         return hit
 
-    def rank_hom(self, i: int, d: int) -> int:
+    def rank_at(self, i: int, d: int, coh: bool = False) -> int:
+        """Rank of mu'_i at total degree d, or of mu_i^* when coh."""
         if i <= 0:
             return 0
-        r, t, j = self._hom_params(i, d)
-        return self.rank(r, t, j)
-
-    def rank_coh(self, i: int, d: int) -> int:
-        if i <= 0:
-            return 0
-        r, t, j, _ = self._coh_params(i, d)
-        return self.rank(r, t, j)
+        return self.rank(*(self._coh_params if coh else self._hom_params)(i, d))
 
     # -- tables ---------------------------------------------------------------------
 
-    def hh_dim(self, i: int, d: int) -> int:
-        dim = len(self.chain_space(i, d))
+    def hh_dim(self, i: int, d: int, coh: bool = False) -> int:
+        """dim HH_i at total degree d, or dim HH^i when coh."""
+        dim = len(self.chain_space(i, d, coh))
         if dim == 0:
             return 0
-        out = dim - self.rank_hom(i, d) - self.rank_hom(i + 1, d)
+        out = dim - self.rank_at(i, d, coh) - self.rank_at(i + 1, d, coh)
         if out < 0:
-            raise AlgebraError(f"negative HH dimension at (i={i}, d={d})")
+            raise AlgebraError(f"negative HH{'^' if coh else ''} dimension at (i={i}, d={d})")
         return out
 
     def hh_table(self, max_i: int, max_d: int) -> dict[tuple[int, int], int]:
@@ -321,20 +313,11 @@ class Homology:
         del out[(0, 0)]
         return out
 
-    def coh_dim(self, i: int, d: int) -> int:
-        dim = len(self.chain_space(i, d, coh=True))
-        if dim == 0:
-            return 0
-        out = dim - self.rank_coh(i, d) - self.rank_coh(i + 1, d)
-        if out < 0:
-            raise AlgebraError(f"negative HH^ dimension at (i={i}, d={d})")
-        return out
-
     def coh_table(self, max_i: int, dmin: int, dmax: int) -> dict[tuple[int, int], int]:
         out = {}
         for i in range(max_i + 1):
             for d in range(dmin, dmax + 1):
-                v = self.coh_dim(i, d)
+                v = self.hh_dim(i, d, coh=True)
                 if v:
                     out[(i, d)] = v
         return out
@@ -552,7 +535,7 @@ class Homology:
             dim = len(self.chain_space(0, d, coh=True))
             if dim == 0:
                 continue
-            v = dim - self.rank_coh(1, d)
+            v = dim - self.rank_at(1, d, coh=True)
             if v:
                 out[d] = v
         L = {}
@@ -785,48 +768,33 @@ def predicted_tables(h: int, blocks: dict, trivial_nu: bool, max_i: int, max_d: 
 
 class _Resolution:
     """The period-4 window of the superpotential resolution of A as an
-    A-bimodule (Bocklandt, JPAA 212, 2008), over the image of A in F_p.
+    A-bimodule (Bocklandt, JPAA 212, 2008), over the tower or over F_p.
 
     Stage r at total degree d is A (x) V_r (x) A with V_0 = V_3 = S, V_1 the
     edges, V_2 the relations (one per reversed edge) and V_4 = S twisted by
     nu on the right; the generators have degrees 0, 1, 2, 3, h, and stage 5
     is stage 1 shifted by h.  Every map preserves (d, left source u, right
-    target v), so each block is ranked on its own, by `linalg.rank` over F_p:
-    the same elimination that gives the exact ranks.
+    target v), so each block is ranked on its own, by `linalg.rank`: the same
+    elimination that gives the exact ranks.
 
-    The modular image -- the structure constants `A.red`, the dual bases and
-    the generator terms of `hom.mu` (see `differentials`) -- is reduced once,
-    on construction; a denominator that vanishes mod p raises
-    ZeroDivisionError there, before any rank is taken.  All later arithmetic
-    is on ints mod p.  A mod-p rank is at most the exact rank, so ranks that
-    meet the dimension bound pin the exact ranks and certify exactness.
+    The maps are the terms of `hom.mu` (see `differentials`), applied by one
+    rule in whichever ring the algebra has: `hom.A` over the tower, or, given
+    a prime embedding, its image `A.reduce_mod(emb)` with the terms reduced
+    alongside.  That image is built once, on construction; a denominator that
+    vanishes mod p raises ZeroDivisionError there, before any rank is taken.
+    A mod-p rank is at most the exact rank, so ranks that meet the dimension
+    bound pin the exact ranks and certify exactness.
     """
 
-    def __init__(self, hom: Homology, emb: PrimeEmbedding):
-        A, g = hom.A, hom.g
-        self.A, self.g, self.p = A, g, emb.p
-
-        def reduce(c: Scalar) -> int:
-            r = c.reduce_mod(emb)
-            if r is None:
-                raise ZeroDivisionError("prime embedding failed on an entry")
-            return r
-
-        def image(vec: dict) -> list[tuple[int, int]]:
-            return [(j, r) for j, c in vec.items() if (r := reduce(c))]
-
-        def edge(factor: tuple[int, int]):
-            # the factors of mu_1..mu_3 are edges and idempotents (None)
-            k, i = factor
-            return A.basis[1][i].path[0] if k else None
-
-        # red[k][(i, e)] = basis i of degree k-1 times edge e; empty past the top
-        self.red = [{key: image(vec) for key, vec in tab.items()} for tab in A.red] + [{}]
-        self.duals = [{i: image(vec) for i, vec in tab.items()} for tab in A.duals]
-        # mu[r][v] = [(left edge or None, v', right edge or None, c mod p)], r = 1..3
-        self.mu = {r: {v: [(edge(l), w, edge(rt), reduce(c)) for l, w, rt, c in terms]
-                       for v, terms in hom.mu[r].items()}
-                   for r in (1, 2, 3)}
+    def __init__(self, hom: Homology, emb: PrimeEmbedding | None = None):
+        A, self.g, self.mu = hom.A, hom.g, hom.mu
+        if emb is not None:
+            A = A.reduce_mod(emb)
+            self.mu = {r: {v: [(l, w, rt, residue(c, emb)) for l, w, rt, c in terms]
+                           for v, terms in tab.items()}
+                       for r, tab in hom.mu.items()}
+        self.A, self.p = A, A.p
+        self.gdeg = _gen_degrees(self.g.h)
         # blocks of A by one endpoint: starts[k][m] = [(v, idxs)], ends[k][m] = [(u, idxs)]
         self.starts: list[dict] = [{} for _ in range(A.top + 1)]
         self.ends: list[dict] = [{} for _ in range(A.top + 1)]
@@ -834,55 +802,13 @@ class _Resolution:
             for (s, t), idxs in blocks.items():
                 self.starts[k].setdefault(s, []).append((t, idxs))
                 self.ends[k].setdefault(t, []).append((s, idxs))
-        self._left: dict = {}       # (e, k, i) -> e times basis i of degree k
-        self._dual_memo: dict = {}  # (m, j) -> _dual_sum, for the current degree only
-
-    def _times(self, k: int, vec: dict, path: tuple[int, ...]) -> dict:
-        """A degree-k vector times a path, mod p."""
-        for eid in path:
-            k += 1
-            if not vec:
-                break
-            red = self.red[k]
-            out: dict[int, int] = {}
-            for i, c in vec.items():
-                linalg.axpy(out, red.get((i, eid), ()), c, self.p)
-            vec = out
-        return vec
-
-    def _edge_times(self, eid: int, k: int, i: int) -> dict:
-        key = (eid, k, i)
-        hit = self._left.get(key)
-        if hit is None:
-            A = self.A
-            hit = self._times(1, {A.index_of[1][(eid,)]: 1}, A.basis[k][i].path)
-            self._left[key] = hit
-        return hit
-
-    def _dual_sum(self, m: int, j: int) -> dict:
-        """z |-> sum_s sum_w z w (x) w* for the basis element z = (m, j), keyed
-        by stage-3 basis triples; memoised for the current degree."""
-        hit = self._dual_memo.get((m, j))
-        if hit is None:
-            A, p = self.A, self.p
-            hit = {}
-            end = A.basis[m][j].dst
-            for s in range(A.top - m + 1):
-                for _, ws in self.starts[s].get(end, ()):
-                    for w in ws:
-                        zw = self._times(m, {j: 1}, A.basis[s][w].path)
-                        for jj, c2 in zw.items():
-                            linalg.axpy(hit, (((m + s, jj, kk), c3)
-                                              for kk, c3 in self.duals[s][w]), c2, p)
-            self._dual_memo[(m, j)] = hit
-        return hit
 
     def _bases(self, d: int) -> list[dict]:
         """Domain bases of stages 0..4 at total degree d, one pass per stage,
         bucketed by (u, v); empty blocks are absent."""
         A, g, top = self.A, self.g, self.A.top
         out = []
-        for stage, shift in enumerate(_gen_degrees(g.h)):
+        for stage, shift in enumerate(self.gdeg):
             n = d - shift
             by_block: dict = {}
             if stage in (1, 2):
@@ -906,38 +832,41 @@ class _Resolution:
 
     def _image(self, stage: int, d: int, elt: tuple):
         """mu_stage of one domain basis element at total degree d, as (target
-        element, coefficient) pairs mod p; a target element may repeat."""
+        element, coefficient) pairs; a target element may repeat.
+
+        mu_0 is multiplication.  Otherwise a term (l, v', r, c) of mu_stage(v)
+        sends x (x) v (x) y to c (x l) (x) v' (x) (r y~), where y~ = b(y) on
+        the nu-twisted V_4 and y~ = y otherwise, as in `Homology.mat`."""
         A = self.A
         if stage == 0:  # x (x) y |-> xy
             k, x, y = elt
-            yield from self._times(k, {x: 1}, A.basis[d - k][y].path).items()
-        elif stage == 4:
-            # x (x) y |-> sum_w xy w (x) w*.  The generic rule would give
-            # sum_w x w (x) w* b(y); the two agree by the dual-basis identity
-            # sum_w a w (x) w* = sum_w w (x) w* b(a), which the exact check of
-            # mu_4 mu_5 on generators verifies.
+            yield from A.mul_path(k, A.unit(k, x), A.basis[d - k][y].path)[1].items()
+            return
+        if stage in (1, 2):
+            k, x, gen, y = elt
+        else:  # the generator of V_3 or V_4 is the vertex where x ends
             k, x, y = elt
-            q = d - self.g.h - k
-            for j, c in self._times(k, {x: 1}, A.basis[q][y].path).items():
-                for key, z in self._dual_sum(k + q, j).items():
-                    yield key, c * z
-        else:  # x (x) v (x) y |-> sum c (x l) (x) v' (x) (r y) over the terms of mu_stage(v)
-            if stage == 3:
-                k, x, y = elt
-                gen = A.basis[k][x].dst
-            else:
-                k, x, gen, y = elt
-            ky = d - stage - k  # V_1..V_3 sit in degrees 1..3
-            for l, v, r, c in self.mu[stage][gen]:
-                xl = self.red[k + 1].get((x, l), ()) if l is not None else ((x, 1),)
-                ry = self._edge_times(r, ky, y).items() if r is not None else ((y, 1),)
-                kl = k + (l is not None)
-                for j, a in xl:
-                    for jj, b in ry:
-                        yield ((kl, j, v, jj) if stage > 1 else (kl, j, jj)), c * a * b
+            gen = A.basis[k][x].dst
+        ky = d - self.gdeg[stage] - k
+        yt = A.beta_basis(ky, y).items() if stage == 4 else ((y, A.one),)
+        keyed = stage in (2, 3)  # the targets of mu_2 and mu_3 carry an edge
+        top, prod, times, one = A.top, A.products, A.times, A.one
+        for iy, cy in yt:
+            for (kl, il), v, (kr, ir), c in self.mu[stage][gen]:
+                kk = k + kl
+                if kk > top or kr + ky > top:
+                    continue
+                # an idempotent is the identity on what it meets: no product
+                left = prod[k, x, kl, il].items() if k and kl else ((il if kl else x, one),)
+                right = prod[kr, ir, ky, iy].items() if kr and ky else ((ir if kr else iy, one),)
+                cc = times(c, cy)
+                for jj, b in right:
+                    cb = times(cc, b)
+                    for j, a in left:
+                        yield ((kk, j, v, jj) if keyed else (kk, j, jj)), times(cb, a)
 
     def _rows(self, stage: int, d: int, dom: list, tgt: list) -> list[dict]:
-        """Rows of mu_stage on one block, over target positions, mod p."""
+        """Rows of mu_stage on one block, over target positions."""
         pos = {elt: t for t, elt in enumerate(tgt)}
         return [linalg.axpy({}, [(pos[key], c) for key, c in self._image(stage, d, elt)],
                             p=self.p)
@@ -945,14 +874,15 @@ class _Resolution:
 
     def d_squared(self) -> list:
         """Generators v of V_r, r = 1..5, with mu_(r-1) mu_r (1 (x) v (x) 1)
-        nonzero mod p: the maps that are ranked must form a complex.  mu_0 is
-        multiplication and mu_5 is mu_1 into the nu-twisted V_4, h degrees up."""
-        g, vid = self.g, self.g.vindex
-        gdeg = _gen_degrees(g.h)
+        nonzero: `d2-exact` over the tower, `d2-modp` over F_p, where the maps
+        that are ranked must form a complex too.  mu_5 is mu_1 into the
+        nu-twisted V_4, h degrees up."""
+        A, g, vid = self.A, self.g, self.g.vindex
+        check = "d2-modp" if self.p else "d2-exact"
         bad = []
         for r in range(1, 6):
             stage = (r - 1) % 4 + 1
-            d = gdeg[stage]
+            d = self.gdeg[stage]
             if stage in (1, 2):
                 gens = [(e.id, (0, vid[e.src], e.id, vid[e.dst]) if stage == 1
                          else (0, vid[e.dst], e.id, vid[e.src])) for e in g.edges]
@@ -962,10 +892,9 @@ class _Resolution:
                 acc: dict = {}
                 for key, c in self._image(stage, d, elt):
                     linalg.axpy(acc, self._image(r - 1, d + (g.h if r == 5 else 0), key),
-                                c, self.p)
+                                A.axpy_coef(c), self.p)
                 if acc:
-                    bad.append(("d2-modp", r, gen))
-        self._dual_memo = {}
+                    bad.append((check, r, gen))
         return bad
 
     def degree(self, d: int) -> dict:
@@ -983,70 +912,36 @@ class _Resolution:
                 rk = linalg.rank(self._rows(stage, d, dom, tgt), self.p) if dom and tgt else 0
                 row.append((rk, len(dom), len(tgt)))
             out[blk] = row
-        self._dual_memo = {}
         return out
 
 
-def _d_squared_exact(hom: Homology) -> list:
-    """Generators v of V_r, r = 1..5, with mu_(r-1) mu_r (1 (x) v (x) 1) != 0,
-    composed exactly from the terms of `hom.mu`.  mu_0 is multiplication;
-    mu_5 is mu_1 into V_4, whose right end is twisted by nu, so mu_4 acts on
-    l (x) 1 (x) r as on l (x) 1 (x) b(r).
-
-    Each pair of terms scales its right product once; no multiply is spent
-    on a factor that is the algebra's shared one, as the unit coefficients
-    of mu_1 and mu_3 and the structure constants of monomials are."""
-    A, mu = hom.A, hom.mu
-    bad = []
-    for r in range(1, 6):
-        for gen, terms in mu[(r - 1) % 4 + 1].items():
-            acc: dict = {}
-            for (kl, il), v, (kr, ir), c in terms:
-                if r == 1:
-                    linalg.axpy(acc, (((kl + kr, i), x)
-                                      for i, x in A.mul_basis(kl, il, kr, ir).items()),
-                                A.axpy_coef(c))
-                    continue
-                for (kl2, il2), v2, (kr2, ir2), c2 in mu[r - 1][v]:
-                    if r == 5:
-                        rvec = A.mul(kr2, A.unit(kr2, ir2), kr, A.beta_basis(kr, ir))
-                    else:
-                        rvec = A.mul_basis(kr2, ir2, kr, ir)
-                    lvec = A.mul_basis(kl, il, kl2, il2)
-                    if not (rvec and lvec):
-                        continue
-                    cc = A.times(c, c2)
-                    right = [(j, A.times(cc, y)) for j, y in rvec.items()]
-                    for i, x in lvec.items():
-                        linalg.axpy(acc, (((kl + kl2, i, v2, kr2 + kr, j), y)
-                                          for j, y in right), A.axpy_coef(x))
-            if acc:
-                bad.append(("d2-exact", r, gen))
-    return bad
+# primes tried for the modular certificate before it gives up
+_PRIME_TRIES = 4
 
 
-def verify_resolution(hom: Homology, cutoff: int | None = None, tries: int = 4) -> dict:
+def verify_resolution(hom: Homology) -> dict:
     """Certified exactness of the bimodule resolution through total degree
-    <= cutoff (default 2h).
+    2h.
 
     The maps are those of `differentials`.  d o d = 0 is checked on
-    bimodule generators, for mu_0 mu_1 up to mu_4 mu_5: first exactly, then
-    on the modular image of each prime, before any rank is taken.  Node
-    exactness then follows from ranks taken over that image, built once per
-    prime: a mod-p rank is at most the exact rank, so mod-p ranks that meet
-    the dimension bound pin the exact ranks.  A prime whose image has a
-    vanishing denominator is skipped, up to `tries` primes.  Returns `ok`,
-    `cutoff`, `failures` (each naming the check and, for d o d, the index r
-    and generator of mu_(r-1) mu_r, for a node its (d, u, v) block) and the
-    `prime` that was used.
+    bimodule generators, for mu_0 mu_1 up to mu_4 mu_5, by one
+    `_Resolution.d_squared`: first over the tower, then on the modular image
+    of each prime, before any rank is taken.  Node exactness then follows
+    from ranks taken over that image, built once per prime: a mod-p rank is
+    at most the exact rank, so mod-p ranks that meet the dimension bound pin
+    the exact ranks.  A prime whose image has a vanishing denominator is
+    skipped, up to `_PRIME_TRIES` primes.  Returns `ok`, `cutoff`, `failures`
+    (each naming the check and, for d o d, the index r and generator of
+    mu_(r-1) mu_r, for a node its (d, u, v) block) and the `prime` that was
+    used.
     """
-    cutoff = cutoff if cutoff is not None else 2 * hom.g.h
-    failures = _d_squared_exact(hom)
+    cutoff = 2 * hom.g.h
+    failures = _Resolution(hom).d_squared()
     if failures:
         return {"ok": False, "cutoff": cutoff, "failures": failures}
     # mod-p rank certificates per node, degree and block
-    for attempt in range(tries):
-        emb = PrimeEmbedding.find(hom.cells.tower, skip=attempt)
+    for attempt in range(_PRIME_TRIES):
+        emb = PrimeEmbedding.find(hom.A.tower, skip=attempt)
         try:
             res = _Resolution(hom, emb)
         except ZeroDivisionError:
@@ -1055,7 +950,7 @@ def verify_resolution(hom: Homology, cutoff: int | None = None, tries: int = 4) 
         return {"ok": not failures, "cutoff": cutoff, "failures": failures,
                 "prime": emb.p}
     return {"ok": False, "cutoff": cutoff,
-            "failures": [("no-usable-prime", tries)]}
+            "failures": [("no-usable-prime", _PRIME_TRIES)]}
 
 
 def _resolution_ranks(res: _Resolution, cutoff: int) -> list:
@@ -1176,7 +1071,7 @@ def build_report(A: GradedAlgebra, cells: CellSystem, max_index: int = 13,
     g = A.graph
     h = g.h
     cutoff = cutoff if cutoff is not None else 4 * h
-    hom = Homology(A, cells)
+    hom = Homology(A)
     i_full = Homology.index_bound(h, cutoff, max_index)
     hh_full = hom.hh_table(i_full, cutoff)
     hh = {(i, d): v for (i, d), v in hh_full.items() if i <= max_index}

@@ -224,8 +224,10 @@ def _base_field(h: int) -> _BaseField:
     return _BaseField(h)
 
 
-def _beval(b: tuple[int, ...], c):
-    acc = mp.mpf(0)
+def _beval(b: tuple[int, ...], c, zero):
+    """A base-field element at c, by Horner's rule in the number type of
+    `zero` (mpf, or iv.mpf for a certified interval)."""
+    acc = zero
     for n in reversed(b[1:]):
         acc = acc * c + n
     return acc / b[0]
@@ -337,7 +339,7 @@ class FieldTower:
             return cached
         with mpmath.workprec(prec):
             c = mp.mpf(2) * mpmath.cos(mp.pi / self.h)
-            vals = tuple(mpmath.sqrt(_beval(g, c)) for g in self.roots)
+            vals = tuple(mpmath.sqrt(_beval(g, c, mp.mpf(0))) for g in self.roots)
         out = (c, vals)
         self._numcache[prec] = out
         return out
@@ -522,10 +524,10 @@ class Scalar:
         """mpf/mpc approximation at binary precision prec (not certified)."""
         c, rootvals = self.tower.numeric(prec)
         with mpmath.workprec(prec):
-            re = _deval(self.re, c, rootvals)
+            re = _deval(self.re, c, rootvals, mp.mpf(0))
             if not self.im:
                 return +re
-            return mpmath.mpc(re, _deval(self.im, c, rootvals))
+            return mpmath.mpc(re, _deval(self.im, c, rootvals, mp.mpf(0)))
 
     def interval(self, prec: int = 80):
         """Certified enclosing iv.mpf (real scalars only)."""
@@ -538,8 +540,8 @@ class Scalar:
             c = 2 * iv.cos(iv.pi / self.tower.h)
             rootvals = []
             for g in self.tower.roots:
-                rootvals.append(iv.sqrt(_ivbase(g, c)))
-            return _iveval(self.re, c, rootvals)
+                rootvals.append(iv.sqrt(_beval(g, c, iv.mpf(0))))
+            return _deval(self.re, c, rootvals, iv.mpf(0))
         finally:
             iv.prec = old
 
@@ -680,31 +682,11 @@ def _dinv(t: FieldTower, x: dict) -> dict:
     return _dmul(t, num, dinv)
 
 
-def _deval(d: dict, c, rootvals):
-    acc = mp.mpf(0)
+def _deval(d: dict, c, rootvals, zero):
+    """A tower element at c and the root values, in the number type of `zero`."""
+    acc = zero
     for m, b in d.items():
-        v = _beval(b, c)
-        while m:
-            i = (m & -m).bit_length() - 1
-            v *= rootvals[i]
-            m &= m - 1
-        acc += v
-    return acc
-
-
-def _ivbase(b, c):
-    iv = mpmath.iv
-    v = iv.mpf(0)
-    for n in reversed(b[1:]):
-        v = v * c + n
-    return v / b[0]
-
-
-def _iveval(d: dict, c, rootvals):
-    iv = mpmath.iv
-    acc = iv.mpf(0)
-    for m, b in d.items():
-        v = _ivbase(b, c)
+        v = _beval(b, c, zero)
         while m:
             i = (m & -m).bit_length() - 1
             v *= rootvals[i]
@@ -901,7 +883,7 @@ def _pslq_base_sqrt(h: int, g: tuple[int, ...], prec: int, maxcoeff: int):
     plain = FieldTower(h)
     with mpmath.workprec(prec):
         c, _ = plain.numeric(prec)
-        val = _beval(g, c)
+        val = _beval(g, c, mp.mpf(0))
         if val < 0:
             return None
         s = mpmath.sqrt(val)

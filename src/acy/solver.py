@@ -278,9 +278,7 @@ def solve_cells(graph: Graph, seed: int = 0, digits: int = 70) -> CellSystem:
             continue
         w = tower.one() * sign
         for ei, a in zip(e, alpha):
-            half = ei // 2 if ei >= 0 else -((-ei + 1) // 2)
-            # split ei = 2*half + odd with odd in {0,1}
-            odd = ei - 2 * half
+            half = ei // 2  # ei = 2*half + (ei & 1), for negative ei too
             if half:
                 w = w * (a.lift(tower) ** half)
         oddvec = tuple(ei & 1 for ei in e)

@@ -14,7 +14,7 @@ def pipeline(spec: str):
         g = parse_graph_spec(spec)
         cells = builtin_cells(g)
         A = GradedAlgebra(g, derive_relations(cells))
-        _CACHE[spec] = (g, cells, A, Homology(A, cells))
+        _CACHE[spec] = (g, cells, A, Homology(A))
     return _CACHE[spec]
 
 

@@ -278,7 +278,7 @@ def test_criterion_7_cell_certification():
         mixed = gauge_transform(cells, u)
         assert verify_type_I(mixed).ok and verify_type_II(mixed).ok
         A2 = GradedAlgebra(g, derive_relations(mixed))
-        hom2 = Homology(A2, mixed)
+        hom2 = Homology(A2)
         cutoff = 4 * g.h
         assert hom2.hh_table(13, cutoff) == hom.hh_table(13, cutoff), name
         assert hom2.coh_table(13, -3 * g.h - 3, A.top) == \

@@ -4,6 +4,7 @@ import json
 import pytest
 
 import acy.homology
+from acy import cli
 from acy.algebra import AlgebraError
 from acy.homology import (Homology, _Resolution, build_report, cyclic_from_hh,
                           differentials, euler_from_hc, hh0_direct, predicted_tables,
@@ -140,7 +141,7 @@ MU2_FAULT = {
 def test_duality_detects_a_perturbed_differential(pipe):
     for spec, (j, want) in MU2_FAULT.items():
         _, cells, A, _ = pipe(spec)
-        hom = Homology(A, cells)
+        hom = Homology(A)
         assert not any(hom.mat(2, 0, j - 1)["cols"]), spec
         _bump_first_entry(hom, 2, 0, j)
         assert hom.verify_duality() == want, spec
@@ -151,7 +152,7 @@ def test_duality_detects_a_perturbed_mu12(pipe):
     # from mu'_4 and mu'_8, so only the beta identity fails
     for spec in ("A4", "A9"):
         _, cells, A, _ = pipe(spec)
-        hom = Homology(A, cells)
+        hom = Homology(A)
         _bump_first_entry(hom, 4, 2, 0)
         assert not hom._check_mu12_beta(), spec
         assert hom.verify_duality() == [(12, "beta")], spec
@@ -296,10 +297,12 @@ def test_resolution_ranks_pinned(pipe):
 
 def _with_first_weight(change):
     """A _Resolution whose first reduced cell weight is replaced by
-    change(w, p) in its modular image of mu_2."""
+    change(w, p) in its modular image of mu_2; over the tower it is exact."""
     class Corrupted(_Resolution):
-        def __init__(self, hom, emb):
+        def __init__(self, hom, emb=None):
             super().__init__(hom, emb)
+            if not self.p:
+                return
             a = min(a for a, terms in self.mu[2].items() if terms)
             terms = self.mu[2][a]
             # the two terms of mu_2(a~) that carry one weight W_abc come first
@@ -334,21 +337,71 @@ def test_resolution_detects_a_rank_preserving_slip(pipe, monkeypatch):
             ("d2-modp", 3, m) for m in {a.src, a.dst}), spec
 
 
-def test_resolution_detects_a_sign_flip_in_mu1(pipe, monkeypatch):
-    # mu_1(e) = e (x) 1 + 1 (x) e: mu_0 mu_1(e) = 2e on every edge
-    def flipped(A, cells):
-        mu = differentials(A, cells)
-        for terms in mu[1].values():
-            left, v, right, c = terms[1]
-            terms[1] = (left, v, right, -c)
-        return mu
+def _flipped(A):
+    """The differentials with mu_1(e) = e (x) 1 + 1 (x) e: mu_0 mu_1(e) = 2e
+    on every edge."""
+    mu = differentials(A)
+    for terms in mu[1].values():
+        left, v, right, c = terms[1]
+        terms[1] = (left, v, right, -c)
+    return mu
 
-    g, cells, A, _ = pipe("A4")
-    monkeypatch.setattr(acy.homology, "differentials", flipped)
-    out = verify_resolution(Homology(A, cells))
+
+def test_resolution_detects_a_sign_flip_in_mu1(pipe, monkeypatch):
+    g, _, A, _ = pipe("A4")
+    monkeypatch.setattr(acy.homology, "differentials", _flipped)
+    out = verify_resolution(Homology(A))
     assert not out["ok"]
     assert [f for f in out["failures"] if f[1] == 1] == [
         ("d2-exact", 1, e.id) for e in g.edges]
+
+
+def test_cli_reports_a_sign_flip_in_mu1(monkeypatch, capsys):
+    monkeypatch.setattr(acy.homology, "differentials", _flipped)
+    code = cli.main(["verify", "--graph", "A4", "--check", "resolution", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert doc["checks"] == {"hilbert": True, "resolution": False}
+    assert doc["details"]["resolution_failures"][0] == ["d2-exact", 1, 0]
+
+
+# +1 on the last term of mu_4 at the first vertex, the one of its top-degree w
+# (whose dual is an idempotent).  mu_3 mu_4 then fails at that vertex and
+# mu_4 mu_5 at edge 0.
+MU4_FAULT = {"A4": "0,0", "A5": "0,0", "D6": "[0,0]", "E8*": "1"}
+
+
+def _bump_mu4(mu: dict) -> dict:
+    terms = next(iter(mu[4].values()))
+    left, v, right, c = terms[-1]
+    terms[-1] = (left, v, right, c + 1)
+    return mu
+
+
+def test_resolution_detects_a_bumped_mu4(pipe, monkeypatch):
+    monkeypatch.setattr(acy.homology, "differentials",
+                        lambda A: _bump_mu4(differentials(A)))
+    for spec, m in MU4_FAULT.items():
+        _, _, A, _ = pipe(spec)
+        out = verify_resolution(Homology(A))
+        assert out["failures"] == [("d2-exact", 4, m), ("d2-exact", 5, 0)], spec
+
+
+def test_resolution_detects_a_bumped_modular_mu4(pipe, monkeypatch):
+    # the modular stage 4 applies the reduced mu_4 table, so the same +1 on
+    # its image fails the generator check mod p; the rank failures it also
+    # causes come after
+    class Bumped(_Resolution):
+        def __init__(self, hom, emb=None):
+            super().__init__(hom, emb)
+            if self.p:
+                _bump_mu4(self.mu)
+
+    monkeypatch.setattr(acy.homology, "_Resolution", Bumped)
+    for spec, m in MU4_FAULT.items():
+        _, _, _, hom = pipe(spec)
+        out = verify_resolution(hom)
+        assert out["failures"][:2] == [("d2-modp", 4, m), ("d2-modp", 5, 0)], spec
 
 
 def test_resolution_skips_a_prime_that_fails_to_reduce(pipe, monkeypatch):
@@ -365,7 +418,8 @@ def test_resolution_skips_a_prime_that_fails_to_reduce(pipe, monkeypatch):
 def test_resolution_without_a_usable_prime(pipe, monkeypatch):
     _, _, _, hom = pipe("A4")
     monkeypatch.setattr(Scalar, "reduce_mod", lambda x, emb: None)
-    out = verify_resolution(hom, tries=2)
+    monkeypatch.setattr(acy.homology, "_PRIME_TRIES", 2)
+    out = verify_resolution(hom)
     assert not out["ok"]
     assert out["failures"] == [("no-usable-prime", 2)]
 
