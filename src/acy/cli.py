@@ -141,7 +141,10 @@ def cmd_verify(args) -> int:
             if bad:
                 details["duality_failures"] = bad[:10]
         if want in ("d2", "all"):
-            checks["d2"] = not hom.check_d_squared(14, 4 * graph.h)
+            bad = hom.check_d_squared(14, 4 * graph.h)
+            checks["d2"] = not bad
+            if bad:
+                details["d2_failures"] = bad[:10]
         if want in ("euler", "all"):
             from .homology import cyclic_from_hh, euler_from_hc
 

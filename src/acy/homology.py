@@ -18,11 +18,15 @@ as terms on bimodule generators (`differentials`).  Everything else is
 derived from that table: `Homology.mat` applies the Hochschild rule to it,
 and `_Resolution` applies it to the bimodule resolution by one rule, over
 the tower or over the algebra's image in F_p; `verify_resolution` composes
-it on generators in both rings and ranks it over F_p.
+it on generators in both rings and ranks it over F_p, one block per
+nu-orbit once the maps being ranked are checked to commute with the
+Nakayama automorphism (`_Resolution.nu_orbits`), and every block otherwise.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 from dataclasses import dataclass, field
 
 from . import linalg, series
@@ -784,6 +788,14 @@ class _Resolution:
     vanishes mod p raises ZeroDivisionError there, before any rank is taken.
     A mod-p rank is at most the exact rank, so ranks that meet the dimension
     bound pin the exact ranks and certify exactness.
+
+    One block per nu-orbit is ranked when `nu_orbits` allows it: when the
+    maps being ranked commute with Phi(l (x) v (x) r) = b(l) (x) nu v (x) b(r),
+    a bijection (b is the Nakayama automorphism, exact by `build_form`) that
+    carries block (d, u, v) of every stage onto block (d, nu u, nu v), so the
+    blocks of one orbit have equal dimensions and equal ranks (Fassler and
+    Stiefel, Group Theoretical Methods and Their Applications, 1992).  The
+    gate runs on the first `degree` call, on the maps as they are then.
     """
 
     def __init__(self, hom: Homology, emb: PrimeEmbedding | None = None):
@@ -802,33 +814,96 @@ class _Resolution:
             for (s, t), idxs in blocks.items():
                 self.starts[k].setdefault(s, []).append((t, idxs))
                 self.ends[k].setdefault(t, []).append((s, idxs))
+        # mu_4's terms are listed by the degree of w: those of mu_4(m) with
+        # deg w < p come before position cut4[m][p], in either ring
+        self.cut4 = {m: [bisect.bisect_left([l[0] for l, _, _, _ in terms], p)
+                         for p in range(A.top + 2)]
+                     for m, terms in hom.mu[4].items()}
 
-    def _bases(self, d: int) -> list[dict]:
-        """Domain bases of stages 0..4 at total degree d, one pass per stage,
-        bucketed by (u, v); empty blocks are absent."""
+    def nu_orbits(self) -> frozenset | None:
+        """The (u, v) blocks to rank, one per nu-orbit, or None to rank all.
+
+        They are returned when nu is nontrivial and Phi(mu_r(v)) = mu_r(nu v)
+        holds for r = 1..4 and every generator v, over the ring being
+        ranked: then Phi commutes with every stage (with mu_0 because b is
+        multiplicative).  The representative of an orbit has u first in its
+        nu-orbit of vertices, and v too when u is nu-fixed."""
+        A, g, p = self.A, self.g, self.p
+        if g.nu_is_trivial():
+            return None
+        nu_gen = (g.nu_v, g.nu_e, g.nu_e, g.nu_v, g.nu_v)  # nu on V_0..V_4
+        for r in range(1, 5):
+            for v, terms in self.mu[r].items():
+                image: dict = {}
+                for (kl, il), w, (kr, ir), c in terms:
+                    for jl, a in A.beta_basis(kl, il).items():
+                        for jr, b in A.beta_basis(kr, ir).items():
+                            linalg.axpy(image, [(((kl, jl), nu_gen[r - 1][w], (kr, jr)),
+                                                 A.times(A.times(c, a), b))], p=p)
+                want = linalg.axpy({}, (((l, w, rt), c) for l, w, rt, c
+                                        in self.mu[r][nu_gen[r][v]]), p=p)
+                if image != want:
+                    return None
+        first = {v: min((v, g.nu_v[v], g.nu_v[g.nu_v[v]]), key=g.vindex.get)
+                 for v in g.vertices}
+        return frozenset((u, v) for u in g.vertices if first[u] == u
+                         for v in g.vertices if g.nu_v[u] != u or first[v] == v)
+
+    @functools.cached_property
+    def _ranked_blocks(self) -> frozenset | None:
+        """`nu_orbits`, taken on the first `degree` call, on the maps as they
+        are then."""
+        return self.nu_orbits()
+
+    def _pieces(self, stage: int, d: int):
+        """The domain of stage at total degree d, in pieces ((u, v), k, xs,
+        gen, ys) that hold the elements (k, x, gen, y), or (k, x, y) when gen
+        is None, for x in xs and y in ys; only blocks that are ranked."""
         A, g, top = self.A, self.g, self.A.top
-        out = []
-        for stage, shift in enumerate(self.gdeg):
-            n = d - shift
-            by_block: dict = {}
-            if stage in (1, 2):
-                for e in g.edges:
-                    a, b = (e.src, e.dst) if stage == 1 else (e.dst, e.src)
-                    for k in range(max(0, n - top), min(n, top) + 1):
-                        for u, xs in self.ends[k].get(a, ()):
-                            for v, ys in self.starts[n - k].get(b, ()):
-                                by_block.setdefault((u, v), []).extend(
-                                    (k, x, e.id, y) for x in xs for y in ys)
-            else:
+        keep = self._ranked_blocks
+        n = d - self.gdeg[stage]
+        if stage in (1, 2):
+            for e in g.edges:
+                a, b = (e.src, e.dst) if stage == 1 else (e.dst, e.src)
                 for k in range(max(0, n - top), min(n, top) + 1):
-                    for (u, m), xs in A.block_index[k].items():
-                        for w, ys in self.starts[n - k].get(m, ()):
-                            # stage 4 is A (x) N: the right end is twisted by nu
-                            v = g.nu_v[w] if stage == 4 else w
-                            by_block.setdefault((u, v), []).extend(
-                                (k, x, y) for x in xs for y in ys)
-            out.append(by_block)
-        return out
+                    for u, xs in self.ends[k].get(a, ()):
+                        for v, ys in self.starts[n - k].get(b, ()):
+                            if keep is None or (u, v) in keep:
+                                yield (u, v), k, xs, e.id, ys
+        else:
+            for k in range(max(0, n - top), min(n, top) + 1):
+                for (u, m), xs in A.block_index[k].items():
+                    for w, ys in self.starts[n - k].get(m, ()):
+                        # stage 4 is A (x) N: the right end is twisted by nu
+                        v = g.nu_v[w] if stage == 4 else w
+                        if keep is None or (u, v) in keep:
+                            yield (u, v), k, xs, None, ys
+
+    def _bases(self, d: int) -> tuple[list[dict], list[dict]]:
+        """(bases, dims) at total degree d, by (u, v) block; empty blocks are
+        absent.  dims[0] is A_d and dims[r + 1] the domain of stage r, so
+        dims[r] is its target.  bases[r] holds the domain tuples of stage r
+        only where a rank reads them: as the domain of a map with a nonzero
+        target, or as the target of a map with a nonzero domain."""
+        A, keep = self.A, self._ranked_blocks
+        a_d = A.block_index[d] if 0 <= d <= A.top else {}
+        dims = [{blk: len(idxs) for blk, idxs in a_d.items() if keep is None or blk in keep}]
+        pieces = [list(self._pieces(stage, d)) for stage in range(5)]
+        for ps in pieces:
+            n: dict = {}
+            for blk, _, xs, _, ys in ps:
+                n[blk] = n.get(blk, 0) + len(xs) * len(ys)
+            dims.append(n)
+        bases = []
+        for stage, ps in enumerate(pieces):
+            need = dims[stage].keys() | (dims[stage + 2].keys() if stage < 4 else ())
+            by_block: dict = {}
+            for blk, k, xs, gen, ys in ps:
+                if blk in need:
+                    by_block.setdefault(blk, []).extend(
+                        (k, x, y) if gen is None else (k, x, gen, y) for x in xs for y in ys)
+            bases.append(by_block)
+        return bases, dims
 
     def _image(self, stage: int, d: int, elt: tuple):
         """mu_stage of one domain basis element at total degree d, as (target
@@ -848,11 +923,15 @@ class _Resolution:
             k, x, y = elt
             gen = A.basis[k][x].dst
         ky = d - self.gdeg[stage] - k
+        top, prod, times, one = A.top, A.products, A.times, A.one
+        terms = self.mu[stage][gen]
+        if stage == 4:  # only deg w = ky .. top - k meets the degree window
+            cut = self.cut4[gen]
+            terms = terms[cut[ky]:cut[top - k + 1]]
         yt = A.beta_basis(ky, y).items() if stage == 4 else ((y, A.one),)
         keyed = stage in (2, 3)  # the targets of mu_2 and mu_3 carry an edge
-        top, prod, times, one = A.top, A.products, A.times, A.one
         for iy, cy in yt:
-            for (kl, il), v, (kr, ir), c in self.mu[stage][gen]:
+            for (kl, il), v, (kr, ir), c in terms:
                 kk = k + kl
                 if kk > top or kr + ky > top:
                     continue
@@ -899,19 +978,25 @@ class _Resolution:
 
     def degree(self, d: int) -> dict:
         """{(u, v): [(rank, dim domain, dim target) of mu_0..mu_4]} for every
-        block at total degree d with a nonzero space; other blocks are zero."""
+        block at total degree d with a nonzero space; other blocks are zero.
+        With `nu_orbits`, one block per orbit is ranked and its row is copied
+        to the other members."""
         A = self.A
-        bases = self._bases(d)
+        bases, dims = self._bases(d)
         targets = [A.block_index[d] if 0 <= d <= A.top else {}] + bases[:4]
         out = {}
-        for blk in set(targets[0]).union(*bases):
+        for blk in set().union(*dims):
             row = []
             for stage in range(5):
-                dom = bases[stage].get(blk, ())
-                tgt = targets[stage].get(blk, ())
-                rk = linalg.rank(self._rows(stage, d, dom, tgt), self.p) if dom and tgt else 0
-                row.append((rk, len(dom), len(tgt)))
+                n, nt = dims[stage + 1].get(blk, 0), dims[stage].get(blk, 0)
+                rk = linalg.rank(self._rows(stage, d, bases[stage][blk], targets[stage][blk]),
+                                 self.p) if n and nt else 0
+                row.append((rk, n, nt))
             out[blk] = row
+        if self._ranked_blocks is not None:
+            nu = self.g.nu_v
+            for (u, v), row in list(out.items()):
+                out[nu[u], nu[v]] = out[nu[nu[u]], nu[nu[v]]] = row
         return out
 
 
@@ -929,11 +1014,14 @@ def verify_resolution(hom: Homology) -> dict:
     of each prime, before any rank is taken.  Node exactness then follows
     from ranks taken over that image, built once per prime: a mod-p rank is
     at most the exact rank, so mod-p ranks that meet the dimension bound pin
-    the exact ranks.  A prime whose image has a vanishing denominator is
-    skipped, up to `_PRIME_TRIES` primes.  Returns `ok`, `cutoff`, `failures`
-    (each naming the check and, for d o d, the index r and generator of
-    mu_(r-1) mu_r, for a node its (d, u, v) block) and the `prime` that was
-    used.
+    the exact ranks.  Where `_Resolution.nu_orbits` finds that those maps
+    commute with b (x) nu (x) b, one block per nu-orbit is ranked and the
+    others take its ranks; where it does not, every block is ranked.  Either
+    way the failures are the same.  A prime whose image has a vanishing
+    denominator is skipped, up to `_PRIME_TRIES` primes.  Returns `ok`,
+    `cutoff`, `failures` (each naming the check and, for d o d, the index r
+    and generator of mu_(r-1) mu_r, for a node its (d, u, v) block) and the
+    `prime` that was used.
     """
     cutoff = 2 * hom.g.h
     failures = _Resolution(hom).d_squared()

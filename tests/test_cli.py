@@ -127,6 +127,29 @@ def test_verify_all_a4():
         assert line in out, line
 
 
+def test_verify_reports_where_d2_fails(monkeypatch, capsys):
+    # +1 on the first term of mu_3 at the first vertex: the Hochschild
+    # differentials then fail d o d at index 2, degree 3 only
+    import acy.cli
+    import acy.homology
+
+    differentials = acy.homology.differentials
+
+    def bumped(A):
+        mu = differentials(A)
+        terms = next(iter(mu[3].values()))
+        left, v, right, c = terms[0]
+        terms[0] = (left, v, right, c + A.one)
+        return mu
+
+    monkeypatch.setattr(acy.homology, "differentials", bumped)
+    code = acy.cli.main(["verify", "--graph", "A5", "--check", "d2", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert doc["checks"] == {"hilbert": True, "d2": False}
+    assert doc["details"] == {"d2_failures": [[2, 3]]}
+
+
 def test_failed_math_check_exits_3(monkeypatch, capsys):
     # a rank above the dimension bound makes an HH dimension negative: a typed
     # math failure, reported with exit 3 and no traceback

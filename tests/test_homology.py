@@ -337,6 +337,36 @@ def test_resolution_detects_a_rank_preserving_slip(pipe, monkeypatch):
             ("d2-modp", 3, m) for m in {a.src, a.dst}), spec
 
 
+# the graphs of test_series.EQUIVALENCE_GRAPHS whose nu is nontrivial
+NU_GRAPHS = ("A4", "A5", "A6", "A7", "A8", "A9", "E8", "D5*")
+
+
+def test_orbit_ranking_equals_the_full_ranking(pipe, monkeypatch):
+    orbit, full = {}, {}
+    for spec in NU_GRAPHS:
+        g, cells, _, hom = pipe(spec)
+        res = _Resolution(hom, PrimeEmbedding.find(cells.tower))
+        assert res.nu_orbits() is not None, spec
+        orbit[spec] = ([res.degree(d) for d in range(2 * g.h + 1)], verify_resolution(hom))
+    monkeypatch.setattr(_Resolution, "nu_orbits", lambda self: None)
+    for spec in NU_GRAPHS:
+        g, cells, _, hom = pipe(spec)
+        res = _Resolution(hom, PrimeEmbedding.find(cells.tower))
+        full[spec] = ([res.degree(d) for d in range(2 * g.h + 1)], verify_resolution(hom))
+        assert orbit[spec] == full[spec], spec
+        assert full[spec][1]["ok"], spec
+
+
+def test_orbit_gate_refuses_a_slip_at_one_edge(pipe):
+    # +1 on one reduced weight of mu_2 at the first edge, not at its nu-images
+    slipped = _with_first_weight(lambda w, p: (w + 1) % p)
+    for spec in ("A4", "A5", "E8"):
+        _, cells, _, hom = pipe(spec)
+        emb = PrimeEmbedding.find(cells.tower)
+        assert _Resolution(hom, emb).nu_orbits() is not None, spec
+        assert slipped(hom, emb).nu_orbits() is None, spec
+
+
 def _flipped(A):
     """The differentials with mu_1(e) = e (x) 1 + 1 (x) e: mu_0 mu_1(e) = 2e
     on every edge."""
