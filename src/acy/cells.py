@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .quiver import Graph, build_family
+from .quiver import Graph, build_family, json_field
 from .scalar import FieldTower, Scalar
 
 __all__ = ["CellSystem", "RelationSet", "CellReport", "compile_equations",
@@ -110,12 +110,16 @@ class Equation:
 
 def compile_equations(graph: Graph) -> list[Equation]:
     """All type I and type II equations of the graph, with exact coefficients."""
+    return _type_I_equations(graph) + _type_II_equations(graph)
+
+
+def _type_I_equations(graph: Graph) -> list[Equation]:
+    """One equation per ordered pair of parallel edges (a, a')."""
     tower = graph.tower
     phi = graph.phi
     two = tower.quantum(2)
     eqs: list[Equation] = []
-    out_e, in_e = graph.out_edges, graph.in_edges
-    # type I: ordered pairs of parallel edges (a, a')
+    out_e = graph.out_edges
     for (i, j), cls in sorted(graph.parallel_classes().items()):
         for a in cls:
             for a2 in cls:
@@ -129,7 +133,16 @@ def compile_equations(graph: Graph) -> list[Equation]:
                         terms.append((tower.one(), ((t1, False), (t2, True))))
                 rhs = two * phi[i] * phi[j] if a.id == a2.id else tower.zero()
                 eqs.append(Equation("I", (a.id, a2.id), terms, rhs))
-    # type II: frames a1: i4->i1, a2: i2->i1, a3: i2->i3, a4: i4->i3
+    return eqs
+
+
+def _type_II_equations(graph: Graph) -> list[Equation]:
+    """One equation per frame a1: i4->i1, a2: i2->i1, a3: i2->i3, a4: i4->i3."""
+    tower = graph.tower
+    phi = graph.phi
+    inv_phi = {v: phi[v].inverse() for v in graph.vertices}
+    eqs: list[Equation] = []
+    out_e, in_e = graph.out_edges, graph.in_edges
     for i2 in graph.vertices:
         for a2 in out_e[i2]:
             i1 = a2.dst
@@ -152,7 +165,7 @@ def compile_equations(graph: Graph) -> list[Equation]:
                             b4s = [b for b in out_e[k] if b.dst == i4]
                             if not b2s or not b4s:
                                 continue
-                            coeff = phi[k].inverse()
+                            coeff = inv_phi[k]
                             for b1 in b1s:
                                 for b2 in b2s:
                                     for b3 in b3s:
@@ -183,8 +196,9 @@ class CellReport:
         return not self.failures
 
 
-def _verify(cells: CellSystem, kind: str, equations=None) -> CellReport:
-    eqs = equations if equations is not None else compile_equations(cells.graph)
+def _verify(cells: CellSystem, kind: str, eqs=None) -> CellReport:
+    if eqs is None:
+        eqs = (_type_I_equations if kind == "I" else _type_II_equations)(cells.graph)
     tower = cells.tower
     W = cells.weights
     pair_cache: dict = {}
@@ -223,12 +237,12 @@ def _verify(cells: CellSystem, kind: str, equations=None) -> CellReport:
 
 
 def verify_type_I(cells: CellSystem, equations=None) -> CellReport:
-    """Exact pass/fail per type I frame."""
+    """Exact pass/fail per type I frame; `equations` may hold both kinds."""
     return _verify(cells, "I", equations)
 
 
 def verify_type_II(cells: CellSystem, equations=None) -> CellReport:
-    """Exact pass/fail per type II frame."""
+    """Exact pass/fail per type II frame; `equations` may hold both kinds."""
     return _verify(cells, "II", equations)
 
 
@@ -627,17 +641,17 @@ def cells_to_doc(cells: CellSystem) -> dict:
 
 
 def cells_from_doc(graph: Graph, doc: dict) -> CellSystem:
-    if doc.get("schema") != "acy-cells/1":
-        raise ValueError(f"unsupported schema {doc.get('schema')!r}")
+    if json_field(doc, "schema", str, "cell document") != "acy-cells/1":
+        raise ValueError(f"unsupported schema {doc['schema']!r}")
     if doc.get("graph_ref") not in (None, graph.name):
         raise ValueError(f"cell data is for {doc.get('graph_ref')!r}, not {graph.name!r}")
-    tower = FieldTower.from_doc(doc["tower"])
+    tower = FieldTower.from_doc(json_field(doc, "tower", dict, "cell document"))
     if tower.h != graph.h:
         raise ValueError("cell tower h does not match the graph")
     weights = {}
-    for row in doc["triangles"]:
-        t = canon(tuple(int(x) for x in row["edge_ids"]))
-        weights[t] = Scalar.from_coords(tower, row["weight_coords"])
+    for row in json_field(doc, "triangles", list, "cell document"):
+        t = canon(tuple(int(x) for x in json_field(row, "edge_ids", list, "triangle")))
+        weights[t] = Scalar.from_coords(tower, json_field(row, "weight_coords", dict, "triangle"))
     return CellSystem(graph, tower, weights, label=doc.get("label", "file"))
 
 

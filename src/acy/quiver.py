@@ -25,7 +25,7 @@ from .scalar import FieldTower, Scalar
 
 __all__ = ["Edge", "Graph", "GraphError", "build_family", "parse_graph_spec",
            "family_catalog", "perron_frobenius", "opposite", "save_graph",
-           "load_graph", "unfold", "graphs_equal"]
+           "load_graph", "json_field", "unfold", "graphs_equal"]
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,19 @@ class Edge:
 
 class GraphError(ValueError):
     """Schema or invariant violation in graph data."""
+
+
+def json_field(doc, key: str, kind: type, where: str):
+    """doc[key], where doc must be a JSON object and the value a `kind`; a
+    GraphError that names the field otherwise."""
+    if not isinstance(doc, dict):
+        raise GraphError(f"{where} must be a JSON object, not {type(doc).__name__}")
+    if key not in doc:
+        raise GraphError(f"{where} has no field {key!r}")
+    if not isinstance(doc[key], kind):
+        raise GraphError(f"field {key!r} of {where} must be a {kind.__name__}, "
+                         f"not {type(doc[key]).__name__}")
+    return doc[key]
 
 
 class Graph:
@@ -486,23 +499,27 @@ def save_graph(g: Graph) -> dict:
 
 
 def load_graph(doc: dict) -> Graph:
-    if doc.get("schema") != "acy-graph/1":
-        raise GraphError(f"unsupported schema {doc.get('schema')!r}")
-    for key in ("h", "vertices", "edges", "nu"):
-        if key not in doc:
-            raise GraphError(f"missing field {key!r}")
-    edges = [Edge(int(e["id"]), e["src"], e["dst"]) for e in doc["edges"]]
+    if json_field(doc, "schema", str, "graph document") != "acy-graph/1":
+        raise GraphError(f"unsupported schema {doc['schema']!r}")
+    h = json_field(doc, "h", int, "graph")
+    nu = json_field(doc, "nu", dict, "graph")
+    edges = [Edge(json_field(e, "id", int, "edge"), json_field(e, "src", str, "edge"),
+                  json_field(e, "dst", str, "edge"))
+             for e in json_field(doc, "edges", list, "graph")]
     phi = None
     if "pf" in doc:
-        tower = FieldTower.from_doc(doc["pf"]["tower"])
-        if tower.h != int(doc["h"]):
+        tower = FieldTower.from_doc(json_field(doc["pf"], "tower", dict, "pf"))
+        if tower.h != h:
             raise GraphError("pf tower h does not match graph h")
         if tower.roots:
             raise GraphError("pf coordinates must live in the base tower")
-        phi = {v: Scalar.from_coords(tower, c) for v, c in doc["pf"]["coords"].items()}
-    nu_e = {int(k): int(v) for k, v in doc["nu"].get("edge_map", {}).items()} or None
-    return Graph(doc.get("name", "custom"), int(doc["h"]), list(doc["vertices"]), edges,
-                 dict(doc["nu"]["vertex_map"]), doc.get("coloring"), nu_e=nu_e, phi=phi)
+        phi = {v: Scalar.from_coords(tower, c)
+               for v, c in json_field(doc["pf"], "coords", dict, "pf").items()}
+    nu_e = {int(k): int(v) for k, v in nu.get("edge_map", {}).items()} or None
+    coloring = json_field(doc, "coloring", dict, "graph") if "coloring" in doc else None
+    return Graph(doc.get("name", "custom"), h, list(json_field(doc, "vertices", list, "graph")),
+                 edges, dict(json_field(nu, "vertex_map", dict, "nu")), coloring,
+                 nu_e=nu_e, phi=phi)
 
 
 def graphs_equal(a: Graph, b: Graph) -> bool:

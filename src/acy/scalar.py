@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt
+from math import comb, gcd
 
 import mpmath
 from mpmath import mp
@@ -93,16 +93,8 @@ def _bnormalize(den: int, nums: tuple[int, ...]) -> tuple[int, ...]:
     return (den,) + nums
 
 
-def _bzero(D: int) -> tuple[int, ...]:
-    return (1,) + (0,) * D
-
-
 def _bone(D: int) -> tuple[int, ...]:
     return (1, 1) + (0,) * (D - 1)
-
-
-def _bfrom_fraction(D: int, q: Fraction) -> tuple[int, ...]:
-    return (q.denominator, q.numerator) + (0,) * (D - 1)
 
 
 def _bis_zero(a: tuple[int, ...]) -> bool:
@@ -161,10 +153,13 @@ class _BaseField:
                         out[j] += v * r
         return _bnormalize(a[0] * b[0], tuple(out))
 
-    def _eliminate(self, a: tuple[int, ...]) -> tuple[int, list[list[int]]]:
-        """Fraction-free (Bareiss) elimination on the integer matrix M whose
-        column j is a's numerator times c^j, with e_1 riding along as column
-        D.  Returns (det(M), the eliminated rows)."""
+    def inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
+        """a^-1 = a_den * adj(M) e_1 / det(M), M multiplication by a's
+        numerator (column j is the numerator times c^j): fraction-free
+        (Bareiss) elimination with e_1 riding along as column D, then integer
+        back-substitution (Cohen, GTM 138, 2.2 and 4.3)."""
+        if _bis_zero(a):
+            raise ZeroDivisionError("inverse of zero in base field")
         D = self.D
         top_row = [-m for m in self.minpoly[:-1]]  # c^D
         col = list(a[1:])
@@ -177,14 +172,13 @@ class _BaseField:
             cols.append(col)
         cols.append([1] + [0] * (D - 1))
         m = [list(r) for r in zip(*cols)]
-        sign, prev = 1, 1
+        prev = 1
         for k in range(D - 1):
             if m[k][k] == 0:
                 swap = next((i for i in range(k + 1, D) if m[i][k]), None)
                 if swap is None:
-                    return 0, m
+                    raise ZeroDivisionError("element not invertible (degenerate tower)")
                 m[k], m[swap] = m[swap], m[k]
-                sign = -sign
             pivot_row = m[k]
             pivot = pivot_row[k]
             for row in m[k + 1:]:
@@ -192,23 +186,11 @@ class _BaseField:
                 for j in range(k + 1, D + 1):
                     row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
             prev = pivot
-        return sign * m[-1][D - 1], m
-
-    def norm(self, a: tuple[int, ...]) -> Fraction:
-        """N_{Q(c)/Q}(a): the determinant of multiplication by a."""
-        return Fraction(self._eliminate(a)[0], a[0] ** self.D)
-
-    def inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        """a^-1 = a_den * adj(M) e_1 / det(M), M multiplication by a's
-        numerator: the eliminated system is back-substituted in integers
-        (Cohen, GTM 138, 2.2 and 4.3)."""
-        if _bis_zero(a):
-            raise ZeroDivisionError("inverse of zero in base field")
-        det, m = self._eliminate(a)
+        # the last pivot is det(M') for M' = M with its rows swapped as above,
+        # and x = det(M') M'^-1 e_1' is integral (Cramer): each division is exact
+        det = m[-1][D - 1]
         if not det:
             raise ZeroDivisionError("element not invertible (degenerate tower)")
-        # x = det * M^-1 e_1 is integral (Cramer), so each division is exact
-        D = self.D
         x = [0] * D
         for i in range(D - 1, -1, -1):
             row = m[i]
@@ -266,7 +248,7 @@ class FieldTower:
         q = Fraction(q)
         if q == 0:
             return self.zero()
-        return Scalar(self, {0: _bfrom_fraction(self.degree_base, q)})
+        return Scalar(self, {0: (q.denominator, q.numerator) + (0,) * (self.degree_base - 1)})
 
     def from_base(self, coeffs) -> Scalar:
         """Scalar from base-field coordinates over 1, c, ..., c^(D-1)."""
@@ -368,7 +350,11 @@ class FieldTower:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "FieldTower":
-        return cls(int(doc["h"]), tuple(tuple(int(v) for v in g) for g in doc["roots"]))
+        h, roots = doc.get("h"), doc.get("roots")
+        if not (isinstance(h, int) and isinstance(roots, list) and all(
+                isinstance(g, list) and all(isinstance(v, int) for v in g) for g in roots)):
+            raise ValueError("a tower has an integer field 'h' and a list 'roots' of integer lists")
+        return cls(h, tuple(tuple(g) for g in roots))
 
 
 # ---------------------------------------------------------------------------
@@ -596,11 +582,20 @@ class Scalar:
 
     @classmethod
     def from_coords(cls, tower: FieldTower, doc: dict) -> "Scalar":
-        re = {int(m): tuple(int(v) for v in b) for m, b in doc.get("re", {}).items()}
-        im = {int(m): tuple(int(v) for v in b) for m, b in doc.get("im", {}).items()}
-        re = {m: b for m, b in re.items() if not _bis_zero(b)}
-        im = {m: b for m, b in im.items() if not _bis_zero(b)}
-        return cls(tower, re, im or None)
+        """The inverse of `to_coords`; ValueError names a missing or mistyped field."""
+        parts = []
+        for key in ("re", "im"):
+            part = doc.get(key, {}) if isinstance(doc, dict) else None
+            if not isinstance(part, dict):
+                raise ValueError(f"scalar field {key!r} must be a JSON object")
+            for m, b in part.items():
+                if not (m.isdigit() and int(m) >> len(tower.roots) == 0 and isinstance(b, list)
+                        and len(b) == tower.degree_base + 1 and b[0]
+                        and all(isinstance(v, int) for v in b)):
+                    raise ValueError(f"scalar field {key!r}: mask {m!r} must map to "
+                                     f"{tower.degree_base + 1} integers, the first nonzero")
+            parts.append({int(m): tuple(b) for m, b in part.items() if any(b[1:])})
+        return cls(tower, *parts)
 
     def __repr__(self):
         return f"Scalar({mpmath.nstr(self.value(80), 12)})"
@@ -699,13 +694,7 @@ def _dreduce(d: dict, emb: "PrimeEmbedding") -> int:
     p = emb.p
     acc = 0
     for m, b in d.items():
-        den = b[0] % p
-        if den == 0:
-            raise ZeroDivisionError
-        v = 0
-        for n in reversed(b[1:]):
-            v = (v * emb.c_img + n) % p
-        v = v * pow(den, -1, p) % p
+        v = _bmod(b, emb.c_img, p)
         i = 0
         while m:
             if m & 1:
@@ -717,15 +706,59 @@ def _dreduce(d: dict, emb: "PrimeEmbedding") -> int:
 
 
 # ---------------------------------------------------------------------------
-# prime embeddings (fast path for rank precomputation)
+# split primes: the one mod-p scan behind the prime embeddings and the square test
 # ---------------------------------------------------------------------------
+
+def _bmod(b: tuple[int, ...], x: int, p: int) -> int:
+    """The base-field element b at c = x, mod p, by Horner's rule; raises
+    ZeroDivisionError when p divides its denominator."""
+    den = b[0] % p
+    if den == 0:
+        raise ZeroDivisionError
+    v = 0
+    for n in reversed(b[1:]):
+        v = (v * x + n) % p
+    return v * pow(den, -1, p) % p
+
+
+class _SplitPrimes:
+    """The primes p = 1 mod 2h above 2^30, which split completely in Q(c),
+    scanned lazily in increasing order; indexing and iteration extend the scan
+    as far as they reach.  Entry k is (p, images): images holds
+    zeta^j + zeta^-j mod p for j < h prime to 2h, the image of c at each of
+    the D degree-1 primes of Q(c) above p; zeta = a^((p-1)/2h) for the first
+    a < 500 with a^((p-1)/2) = -1, and p is passed over unless
+    psi(zeta + 1/zeta) = 0 mod p."""
+
+    def __init__(self, h: int):
+        self.h = h
+        self.psi = (1,) + coxeter_minpoly(h)
+        self.js = [j for j in range(1, h) if gcd(j, 2 * h) == 1]
+        self.found: list[tuple[int, tuple[int, ...]]] = []
+        self.last = (1 << 30) - (1 << 30) % (2 * h) + 1
+
+    def __getitem__(self, k: int) -> tuple[int, tuple[int, ...]]:
+        while len(self.found) <= k:
+            self.last = p = self.last + 2 * self.h
+            if not _isprime(p):
+                continue
+            z = next((z for z in (pow(a, (p - 1) // (2 * self.h), p) for a in range(2, 500))
+                      if pow(z, self.h, p) == p - 1), None)
+            if z is None or _bmod(self.psi, (z + pow(z, -1, p)) % p, p):
+                continue
+            self.found.append((p, tuple((pow(z, j, p) + pow(z, -j, p)) % p for j in self.js)))
+        return self.found[k]
+
+
+_split_primes = lru_cache(maxsize=None)(_SplitPrimes)   # one scan per h, shared
+
 
 class PrimeEmbedding:
     """A ring homomorphism from the tower into F_p.
 
-    Requires p == 1 mod lcm(2h, 4): c maps to zeta + zeta^(-1) for a zeta of
-    order 2h, each radicand must be a quadratic residue, and i has an image
-    so complexified scalars reduce too.
+    c maps to zeta + zeta^(-1) for the zeta of order 2h that the split-prime
+    scan picks, each radicand must be a quadratic residue, and -1 must be one
+    too (p = 1 mod 4), so that i has an image and complexified scalars reduce.
     """
 
     def __init__(self, p: int, c_img: int, root_imgs: tuple[int, ...], i_img: int | None):
@@ -736,58 +769,27 @@ class PrimeEmbedding:
 
     @classmethod
     def find(cls, tower: FieldTower, skip: int = 0) -> "PrimeEmbedding":
-        """The (skip+1)-th usable prime above 2^30."""
-        h = tower.h
-        step = 2 * h
-        while step % 4:
-            step += 2 * h
-        p = (1 << 30) - (1 << 30) % step + 1
-        found = 0
-        while True:
-            p += step
-            if not _isprime(p):
-                continue
-            emb = cls._try_build(tower, p)
-            if emb is None:
-                continue
-            if found == skip:
-                return emb
-            found += 1
+        """The (skip+1)-th prime of the split-prime scan for tower.h at which
+        `_try_build` succeeds."""
+        for p, images in _split_primes(tower.h):
+            emb = cls._try_build(tower, p, images[0])
+            if emb is not None:
+                if not skip:
+                    return emb
+                skip -= 1
 
     @classmethod
-    def _try_build(cls, tower: FieldTower, p: int) -> "PrimeEmbedding | None":
-        h = tower.h
-        e = (p - 1) // (2 * h)
-        c_img = None
-        for a in range(2, 500):
-            z = pow(a, e, p)
-            if pow(z, h, p) == p - 1:
-                c_img = (z + pow(z, -1, p)) % p
-                break
-        if c_img is None:
+    def _try_build(cls, tower: FieldTower, p: int, c_img: int) -> "PrimeEmbedding | None":
+        """The embedding c -> c_img at the split prime p, or None when p = 3
+        mod 4, or a radicand is a non-residue or has p in its denominator."""
+        try:
+            root_imgs = tuple(_sqrt_mod(_bmod(g, c_img, p), p) for g in tower.roots)
+        except ZeroDivisionError:
             return None
-        acc = 0
-        for co in reversed(tower.base.minpoly):
-            acc = (acc * c_img + co) % p
-        if acc != 0:
-            return None
-        root_imgs = []
-        for g in tower.roots:
-            den = g[0] % p
-            if den == 0:
-                return None
-            v = 0
-            for n in reversed(g[1:]):
-                v = (v * c_img + n) % p
-            v = v * pow(den, -1, p) % p
-            r = _sqrt_mod(v, p)
-            if r is None:
-                return None
-            root_imgs.append(r)
         i_img = _sqrt_mod(p - 1, p)
-        if i_img is None:
+        if None in root_imgs or i_img is None:
             return None
-        return cls(p, c_img, tuple(root_imgs), i_img)
+        return cls(p, c_img, root_imgs, i_img)
 
 
 # Miller-Rabin with the first 13 prime bases is exact for n below this bound
@@ -878,83 +880,47 @@ def _sqrt_in_tower(tower: FieldTower, g: tuple[int, ...]) -> Scalar | None:
     return None
 
 
-def _pslq_base_sqrt(h: int, g: tuple[int, ...], prec: int, maxcoeff: int):
+def _pslq_base_sqrt(h: int, g: tuple[int, ...], prec: int) -> tuple[int, ...] | None:
+    """A root of g in Q(c) from an integer relation among sqrt(g), 1, c, ...,
+    c^(D-1) at `prec` bits, returned only if it squares back to g."""
     base = _base_field(h)
-    plain = FieldTower(h)
     with mpmath.workprec(prec):
-        c, _ = plain.numeric(prec)
+        c, _ = FieldTower(h).numeric(prec)
         val = _beval(g, c, mp.mpf(0))
         if val < 0:
             return None
-        s = mpmath.sqrt(val)
-        vec = [s] + [c ** i for i in range(base.D)]
-        rel = mpmath.pslq(vec, maxcoeff=maxcoeff, maxsteps=200000)
+        vec = [mpmath.sqrt(val)] + [c ** i for i in range(base.D)]
+        rel = mpmath.pslq(vec, maxcoeff=10 ** (prec // 16), maxsteps=200000)
     if rel and rel[0] != 0:
-        cand = [Fraction(-a, rel[0]) for a in rel[1:]]
-        den = 1
-        for q in cand:
-            den = den * q.denominator // gcd(den, q.denominator)
-        b = _bnormalize(den, tuple(int(q * den) for q in cand))
+        b = _bnormalize(rel[0], tuple(-a for a in rel[1:]))   # sqrt(g) = -sum a_i c^i / rel_0
         if base.mul(b, b) == g:
             return b
     return None
 
 
-def _rational_sqrt(q: Fraction) -> Fraction | None:
-    """The nonnegative square root of q if it is rational, else None."""
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def _base_sqrt(h: int, g: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Exact sqrt of g in Q(c) if it is a square there, else None.
+    """Exact sqrt of a positive g in Q(c) if it is a square there, else None.
 
-    Sound filters first: g = y^2 forces N(g) = N(y)^2, so a norm that is not
-    a rational square certifies a non-square, and so does a mod-p non-residue;
-    a verified numeric reconstruction certifies a square.  Factoring z^2 - g
-    over Q(c) with sympy decides any case the filters leave open.
+    Both answers are certain.  A quadratic non-residue of g at a degree-1
+    prime of Q(c) proves that g is not a square; a PSLQ root that squares
+    back to g proves that it is.  The split primes supply D degree-1 primes
+    each, and Q(c) is the whole real subfield of Q(zeta_2h), so a positive
+    non-square is a non-residue at half of them (Chebotarev; Adleman's
+    quadratic characters).  The two sides alternate: 16 primes, then PSLQ at
+    400, 800, 1600 and 3200 bits; past that, ArithmeticError.
     """
     g = _bnormalize(g[0], g[1:])
     if _bis_zero(g):
-        return _bzero(_base_field(h).D)
-    base = _base_field(h)
-    if base.D == 1:
-        r = _rational_sqrt(Fraction(g[1], g[0]))
-        return None if r is None else _bnormalize(r.denominator, (r.numerator,))
-    if _rational_sqrt(base.norm(g)) is None:
-        return None
-    plain = FieldTower(h)
-    scalar_g = Scalar(plain, {0: g})
-    for skip in range(6):
-        emb = PrimeEmbedding.find(plain, skip=skip)
-        v = scalar_g.reduce_mod(emb)
-        if v is None or v == 0:
-            continue
-        if pow(v, (emb.p - 1) // 2, emb.p) != 1:
-            return None
-    hit = _pslq_base_sqrt(h, g, 400, 10 ** 24)
-    if hit is not None:
-        return hit
-    if not _factor_is_square(h, g):
-        return None
-    for prec in (800, 1600, 3200):
-        hit = _pslq_base_sqrt(h, g, prec, 10 ** (prec // 16))
+        return g
+    primes = _split_primes(h)
+    for round_, prec in enumerate((400, 800, 1600, 3200)):
+        for k in range(16 * round_, 16 * round_ + 16):
+            p, images = primes[k]
+            if g[0] % p == 0:
+                continue
+            if any(pow(_bmod(g, x, p), (p - 1) // 2, p) == p - 1 for x in images):
+                return None
+        hit = _pslq_base_sqrt(h, g, prec)
         if hit is not None:
             return hit
-    raise ArithmeticError("square certified by sympy but reconstruction failed")
-
-
-def _factor_is_square(h: int, g: tuple[int, ...]) -> bool:
-    """Complete decision: z^2 - g has a linear factor over Q(2cos(pi/h)).
-    The only use of sympy; imported here so that no other path loads it."""
-    import sympy
-
-    theta = 2 * sympy.cos(sympy.pi / h)
-    expr = sympy.nsimplify(sum(Fraction(n, g[0]) * theta ** i for i, n in enumerate(g[1:])))
-    z = sympy.Symbol("z")
-    factors = sympy.factor_list(z ** 2 - expr, z, extension=theta)[1]
-    return any(sympy.degree(f, z) == 1 for f, _ in factors)
+    raise ArithmeticError(f"undecided whether {g} is a square at h={h}")

@@ -2,8 +2,10 @@ import json
 import subprocess
 import sys
 
-from acy.cells import CellSystem, cells_to_doc
-from acy.quiver import build_family
+import pytest
+
+from acy.cells import CellSystem, builtin_cells, cells_to_doc
+from acy.quiver import build_family, save_graph
 
 
 def run_cli(*args):
@@ -59,6 +61,49 @@ def test_bad_inputs():
     assert code == 2
     code, _, err = run_cli("compute", "--graph", "A4", "--cutoff-degree", "5")
     assert code == 2 and "3h" in err
+
+
+def _malformed(case):
+    """(option, document, what the error must name) for one malformed input file."""
+    if case.startswith("cells"):
+        doc = cells_to_doc(builtin_cells(build_family("A", 4)))
+        if case == "cells-without-tower":
+            del doc["tower"]
+            return "--cells", doc, "'tower'"
+        doc["tower"]["roots"] = [5]
+        return "--cells", doc, "'roots'"
+    doc = save_graph(build_family("A", 4))
+    if case == "edge-without-id":
+        del doc["edges"][0]["id"]
+        return "--graph", doc, "'id'"
+    if case == "coloring-as-a-list":
+        doc["coloring"] = [0]
+        return "--graph", doc, "'coloring'"
+    return "--graph", [doc], "must be a JSON object, not list"
+
+
+@pytest.mark.parametrize("case", ["cells-without-tower", "cells-with-a-bad-root",
+                                  "edge-without-id", "coloring-as-a-list", "graph-as-a-list"])
+def test_malformed_files_are_input_errors(tmp_path, case):
+    from acy.cli import EXIT_INPUT
+
+    option, doc, named = _malformed(case)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    args = {"--graph": "A4", "--cells": "builtin", option: f"file:{path}"}
+    code, _, err = run_cli("compute", *[x for kv in args.items() for x in kv])
+    assert code == EXIT_INPUT and named in err and "Traceback" not in err
+
+
+def test_mistyped_scalar_coordinates_are_input_errors(tmp_path):
+    from acy.cli import EXIT_INPUT
+
+    graph = save_graph(build_family("A", 4))
+    graph["pf"]["coords"][graph["vertices"][0]]["re"]["0"] = "1"
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    code, _, err = run_cli("compute", "--graph", f"file:{path}")
+    assert code == EXIT_INPUT and "'re'" in err and "Traceback" not in err
 
 
 def test_compute_rejects_periods_below_one():
