@@ -9,7 +9,10 @@ child process, against the source tree next to this script, with a wall-clock
 limit of TIMEOUT_S and an address-space cap of RSS_CAP_MB (RLIMIT_AS, set in
 the child only).  The record, BENCH_frontier_LABEL.json at the repository
 root, gives per rung the wall time, the peak RSS (from os.wait4), the exit
-status and the outcome: pass, fail, timeout or oom.
+status and the outcome: pass, fail, timeout or oom.  A rung that passes runs
+REPEATS times, and the record keeps the medians of its wall times and peak
+RSS, so that one slow run does not set the figure; a rung that fails or
+times out runs once.  The record's `runs` says how many runs a rung took.
 """
 
 import json
@@ -17,6 +20,7 @@ import os
 import pathlib
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -29,6 +33,7 @@ LADDER = [("A12", "builtin"), ("A13*", "builtin"), ("D9*", "builtin"),
           ("D15", "solve"), ("D18", "solve"), ("A15*", "solve")]
 TIMEOUT_S = 600
 RSS_CAP_MB = 4096
+REPEATS = 3
 
 
 def _cap_address_space():
@@ -74,6 +79,20 @@ def run_rung(graph: str, cells: str) -> dict:
     return row
 
 
+def measure_rung(graph: str, cells: str) -> dict:
+    """`run_rung` REPEATS times while every run passes, with the median wall
+    time and peak RSS of the runs; the first run that does not pass, as it is."""
+    runs = []
+    while len(runs) < REPEATS:
+        row = run_rung(graph, cells)
+        runs.append(row)
+        if row["outcome"] != "pass":
+            return dict(row, runs=len(runs))
+    return dict(runs[0], runs=len(runs),
+                wall_s=statistics.median(r["wall_s"] for r in runs),
+                peak_rss_mb=statistics.median(r["peak_rss_mb"] for r in runs))
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -82,10 +101,10 @@ def main(argv=None) -> int:
     label = argv[0]
     rungs = []
     for graph, cells in LADDER:
-        rungs.append(run_rung(graph, cells))
+        rungs.append(measure_rung(graph, cells))
         print(json.dumps(rungs[-1]), flush=True)
     doc = {"schema": "acy-frontier/1", "label": label, "timeout_s": TIMEOUT_S,
-           "rss_cap_mb": RSS_CAP_MB, "cpus": os.cpu_count(),
+           "rss_cap_mb": RSS_CAP_MB, "repeats": REPEATS, "cpus": os.cpu_count(),
            "python": platform.python_version(), "rungs": rungs}
     path = OUT_DIR / f"BENCH_frontier_{label}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

@@ -48,6 +48,8 @@ class _Products(dict):
         b2 = A.basis[k2][i2]
         if A.basis[k1][i1].dst != b2.src or k1 + k2 > A.top:
             hit = {}
+        elif not k1:  # an idempotent is the identity on what it meets
+            hit = {i2: A.one}
         else:
             _, hit = A.mul_path(k1, A.unit(k1, i1), b2.path)
         self[key] = hit

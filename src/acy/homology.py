@@ -16,17 +16,16 @@ automatic, and for trivial nu all twists collapse to one block family.
 The four maps mu_1..mu_4 of the superpotential resolution are written once,
 as terms on bimodule generators (`differentials`).  Everything else is
 derived from that table: `Homology.mat` applies the Hochschild rule to it,
-and `_Resolution` applies it to the bimodule resolution by one rule, over
-the tower or over the algebra's image in F_p; `verify_resolution` composes
-it on generators in both rings and ranks it over F_p, one block per
-nu-orbit once the maps being ranked are checked to commute with the
-Nakayama automorphism (`_Resolution.nu_orbits`), and every block otherwise.
+and `_Resolution` applies it by one rule over the tower or over the
+algebra's image in F_p.  `verify_resolution` composes it on generators in
+both rings, which gives d o d = 0, and then ranks the one-sided complex
+P (x)_A A_0 over F_p: a complex of right-free modules with d o d = 0 is
+exact iff that complex is (Butler and King, J. Algebra 212, 1999; the
+converse by graded Nakayama), and it is finite, so every degree is covered.
 """
 
 from __future__ import annotations
 
-import bisect
-import functools
 from dataclasses import dataclass, field
 
 from . import linalg, series
@@ -767,35 +766,43 @@ def predicted_tables(h: int, blocks: dict, trivial_nu: bool, max_i: int, max_d: 
 
 
 # ---------------------------------------------------------------------------
-# resolution exactness (Eq.-9-style bimodule complex)
+# resolution exactness, on the one-sided complex P (x)_A A_0
 # ---------------------------------------------------------------------------
 
 class _Resolution:
-    """The period-4 window of the superpotential resolution of A as an
-    A-bimodule (Bocklandt, JPAA 212, 2008), over the tower or over F_p.
+    """The period-4 window of the superpotential resolution P of A as an
+    A-bimodule (Bocklandt, JPAA 212, 2008), over the tower or over F_p, and
+    the one-sided complex P (x)_A A_0 on which its exactness is ranked.
 
-    Stage r at total degree d is A (x) V_r (x) A with V_0 = V_3 = S, V_1 the
-    edges, V_2 the relations (one per reversed edge) and V_4 = S twisted by
-    nu on the right; the generators have degrees 0, 1, 2, 3, h, and stage 5
-    is stage 1 shifted by h.  Every map preserves (d, left source u, right
-    target v), so each block is ranked on its own, by `linalg.rank`: the same
-    elimination that gives the exact ranks.
+    P_r = A (x) V_r (x) A with V_0 = V_3 = S, V_1 the edges, V_2 the
+    relations (one per reversed edge) and V_4 = S twisted by nu on the
+    right; the generators have degrees 0, 1, 2, 3, h, and stage 5 is stage 1
+    shifted by h.  Every P_r is free as a right A-module, and so is A.  For
+    such a bounded graded complex with d o d = 0, A <- P_0 <- ... <- P_5 is
+    exact iff P (x)_A A_0 is (Butler and King, Minimal resolutions of
+    algebras, J. Algebra 212, 1999):
+    - an exact bounded complex of right-projectives splits as right
+      modules, so it stays exact under (x)_A A_0;
+    - conversely, by induction from A upwards: when the complex is exact
+      below r, ker mu_r (x)_A A_0 = ker(mu_r (x) A_0), so P_(r+1) -> ker mu_r
+      is onto modulo the radical, and so onto by graded Nakayama.
+    The premise d o d = 0 is `d_squared`, on bimodule generators.
 
-    The maps are the terms of `hom.mu` (see `differentials`), applied by one
-    rule in whichever ring the algebra has: `hom.A` over the tower, or, given
-    a prime embedding, its image `A.reduce_mod(emb)` with the terms reduced
-    alongside.  That image is built once, on construction; a denominator that
-    vanishes mod p raises ZeroDivisionError there, before any rank is taken.
-    A mod-p rank is at most the exact rank, so ranks that meet the dimension
-    bound pin the exact ranks and certify exactness.
+    P_r (x)_A A_0 = A (x) V_r: the elements x (x) gen (x) e_v, in blocks
+    (d, u, v) with u the source of x and v the vertex of the simple, which
+    every map preserves.  A term (l, v', r, c) of mu_r(gen) sends such an
+    element to c (x l) (x) v' when r is an idempotent and to 0 otherwise, as
+    r then lies in the radical.  A block is nonzero only for d <= top + h, so
+    ranking every block covers every degree.  Each block is ranked on its
+    own by `linalg.rank`, the same elimination that gives the exact ranks.
 
-    One block per nu-orbit is ranked when `nu_orbits` allows it: when the
-    maps being ranked commute with Phi(l (x) v (x) r) = b(l) (x) nu v (x) b(r),
-    a bijection (b is the Nakayama automorphism, exact by `build_form`) that
-    carries block (d, u, v) of every stage onto block (d, nu u, nu v), so the
-    blocks of one orbit have equal dimensions and equal ranks (Fassler and
-    Stiefel, Group Theoretical Methods and Their Applications, 1992).  The
-    gate runs on the first `degree` call, on the maps as they are then.
+    The maps are the terms of `hom.mu` (see `differentials`), applied in
+    whichever ring the algebra has: `hom.A` over the tower, or, given a prime
+    embedding, its image `A.reduce_mod(emb)` with the terms reduced alongside.
+    That image is built once, on construction; a denominator that vanishes
+    mod p raises ZeroDivisionError there, before any rank is taken.  A mod-p
+    rank is at most the exact rank, so ranks that meet the dimension bound
+    pin the exact ranks and certify exactness.
     """
 
     def __init__(self, hom: Homology, emb: PrimeEmbedding | None = None):
@@ -807,145 +814,54 @@ class _Resolution:
                        for r, tab in hom.mu.items()}
         self.A, self.p = A, A.p
         self.gdeg = _gen_degrees(self.g.h)
-        # blocks of A by one endpoint: starts[k][m] = [(v, idxs)], ends[k][m] = [(u, idxs)]
-        self.starts: list[dict] = [{} for _ in range(A.top + 1)]
+        # blocks of A by their end: ends[k][m] = [(u, idxs)]
         self.ends: list[dict] = [{} for _ in range(A.top + 1)]
         for k, blocks in enumerate(A.block_index):
             for (s, t), idxs in blocks.items():
-                self.starts[k].setdefault(s, []).append((t, idxs))
                 self.ends[k].setdefault(t, []).append((s, idxs))
-        # mu_4's terms are listed by the degree of w: those of mu_4(m) with
-        # deg w < p come before position cut4[m][p], in either ring
-        self.cut4 = {m: [bisect.bisect_left([l[0] for l, _, _, _ in terms], p)
-                         for p in range(A.top + 2)]
-                     for m, terms in hom.mu[4].items()}
 
-    def nu_orbits(self) -> frozenset | None:
-        """The (u, v) blocks to rank, one per nu-orbit, or None to rank all.
-
-        They are returned when nu is nontrivial and Phi(mu_r(v)) = mu_r(nu v)
-        holds for r = 1..4 and every generator v, over the ring being
-        ranked: then Phi commutes with every stage (with mu_0 because b is
-        multiplicative).  The representative of an orbit has u first in its
-        nu-orbit of vertices, and v too when u is nu-fixed."""
-        A, g, p = self.A, self.g, self.p
-        if g.nu_is_trivial():
-            return None
-        nu_gen = (g.nu_v, g.nu_e, g.nu_e, g.nu_v, g.nu_v)  # nu on V_0..V_4
-        for r in range(1, 5):
-            for v, terms in self.mu[r].items():
-                image: dict = {}
-                for (kl, il), w, (kr, ir), c in terms:
-                    for jl, a in A.beta_basis(kl, il).items():
-                        for jr, b in A.beta_basis(kr, ir).items():
-                            linalg.axpy(image, [(((kl, jl), nu_gen[r - 1][w], (kr, jr)),
-                                                 A.times(A.times(c, a), b))], p=p)
-                want = linalg.axpy({}, (((l, w, rt), c) for l, w, rt, c
-                                        in self.mu[r][nu_gen[r][v]]), p=p)
-                if image != want:
-                    return None
-        first = {v: min((v, g.nu_v[v], g.nu_v[g.nu_v[v]]), key=g.vindex.get)
-                 for v in g.vertices}
-        return frozenset((u, v) for u in g.vertices if first[u] == u
-                         for v in g.vertices if g.nu_v[u] != u or first[v] == v)
-
-    @functools.cached_property
-    def _ranked_blocks(self) -> frozenset | None:
-        """`nu_orbits`, taken on the first `degree` call, on the maps as they
-        are then."""
-        return self.nu_orbits()
-
-    def _pieces(self, stage: int, d: int):
-        """The domain of stage at total degree d, in pieces ((u, v), k, xs,
-        gen, ys) that hold the elements (k, x, gen, y), or (k, x, y) when gen
-        is None, for x in xs and y in ys; only blocks that are ranked."""
-        A, g, top = self.A, self.g, self.A.top
-        keep = self._ranked_blocks
+    def _bases(self, stage: int, d: int) -> dict:
+        """The domain of stage at total degree d, {(u, v): [(x, gen)]}: the
+        elements x (x) gen (x) e_v of A (x) V_stage; gen is an edge id on
+        stages 1 and 2, and the vertex where x ends otherwise."""
+        A, g = self.A, self.g
         n = d - self.gdeg[stage]
+        out: dict = {}
+        if not 0 <= n <= A.top:
+            return out
         if stage in (1, 2):
             for e in g.edges:
                 a, b = (e.src, e.dst) if stage == 1 else (e.dst, e.src)
-                for k in range(max(0, n - top), min(n, top) + 1):
-                    for u, xs in self.ends[k].get(a, ()):
-                        for v, ys in self.starts[n - k].get(b, ()):
-                            if keep is None or (u, v) in keep:
-                                yield (u, v), k, xs, e.id, ys
+                for u, xs in self.ends[n].get(a, ()):
+                    out.setdefault((u, b), []).extend((x, e.id) for x in xs)
         else:
-            for k in range(max(0, n - top), min(n, top) + 1):
-                for (u, m), xs in A.block_index[k].items():
-                    for w, ys in self.starts[n - k].get(m, ()):
-                        # stage 4 is A (x) N: the right end is twisted by nu
-                        v = g.nu_v[w] if stage == 4 else w
-                        if keep is None or (u, v) in keep:
-                            yield (u, v), k, xs, None, ys
-
-    def _bases(self, d: int) -> tuple[list[dict], list[dict]]:
-        """(bases, dims) at total degree d, by (u, v) block; empty blocks are
-        absent.  dims[0] is A_d and dims[r + 1] the domain of stage r, so
-        dims[r] is its target.  bases[r] holds the domain tuples of stage r
-        only where a rank reads them: as the domain of a map with a nonzero
-        target, or as the target of a map with a nonzero domain."""
-        A, keep = self.A, self._ranked_blocks
-        a_d = A.block_index[d] if 0 <= d <= A.top else {}
-        dims = [{blk: len(idxs) for blk, idxs in a_d.items() if keep is None or blk in keep}]
-        pieces = [list(self._pieces(stage, d)) for stage in range(5)]
-        for ps in pieces:
-            n: dict = {}
-            for blk, _, xs, _, ys in ps:
-                n[blk] = n.get(blk, 0) + len(xs) * len(ys)
-            dims.append(n)
-        bases = []
-        for stage, ps in enumerate(pieces):
-            need = dims[stage].keys() | (dims[stage + 2].keys() if stage < 4 else ())
-            by_block: dict = {}
-            for blk, k, xs, gen, ys in ps:
-                if blk in need:
-                    by_block.setdefault(blk, []).extend(
-                        (k, x, y) if gen is None else (k, x, gen, y) for x in xs for y in ys)
-            bases.append(by_block)
-        return bases, dims
+            for (u, m), xs in A.block_index[n].items():
+                # V_4 is twisted by nu on the right: b(e_m) = e_(nu m)
+                v = g.nu_v[m] if stage == 4 else m
+                out.setdefault((u, v), []).extend((x, m) for x in xs)
+        return out
 
     def _image(self, stage: int, d: int, elt: tuple):
-        """mu_stage of one domain basis element at total degree d, as (target
-        element, coefficient) pairs; a target element may repeat.
+        """mu_stage (x)_A A_0 of one domain element (x, gen) at total degree
+        d, as (target element, coefficient) pairs; a target may repeat.
 
-        mu_0 is multiplication.  Otherwise a term (l, v', r, c) of mu_stage(v)
-        sends x (x) v (x) y to c (x l) (x) v' (x) (r y~), where y~ = b(y) on
-        the nu-twisted V_4 and y~ = y otherwise, as in `Homology.mat`."""
+        mu_0 (x) A_0 is the identity of A_0 = S, the only degree it meets.
+        Otherwise a term (l, v', r, c) of mu_stage(gen) with r an idempotent
+        sends x (x) gen to c (x l) (x) v'; the other terms vanish."""
         A = self.A
-        if stage == 0:  # x (x) y |-> xy
-            k, x, y = elt
-            yield from A.mul_path(k, A.unit(k, x), A.basis[d - k][y].path)[1].items()
+        if stage == 0:
+            yield elt, A.one
             return
-        if stage in (1, 2):
-            k, x, gen, y = elt
-        else:  # the generator of V_3 or V_4 is the vertex where x ends
-            k, x, y = elt
-            gen = A.basis[k][x].dst
-        ky = d - self.gdeg[stage] - k
-        top, prod, times, one = A.top, A.products, A.times, A.one
-        terms = self.mu[stage][gen]
-        if stage == 4:  # only deg w = ky .. top - k meets the degree window
-            cut = self.cut4[gen]
-            terms = terms[cut[ky]:cut[top - k + 1]]
-        yt = A.beta_basis(ky, y).items() if stage == 4 else ((y, A.one),)
-        keyed = stage in (2, 3)  # the targets of mu_2 and mu_3 carry an edge
-        for iy, cy in yt:
-            for (kl, il), v, (kr, ir), c in terms:
-                kk = k + kl
-                if kk > top or kr + ky > top:
-                    continue
-                # an idempotent is the identity on what it meets: no product
-                left = prod[k, x, kl, il].items() if k and kl else ((il if kl else x, one),)
-                right = prod[kr, ir, ky, iy].items() if kr and ky else ((ir if kr else iy, one),)
-                cc = times(c, cy)
-                for jj, b in right:
-                    cb = times(cc, b)
-                    for j, a in left:
-                        yield ((kk, j, v, jj) if keyed else (kk, j, jj)), times(cb, a)
+        x, gen = elt
+        k = d - self.gdeg[stage]
+        prod, times = A.products, A.times
+        for (kl, il), v, (kr, _), c in self.mu[stage][gen]:
+            if not kr:
+                for j, a in prod[k, x, kl, il].items():
+                    yield (j, v), times(c, a)
 
     def _rows(self, stage: int, d: int, dom: list, tgt: list) -> list[dict]:
-        """Rows of mu_stage on one block, over target positions."""
+        """Rows of mu_stage (x) A_0 on one block, over target positions."""
         pos = {elt: t for t, elt in enumerate(tgt)}
         return [linalg.axpy({}, [(pos[key], c) for key, c in self._image(stage, d, elt)],
                             p=self.p)
@@ -955,48 +871,51 @@ class _Resolution:
         """Generators v of V_r, r = 1..5, with mu_(r-1) mu_r (1 (x) v (x) 1)
         nonzero: `d2-exact` over the tower, `d2-modp` over F_p, where the maps
         that are ranked must form a complex too.  mu_5 is mu_1 into the
-        nu-twisted V_4, h degrees up."""
-        A, g, vid = self.A, self.g, self.g.vindex
-        check = "d2-modp" if self.p else "d2-exact"
+        nu-twisted V_4, h degrees up.
+
+        A term (l, v', r, c) of mu_r(v) and a term (l', v'', r', c') of
+        mu_(r-1)(v') give c c' (l l') (x) v'' (x) (r' r~), with r~ = b(r) when
+        mu_(r-1) is mu_4 and r~ = r otherwise; mu_0 multiplies, to l r."""
+        A, p, prod, times = self.A, self.p, self.A.products, self.A.times
+        check = "d2-modp" if p else "d2-exact"
         bad = []
         for r in range(1, 6):
-            stage = (r - 1) % 4 + 1
-            d = self.gdeg[stage]
-            if stage in (1, 2):
-                gens = [(e.id, (0, vid[e.src], e.id, vid[e.dst]) if stage == 1
-                         else (0, vid[e.dst], e.id, vid[e.src])) for e in g.edges]
-            else:
-                gens = [(m, (0, vid[m], vid[m])) for m in g.vertices]
-            for gen, elt in gens:
+            lower = self.mu[4 if r == 5 else r - 1] if r > 1 else None
+            for gen, terms in self.mu[(r - 1) % 4 + 1].items():
                 acc: dict = {}
-                for key, c in self._image(stage, d, elt):
-                    linalg.axpy(acc, self._image(r - 1, d + (g.h if r == 5 else 0), key),
-                                A.axpy_coef(c), self.p)
+                for (kl, il), v, (kr, ir), c in terms:
+                    right = A.beta_basis(kr, ir).items() if r == 5 else ((ir, A.one),)
+                    for jr, b in right:
+                        cb = times(c, b)
+                        if lower is None:  # mu_0
+                            linalg.axpy(acc, (((kl + kr, j), a)
+                                              for j, a in prod[kl, il, kr, jr].items()),
+                                        A.axpy_coef(cb), p)
+                            continue
+                        for (kl2, il2), w, (kr2, ir2), c2 in lower[v]:
+                            cc, rr = times(cb, c2), prod[kr2, ir2, kr, jr].items()
+                            for j, a in prod[kl, il, kl2, il2].items():
+                                ca = times(cc, a)
+                                linalg.axpy(acc, (((kl + kl2, j, w, kr2 + kr, jj), times(ca, bb))
+                                                  for jj, bb in rr), p=p)
                 if acc:
                     bad.append((check, r, gen))
         return bad
 
     def degree(self, d: int) -> dict:
-        """{(u, v): [(rank, dim domain, dim target) of mu_0..mu_4]} for every
-        block at total degree d with a nonzero space; other blocks are zero.
-        With `nu_orbits`, one block per orbit is ranked and its row is copied
-        to the other members."""
-        A = self.A
-        bases, dims = self._bases(d)
-        targets = [A.block_index[d] if 0 <= d <= A.top else {}] + bases[:4]
+        """{(u, v): [(rank, dim domain, dim target) of mu_0..mu_4 (x) A_0]}
+        for every block at total degree d with a nonzero space; other blocks
+        are zero."""
+        bases = [self._bases(stage, d) for stage in range(5)]
+        targets = [bases[0] if d == 0 else {}] + bases[:4]
         out = {}
-        for blk in set().union(*dims):
+        for blk in set().union(*bases):
             row = []
             for stage in range(5):
-                n, nt = dims[stage + 1].get(blk, 0), dims[stage].get(blk, 0)
-                rk = linalg.rank(self._rows(stage, d, bases[stage][blk], targets[stage][blk]),
-                                 self.p) if n and nt else 0
-                row.append((rk, n, nt))
+                dom, tgt = bases[stage].get(blk, ()), targets[stage].get(blk, ())
+                rk = linalg.rank(self._rows(stage, d, dom, tgt), self.p) if dom and tgt else 0
+                row.append((rk, len(dom), len(tgt)))
             out[blk] = row
-        if self._ranked_blocks is not None:
-            nu = self.g.nu_v
-            for (u, v), row in list(out.items()):
-                out[nu[u], nu[v]] = out[nu[nu[u]], nu[nu[v]]] = row
         return out
 
 
@@ -1005,25 +924,25 @@ _PRIME_TRIES = 4
 
 
 def verify_resolution(hom: Homology) -> dict:
-    """Certified exactness of the bimodule resolution through total degree
-    2h.
+    """Certified exactness of the bimodule resolution in every degree.
 
     The maps are those of `differentials`.  d o d = 0 is checked on
     bimodule generators, for mu_0 mu_1 up to mu_4 mu_5, by one
-    `_Resolution.d_squared`: first over the tower, then on the modular image
-    of each prime, before any rank is taken.  Node exactness then follows
-    from ranks taken over that image, built once per prime: a mod-p rank is
-    at most the exact rank, so mod-p ranks that meet the dimension bound pin
-    the exact ranks.  Where `_Resolution.nu_orbits` finds that those maps
-    commute with b (x) nu (x) b, one block per nu-orbit is ranked and the
-    others take its ranks; where it does not, every block is ranked.  Either
-    way the failures are the same.  A prime whose image has a vanishing
-    denominator is skipped, up to `_PRIME_TRIES` primes.  Returns `ok`,
-    `cutoff`, `failures` (each naming the check and, for d o d, the index r
-    and generator of mu_(r-1) mu_r, for a node its (d, u, v) block) and the
-    `prime` that was used.
+    `_Resolution.d_squared`: first over the tower, which is the premise of
+    the theorem below, then on the modular image of each prime, before any
+    rank is taken.  With d o d = 0, the complex of right-free modules
+    A <- P_0 <- ... <- P_5 is exact iff P (x)_A A_0 is (Butler and King,
+    J. Algebra 212, 1999; both directions are in `_Resolution`, the converse
+    by graded Nakayama).  That one-sided complex vanishes above degree
+    top + h, the `cutoff`, and its exactness follows from ranks taken over
+    the modular image, built once per prime: a mod-p rank is at most the
+    exact rank, so mod-p ranks that meet the dimension bound pin the exact
+    ranks.  A prime whose image has a vanishing denominator is skipped, up to
+    `_PRIME_TRIES` primes.  Returns `ok`, `cutoff`, `failures` (each naming
+    the check and, for d o d, the index r and generator of mu_(r-1) mu_r, for
+    a node its one-sided (d, u, v) block) and the `prime` that was used.
     """
-    cutoff = 2 * hom.g.h
+    cutoff = hom.A.top + hom.g.h
     failures = _Resolution(hom).d_squared()
     if failures:
         return {"ok": False, "cutoff": cutoff, "failures": failures}
@@ -1042,12 +961,13 @@ def verify_resolution(hom: Homology) -> dict:
 
 
 def _resolution_ranks(res: _Resolution, cutoff: int) -> list:
-    """Exactness failures; empty means certified exact through the cutoff.
+    """Exactness failures of P (x)_A A_0; empty means certified exact.
 
     Nodes beyond stage 4 repeat with shift h, so checking nodes 0..4 at all
-    degrees <= cutoff covers the whole periodic complex in that range.  A
-    block absent from `res.degree(d)` is zero at every stage, and so is its
-    stage 5 (whose domain has the dimension of stage 4's), so it is exact."""
+    degrees <= cutoff = top + h, where every block vanishes beyond, covers
+    the whole periodic complex.  A block absent from `res.degree(d)` is zero
+    at every stage, and so is its stage 5 (whose domain has the dimension of
+    stage 4's), so it is exact."""
     g = res.g
     vi = g.vindex
     failures = []

@@ -515,7 +515,10 @@ def load_graph(doc: dict) -> Graph:
             raise GraphError("pf coordinates must live in the base tower")
         phi = {v: Scalar.from_coords(tower, c)
                for v, c in json_field(doc["pf"], "coords", dict, "pf").items()}
-    nu_e = {int(k): int(v) for k, v in nu.get("edge_map", {}).items()} or None
+    edge_map = json_field(nu, "edge_map", dict, "nu") if "edge_map" in nu else {}
+    if not all(k.isdigit() and isinstance(v, int) for k, v in edge_map.items()):
+        raise GraphError("nu.edge_map must map edge ids to integer edge ids")
+    nu_e = {int(k): v for k, v in edge_map.items()} or None
     coloring = json_field(doc, "coloring", dict, "graph") if "coloring" in doc else None
     return Graph(doc.get("name", "custom"), h, list(json_field(doc, "vertices", list, "graph")),
                  edges, dict(json_field(nu, "vertex_map", dict, "nu")), coloring,

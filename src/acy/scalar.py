@@ -350,10 +350,22 @@ class FieldTower:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "FieldTower":
+        """The inverse of `to_doc`.  ValueError names a mistyped field, or a
+        radicand that is not a positive base-field element (denominator,
+        then D coordinates)."""
         h, roots = doc.get("h"), doc.get("roots")
         if not (isinstance(h, int) and isinstance(roots, list) and all(
                 isinstance(g, list) and all(isinstance(v, int) for v in g) for g in roots)):
             raise ValueError("a tower has an integer field 'h' and a list 'roots' of integer lists")
+        base = cls(h)
+        for g in roots:
+            if len(g) != base.degree_base + 1:
+                raise ValueError(f"radicand {g} must have {base.degree_base + 1} integers "
+                                 f"at h = {h}: a denominator, then the coordinates")
+            if not g[0]:
+                raise ValueError(f"radicand {g} has a zero denominator")
+            if not base.from_base([Fraction(v, g[0]) for v in g[1:]]).is_positive():
+                raise ValueError(f"radicand {g} is not positive")
         return cls(h, tuple(tuple(g) for g in roots))
 
 

@@ -106,6 +106,34 @@ def test_mistyped_scalar_coordinates_are_input_errors(tmp_path):
     assert code == EXIT_INPUT and "'re'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("root, named", [([1, 2], "must have 3 integers"),
+                                         ([0, 1, 0], "zero denominator"),
+                                         ([1, -1, 0], "not positive")])
+def test_bad_radicands_are_input_errors(tmp_path, root, named):
+    # a copy of the A5 cell file, whose tower adjoins one square root
+    from acy.cells import _load_cell_doc
+    from acy.cli import EXIT_INPUT
+
+    doc = _load_cell_doc("cells_A5.json")
+    doc["tower"]["roots"] = [root]
+    path = tmp_path / "cells.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli("compute", "--graph", "A5", "--cells", f"file:{path}")
+    assert code == EXIT_INPUT and named in err and "Traceback" not in err
+
+
+def test_a_mistyped_nu_edge_map_is_an_input_error(tmp_path):
+    from acy.cli import EXIT_INPUT
+
+    graph = save_graph(build_family("A", 4))
+    first = next(iter(graph["nu"]["edge_map"]))
+    graph["nu"]["edge_map"][first] = "x"
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    code, _, err = run_cli("compute", "--graph", f"file:{path}")
+    assert code == EXIT_INPUT and "nu.edge_map" in err and "Traceback" not in err
+
+
 def test_compute_rejects_periods_below_one():
     for periods in ("0", "-1"):
         code, out, err = run_cli("compute", "--graph", "A4", "--periods", periods)
@@ -206,3 +234,55 @@ def test_failed_math_check_exits_3(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "mathematical check failed: negative HH dimension" in err
     assert "Traceback" not in err
+
+
+def test_verify_reports_where_duality_fails(monkeypatch, capsys):
+    # +1 on one entry of mu'_2 at internal degree 2 (total degree 3) of the
+    # twist-0 family: on A5 its dual partner mu'_10 has twist 2, so the
+    # duality identity fails at (2, 3) only
+    import acy.cli
+    from acy.homology import Homology
+
+    mat = Homology.mat
+
+    def bumped(self, r, twist, j):
+        m = mat(self, r, twist, j)
+        if (r, self._tw(twist), j) != (2, 0, 2):
+            return m
+        cols = [dict(c) for c in m["cols"]]
+        p, c = next(iter(cols[0].items()))
+        cols[0][p] = c + self.A.one
+        return {**m, "cols": cols}
+
+    monkeypatch.setattr(Homology, "mat", bumped)
+    code = acy.cli.main(["verify", "--graph", "A5", "--check", "duality", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert doc["checks"] == {"hilbert": True, "duality": False}
+    assert doc["details"] == {"duality_failures": [[2, 3]]}
+
+
+def test_a_flipped_relation_coefficient_fails_the_hilbert_gate(monkeypatch, capsys):
+    # the sign of one term of A6's first two-term relation, flipped: the
+    # algebra then misses a cycle at degree 3
+    import acy.cli
+
+    derive = acy.cli.derive_relations
+
+    def flipped(cells):
+        rels = derive(cells)
+        terms = next(r.terms for r in rels.relations if len(r.terms) > 1)
+        key = next(iter(terms))
+        terms[key] = -terms[key]
+        return rels
+
+    monkeypatch.setattr(acy.cli, "derive_relations", flipped)
+    code = acy.cli.main(["verify", "--graph", "A6", "--check", "hilbert", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert doc["checks"] == {"hilbert": False}
+    assert doc["details"]["hilbert_error"].startswith("Hilbert gate failed for A6 at degree 3")
+    code = acy.cli.main(["compute", "--graph", "A6", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 3 and "Traceback" not in captured.err
+    assert json.loads(captured.out)["failed_gate"] == "hilbert"

@@ -23,6 +23,26 @@ def test_frontier_records_a_pass_and_a_timeout(tmp_path, monkeypatch):
     assert doc["label"] == "t" and doc["timeout_s"] == 3
     a4, a12 = doc["rungs"]
     assert (a4["graph"], a4["cells"], a4["outcome"], a4["exit"]) == ("A4", "builtin", "pass", 0)
-    assert 0 < a4["wall_s"] < 3 and a4["peak_rss_mb"] > 0
-    assert (a12["graph"], a12["outcome"]) == ("A12", "timeout")
+    assert 0 < a4["wall_s"] < 3 and a4["peak_rss_mb"] > 0 and a4["runs"] == 3
+    assert (a12["graph"], a12["outcome"], a12["runs"]) == ("A12", "timeout", 1)
     assert a12["exit"] < 0 and 3 <= a12["wall_s"] < 10 and a12["peak_rss_mb"] > 0
+
+
+def test_frontier_repeats_a_passing_rung_only(monkeypatch):
+    frontier = _frontier()
+    walls = {"pass": [5.0, 1.0, 3.0], "fail": [2.0], "timeout": [9.0]}
+    calls = []
+
+    def run_rung(graph, cells):
+        calls.append(graph)
+        wall = walls[graph][calls.count(graph) - 1]
+        return {"graph": graph, "cells": cells, "outcome": graph, "exit": 0,
+                "wall_s": wall, "peak_rss_mb": 10 * wall}
+
+    monkeypatch.setattr(frontier, "run_rung", run_rung)
+    row = frontier.measure_rung("pass", "builtin")
+    assert (row["runs"], row["wall_s"], row["peak_rss_mb"]) == (3, 3.0, 30.0)
+    for outcome in ("fail", "timeout"):
+        row = frontier.measure_rung(outcome, "builtin")
+        assert (row["outcome"], row["runs"], row["wall_s"]) == (outcome, 1, walls[outcome][0])
+    assert calls == ["pass"] * 3 + ["fail", "timeout"]
