@@ -5,6 +5,11 @@ Each file is produced by the numeric solver with a fixed seed and passes the
 exact type I/II verification before being written; orbifold and unfolding
 families (D, D*, E8) are reconstructed from these at runtime and need no
 files of their own.
+
+The shipped files were written by an earlier float stage of the solver.  A
+new run may land on a different gauge of the same cells, so its files need
+not match the shipped bytes, though every derived dimension does; the shipped
+files have not been regenerated with the current solver.
 """
 
 import json

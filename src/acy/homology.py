@@ -34,7 +34,8 @@ from .cells import CellSystem
 from .scalar import PrimeEmbedding, Scalar
 
 __all__ = ["Homology", "differentials", "hh0_direct", "cyclic_from_hh",
-           "structure_from_euler", "verify_resolution", "HomologyReport", "build_report"]
+           "structure_from_euler", "generator_d_squared", "verify_resolution",
+           "HomologyReport", "build_report"]
 
 _HOM_KINDS = ("N", "VN", "TVN", "N")
 _COH_KINDS = ("N", "TVN", "VN", "N")
@@ -923,6 +924,13 @@ class _Resolution:
 _PRIME_TRIES = 4
 
 
+def generator_d_squared(hom: Homology) -> list:
+    """The exact d o d = 0 check on bimodule generators, mu_0 mu_1 up to
+    mu_4 mu_5 over the tower: a ("d2-exact", r, generator) failure for each
+    generator of V_r whose mu_(r-1) mu_r image does not vanish."""
+    return _Resolution(hom).d_squared()
+
+
 def verify_resolution(hom: Homology) -> dict:
     """Certified exactness of the bimodule resolution in every degree.
 
@@ -943,7 +951,7 @@ def verify_resolution(hom: Homology) -> dict:
     a node its one-sided (d, u, v) block) and the `prime` that was used.
     """
     cutoff = hom.A.top + hom.g.h
-    failures = _Resolution(hom).d_squared()
+    failures = generator_d_squared(hom)
     if failures:
         return {"ok": False, "cutoff": cutoff, "failures": failures}
     # mod-p rank certificates per node, degree and block

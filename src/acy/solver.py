@@ -1,17 +1,21 @@
 """Numeric cell solver with exact reconstruction.
 
-Newton/least-squares on the compiled type I/II system from random starts,
-high-precision refinement, then reconstruction of each squared weight as a
-signed monomial in a fixed multiplicative alphabet (small primes and quantum
-integers), adjoining square roots to the tower as needed.  The result is
-re-verified exactly; a system that survives is certified.
+One Levenberg-Marquardt least-squares routine on the compiled type I/II
+system, first in floats from random starts and then in mpmath at high
+precision; then reconstruction of each squared weight as a signed monomial in
+a fixed multiplicative alphabet (small primes and quantum integers),
+adjoining square roots to the tower as needed.  The result is re-verified
+exactly; a system that survives is certified.
 """
 
 from __future__ import annotations
 
+import bisect
+import random
+
 import mpmath
 
-from .cells import CellSystem, compile_equations, verify_type_I, verify_type_II
+from .cells import CellSystem, canon, compile_equations, verify_type_I, verify_type_II
 from .quiver import Graph
 from .scalar import FieldTower, Scalar
 
@@ -19,6 +23,7 @@ __all__ = ["solve_cells", "SolverError"]
 
 
 _MAX_STARTS = 20   # random least-squares starts before giving up
+_MAX_STEPS = 100   # damped steps per least-squares run
 
 
 class SolverError(RuntimeError):
@@ -30,119 +35,107 @@ class _NumericSystem:
     when nu is nontrivial."""
 
     def __init__(self, graph: Graph):
-        self.graph = graph
-        tris = graph.triangles()
+        self.triangles = graph.triangles()
+        rep = {t: t for t in self.triangles}
         if not graph.nu_is_trivial():
-            orbit_of = {}
-            for t in tris:
-                orb = min(t, _canon_nu(graph, t, 1), _canon_nu(graph, t, 2))
-                orbit_of[t] = orb
-            reps = sorted(set(orbit_of.values()))
-            self.unknown_of = {t: reps.index(orbit_of[t]) for t in tris}
-            self.n_unknowns = len(reps)
-        else:
-            self.unknown_of = {t: i for i, t in enumerate(tris)}
-            self.n_unknowns = len(tris)
-        self.triangles = tris
+            for t in self.triangles:
+                nu_t = canon(tuple(graph.nu_e[e] for e in t))
+                rep[t] = min(t, nu_t, canon(tuple(graph.nu_e[e] for e in nu_t)))
+        reps = sorted(set(rep.values()))
+        self.unknown_of = {t: reps.index(rep[t]) for t in self.triangles}
+        self.n_unknowns = len(reps)
         self.equations = compile_equations(graph)
-        prec = 80
-        self.eqs_f = []
-        for eq in self.equations:
-            terms = [(float(c.value(prec)), tuple(self.unknown_of[t] for t, _ in monos))
-                     for c, monos in eq.terms]
-            self.eqs_f.append((terms, float(eq.rhs.value(prec))))
 
-    def residual(self, x):
-        import numpy as np
-
-        out = np.empty(len(self.eqs_f))
-        for i, (terms, rhs) in enumerate(self.eqs_f):
-            acc = -rhs
-            for c, idx in terms:
-                p = c
-                for j in idx:
-                    p *= x[j]
-                acc += p
-            out[i] = acc
-        return out
-
-    def jacobian(self, x):
-        import numpy as np
-
-        J = np.zeros((len(self.eqs_f), self.n_unknowns))
-        for i, (terms, _) in enumerate(self.eqs_f):
-            for c, idx in terms:
-                for pos in range(len(idx)):
-                    p = c
-                    for q, j in enumerate(idx):
-                        if q != pos:
-                            p *= x[j]
-                    J[i, idx[pos]] += p
-        return J
-
-    def refine_mp(self, x0, digits: int):
-        """Gauss-Newton at escalating precision down to ~10^-digits residuals."""
-        prec = int(digits * 3.5) + 60
-        with mpmath.workprec(prec):
-            eqs = []
-            for eq in self.equations:
-                terms = [(eq_c.value(prec), tuple(self.unknown_of[t] for t, _ in monos))
-                         for eq_c, monos in eq.terms]
-                eqs.append((terms, eq.rhs.value(prec)))
-            x = [mpmath.mpf(float(v)) for v in x0]
-            n = self.n_unknowns
-            for _ in range(digits.bit_length() + 8):
-                r = []
-                rows = []
-                for terms, rhs in eqs:
-                    acc = -rhs
-                    grad = {}
-                    for c, idx in terms:
-                        p = c
-                        for j in idx:
-                            p *= x[j]
-                        acc += p
-                        for pos in range(len(idx)):
-                            q = c
-                            for k, j in enumerate(idx):
-                                if k != pos:
-                                    q *= x[j]
-                            grad[idx[pos]] = grad.get(idx[pos], mpmath.mpf(0)) + q
-                    r.append(acc)
-                    rows.append(grad)
-                # normal equations, sparse accumulation
-                ata = mpmath.zeros(n, n)
-                atb = mpmath.zeros(n, 1)
-                for grad, res in zip(rows, r):
-                    items = list(grad.items())
-                    for a, (ja, va) in enumerate(items):
-                        atb[ja, 0] += va * res
-                        for jb, vb in items:
-                            ata[ja, jb] += va * vb
-                eps = mpmath.mpf(10) ** (-2 * digits - 10)
-                for j in range(n):
-                    ata[j, j] += eps
-                try:
-                    dx = mpmath.lu_solve(ata, atb)
-                except ZeroDivisionError:
-                    raise SolverError("singular normal equations in refinement")
-                for j in range(n):
-                    x[j] -= dx[j, 0]
-                resnorm = max(abs(v) for v in r) if r else mpmath.mpf(0)
-                if resnorm < mpmath.mpf(10) ** (-digits):
-                    return x
-            if resnorm < mpmath.mpf(10) ** (-digits // 2):
-                return x
-        raise SolverError("high-precision refinement did not converge")
+    def compiled(self, prec: int, num) -> list:
+        """[(terms, rhs)] with terms [(coefficient, unknown indices)], every
+        number evaluated at binary precision prec and converted by num."""
+        return [([(num(c.value(prec)), tuple(self.unknown_of[t] for t, _ in monos))
+                  for c, monos in eq.terms], num(eq.rhs.value(prec)))
+                for eq in self.equations]
 
 
-def _canon_nu(graph: Graph, t, k: int):
-    from .cells import canon
+def _linearise(eqs: list, x: list):
+    """The residuals r_i = sum c prod x_j - rhs of the compiled equations at
+    x, their cost sum r_i^2 / 2, and the normal equations J^T J, J^T r,
+    accumulated from one sparse gradient row {j: dr_i/dx_j} per equation."""
+    zero = x[0] * 0
+    r, jtj, jtr = [], [[zero] * len(x) for _ in x], [zero] * len(x)
+    for terms, rhs in eqs:
+        res, grad = -rhs, {}
+        for c, idx in terms:
+            vals = [x[j] for j in idx]
+            p = c
+            for v in vals:
+                p *= v
+            res += p
+            for pos, j in enumerate(idx):
+                q = c
+                for k, v in enumerate(vals):
+                    if k != pos:
+                        q *= v
+                grad[j] = grad.get(j, zero) + q
+        r.append(res)
+        for ja, va in grad.items():
+            jtr[ja] += va * res
+            for jb, vb in grad.items():
+                jtj[ja][jb] += va * vb
+    return r, sum(v * v for v in r) / 2, jtj, jtr
 
-    out = t
-    for _ in range(k):
-        out = tuple(graph.nu_e[e] for e in out)
-    return canon(out)
+
+def _damped_step(jtj: list, jtr: list, lam):
+    """The solution of (J^T J + lam diag(J^T J)) dx = J^T r by Cholesky, or
+    None when that matrix is not numerically positive definite."""
+    n = len(jtr)
+    low = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            s = jtj[i][j] * (1 + lam) if i == j else jtj[i][j]
+            s -= sum(low[i][k] * low[j][k] for k in range(j))
+            if i != j:
+                low[i][j] = s / low[j][j]
+            elif s > 0:
+                low[i][i] = s ** 0.5
+            else:
+                return None
+    y = []
+    for i in range(n):
+        y.append((jtr[i] - sum(low[i][k] * y[k] for k in range(i))) / low[i][i])
+    dx = [0] * n
+    for i in reversed(range(n)):
+        dx[i] = (y[i] - sum(low[k][i] * dx[k] for k in range(i + 1, n))) / low[i][i]
+    return dx
+
+
+def _least_squares(eqs: list, x: list, tol):
+    """Levenberg-Marquardt (More, LNM 630, 1978) on the compiled equations
+    from x, in the number type of x: float, or mpf at the working precision.
+
+    Each step linearises once and solves the damped normal equations.  The
+    damping lam is divided by 10 on an accepted step and multiplied by 10 on
+    a rejected one.  It starts at min(1e-3, cost), so near a root it stays
+    below the error of the Gauss-Newton step, which falls quadratically; a
+    start of sqrt(cost) lags behind it and costs the refinement more steps.
+    Stops once the cost is below tol, when a step no longer moves x, or after
+    _MAX_STEPS steps, and returns the last accepted x with its residuals."""
+    r, cost, jtj, jtr = _linearise(eqs, x)
+    lam = min(1e-3, cost)
+    for _ in range(_MAX_STEPS):
+        if cost < tol:
+            break
+        dx = _damped_step(jtj, jtr, lam)
+        if dx is None:
+            lam *= 10
+            continue
+        x_new = [a - b for a, b in zip(x, dx)]
+        if x_new == x:
+            break
+        new = _linearise(eqs, x_new)
+        if new[1] < cost:
+            x, (r, cost, jtj, jtr) = x_new, new
+            lam /= 10
+        else:
+            lam *= 10
+    return x, r
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +182,6 @@ def _exponent_table(logs: list[float], lo: int = -3, hi: int = 3):
 
 
 def _find_exponents(target: float, table, tol=1e-7):
-    import bisect
-
     A, B, b_logs = table
     hits = []
     for vec_a, s_a in A:
@@ -205,28 +196,31 @@ def _find_exponents(target: float, table, tol=1e-7):
 def solve_cells(graph: Graph, seed: int = 0, digits: int = 70) -> CellSystem:
     """Solve the type I/II system and return exactly verified cells.
 
-    Raises SolverError on Newton divergence or failed exactification.
+    Raises SolverError when least squares does not converge or exactification fails.
     """
     sys = _NumericSystem(graph)
-    if sys.n_unknowns == 0:
+    n = sys.n_unknowns
+    if n == 0:
         return CellSystem(graph, graph.tower, {}, label="solved")
-    import numpy as np
-    from scipy.optimize import least_squares
-
-    rng = np.random.default_rng(seed)
-    sol = None
+    # a tower element evaluated in floats can lose many bits to cancellation,
+    # so the float stage rounds its coefficients from the refinement's precision
+    prec = int(digits * 3.5) + 60
+    rng = random.Random(seed)
+    eqs = sys.compiled(prec, float)
     for _ in range(_MAX_STARTS):
         scale = rng.uniform(0.6, 3.0)
-        x0 = rng.uniform(0.4, 1.6, size=sys.n_unknowns) * scale
-        res = least_squares(sys.residual, x0, jac=sys.jacobian, method="lm",
-                            xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=4000)
-        if res.cost < 1e-18:
-            sol = res.x
+        x, r = _least_squares(eqs, [rng.uniform(0.4, 1.6) * scale for _ in range(n)], 1e-18)
+        if sum(v * v for v in r) / 2 < 1e-18:
             break
-    if sol is None:
+    else:
         raise SolverError(f"least squares did not converge for {graph.name} "
                           f"after {_MAX_STARTS} starts")
-    x = sys.refine_mp(sol, digits)
+    # refine down to ~10^-digits residuals
+    with mpmath.workprec(prec):
+        x, r = _least_squares(sys.compiled(prec, mpmath.mpf), [mpmath.mpf(v) for v in x],
+                              mpmath.mpf(10) ** (-2 * digits) / 2)
+        if max(abs(v) for v in r) >= mpmath.mpf(10) ** (-digits // 2):
+            raise SolverError("high-precision refinement did not converge")
 
     # reconstruct each squared weight over the alphabet
     base = graph.tower

@@ -210,8 +210,8 @@ def test_solver_deterministic():
 
 def test_builtin_setup_loads_neither_sympy_nor_numpy():
     # graph, shipped cells and relations for A12 and D9 (whose orbifold cells
-    # adjoin sqrt(3)) run on integer formulas alone; numpy only serves the
-    # live solver
+    # adjoin sqrt(3)) run on integer formulas alone; importing the solver
+    # loads none of these either
     code = ("import sys\n"
             "import acy.solver\n"
             "from acy.cells import builtin_cells, derive_relations\n"

@@ -202,7 +202,8 @@ def test_verify_all_a4():
 
 def test_verify_reports_where_d2_fails(monkeypatch, capsys):
     # +1 on the first term of mu_3 at the first vertex: the Hochschild
-    # differentials then fail d o d at index 2, degree 3 only
+    # differentials then fail d o d at index 2, degree 3 only, and the
+    # resolution fails it on the generators that meet that term
     import acy.cli
     import acy.homology
 
@@ -220,7 +221,8 @@ def test_verify_reports_where_d2_fails(monkeypatch, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 3
     assert doc["checks"] == {"hilbert": True, "d2": False}
-    assert doc["details"] == {"d2_failures": [[2, 3]]}
+    assert doc["details"] == {"d2_failures": [
+        [2, 3], ["d2-exact", 3, "0,0"], ["d2-exact", 4, "0,0"], ["d2-exact", 4, "0,1"]]}
 
 
 def test_failed_math_check_exits_3(monkeypatch, capsys):

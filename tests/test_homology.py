@@ -388,6 +388,17 @@ def test_resolution_detects_a_bumped_mu4(pipe, monkeypatch):
         assert out["failures"] == [("d2-exact", 4, m), ("d2-exact", 5, 0)], spec
 
 
+def test_cli_d2_check_reports_a_bumped_mu4(monkeypatch, capsys):
+    # the Hochschild d o d misses this fault; the generator check sees it
+    monkeypatch.setattr(acy.homology, "differentials",
+                        lambda A: _bump_mu4(differentials(A)))
+    code = cli.main(["verify", "--graph", "A4", "--check", "d2", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert doc["checks"] == {"hilbert": True, "d2": False}
+    assert ["d2-exact", 4, "0,0"] in doc["details"]["d2_failures"]
+
+
 def test_resolution_detects_a_bumped_modular_mu4(pipe, monkeypatch):
     # the modular stage 4 applies the reduced mu_4 table, so the same +1 on
     # its image fails the generator check mod p; the rank failures it also
@@ -403,6 +414,18 @@ def test_resolution_detects_a_bumped_modular_mu4(pipe, monkeypatch):
         _, _, _, hom = pipe(spec)
         out = verify_resolution(hom)
         assert out["failures"][:2] == [("d2-modp", 4, m), ("d2-modp", 5, 0)], spec
+
+
+def test_pipe_caches_the_real_differentials_under_a_patch(pipe, monkeypatch):
+    import conftest
+
+    conftest._CACHE.pop("A4", None)
+    monkeypatch.setattr(acy.homology, "differentials",
+                        lambda A: _bump_mu4(differentials(A)))
+    _, _, A, hom = pipe("A4")
+    monkeypatch.undo()
+    assert conftest._CACHE["A4"][3] is hom
+    assert hom.mu == differentials(A)
 
 
 def _zero_stage(r: int):

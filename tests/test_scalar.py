@@ -226,14 +226,15 @@ def test_characters_refute_sqrt3_at_h9():
 
 
 def test_solve_loads_no_sympy():
+    # nor numpy or scipy: both stages of the solver run on floats and mpmath
     code = ("import sys\n"
             "from acy.quiver import build_family\n"
             "from acy.solver import solve_cells\n"
             "solve_cells(build_family('A', 6))\n"
-            "print('sympy' in sys.modules)\n")
+            "print(sorted(m for m in ('sympy', 'numpy', 'scipy') if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 # -- properties (Hypothesis) ----------------------------------------------------------
