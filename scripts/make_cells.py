@@ -7,9 +7,11 @@ families (D, D*, E8) are reconstructed from these at runtime and need no
 files of their own.
 
 The shipped files were written by an earlier float stage of the solver.  A
-new run may land on a different gauge of the same cells, so its files need
-not match the shipped bytes, though every derived dimension does; the shipped
-files have not been regenerated with the current solver.
+run of this script with the current solver rewrites the files of A4-A9, A12,
+A5*-A9*, A11* and A13* byte for byte (tests/test_solver.py pins A4-A9 and
+A5*-A9*).  For A10*, A12* and E8* it lands on a different gauge of the same
+cells: the bytes differ, every derived dimension agrees.  The shipped files
+have not been regenerated with the current solver.
 """
 
 import json

@@ -24,6 +24,7 @@ __all__ = ["solve_cells", "SolverError"]
 
 _MAX_STARTS = 20   # random least-squares starts before giving up
 _MAX_STEPS = 100   # damped steps per least-squares run
+_FTOL = 1e-8       # relative cost reduction below which a run has stalled
 
 
 class SolverError(RuntimeError):
@@ -35,6 +36,7 @@ class _NumericSystem:
     when nu is nontrivial."""
 
     def __init__(self, graph: Graph):
+        self.name = graph.name
         self.triangles = graph.triangles()
         rep = {t: t for t in self.triangles}
         if not graph.nu_is_trivial():
@@ -46,12 +48,39 @@ class _NumericSystem:
         self.n_unknowns = len(reps)
         self.equations = compile_equations(graph)
 
-    def compiled(self, prec: int, num) -> list:
+    def compiled(self, prec: int) -> list:
         """[(terms, rhs)] with terms [(coefficient, unknown indices)], every
-        number evaluated at binary precision prec and converted by num."""
-        return [([(num(c.value(prec)), tuple(self.unknown_of[t] for t, _ in monos))
-                  for c, monos in eq.terms], num(eq.rhs.value(prec)))
+        number an mpf evaluated once at binary precision prec."""
+        return [([(c.value(prec), tuple(self.unknown_of[t] for t, _ in monos))
+                  for c, monos in eq.terms], eq.rhs.value(prec))
                 for eq in self.equations]
+
+    def root(self, seed: int, digits: int) -> list:
+        """A root with residuals below ~10^-digits, in mpf: least squares in
+        floats from random starts, then refined in mpmath from the first
+        start that converges.  The compiled equations live only as long as
+        this call, so they do not add to the reconstruction's peak memory."""
+        # a tower element evaluated in floats can lose many bits to
+        # cancellation, so the float stage rounds the refinement's coefficients
+        prec = int(digits * 3.5) + 60
+        eqs = self.compiled(prec)
+        eqs_f = [([(float(c), idx) for c, idx in terms], float(rhs)) for terms, rhs in eqs]
+        rng = random.Random(seed)
+        for _ in range(_MAX_STARTS):
+            scale = rng.uniform(0.6, 3.0)
+            x, r = _least_squares(eqs_f, [rng.uniform(0.4, 1.6) * scale
+                                          for _ in range(self.n_unknowns)], 1e-18)
+            if sum(v * v for v in r) / 2 < 1e-18:
+                break
+        else:
+            raise SolverError(f"least squares did not converge for {self.name} "
+                              f"after {_MAX_STARTS} starts")
+        with mpmath.workprec(prec):
+            x, r = _least_squares(eqs, [mpmath.mpf(v) for v in x],
+                                  mpmath.mpf(10) ** (-2 * digits) / 2)
+            if max(abs(v) for v in r) >= mpmath.mpf(10) ** (-digits // 2):
+                raise SolverError("high-precision refinement did not converge")
+        return x
 
 
 def _linearise(eqs: list, x: list):
@@ -116,7 +145,11 @@ def _least_squares(eqs: list, x: list, tol):
     below the error of the Gauss-Newton step, which falls quadratically; a
     start of sqrt(cost) lags behind it and costs the refinement more steps.
     Stops once the cost is below tol, when a step no longer moves x, or after
-    _MAX_STEPS steps, and returns the last accepted x with its residuals."""
+    _MAX_STEPS steps, and returns the last accepted x with its residuals.
+    Also stops after an accepted step that lowers the cost by at most _FTOL
+    of it, as MINPACK's ftol test does: Gauss-Newton converges only linearly
+    to a minimum with nonzero residuals, so a start caught in one would
+    otherwise creep on to _MAX_STEPS."""
     r, cost, jtj, jtr = _linearise(eqs, x)
     lam = min(1e-3, cost)
     for _ in range(_MAX_STEPS):
@@ -131,7 +164,10 @@ def _least_squares(eqs: list, x: list, tol):
             break
         new = _linearise(eqs, x_new)
         if new[1] < cost:
+            stalled = cost - new[1] <= _FTOL * cost
             x, (r, cost, jtj, jtr) = x_new, new
+            if stalled:
+                break
             lam /= 10
         else:
             lam *= 10
@@ -182,15 +218,16 @@ def _exponent_table(logs: list[float], lo: int = -3, hi: int = 3):
 
 
 def _find_exponents(target: float, table, tol=1e-7):
+    """Yield, lazily, the exponent vectors whose float log sum lies within
+    tol of target: A rows in table order, each with its B rows in sorted
+    order."""
     A, B, b_logs = table
-    hits = []
     for vec_a, s_a in A:
         want = target - s_a
         i = bisect.bisect_left(b_logs, want - tol)
         while i < len(b_logs) and b_logs[i] <= want + tol:
-            hits.append(vec_a + B[i][0])
+            yield vec_a + B[i][0]
             i += 1
-    return hits
 
 
 def solve_cells(graph: Graph, seed: int = 0, digits: int = 70) -> CellSystem:
@@ -199,57 +236,42 @@ def solve_cells(graph: Graph, seed: int = 0, digits: int = 70) -> CellSystem:
     Raises SolverError when least squares does not converge or exactification fails.
     """
     sys = _NumericSystem(graph)
-    n = sys.n_unknowns
-    if n == 0:
+    if sys.n_unknowns == 0:
         return CellSystem(graph, graph.tower, {}, label="solved")
-    # a tower element evaluated in floats can lose many bits to cancellation,
-    # so the float stage rounds its coefficients from the refinement's precision
-    prec = int(digits * 3.5) + 60
-    rng = random.Random(seed)
-    eqs = sys.compiled(prec, float)
-    for _ in range(_MAX_STARTS):
-        scale = rng.uniform(0.6, 3.0)
-        x, r = _least_squares(eqs, [rng.uniform(0.4, 1.6) * scale for _ in range(n)], 1e-18)
-        if sum(v * v for v in r) / 2 < 1e-18:
-            break
-    else:
-        raise SolverError(f"least squares did not converge for {graph.name} "
-                          f"after {_MAX_STARTS} starts")
-    # refine down to ~10^-digits residuals
-    with mpmath.workprec(prec):
-        x, r = _least_squares(sys.compiled(prec, mpmath.mpf), [mpmath.mpf(v) for v in x],
-                              mpmath.mpf(10) ** (-2 * digits) / 2)
-        if max(abs(v) for v in r) >= mpmath.mpf(10) ** (-digits // 2):
-            raise SolverError("high-precision refinement did not converge")
+    x = sys.root(seed, digits)
 
-    # reconstruct each squared weight over the alphabet
+    # reconstruct each squared weight over the alphabet, one table scan per
+    # distinct float target: each unknown takes the first hit whose
+    # high-precision log fits, and the scan stops once all of them have one
     base = graph.tower
     alpha = _alphabet(base)
     prec = int(digits * 3.5) + 40
     with mpmath.workprec(prec):
-        alpha_logs = [float(mpmath.log(a.value(prec))) for a in alpha]
-        table = _exponent_table(alpha_logs)
-        plan = []
-        for t in sys.triangles:
-            v = x[sys.unknown_of[t]]
+        alpha_logs = [mpmath.log(a.value(prec)) for a in alpha]
+        table = _exponent_table([float(v) for v in alpha_logs])
+        fits = mpmath.mpf(10) ** (-digits + 12)
+        found = {}   # unknown -> (sign, exponent vector)
+        groups: dict[float, dict[int, mpmath.mpf]] = {}
+        for j, v in enumerate(x):
             if abs(v) < mpmath.mpf(10) ** (-digits // 2):
-                plan.append((t, 0, None))
-                continue
-            target = float(2 * mpmath.log(abs(v)))
-            hits = _find_exponents(target, table)
-            best = None
-            for e in hits:
-                lng = mpmath.mpf(0)
-                for ei, a in zip(e, alpha):
-                    if ei:
-                        lng += ei * mpmath.log(a.value(prec))
-                if abs(lng - 2 * mpmath.log(abs(v))) < mpmath.mpf(10) ** (-digits + 12):
-                    best = e
+                found[j] = (0, None)
+            else:
+                log_w2 = 2 * mpmath.log(abs(v))
+                groups.setdefault(float(log_w2), {})[j] = log_w2
+        for target, open_logs in groups.items():
+            for e in _find_exponents(target, table):
+                lng = sum((ei * la for ei, la in zip(e, alpha_logs) if ei), mpmath.mpf(0))
+                for j in [j for j, log_w2 in open_logs.items() if abs(lng - log_w2) < fits]:
+                    found[j] = (1 if x[j] > 0 else -1, e)
+                    del open_logs[j]
+                if not open_logs:
                     break
-            if best is None:
+            else:
+                j = min(open_logs)
+                t = next(t for t in sys.triangles if sys.unknown_of[t] == j)
                 raise SolverError(f"exactification failed for triangle {t} "
-                                  f"(value {mpmath.nstr(v, 20)})")
-            plan.append((t, 1 if v > 0 else -1, best))
+                                  f"(value {mpmath.nstr(x[j], 20)})")
+    plan = [(t, *found[sys.unknown_of[t]]) for t in sys.triangles]
 
     # build the tower: adjoin the odd parts in deterministic order
     tower = base
