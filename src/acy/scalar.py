@@ -6,7 +6,8 @@ c = 2cos(pi/h) and each radicand g_i is a positive element of the base
 field Q(c).  Elements are stored in a canonical sparse normal form:
 a map  (bitmask over adjoined roots) -> base-field coefficient,
 with the base field represented over the power basis 1, c, ..., c^(D-1)
-as integer vectors with a common denominator.
+as integer vectors with a common denominator.  Their product is one
+straight-line function, generated once per h from the reduction table.
 
 Scalars may optionally carry an imaginary part (a second such map); this
 is only exercised by the orbifold cell systems on the D graphs, whose
@@ -80,17 +81,12 @@ def coxeter_minpoly(h: int) -> tuple[int, ...]:
 
 
 def _bnormalize(den: int, nums: tuple[int, ...]) -> tuple[int, ...]:
-    g = den
-    for n in nums:
-        g = gcd(g, n)
-        if g == 1:
-            break
+    g = gcd(den, *nums)
     if den < 0:
         g = -g
-    if g not in (0, 1):
-        den //= g
-        nums = tuple(n // g for n in nums)
-    return (den,) + nums
+    elif g < 2:
+        return (den,) + nums
+    return (den // g,) + tuple(n // g for n in nums)
 
 
 def _bone(D: int) -> tuple[int, ...]:
@@ -133,25 +129,35 @@ class _BaseField:
             cur = [s - top * m for s, m in zip(shifted, self.minpoly[:-1])]
             rows.append(tuple(cur))
         self._red = rows
+        self.mul = self._kernel()
 
-    def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    def _kernel(self):
+        """mul(a, b), the product of two elements, as one straight-line
+        function written for this field: the 2D - 1 convolution sums, the
+        fold of c^D, ..., c^(2D-2) with the reduction table's integers as
+        literals, and the normal form of `_bnormalize` from one gcd call."""
         D = self.D
-        na, nb = a[1:], b[1:]
-        conv = [0] * (2 * D - 1)
-        for i, x in enumerate(na):
-            if x:
-                for j, y in enumerate(nb):
-                    if y:
-                        conv[i + j] += x * y
-        out = list(conv[:D])
-        for i in range(D, 2 * D - 1):
-            v = conv[i]
-            if v:
-                row = self._red[i - D]
-                for j, r in enumerate(row):
-                    if r:
-                        out[j] += v * r
-        return _bnormalize(a[0] * b[0], tuple(out))
+
+        def vec(v):
+            return ", ".join(f"{v}{i}" for i in range(D))
+
+        def conv(k):  # the coefficient of c^k in the unreduced product
+            return " + ".join(f"x{i}*y{k - i}" for i in range(max(0, k - D + 1), min(k, D - 1) + 1))
+
+        def fold(j):  # + r c^(D+i) for the nonzero entries r of column j of the table
+            return "".join(f" {'-' if r < 0 else '+'} {'' if abs(r) == 1 else f'{abs(r)}*'}c{D + i}"
+                           for i, r in enumerate(row[j] for row in self._red[:D - 1]) if r)
+
+        src = ["def mul(a, b):", f"    den, {vec('x')} = a", f"    bd, {vec('y')} = b",
+               "    den *= bd"]
+        src += [f"    c{k} = {conv(k)}" for k in range(D, 2 * D - 1)]
+        src += [f"    o{j} = {conv(j)}{fold(j)}" for j in range(D)]
+        src += [f"    g = gcd(den, {vec('o')})", "    if den < 0:", "        g = -g",
+                "    elif g < 2:", f"        return (den, {vec('o')})",
+                f"    return (den // g, {', '.join(f'o{j} // g' for j in range(D))})"]
+        scope = {"gcd": gcd}
+        exec("\n".join(src), scope)
+        return scope["mul"]
 
     def inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
         """a^-1 = a_den * adj(M) e_1 / det(M), M multiplication by a's
@@ -396,11 +402,14 @@ class Scalar:
     def is_real(self) -> bool:
         return not self.im
 
+    # The operators test for a Scalar first: Fraction's metaclass is ABCMeta,
+    # whose __instancecheck__ is slow.
+
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.tower.from_fraction(other)
         if not isinstance(other, Scalar):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.tower.from_fraction(other)
         a, b = _coerce(self, other)
         return a.re == b.re and (a.im or {}) == (b.im or {})
 
@@ -411,7 +420,7 @@ class Scalar:
     # -- ring operations ------------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Scalar) and isinstance(other, (int, Fraction)):
             other = self.tower.from_fraction(other)
         a, b = _coerce(self, other)
         re = _dadd(a.re, b.re)
@@ -428,7 +437,7 @@ class Scalar:
         return Scalar(self.tower, _dneg(self.re), _dneg(self.im) if self.im else None)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Scalar) and isinstance(other, (int, Fraction)):
             q = Fraction(other)
             if q == 0:
                 return self.tower.zero()
@@ -449,7 +458,7 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Scalar) and isinstance(other, (int, Fraction)):
             q = Fraction(other)
             if q == 0:
                 raise ZeroDivisionError("scalar division by zero")

@@ -14,18 +14,18 @@ def _frontier():
 
 def test_frontier_records_a_pass_and_a_timeout(tmp_path, monkeypatch):
     frontier = _frontier()
-    # A4 passes in well under a second; A12's live solve alone takes seconds
-    monkeypatch.setattr(frontier, "LADDER", [("A4", "builtin"), ("A12", "solve")])
+    # A4 passes in well under a second; A13 with a live solve takes ~8 s
+    monkeypatch.setattr(frontier, "LADDER", [("A4", "builtin"), ("A13", "solve")])
     monkeypatch.setattr(frontier, "TIMEOUT_S", 3)
     monkeypatch.setattr(frontier, "OUT_DIR", tmp_path)
     assert frontier.main(["t"]) == 0
     doc = json.loads((tmp_path / "BENCH_frontier_t.json").read_text())
     assert doc["label"] == "t" and doc["timeout_s"] == 3
-    a4, a12 = doc["rungs"]
+    a4, slow = doc["rungs"]
     assert (a4["graph"], a4["cells"], a4["outcome"], a4["exit"]) == ("A4", "builtin", "pass", 0)
     assert 0 < a4["wall_s"] < 3 and a4["peak_rss_mb"] > 0 and a4["runs"] == 3
-    assert (a12["graph"], a12["outcome"], a12["runs"]) == ("A12", "timeout", 1)
-    assert a12["exit"] < 0 and 3 <= a12["wall_s"] < 10 and a12["peak_rss_mb"] > 0
+    assert (slow["graph"], slow["outcome"], slow["runs"]) == ("A13", "timeout", 1)
+    assert slow["exit"] < 0 and 3 <= slow["wall_s"] < 10 and slow["peak_rss_mb"] > 0
 
 
 def test_frontier_repeats_a_passing_rung_only(monkeypatch):

@@ -398,3 +398,83 @@ def test_cyclotomic_matches_sympy():
     for n in range(1, 121):
         ref = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
         assert _cyclotomic(n) == tuple(int(c) for c in reversed(ref)), n
+
+
+# -- the generated base-field multiply against a schoolbook oracle -----------------------
+
+from math import gcd  # noqa: E402
+
+from acy.scalar import _BaseField  # noqa: E402
+
+KERNEL_HS = BASE_HS + (19, 21, 30)   # D = 1 (h = 3) up to 9 (h = 19)
+
+
+def _schoolbook_mul(h, a, b):
+    """a * b in Q(c) by the definition: the convolution of the numerators,
+    c^k = -sum_i m_i c^(k-D+i) from the top power down, then the content
+    divided out with the sign on the numerators."""
+    m = coxeter_minpoly(h)
+    D = len(m) - 1
+    conv = [0] * (2 * D - 1)
+    for i, x in enumerate(a[1:]):
+        for j, y in enumerate(b[1:]):
+            conv[i + j] += x * y
+    for k in range(2 * D - 2, D - 1, -1):
+        top = conv.pop()
+        for i in range(D):
+            conv[k - D + i] -= top * m[i]
+    den = a[0] * b[0]
+    g = gcd(den, *conv) if den > 0 else -gcd(den, *conv)
+    return (den // g,) + tuple(n // g for n in conv)
+
+
+_big = st.integers(-2 ** 256, 2 ** 256)
+_num = st.one_of(st.just(0), st.integers(-40, 40), _big)
+_den = st.one_of(st.integers(1, 12), st.integers(-12, -1), _big).filter(bool)
+
+
+@st.composite
+def raw_base_elements(draw, h):
+    """(den, n_0, ..., n_(D-1)) with signed, possibly huge and not normalised entries."""
+    D = _base_field(h).D
+    return (draw(_den),) + tuple(draw(st.lists(_num, min_size=D, max_size=D)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(KERNEL_HS).flatmap(
+    lambda h: st.tuples(st.just(h), raw_base_elements(h), raw_base_elements(h))))
+def test_base_mul_matches_the_schoolbook_product(args):
+    h, a, b = args
+    assert _base_field(h).mul(a, b) == _schoolbook_mul(h, a, b)
+
+
+@pytest.mark.parametrize("h", [h for h in KERNEL_HS if _base_field(h).D > 1])
+def test_base_mul_reads_every_reduction_constant(h):
+    # the unreduced square of the all-ones element has every power c^D, ...,
+    # c^(2D-2), so it reads every entry of the table: the kernel matches the
+    # oracle on it, and a kernel generated from a table with any one entry
+    # moved by 1 does not
+    D = _base_field(h).D
+    ones = (1,) + (1,) * D
+    good = _schoolbook_mul(h, ones, ones)
+    assert _base_field(h).mul(ones, ones) == good
+    for i in range(D - 1):
+        for j in range(D):
+            base = _BaseField(h)
+            row = list(base._red[i])
+            row[j] += 1
+            base._red[i] = tuple(row)
+            assert base._kernel()(ones, ones) != good, (i, j)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(KERNEL_HS).flatmap(raw_base_elements))
+def test_bnormalize_invariants(a):
+    den, nums = a[0], a[1:]
+    out = _bnormalize(den, nums)
+    assert len(out) == len(a) and out[0] > 0
+    assert gcd(*out) == 1
+    assert all(Fraction(n, den) == Fraction(m, out[0]) for n, m in zip(nums, out[1:]))
+    assert _bnormalize(out[0], out[1:]) == out
+    zero = (0,) * len(nums)
+    assert _bnormalize(den, zero) == (1,) + zero
