@@ -13,15 +13,16 @@ Differential matrices depend only on (formula type, twist mod 3, internal
 degree); the period-12 structure and the homology/cohomology sharing are
 automatic, and for trivial nu all twists collapse to one block family.
 
-The four maps mu_1..mu_4 of the superpotential resolution are written once,
-as terms on bimodule generators (`differentials`).  Everything else is
-derived from that table: `Homology.mat` applies the Hochschild rule to it,
-and `_Resolution` applies it by one rule over the tower or over the
-algebra's image in F_p.  `verify_resolution` composes it on generators in
-both rings, which gives d o d = 0, and then ranks the one-sided complex
-P (x)_A A_0 over F_p: a complex of right-free modules with d o d = 0 is
-exact iff that complex is (Butler and King, J. Algebra 212, 1999; the
-converse by graded Nakayama), and it is finite, so every degree is covered.
+The four maps mu_1..mu_4 of the superpotential resolution P are written
+once, as terms on bimodule generators (`differentials`), and applied by one
+term rule, `apply_mu`, to both complexes P (x)_(A^e) M that are read here:
+`Homology.mat` builds A (x)_(A^e) P over the tower, and `_Resolution` builds
+the one-sided complex P (x)_A A_0 over the tower or over the algebra's image
+in F_p.  `verify_resolution` composes the table on generators in both
+rings, which gives d o d = 0, and then ranks P (x)_A A_0 over F_p: a complex
+of right-free modules with d o d = 0 is exact iff that complex is (Butler
+and King, J. Algebra 212, 1999; the converse by graded Nakayama), and it is
+finite, so every degree is covered.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from dataclasses import dataclass, field
 from . import linalg, series
 from .algebra import AlgebraError, GradedAlgebra, residue
 from .cells import CellSystem
-from .scalar import PrimeEmbedding, Scalar
+from .scalar import PrimeEmbedding
 
-__all__ = ["Homology", "differentials", "hh0_direct", "cyclic_from_hh",
+__all__ = ["Homology", "differentials", "apply_mu", "hh0_direct", "cyclic_from_hh",
            "structure_from_euler", "generator_d_squared", "verify_resolution",
            "HomologyReport", "build_report"]
 
@@ -108,6 +109,34 @@ def differentials(A: GradedAlgebra) -> dict:
     return mu
 
 
+def apply_mu(A: GradedAlgebra, terms: list, k: int, x: dict, power: int = 0) -> dict:
+    """The term rule of P (x)_(A^e) M, shared by both complexes: the image of
+    gen (x) x under the terms (l, v', r, c) of mu(gen), for x a degree-k
+    vector of A, is the sum of c (v', r x b^power(l)), as {(v', j): value}
+    over the degree-j basis elements of A.
+
+    A right factor r of degree 0 acts as the identity.  Products are read
+    from `A.products`, so the rule runs in whichever ring A has: the tower, or
+    the image `A.reduce_mod(emb)` with the terms reduced alongside."""
+    prod, times, top, one, p = A.products, A.times, A.top, A.one, A.p
+    out: dict = {}
+    for (kl, il), v, (kr, ir), c in terms:
+        if k + kl + kr > top:
+            continue
+        for jl, b in A.beta_vec(kl, {il: one}, power).items():
+            cb = times(c, b)
+            for i, a in x.items():
+                xl = prod[k, i, kl, jl].items()
+                cab = times(cb, a)
+                if not kr:
+                    linalg.axpy(out, (((v, j), e) for j, e in xl), A.axpy_coef(cab), p)
+                    continue
+                for j, e in xl:
+                    linalg.axpy(out, (((v, jj), f) for jj, f in prod[kr, ir, k + kl, j].items()),
+                                A.axpy_coef(times(cab, e)), p)
+    return out
+
+
 class Homology:
     """Matrices, ranks and graded tables for one algebra with cell data."""
 
@@ -173,18 +202,6 @@ class Homology:
 
     # -- differentials ------------------------------------------------------------
 
-    def _addin(self, out: dict, pos: dict, v, vec: dict, c: Scalar):
-        """out += c * vec at the target positions of the elements (v, x) of
-        V (x) N, or of (x,) when v is None (a vertex generator)."""
-        items = []
-        for ii, x in vec.items():
-            elt = (ii,) if v is None else (v, ii)
-            p = pos.get(elt)
-            if p is None:
-                raise AlgebraError(f"image element {elt} escapes the target space")
-            items.append((p, x))
-        linalg.axpy(out, items, c)
-
     def _nu_edge_pow(self, eid: int, k: int) -> int:
         k %= 3
         for _ in range(k):
@@ -205,10 +222,10 @@ class Homology:
         r=1: VN(t,j) -> N(t,j)        r=2: TVN(t,j) -> VN(t,j+1)
         r=3: N(t,j) -> TVN(t,j+2)     r=4: N(t+1,j) -> N(t,j+top)
 
-        Derived from the generator terms by the Hochschild rule: a term
-        (l, v', rt, c) of mu_r(v) sends (v, x) to c (v', rt x~ b^(-t)(l)),
-        where x~ = b(x) on the nu-twisted V_4 and x~ = x otherwise.  The generator
-        of an element x of N is its source vertex.
+        The term rule `apply_mu`, with power b^(-t) on the left factors: a
+        term (l, v', rt, c) of mu_r(v) sends (v, x) to c (v', rt x~ b^(-t)(l)),
+        where x~ = b(x) on the nu-twisted V_4 and x~ = x otherwise.  The
+        generator of an element x of N is its source vertex.
         """
         key = (r, self._tw(twist), j)
         hit = self._mat_cache.get(key)
@@ -216,12 +233,19 @@ class Homology:
             return hit
         A = self.A
         t = self._tw(twist)
-        inv = (3 - t) % 3
         twisted = r == 4
         dk, tk = _STAGE_KINDS[r], _STAGE_KINDS[r - 1]
         gdeg = _gen_degrees(self.g.h)
         k = j - (dk != "N")  # degree of the algebra factor x of the domain
         pos = self._pos(tk, t, k + gdeg[r] - gdeg[r - 1] + (tk != "N"))
+
+        def at(v, jj) -> int:
+            elt = (jj,) if tk == "N" else (v, jj)
+            p = pos.get(elt)
+            if p is None:
+                raise AlgebraError(f"image element {elt} escapes the target space")
+            return p
+
         cols = []
         for elt in self.space(dk, t + twisted, j):
             if dk == "N":
@@ -229,20 +253,9 @@ class Homology:
                 gen = A.basis[k][i].src
             else:
                 gen, i = elt
-            x = A.beta_vec(k, A.unit(k, i)) if twisted else A.unit(k, i)
-            out: dict = {}
-            for (kl, il), v, (kr, ir), c in self.mu[r][gen]:
-                if k + kl + kr > A.top:
-                    continue
-                vec = x
-                if kl == 1:
-                    vec = A.mul_edge(k, vec, self._nu_edge_pow(A.basis[1][il].path[0], inv))
-                elif kl:
-                    vec = A.mul(k, vec, kl, A.beta_vec(kl, A.unit(kl, il), power=inv))
-                if kr:
-                    vec = A.mul(kr, A.unit(kr, ir), k + kl, vec)
-                self._addin(out, pos, None if tk == "N" else v, vec, c)
-            cols.append(out)
+            x = A.beta_vec(k, {i: A.one}) if twisted else {i: A.one}
+            img = apply_mu(A, self.mu[r][gen], k, x, (3 - t) % 3)
+            cols.append(linalg.axpy({}, [(at(v, jj), c) for (v, jj), c in img.items()]))
         hit = {"cols": cols, "nd": len(cols), "nt": len(pos)}
         self._mat_cache[key] = hit
         return hit
@@ -658,11 +671,11 @@ def structure_from_euler(h: int, chi: list[int], c_series: dict[int, int],
         return out
 
     C = dict(c_series)
+    # chi (1 - t^period) through degree 4h
+    period = h if trivial_nu else 3 * h
+    coeff = [(chi[d] if d < len(chi) else 0) - (chi[d - period] if d >= period else 0)
+             for d in range(4 * h + 1)]
     if trivial_nu:
-        period = h
-        coeff = [0] * (4 * h + 1)
-        for d in range(len(coeff)):
-            coeff[d] = (chi[d] if d < len(chi) else 0) - (chi[d - period] if d >= period else 0)
         lhs = sub(sub({d: coeff[d] for d in range(len(coeff)) if coeff[d]}, C),
                   refl(C, h))
         X = {}
@@ -677,10 +690,6 @@ def structure_from_euler(h: int, chi: list[int], c_series: dict[int, int],
         if any(v < 0 for v in X.values()) or K.get(0, 0) < 0:
             raise AlgebraError("negative structure dimensions")
         return {"C": C, "X": X, "K": K}
-    period = 3 * h
-    coeff = [0] * (4 * h + 1)
-    for d in range(len(coeff)):
-        coeff[d] = (chi[d] if d < len(chi) else 0) - (chi[d - period] if d >= period else 0)
     K1 = {}
     if coeff[h]:
         K1 = {0: -coeff[h]}
@@ -793,13 +802,16 @@ class _Resolution:
     (d, u, v) with u the source of x and v the vertex of the simple, which
     every map preserves.  A term (l, v', r, c) of mu_r(gen) sends such an
     element to c (x l) (x) v' when r is an idempotent and to 0 otherwise, as
-    r then lies in the radical.  A block is nonzero only for d <= top + h, so
-    ranking every block covers every degree.  Each block is ranked on its
-    own by `linalg.rank`, the same elimination that gives the exact ranks.
+    r then lies in the radical: `apply_mu`, the rule `Homology.mat` uses
+    too, on the terms with an idempotent r.  A block is nonzero only for
+    d <= top + h, so ranking every block covers every degree.  Each block is
+    ranked on its own by `linalg.rank`, the same elimination that gives the
+    exact ranks.
 
-    The maps are the terms of `hom.mu` (see `differentials`), applied in
-    whichever ring the algebra has: `hom.A` over the tower, or, given a prime
-    embedding, its image `A.reduce_mod(emb)` with the terms reduced alongside.
+    The maps are the terms of `self.mu`, read when the rows are built, in
+    whichever ring the algebra has: `hom.A` with `hom.mu` over the tower,
+    or, given a prime embedding, its image `A.reduce_mod(emb)` with the
+    terms reduced alongside.
     That image is built once, on construction; a denominator that vanishes
     mod p raises ZeroDivisionError there, before any rank is taken.  A mod-p
     rank is at most the exact rank, so ranks that meet the dimension bound
@@ -822,7 +834,7 @@ class _Resolution:
                 self.ends[k].setdefault(t, []).append((s, idxs))
 
     def _bases(self, stage: int, d: int) -> dict:
-        """The domain of stage at total degree d, {(u, v): [(x, gen)]}: the
+        """The domain of stage at total degree d, {(u, v): [(gen, x)]}: the
         elements x (x) gen (x) e_v of A (x) V_stage; gen is an edge id on
         stages 1 and 2, and the vertex where x ends otherwise."""
         A, g = self.A, self.g
@@ -834,39 +846,34 @@ class _Resolution:
             for e in g.edges:
                 a, b = (e.src, e.dst) if stage == 1 else (e.dst, e.src)
                 for u, xs in self.ends[n].get(a, ()):
-                    out.setdefault((u, b), []).extend((x, e.id) for x in xs)
+                    out.setdefault((u, b), []).extend((e.id, x) for x in xs)
         else:
             for (u, m), xs in A.block_index[n].items():
                 # V_4 is twisted by nu on the right: b(e_m) = e_(nu m)
                 v = g.nu_v[m] if stage == 4 else m
-                out.setdefault((u, v), []).extend((x, m) for x in xs)
+                out.setdefault((u, v), []).extend((m, x) for x in xs)
         return out
 
-    def _image(self, stage: int, d: int, elt: tuple):
-        """mu_stage (x)_A A_0 of one domain element (x, gen) at total degree
-        d, as (target element, coefficient) pairs; a target may repeat.
+    def _rows(self, stage: int, d: int, dom: list, tgt: list) -> list[dict]:
+        """Rows of mu_stage (x) A_0 on one block, over target positions.
 
         mu_0 (x) A_0 is the identity of A_0 = S, the only degree it meets.
-        Otherwise a term (l, v', r, c) of mu_stage(gen) with r an idempotent
-        sends x (x) gen to c (x l) (x) v'; the other terms vanish."""
-        A = self.A
+        Otherwise the rows are `apply_mu` on the terms of mu_stage(gen) whose
+        right factor r is an idempotent: x (x) gen goes to c (x l) (x) v'.
+        The other terms vanish, as r then lies in the radical."""
+        one = self.A.one
         if stage == 0:
-            yield elt, A.one
-            return
-        x, gen = elt
+            return [{t: one} for t in range(len(dom))]
         k = d - self.gdeg[stage]
-        prod, times = A.products, A.times
-        for (kl, il), v, (kr, _), c in self.mu[stage][gen]:
-            if not kr:
-                for j, a in prod[k, x, kl, il].items():
-                    yield (j, v), times(c, a)
-
-    def _rows(self, stage: int, d: int, dom: list, tgt: list) -> list[dict]:
-        """Rows of mu_stage (x) A_0 on one block, over target positions."""
         pos = {elt: t for t, elt in enumerate(tgt)}
-        return [linalg.axpy({}, [(pos[key], c) for key, c in self._image(stage, d, elt)],
-                            p=self.p)
-                for elt in dom]
+        mu, terms = self.mu[stage], {}
+        rows = []
+        for gen, x in dom:
+            if gen not in terms:
+                terms[gen] = [t for t in mu[gen] if not t[2][0]]
+            img = apply_mu(self.A, terms[gen], k, {x: one})
+            rows.append({pos[elt]: c for elt, c in img.items()})
+        return rows
 
     def d_squared(self) -> list:
         """Generators v of V_r, r = 1..5, with mu_(r-1) mu_r (1 (x) v (x) 1)
@@ -983,22 +990,15 @@ def _resolution_ranks(res: _Resolution, cutoff: int) -> list:
     for d in range(cutoff + 1):
         blocks = res.degree(d)
         for u, v in sorted(blocks, key=lambda b: (vi[b[0]], vi[b[1]])):
-            (r0, n0, adim), (r1, n1, _), (r2, n2, _), (r3, n3, _), (r4, n4, _) = blocks[(u, v)]
-            rank1[(d, u, v)] = r1
+            row = blocks[(u, v)]
             # mu5 at the twisted block (d,u,v) equals mu1 at (d-h, u, nu^-1 v)
-            rk5 = rank1.get((d - g.h, u, g.nu_vertex_pow(v, 2)), 0)
-            if r0 != adim:
+            ranks = [rk for rk, _, _ in row] + [rank1.get((d - g.h, u, g.nu_vertex_pow(v, 2)), 0)]
+            rank1[(d, u, v)] = ranks[1]
+            if ranks[0] != row[0][2]:
                 failures.append(("mu0-not-surjective", d, u, v))
-            if r0 + r1 != n0:
-                failures.append(("node0", d, u, v))
-            if r1 + r2 != n1:
-                failures.append(("node1", d, u, v))
-            if r2 + r3 != n2:
-                failures.append(("node2", d, u, v))
-            if r3 + r4 != n3:
-                failures.append(("node3", d, u, v))
-            if r4 + rk5 != n4:
-                failures.append(("node4", d, u, v))
+            for node in range(5):
+                if ranks[node] + ranks[node + 1] != row[node][1]:
+                    failures.append((f"node{node}", d, u, v))
     return failures
 
 
@@ -1053,28 +1053,16 @@ class HomologyReport:
             return " + ".join(parts)
 
         lines = [f"graph {self.graph}   cells {self.cells}",
-                 f"tables through homological index {self.max_index}, degree {self.cutoff}",
-                 "", "Hochschild homology (graded dimensions):"]
-        by_i: dict[int, dict[int, int]] = {}
-        for (i, d), v in self.hh.items():
-            by_i.setdefault(i, {})[d] = v
-        for i in range(self.max_index + 1):
-            lines.append(f"  HH_{i:<2} = {series_str(by_i.get(i, {}))}")
-        lines.append("")
-        lines.append("cyclic homology:")
-        by_i = {}
-        for (i, d), v in self.hc.items():
-            by_i.setdefault(i, {})[d] = v
-        for i in range(self.max_index + 1):
-            lines.append(f"  HC_{i:<2} = {series_str(by_i.get(i, {}))}")
-        lines.append("")
-        lines.append("Hochschild cohomology:")
-        by_i = {}
-        for (i, d), v in self.cohomology.items():
-            by_i.setdefault(i, {})[d] = v
-        for i in range(self.max_index + 1):
-            row = by_i.get(i, {})
-            lines.append(f"  HH^{i:<2} = {series_str(row)}")
+                 f"tables through homological index {self.max_index}, degree {self.cutoff}"]
+        for title, name, table in (("Hochschild homology (graded dimensions):", "HH_", self.hh),
+                                   ("cyclic homology:", "HC_", self.hc),
+                                   ("Hochschild cohomology:", "HH^", self.cohomology)):
+            by_i: dict[int, dict[int, int]] = {}
+            for (i, d), v in table.items():
+                by_i.setdefault(i, {})[d] = v
+            lines += ["", title]
+            lines += [f"  {name}{i:<2} = {series_str(by_i.get(i, {}))}"
+                      for i in range(self.max_index + 1)]
         lines.append("")
         lines.append("checks: " + ", ".join(f"{k}={'pass' if v else 'FAIL'}"
                                             for k, v in sorted(self.checks.items())))

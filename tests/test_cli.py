@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -33,6 +34,17 @@ def test_compute_json_deterministic():
     assert doc["tables"]["hh"]["2"] == {"3": 1}
     assert all(doc["checks"].values())
     assert doc["tool"]["seed"] == 5
+
+
+@pytest.mark.parametrize("graph,digest", [
+    ("A4", "f2b58d0b3b417408fd0ae8545397779e0434ea32e5ab64f4e9d625abc6661286"),
+    ("E8*", "8f652d55a6c71c24bf7d6c92a59ee277effef45da9a74252010e7825495ca2aa"),
+])
+def test_compute_text_is_pinned(graph, digest):
+    # every byte of the text report: headers, series, spacing and checks line
+    code, out, _ = run_cli("compute", "--graph", graph)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_compute_solve_a4():

@@ -6,9 +6,9 @@ import pytest
 import acy.homology
 from acy import cli
 from acy.algebra import AlgebraError
-from acy.homology import (Homology, _Resolution, build_report, cyclic_from_hh,
-                          differentials, euler_from_hc, hh0_direct, predicted_tables,
-                          structure_from_euler, verify_resolution)
+from acy.homology import (Homology, _Resolution, _resolution_ranks, build_report,
+                          cyclic_from_hh, differentials, euler_from_hc, hh0_direct,
+                          predicted_tables, structure_from_euler, verify_resolution)
 from acy.scalar import PrimeEmbedding, Scalar
 from acy.series import euler_characteristic_hc
 
@@ -294,6 +294,25 @@ def test_resolution_ranks_pinned(pipe):
         assert got == [tuple(map(list, s)) for s in stages], spec
         out = verify_resolution(hom)
         assert (out["ok"], out["failures"], out["prime"]) == (True, [], prime), spec
+
+
+def test_one_sided_ranks_drop_terms_with_a_positive_right_factor(pipe):
+    # +1 on the 1 (x) e term of mu_1(e) makes it e (x) 1 alone: P (x)_A A_0
+    # drops that term, so its ranks stay exact, and only the generator check
+    # over the tower, the premise d o d = 0, sees the fault
+    for spec in ("A4", "D6", "E8*"):
+        g, cells, A, _ = pipe(spec)
+        hom = Homology(A)
+        e = g.edges[0].id
+        left, v, right, c = hom.mu[1][e][1]
+        assert right[0] > 0, spec
+        hom.mu[1][e][1] = (left, v, right, c + A.one)
+        res = _Resolution(hom, PrimeEmbedding.find(cells.tower))
+        assert _resolution_ranks(res, A.top + g.h) == [], spec
+        out = verify_resolution(hom)
+        assert not out["ok"], spec
+        assert ("d2-exact", 1, e) in out["failures"], spec
+        assert {f[0] for f in out["failures"]} == {"d2-exact"}, spec
 
 
 def _with_first_weight(change):
