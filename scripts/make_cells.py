@@ -6,12 +6,16 @@ exact type I/II verification before being written; orbifold and unfolding
 families (D, D*, E8) are reconstructed from these at runtime and need no
 files of their own.
 
-The shipped files were written by an earlier float stage of the solver.  A
-run of this script with the current solver rewrites the files of A4-A9, A12,
-A5*-A9*, A11* and A13* byte for byte (tests/test_solver.py pins A4-A9 and
+The shipped files were written by earlier versions of the solver, which
+adjoined products of quantum integers; the current solver adjoins the first
+|w|^2 of each square class instead.  A run of this script with the current
+solver therefore writes other radicands, and so other bytes, for every file
+but A5 and A5*.  For A4-A9, A12, A5*-A9*, A11* and A13* it writes the same
+field and the same weights: each equals the shipped one once the shipped
+roots are written in the new tower (tests/test_solver.py checks A4-A9 and
 A5*-A9*).  For A10*, A12* and E8* it lands on a different gauge of the same
-cells: the bytes differ, every derived dimension agrees.  The shipped files
-have not been regenerated with the current solver.
+cells: every derived dimension agrees.  The shipped files have not been
+regenerated with the current solver.
 """
 
 import json

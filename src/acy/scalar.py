@@ -27,7 +27,7 @@ from math import comb, gcd
 import mpmath
 from mpmath import mp
 
-__all__ = ["FieldTower", "Scalar", "PrimeEmbedding"]
+__all__ = ["FieldTower", "Scalar", "PrimeEmbedding", "base_relation"]
 
 
 # ---------------------------------------------------------------------------
@@ -901,22 +901,30 @@ def _sqrt_in_tower(tower: FieldTower, g: tuple[int, ...]) -> Scalar | None:
     return None
 
 
+def base_relation(h: int, value, prec: int) -> tuple[int, ...] | None:
+    """A nonzero real `value` as an element of Q(c), read off an integer relation
+    a_0 value + a_1 + a_2 c + ... + a_D c^(D-1) = 0 that PSLQ (Ferguson,
+    Bailey and Arno, Math. Comp. 68, 1999) finds at `prec` bits: the
+    normalised base tuple of -(a_1 + ... + a_D c^(D-1)) / a_0, or None when
+    there is no relation with a_0 != 0.  The relation holds to about
+    0.75 prec bits only, so the caller certifies what it gets."""
+    with mpmath.workprec(prec):
+        c, _ = FieldTower(h).numeric(prec)
+        vec = [value] + [c ** i for i in range(_base_field(h).D)]
+        rel = mpmath.pslq(vec, maxcoeff=10 ** (prec // 16), maxsteps=200000)
+    if not rel or not rel[0]:
+        return None
+    return _bnormalize(rel[0], tuple(-a for a in rel[1:]))
+
+
 def _pslq_base_sqrt(h: int, g: tuple[int, ...], prec: int) -> tuple[int, ...] | None:
-    """A root of g in Q(c) from an integer relation among sqrt(g), 1, c, ...,
-    c^(D-1) at `prec` bits, returned only if it squares back to g."""
-    base = _base_field(h)
+    """A root of g in Q(c), recognised from sqrt(g) at `prec` bits and
+    returned only if it squares back to g."""
     with mpmath.workprec(prec):
         c, _ = FieldTower(h).numeric(prec)
         val = _beval(g, c, mp.mpf(0))
-        if val < 0:
-            return None
-        vec = [mpmath.sqrt(val)] + [c ** i for i in range(base.D)]
-        rel = mpmath.pslq(vec, maxcoeff=10 ** (prec // 16), maxsteps=200000)
-    if rel and rel[0] != 0:
-        b = _bnormalize(rel[0], tuple(-a for a in rel[1:]))   # sqrt(g) = -sum a_i c^i / rel_0
-        if base.mul(b, b) == g:
-            return b
-    return None
+        b = base_relation(h, mpmath.sqrt(val), prec) if val > 0 else None
+    return b if b is not None and _base_field(h).mul(b, b) == g else None
 
 
 def _base_sqrt(h: int, g: tuple[int, ...]) -> tuple[int, ...] | None:

@@ -2,22 +2,21 @@
 
 One Levenberg-Marquardt least-squares routine on the compiled type I/II
 system, first in floats from random starts and then in mpmath at high
-precision; then reconstruction of each squared weight as a signed monomial in
-a fixed multiplicative alphabet (small primes and quantum integers),
-adjoining square roots to the tower as needed.  The result is re-verified
+precision; then each distinct squared weight is recognised in the base field
+Q(2cos(pi/h)) by one integer relation (PSLQ), and its square root is adjoined
+to the tower unless the tower already holds it.  The result is re-verified
 exactly; a system that survives is certified.
 """
 
 from __future__ import annotations
 
-import bisect
 import random
 
 import mpmath
 
 from .cells import CellSystem, canon, compile_equations, verify_type_I, verify_type_II
 from .quiver import Graph
-from .scalar import FieldTower, Scalar
+from .scalar import Scalar, base_relation
 
 __all__ = ["solve_cells", "SolverError"]
 
@@ -178,129 +177,47 @@ def _least_squares(eqs: list, x: list, tol):
 # exact reconstruction
 # ---------------------------------------------------------------------------
 
-def _alphabet(tower: FieldTower) -> list[Scalar]:
-    """Deduplicated multiplicative alphabet: 2, 3, the quantum integers
-    [n] for 2 <= n <= h/2, and the odd quantum integers at the doubled
-    Coxeter number (which lie in the same base field and appear in the
-    conjugate-graph cells)."""
-    h = tower.h
-    out = [tower.from_fraction(2), tower.from_fraction(3)]
-    for n in range(2, h // 2 + 1):
-        q = tower.quantum(n)
-        if all(q != a for a in out):
-            out.append(q)
-    # odd [n] at 2h: [1] = 1, [3] = 1 + c, [n+2] = [3][n] - [n] - [n-2]
-    three_2h = tower.one() + tower.generator()
-    prev, cur = tower.one(), three_2h
-    for n in range(3, h, 2):
-        if all(cur != a for a in out) and not cur.is_zero():
-            out.append(cur)
-        prev, cur = cur, three_2h * cur - cur - prev
-    return out
-
-
-def _exponent_table(logs: list[float], lo: int = -3, hi: int = 3):
-    """Meet-in-the-middle table of exponent-vector log sums."""
-    half = len(logs) // 2
-    a_idx, b_idx = list(range(half)), list(range(half, len(logs)))
-
-    def sums(idxs):
-        vecs = [((), 0.0)]
-        for i in idxs:
-            vecs = [(v + (e,), s + e * logs[i]) for v, s in vecs for e in range(lo, hi + 1)]
-        return vecs
-
-    A = sums(a_idx)
-    B = sums(b_idx)
-    B.sort(key=lambda t: t[1])
-    b_logs = [s for _, s in B]
-    return A, B, b_logs
-
-
-def _find_exponents(target: float, table, tol=1e-7):
-    """Yield, lazily, the exponent vectors whose float log sum lies within
-    tol of target: A rows in table order, each with its B rows in sorted
-    order."""
-    A, B, b_logs = table
-    for vec_a, s_a in A:
-        want = target - s_a
-        i = bisect.bisect_left(b_logs, want - tol)
-        while i < len(b_logs) and b_logs[i] <= want + tol:
-            yield vec_a + B[i][0]
-            i += 1
-
-
 def solve_cells(graph: Graph, seed: int = 0, digits: int = 70) -> CellSystem:
     """Solve the type I/II system and return exactly verified cells.
 
-    Raises SolverError when least squares does not converge or exactification fails.
+    Each distinct squared weight |w|^2 is recognised once in the base field
+    Q(c) by `base_relation`, and its square root is adjoined to the tower
+    (`adjoin_sqrt` adds none when the tower already holds it); then
+    w = sign * sqrt(|w|^2).  The exact type I/II verification is the only
+    acceptance.  Raises SolverError when least squares does not converge,
+    when a |w|^2 has no positive value in Q(c), or when verification fails.
     """
     sys = _NumericSystem(graph)
     if sys.n_unknowns == 0:
         return CellSystem(graph, graph.tower, {}, label="solved")
     x = sys.root(seed, digits)
 
-    # reconstruct each squared weight over the alphabet, one table scan per
-    # distinct float target: each unknown takes the first hit whose
-    # high-precision log fits, and the scan stops once all of them have one
-    base = graph.tower
-    alpha = _alphabet(base)
-    prec = int(digits * 3.5) + 40
-    with mpmath.workprec(prec):
-        alpha_logs = [mpmath.log(a.value(prec)) for a in alpha]
-        table = _exponent_table([float(v) for v in alpha_logs])
-        fits = mpmath.mpf(10) ** (-digits + 12)
-        found = {}   # unknown -> (sign, exponent vector)
-        groups: dict[float, dict[int, mpmath.mpf]] = {}
-        for j, v in enumerate(x):
-            if abs(v) < mpmath.mpf(10) ** (-digits // 2):
-                found[j] = (0, None)
-            else:
-                log_w2 = 2 * mpmath.log(abs(v))
-                groups.setdefault(float(log_w2), {})[j] = log_w2
-        for target, open_logs in groups.items():
-            for e in _find_exponents(target, table):
-                lng = sum((ei * la for ei, la in zip(e, alpha_logs) if ei), mpmath.mpf(0))
-                for j in [j for j, log_w2 in open_logs.items() if abs(lng - log_w2) < fits]:
-                    found[j] = (1 if x[j] > 0 else -1, e)
-                    del open_logs[j]
-                if not open_logs:
-                    break
-            else:
-                j = min(open_logs)
-                t = next(t for t in sys.triangles if sys.unknown_of[t] == j)
-                raise SolverError(f"exactification failed for triangle {t} "
-                                  f"(value {mpmath.nstr(x[j], 20)})")
-    plan = [(t, *found[sys.unknown_of[t]]) for t in sys.triangles]
-
-    # build the tower: adjoin the odd parts in deterministic order
-    tower = base
-    odd_roots: dict[tuple, Scalar] = {}
-    for t, sign, e in plan:
-        if not e:
-            continue
-        odd = tuple(ei & 1 for ei in e)
-        if any(odd) and odd not in odd_roots:
-            radicand = base.one()
-            for o, a in zip(odd, alpha):
-                if o:
-                    radicand = radicand * a
-            tower, root = tower.adjoin_sqrt(radicand.lift(tower))
-            odd_roots[odd] = root
+    tower = graph.tower
+    prec = int(digits * 3.32)   # ~ the digits to which the refinement fixes x
+    # unknowns whose |w|^2 agree as floats share one relation; should two
+    # unequal values tie, the exact verification below rejects the cells
+    classes: dict[float, list[int]] = {}   # float |w|^2 -> its unknowns
+    for j, v in enumerate(x):
+        if abs(v) >= mpmath.mpf(10) ** (-digits // 2):
+            classes.setdefault(float(v * v), []).append(j)
+    roots = {}   # unknown -> sqrt(|w|^2), in the tower it was adjoined to
+    for members in classes.values():
+        with mpmath.workprec(prec):
+            b = base_relation(tower.h, x[members[0]] ** 2, prec)
+        w2 = Scalar(tower, {0: b}) if b is not None and any(b[1:]) else None
+        if w2 is None or not w2.is_positive():
+            t = next(t for t in sys.triangles if sys.unknown_of[t] == members[0])
+            raise SolverError(f"exactification failed for triangle {t} "
+                              f"(value {mpmath.nstr(x[members[0]], 20)})")
+        tower, root = tower.adjoin_sqrt(w2)
+        roots.update(dict.fromkeys(members, root))
     weights = {}
-    for t, sign, e in plan:
-        if sign == 0:
+    for t in sys.triangles:
+        j = sys.unknown_of[t]
+        if j not in roots:
             weights[t] = tower.zero()
-            continue
-        w = tower.one() * sign
-        for ei, a in zip(e, alpha):
-            half = ei // 2  # ei = 2*half + (ei & 1), for negative ei too
-            if half:
-                w = w * (a.lift(tower) ** half)
-        oddvec = tuple(ei & 1 for ei in e)
-        if any(oddvec):
-            w = w * odd_roots[oddvec].lift(tower)
-        weights[t] = w
+        else:
+            weights[t] = (roots[j] if x[j] > 0 else -roots[j]).lift(tower)
     cells = CellSystem(graph, tower, weights, label=f"solved(seed={seed})")
 
     eqs = sys.equations

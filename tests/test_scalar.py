@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 from acy.scalar import (FieldTower, PrimeEmbedding, Scalar, _base_field, _base_sqrt,
-                        _isprime, _sqrt_mod, coxeter_minpoly)
+                        _isprime, _sqrt_mod, base_relation, coxeter_minpoly)
 
 
 def test_quantum_examples():
@@ -203,6 +203,15 @@ def test_base_sqrt_matches_the_factor_route():
         cands += [y * y * k for y in (t.one() + c, 2 - c, t.quantum(3)) for k in (1, 3)]
         for x in cands:
             _check_against_the_factor_route(h, x.re[0])
+
+
+@pytest.mark.parametrize("h", [3, 5, 8, 12, 17])
+def test_base_relation_recognises_a_base_field_element(h):
+    # the solver's exact |w|^2 and the square test's root both come from here
+    t = FieldTower(h)
+    c = t.generator()
+    for x in (t.from_fraction(Fraction(-3, 7)), (3 + c * 5 - c * c * 2) / 7, (1 + c) ** 3):
+        assert base_relation(h, x.value(300), 300) == x.re[0]
 
 
 @pytest.mark.parametrize("h, g", [

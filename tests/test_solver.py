@@ -5,8 +5,9 @@ import mpmath
 import pytest
 
 from acy import solver
-from acy.cells import cells_to_doc
+from acy.cells import cells_from_doc
 from acy.quiver import build_family
+from acy.scalar import FieldTower, Scalar
 from acy.solver import SolverError, _least_squares, solve_cells
 
 # x0^2 = 1, x0 x1 = 2, x1^2 = 4 and 3 x0 x1^2 = 12 in compiled form
@@ -60,44 +61,75 @@ def test_least_squares_stops_on_a_plateau(monkeypatch):
     assert len(calls) <= 12
 
 
-# the shipped cell files that a seed-1 solve reproduces byte for byte
+# the shipped cell files whose cells a seed-1 solve reproduces
 SHIPPED = [("A", n) for n in range(4, 10)] + [("A*", n) for n in range(5, 10)]
+
+
+def _rewritten(w: Scalar, tower, roots: list) -> Scalar:
+    """w, stored over its own tower's roots, as an element of `tower`, in
+    which roots[i] is the i-th of those roots."""
+    out = tower.zero()
+    for mask, b in w.re.items():
+        term = Scalar(tower, {0: b})
+        for i, r in enumerate(roots):
+            if mask >> i & 1:
+                term = term * r
+        out = out + term
+    return out
 
 
 @pytest.mark.parametrize("tag,n", SHIPPED)
 def test_seed_1_reproduces_the_shipped_cells(tag, n):
+    # the shipped files were written when the solver adjoined products of
+    # quantum integers; the solver now adjoins the first |w|^2 of each square
+    # class, so the radicands differ while the weights are the same numbers
     g = build_family(tag, n)
-    doc = cells_to_doc(solve_cells(g, seed=1))
-    doc["label"] = "builtin"
+    solved = solve_cells(g, seed=1)
     name = f"cells_{g.name.replace('*', 's')}.json"
-    shipped = (resources.files("acy") / "data" / name).read_text(encoding="utf-8")
-    assert json.dumps(doc, separators=(",", ":"), sort_keys=True) == shipped
+    doc = json.loads((resources.files("acy") / "data" / name).read_text(encoding="utf-8"))
+    shipped = cells_from_doc(g, doc)
+    tower = solved.tower
+    assert len(tower.roots) == len(shipped.tower.roots)
+    roots = []
+    for radicand in shipped.tower.roots:
+        same, root = tower.adjoin_sqrt(Scalar(tower, {0: radicand}))
+        assert same == tower
+        roots.append(root)
+    assert sorted(solved.weights) == sorted(shipped.weights)
+    for t, w in shipped.weights.items():
+        assert w.is_real()
+        assert solved.weights[t] == _rewritten(w, tower, roots), t
 
 
-def test_one_table_scan_per_distinct_squared_weight(monkeypatch):
+def test_one_relation_per_distinct_squared_weight(monkeypatch):
     # A11 has 64 triangles, 22 nu-orbit unknowns and 15 distinct |w|^2
-    scans = []
+    relations, adjoined = [], []
 
-    def counted(target, table):
-        scans.append(target)
-        return find_exponents(target, table)
+    def counted_relation(h, value, prec):
+        relations.append(value)
+        return base_relation(h, value, prec)
 
-    find_exponents = solver._find_exponents
-    monkeypatch.setattr(solver, "_find_exponents", counted)
+    def counted_adjoin(self, x):
+        adjoined.append(x)
+        return adjoin_sqrt(self, x)
+
+    base_relation = solver.base_relation
+    adjoin_sqrt = FieldTower.adjoin_sqrt
+    monkeypatch.setattr(solver, "base_relation", counted_relation)
+    monkeypatch.setattr(FieldTower, "adjoin_sqrt", counted_adjoin)
     g = build_family("A", 11)
     cells = solve_cells(g, seed=0)
     assert len(g.triangles()) == 64 and solver._NumericSystem(g).n_unknowns == 22
-    assert len(scans) == len(set(scans)) == 15
-    assert len(cells.weights) == 64
+    assert len(relations) == 15 and len(adjoined) <= 15
+    assert cells.tower.degree == 80 and len(cells.weights) == 64
 
 
-def _alphabet_of_two(tower):
-    return [tower.from_fraction(2)]
+def _no_relation(h, value, prec):
+    return None
 
 
 def test_a_failed_exactification_is_a_solver_error(monkeypatch):
-    # no squared A5 weight is a power of 2
-    monkeypatch.setattr(solver, "_alphabet", _alphabet_of_two)
+    monkeypatch.setattr(solver, "base_relation", _no_relation)
     with pytest.raises(SolverError, match="exactification failed for triangle"):
         solve_cells(build_family("A", 5))
 
@@ -105,7 +137,41 @@ def test_a_failed_exactification_is_a_solver_error(monkeypatch):
 def test_a_failed_exactification_exits_4(monkeypatch, capsys):
     from acy.cli import EXIT_SOLVER, main
 
-    monkeypatch.setattr(solver, "_alphabet", _alphabet_of_two)
+    monkeypatch.setattr(solver, "base_relation", _no_relation)
     assert main(["compute", "--graph", "A5", "--cells", "solve"]) == EXIT_SOLVER == 4
     err = capsys.readouterr().err
     assert "solver error: exactification failed" in err and "Traceback" not in err
+
+
+def test_a_negative_squared_weight_is_a_solver_error(monkeypatch):
+    # adjoin_sqrt would raise ValueError on a negative radicand
+    def negated(h, value, prec):
+        b = base_relation(h, value, prec)
+        return (b[0],) + tuple(-v for v in b[1:])
+
+    base_relation = solver.base_relation
+    monkeypatch.setattr(solver, "base_relation", negated)
+    with pytest.raises(SolverError, match="exactification failed for triangle"):
+        solve_cells(build_family("A", 5))
+
+
+def test_a_wrong_squared_weight_fails_the_exact_gate(monkeypatch, capsys):
+    # |w|^2 + 1 for the first class only: still positive, so it is adjoined,
+    # and only the exact type I/II verification can reject it
+    from acy.cli import EXIT_SOLVER, main
+
+    def off_by_one(h, value, prec):
+        b = base_relation(h, value, prec)
+        if calls:
+            return b
+        calls.append(value)
+        return (b[0], b[1] + b[0]) + b[2:]
+
+    base_relation, calls = solver.base_relation, []
+    monkeypatch.setattr(solver, "base_relation", off_by_one)
+    with pytest.raises(SolverError, match="fail verification"):
+        solve_cells(build_family("A", 5))
+    calls.clear()
+    assert main(["compute", "--graph", "A5", "--cells", "solve"]) == EXIT_SOLVER == 4
+    err = capsys.readouterr().err
+    assert "fail verification" in err and "Traceback" not in err
