@@ -20,7 +20,7 @@ from .cells import RelationSet
 from .quiver import Graph
 from .scalar import PrimeEmbedding, Scalar
 
-__all__ = ["GradedAlgebra", "AlgebraError", "BasisElt", "residue"]
+__all__ = ["GradedAlgebra", "AlgebraError", "BasisElt"]
 
 
 class AlgebraError(RuntimeError):
@@ -54,15 +54,6 @@ class _Products(dict):
             _, hit = A.mul_path(k1, A.unit(k1, i1), b2.path)
         self[key] = hit
         return hit
-
-
-def residue(c: Scalar, emb: PrimeEmbedding) -> int:
-    """c mod p under a prime embedding; ZeroDivisionError when a denominator
-    of c vanishes mod p."""
-    r = c.reduce_mod(emb)
-    if r is None:
-        raise ZeroDivisionError("prime embedding failed on an entry")
-    return r
 
 
 class GradedAlgebra:
@@ -259,8 +250,10 @@ class GradedAlgebra:
     # -- non-degenerate form and dual bases ------------------------------------------
 
     def build_form(self):
-        """Choose top generators u_j, propagate f by (x,y) = (y, beta(x)),
-        verify the commutation identity, and build dual bases per degree."""
+        """Choose top generators u_j and propagate f by (x,y) = (y, beta(x))
+        along a spanning tree; then tabulate f(x y) once per pairing pair,
+        check (x,y) = (y, beta(x)) on every pair off that table, and invert
+        each pairing block for the dual bases."""
         if self._form_built:
             return
         g, T, tower = self.graph, self.top, self.tower
@@ -304,11 +297,50 @@ class GradedAlgebra:
         if set(c) != set(g.vertices):
             raise AlgebraError("graph is not strongly connected; form propagation failed")
         self.f_coeff = {tops[j]: c[j] for j in g.vertices}
-        self.top_index = tops
         # normalized generators u_j with f(u_j) = 1
         self.u_vec = {j: {tops[j]: c[j].inverse()} for j in g.vertices}
-        self._verify_symmetry()
-        self._build_duals()
+        # f(x y) once per pairing pair: x in a block (s, d) of degree p and y
+        # in its partner block (d, nu s) of degree T - p.  A_T lies on the
+        # nu-diagonal, so f vanishes on every other product.
+        blocks = [(p, s, d, idxs, self.block_index[T - p].get((d, g.nu_v[s]), []))
+                  for p in range(T + 1) for (s, d), idxs in self.block_index[p].items()]
+        fxy = {}
+        for p, _, _, idxs, yidx in blocks:
+            for x_i in idxs:
+                for y_i in yidx:
+                    val = self.f(self.mul_basis(p, x_i, T - p, y_i))
+                    if not val.is_zero():
+                        fxy[p, x_i, y_i] = val
+        zero = tower.zero()
+        self.duals: list[dict[int, dict]] = [dict() for _ in range(T + 1)]
+        for p, s, d, idxs, yidx in blocks:
+            # (x, y) = (y, beta(x)), read off the table of the partner block:
+            # y beta(x) = sum beta(x)[x'] y x', and (y, x') is one of its pairs
+            for i in idxs:
+                bx = self.beta_basis(p, i).items()
+                for y_i in yidx:
+                    rhs = zero
+                    for j, b in bx:
+                        v = fxy.get((T - p, y_i, j))
+                        if v is not None:
+                            rhs = rhs + self.times(b, v)
+                    if fxy.get((p, i, y_i), zero) != rhs:
+                        raise AlgebraError(
+                            f"(x,y) != (y,beta(x)) at degree {p}, basis {i} / {y_i}")
+            # duals[p][i] = w_i* in degree T - p with f(w_i w_j*) = delta_ij
+            if len(yidx) != len(idxs):
+                raise AlgebraError(
+                    f"pairing block at degree {p}, {s}->{d} is not square "
+                    f"({len(idxs)} vs {len(yidx)})")
+            cols = [{r: fxy[p, x_i, y_i] for r, x_i in enumerate(idxs) if (p, x_i, y_i) in fxy}
+                    for y_i in yidx]
+            try:
+                inv = linalg.invert_dense(cols, len(idxs), tower.one())
+            except ValueError:
+                raise AlgebraError(
+                    f"pairing matrix singular at degree {p}, block {s}->{d}") from None
+            for r, x_i in enumerate(idxs):
+                self.duals[p][x_i] = {yidx[q]: cq for q, cq in inv[r].items()}
         self._form_built = True
 
     def f(self, vec: dict) -> Scalar:
@@ -320,56 +352,6 @@ class GradedAlgebra:
                 acc = acc + self.times(coeff, x)
         return acc
 
-    def _verify_symmetry(self):
-        g, T = self.graph, self.top
-        for p in range(T + 1):
-            for (s, d), idxs in self.block_index[p].items():
-                yblock = self.block_index[T - p].get((d, g.nu_v[s]), [])
-                for i in idxs:
-                    x = self.unit(p, i)
-                    bx = self.beta_vec(p, x)
-                    for y_i in yblock:
-                        y = self.unit(T - p, y_i)
-                        lhs = self.f(self.mul(p, x, T - p, y))
-                        rhs = self.f(self.mul(T - p, y, p, bx))
-                        if lhs != rhs:
-                            raise AlgebraError(
-                                f"(x,y) != (y,beta(x)) at degree {p}, "
-                                f"basis {i} / {y_i}")
-
-    def _build_duals(self):
-        """duals[p][i] = w_i* in degree top-p with f(w_i w_j*) = delta_ij."""
-        g, T, tower = self.graph, self.top, self.tower
-        self.duals: list[dict[int, dict]] = [dict() for _ in range(T + 1)]
-        for p in range(T + 1):
-            for (s, d), idxs in self.block_index[p].items():
-                yidx = self.block_index[T - p].get((d, g.nu_v[s]), [])
-                if len(yidx) != len(idxs):
-                    raise AlgebraError(
-                        f"pairing block at degree {p}, {s}->{d} is not square "
-                        f"({len(idxs)} vs {len(yidx)})")
-                n = len(idxs)
-                if n == 0:
-                    continue
-                cols = []
-                for y_i in yidx:
-                    col = {}
-                    for r, x_i in enumerate(idxs):
-                        val = self.f(self.mul_basis(p, x_i, T - p, y_i))
-                        if not val.is_zero():
-                            col[r] = val
-                    cols.append(col)
-                try:
-                    inv = linalg.invert_dense(cols, n, tower.one())
-                except ValueError:
-                    raise AlgebraError(
-                        f"pairing matrix singular at degree {p}, block {s}->{d}") from None
-                for r, x_i in enumerate(idxs):
-                    dual = {}
-                    for q, cq in inv[r].items():
-                        dual[yidx[q]] = cq
-                    self.duals[p][x_i] = dual
-
     def reduce_mod(self, emb: PrimeEmbedding) -> "GradedAlgebra":
         """The image of A over F_p: the same bases, with the structure
         constants, the dual bases and the unit reduced once, and fresh memos
@@ -378,7 +360,7 @@ class GradedAlgebra:
         self.build_form()
 
         def image(vec: dict) -> dict:
-            return {i: r for i, c in vec.items() if (r := residue(c, emb))}
+            return {i: r for i, c in vec.items() if (r := c.reduce_mod(emb))}
 
         out = copy.copy(self)
         out.p, out.one = emb.p, 1
@@ -387,11 +369,6 @@ class GradedAlgebra:
         out.duals = [{i: image(vec) for i, vec in tab.items()} for tab in self.duals]
         out.products, out._beta_cache = _Products(out), {}
         return out
-
-    def dual_pairs(self, p: int):
-        """Iterate (w basis index, w* vector) at degree p (w* has degree top-p)."""
-        for i in range(self.dim(p)):
-            yield i, self.duals[p][i]
 
     def to_doc(self) -> dict:
         """Regression snapshot of bases and dimension tables."""

@@ -17,11 +17,11 @@ The four maps mu_1..mu_4 of the superpotential resolution P are written
 once, as terms on bimodule generators (`differentials`), and applied by one
 term rule, `apply_mu`, to both complexes P (x)_(A^e) M that are read here:
 `Homology.mat` builds A (x)_(A^e) P over the tower, and `_Resolution` builds
-the one-sided complex P (x)_A A_0 over the tower or over the algebra's image
-in F_p.  `verify_resolution` composes the table on generators in both
-rings, which gives d o d = 0, and then ranks P (x)_A A_0 over F_p: a complex
-of right-free modules with d o d = 0 is exact iff that complex is (Butler
-and King, J. Algebra 212, 1999; the converse by graded Nakayama), and it is
+the one-sided complex P (x)_A A_0 over the algebra's image in F_p.
+`verify_resolution` composes the table on generators in both rings, which
+gives d o d = 0, and then ranks P (x)_A A_0 over F_p: a complex of
+right-free modules with d o d = 0 is exact iff that complex is (Butler and
+King, J. Algebra 212, 1999; the converse by graded Nakayama), and it is
 finite, so every degree is covered.
 """
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg, series
-from .algebra import AlgebraError, GradedAlgebra, residue
+from .algebra import AlgebraError, GradedAlgebra
 from .cells import CellSystem
 from .scalar import PrimeEmbedding
 
@@ -781,8 +781,8 @@ def predicted_tables(h: int, blocks: dict, trivial_nu: bool, max_i: int, max_d: 
 
 class _Resolution:
     """The period-4 window of the superpotential resolution P of A as an
-    A-bimodule (Bocklandt, JPAA 212, 2008), over the tower or over F_p, and
-    the one-sided complex P (x)_A A_0 on which its exactness is ranked.
+    A-bimodule (Bocklandt, JPAA 212, 2008) over F_p, and the one-sided
+    complex P (x)_A A_0 on which its exactness is ranked.
 
     P_r = A (x) V_r (x) A with V_0 = V_3 = S, V_1 the edges, V_2 the
     relations (one per reversed edge) and V_4 = S twisted by nu on the
@@ -796,7 +796,7 @@ class _Resolution:
     - conversely, by induction from A upwards: when the complex is exact
       below r, ker mu_r (x)_A A_0 = ker(mu_r (x) A_0), so P_(r+1) -> ker mu_r
       is onto modulo the radical, and so onto by graded Nakayama.
-    The premise d o d = 0 is `d_squared`, on bimodule generators.
+    The premise d o d = 0 is `_d_squared`, on bimodule generators.
 
     P_r (x)_A A_0 = A (x) V_r: the elements x (x) gen (x) e_v, in blocks
     (d, u, v) with u the source of x and v the vertex of the simple, which
@@ -808,24 +808,21 @@ class _Resolution:
     ranked on its own by `linalg.rank`, the same elimination that gives the
     exact ranks.
 
-    The maps are the terms of `self.mu`, read when the rows are built, in
-    whichever ring the algebra has: `hom.A` with `hom.mu` over the tower,
-    or, given a prime embedding, its image `A.reduce_mod(emb)` with the
-    terms reduced alongside.
-    That image is built once, on construction; a denominator that vanishes
-    mod p raises ZeroDivisionError there, before any rank is taken.  A mod-p
-    rank is at most the exact rank, so ranks that meet the dimension bound
-    pin the exact ranks and certify exactness.
+    The maps are the terms of `self.mu`, read when the rows are built, over
+    the image `A.reduce_mod(emb)` of the algebra at the prime embedding,
+    with the terms of `hom.mu` reduced alongside.  That image is built once,
+    on construction; a denominator that vanishes mod p raises
+    ZeroDivisionError there, before any rank is taken.  A mod-p rank is at
+    most the exact rank, so ranks that meet the dimension bound pin the
+    exact ranks and certify exactness.
     """
 
-    def __init__(self, hom: Homology, emb: PrimeEmbedding | None = None):
-        A, self.g, self.mu = hom.A, hom.g, hom.mu
-        if emb is not None:
-            A = A.reduce_mod(emb)
-            self.mu = {r: {v: [(l, w, rt, residue(c, emb)) for l, w, rt, c in terms]
-                           for v, terms in tab.items()}
-                       for r, tab in hom.mu.items()}
-        self.A, self.p = A, A.p
+    def __init__(self, hom: Homology, emb: PrimeEmbedding):
+        self.g, self.p = hom.g, emb.p
+        self.A = A = hom.A.reduce_mod(emb)
+        self.mu = {r: {v: [(l, w, rt, c.reduce_mod(emb)) for l, w, rt, c in terms]
+                       for v, terms in tab.items()}
+                   for r, tab in hom.mu.items()}
         self.gdeg = _gen_degrees(self.g.h)
         # blocks of A by their end: ends[k][m] = [(u, idxs)]
         self.ends: list[dict] = [{} for _ in range(A.top + 1)]
@@ -875,41 +872,6 @@ class _Resolution:
             rows.append({pos[elt]: c for elt, c in img.items()})
         return rows
 
-    def d_squared(self) -> list:
-        """Generators v of V_r, r = 1..5, with mu_(r-1) mu_r (1 (x) v (x) 1)
-        nonzero: `d2-exact` over the tower, `d2-modp` over F_p, where the maps
-        that are ranked must form a complex too.  mu_5 is mu_1 into the
-        nu-twisted V_4, h degrees up.
-
-        A term (l, v', r, c) of mu_r(v) and a term (l', v'', r', c') of
-        mu_(r-1)(v') give c c' (l l') (x) v'' (x) (r' r~), with r~ = b(r) when
-        mu_(r-1) is mu_4 and r~ = r otherwise; mu_0 multiplies, to l r."""
-        A, p, prod, times = self.A, self.p, self.A.products, self.A.times
-        check = "d2-modp" if p else "d2-exact"
-        bad = []
-        for r in range(1, 6):
-            lower = self.mu[4 if r == 5 else r - 1] if r > 1 else None
-            for gen, terms in self.mu[(r - 1) % 4 + 1].items():
-                acc: dict = {}
-                for (kl, il), v, (kr, ir), c in terms:
-                    right = A.beta_basis(kr, ir).items() if r == 5 else ((ir, A.one),)
-                    for jr, b in right:
-                        cb = times(c, b)
-                        if lower is None:  # mu_0
-                            linalg.axpy(acc, (((kl + kr, j), a)
-                                              for j, a in prod[kl, il, kr, jr].items()),
-                                        A.axpy_coef(cb), p)
-                            continue
-                        for (kl2, il2), w, (kr2, ir2), c2 in lower[v]:
-                            cc, rr = times(cb, c2), prod[kr2, ir2, kr, jr].items()
-                            for j, a in prod[kl, il, kl2, il2].items():
-                                ca = times(cc, a)
-                                linalg.axpy(acc, (((kl + kl2, j, w, kr2 + kr, jj), times(ca, bb))
-                                                  for jj, bb in rr), p=p)
-                if acc:
-                    bad.append((check, r, gen))
-        return bad
-
     def degree(self, d: int) -> dict:
         """{(u, v): [(rank, dim domain, dim target) of mu_0..mu_4 (x) A_0]}
         for every block at total degree d with a nonzero space; other blocks
@@ -931,21 +893,59 @@ class _Resolution:
 _PRIME_TRIES = 4
 
 
+def _d_squared(A: GradedAlgebra, mu: dict) -> list:
+    """Generators v of V_r, r = 1..5, with mu_(r-1) mu_r (1 (x) v (x) 1)
+    nonzero, for the table mu over A: `d2-exact` over the tower, `d2-modp`
+    over F_p, where the maps that are ranked must form a complex too.  mu_5
+    is mu_1 into the nu-twisted V_4, h degrees up.
+
+    A term (l, v', r, c) of mu_r(v) and a term (l', v'', r', c') of
+    mu_(r-1)(v') give c c' (l l') (x) v'' (x) (r' r~), with r~ = b(r) when
+    mu_(r-1) is mu_4 and r~ = r otherwise; mu_0 multiplies, to l r."""
+    p, prod, times = A.p, A.products, A.times
+    check = "d2-modp" if p else "d2-exact"
+    bad = []
+    for r in range(1, 6):
+        lower = mu[4 if r == 5 else r - 1] if r > 1 else None
+        for gen, terms in mu[(r - 1) % 4 + 1].items():
+            acc: dict = {}
+            for (kl, il), v, (kr, ir), c in terms:
+                right = A.beta_basis(kr, ir).items() if r == 5 else ((ir, A.one),)
+                for jr, b in right:
+                    cb = times(c, b)
+                    if lower is None:  # mu_0
+                        linalg.axpy(acc, (((kl + kr, j), a)
+                                          for j, a in prod[kl, il, kr, jr].items()),
+                                    A.axpy_coef(cb), p)
+                        continue
+                    for (kl2, il2), w, (kr2, ir2), c2 in lower[v]:
+                        cc, rr = times(cb, c2), prod[kr2, ir2, kr, jr].items()
+                        for j, a in prod[kl, il, kl2, il2].items():
+                            ca = times(cc, a)
+                            linalg.axpy(acc, (((kl + kl2, j, w, kr2 + kr, jj), times(ca, bb))
+                                              for jj, bb in rr), p=p)
+            if acc:
+                bad.append((check, r, gen))
+    return bad
+
+
 def generator_d_squared(hom: Homology) -> list:
     """The exact d o d = 0 check on bimodule generators, mu_0 mu_1 up to
     mu_4 mu_5 over the tower: a ("d2-exact", r, generator) failure for each
-    generator of V_r whose mu_(r-1) mu_r image does not vanish."""
-    return _Resolution(hom).d_squared()
+    generator of V_r whose mu_(r-1) mu_r image does not vanish.  This is
+    `_d_squared` on `hom.A` and `hom.mu`; `verify_resolution` runs the same
+    function on each prime's image."""
+    return _d_squared(hom.A, hom.mu)
 
 
 def verify_resolution(hom: Homology) -> dict:
     """Certified exactness of the bimodule resolution in every degree.
 
     The maps are those of `differentials`.  d o d = 0 is checked on
-    bimodule generators, for mu_0 mu_1 up to mu_4 mu_5, by one
-    `_Resolution.d_squared`: first over the tower, which is the premise of
-    the theorem below, then on the modular image of each prime, before any
-    rank is taken.  With d o d = 0, the complex of right-free modules
+    bimodule generators, for mu_0 mu_1 up to mu_4 mu_5, by one function,
+    `_d_squared`: first over the tower (`generator_d_squared`), which is the
+    premise of the theorem below, then on the modular image of each prime,
+    `_Resolution`'s algebra and table, before any rank is taken.  With d o d = 0, the complex of right-free modules
     A <- P_0 <- ... <- P_5 is exact iff P (x)_A A_0 is (Butler and King,
     J. Algebra 212, 1999; both directions are in `_Resolution`, the converse
     by graded Nakayama).  That one-sided complex vanishes above degree
@@ -968,7 +968,7 @@ def verify_resolution(hom: Homology) -> dict:
             res = _Resolution(hom, emb)
         except ZeroDivisionError:
             continue
-        failures = res.d_squared() + _resolution_ranks(res, cutoff)
+        failures = _d_squared(res.A, res.mu) + _resolution_ranks(res, cutoff)
         return {"ok": not failures, "cutoff": cutoff, "failures": failures,
                 "prime": emb.p}
     return {"ok": False, "cutoff": cutoff,
@@ -1088,7 +1088,7 @@ def build_report(A: GradedAlgebra, cells: CellSystem, max_index: int = 13,
     hh0 = hh0_direct(A)
     checks = {}
     checks["hilbert"] = True  # enforced during algebra construction
-    checks["d2"] = not hom.check_d_squared(min(max_index + 1, 14), cutoff)
+    d2_bad = hom.check_d_squared(min(max_index + 1, 14), cutoff)
     hh0_complex = {d: v for (i, d), v in hh_full.items() if i == 0}
     checks["hh0_cross"] = hh0_complex == {d: v for d, v in hh0.items() if v}
     checks["duality"] = not hom.verify_duality()
@@ -1100,6 +1100,11 @@ def build_report(A: GradedAlgebra, cells: CellSystem, max_index: int = 13,
         hh_full, coh, min(max_index, 12))
     checks["hh0_cohomology"] = hom.verify_hh0_cohomology(hh_full)
     if with_resolution:
-        checks["exactness"] = verify_resolution(hom)["ok"]
+        # the certificate checks d o d on generators first, which sees the
+        # faults in mu_4 that the Hochschild maps miss
+        res = verify_resolution(hom)
+        d2_bad += [f for f in res["failures"] if f[0] == "d2-exact"]
+        checks["exactness"] = res["ok"]
+    checks["d2"] = not d2_bad
     return HomologyReport(g.name, cells.label, max_index, cutoff,
                           hh, hc, coh, hh0, checks)

@@ -581,17 +581,13 @@ class Scalar:
 
     # -- mod-p reduction -----------------------------------------------------------------
 
-    def reduce_mod(self, emb: "PrimeEmbedding") -> int | None:
-        """Image under a prime embedding, or None if a denominator vanishes."""
-        try:
-            r = _dreduce(self.re, emb)
-            if self.im:
-                if emb.i_img is None:
-                    return None
-                r = (r + emb.i_img * _dreduce(self.im, emb)) % emb.p
-            return r
-        except ZeroDivisionError:
-            return None
+    def reduce_mod(self, emb: "PrimeEmbedding") -> int:
+        """Image under a prime embedding; raises ZeroDivisionError when p
+        divides a denominator."""
+        r = _dreduce(self.re, emb)
+        if self.im:
+            r = (r + emb.i_img * _dreduce(self.im, emb)) % emb.p
+        return r
 
     # -- serialization ----------------------------------------------------------------------
 
@@ -782,7 +778,7 @@ class PrimeEmbedding:
     too (p = 1 mod 4), so that i has an image and complexified scalars reduce.
     """
 
-    def __init__(self, p: int, c_img: int, root_imgs: tuple[int, ...], i_img: int | None):
+    def __init__(self, p: int, c_img: int, root_imgs: tuple[int, ...], i_img: int):
         self.p = p
         self.c_img = c_img
         self.root_imgs = root_imgs
@@ -907,11 +903,14 @@ def base_relation(h: int, value, prec: int) -> tuple[int, ...] | None:
     Bailey and Arno, Math. Comp. 68, 1999) finds at `prec` bits: the
     normalised base tuple of -(a_1 + ... + a_D c^(D-1)) / a_0, or None when
     there is no relation with a_0 != 0.  The relation holds to about
-    0.75 prec bits only, so the caller certifies what it gets."""
+    0.75 prec bits only, which determines D + 1 coefficients of up to
+    0.75 prec / (D + 1) bits each; PSLQ gives up beyond that bound rather
+    than return a spurious relation.  The caller certifies what it gets."""
+    D = _base_field(h).D
     with mpmath.workprec(prec):
         c, _ = FieldTower(h).numeric(prec)
-        vec = [value] + [c ** i for i in range(_base_field(h).D)]
-        rel = mpmath.pslq(vec, maxcoeff=10 ** (prec // 16), maxsteps=200000)
+        vec = [value] + [c ** i for i in range(D)]
+        rel = mpmath.pslq(vec, maxcoeff=2 ** (3 * prec // (4 * (D + 1))), maxsteps=200000)
     if not rel or not rel[0]:
         return None
     return _bnormalize(rel[0], tuple(-a for a in rel[1:]))

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from acy.algebra import AlgebraError, GradedAlgebra
-from acy.cells import CellSystem, derive_relations
-from acy.quiver import build_family
+from acy.cells import CellSystem, builtin_cells, derive_relations
+from acy.quiver import build_family, parse_graph_spec
 from acy.series import hilbert_closed_form
 
 
@@ -84,7 +84,7 @@ def test_dual_bases(pipe):
     A.build_form()
     T = A.top
     for p in range(T + 1):
-        for i, wstar in A.dual_pairs(p):
+        for i, wstar in sorted(A.duals[p].items()):
             b = A.basis[p][i]
             prod = A.mul(p, A.unit(p, i), T - p, wstar)
             assert prod == A.u_vec[b.src]
@@ -108,7 +108,7 @@ def test_dual_element_basis_independence(pipe):
     blk = next(iter(A.block_index[p].values()))
     tower = A.tower
     canonical = {}
-    for i, wstar in A.dual_pairs(p):
+    for i, wstar in sorted(A.duals[p].items()):
         for jj, c in wstar.items():
             canonical[(i, jj)] = c
     # change basis on one block by an invertible rational matrix
@@ -136,13 +136,13 @@ def test_dual_element_basis_independence(pipe):
                     key = (blk[r], jj)
                     cur = transformed.get(key, tower.zero())
                     transformed[key] = cur + M[r][c] * coeff * w
-    for i, wstar in A.dual_pairs(p):
+    for i, wstar in sorted(A.duals[p].items()):
         if i not in blk:
             for jj, c in wstar.items():
                 transformed[(i, jj)] = transformed.get((i, jj), tower.zero()) + c
     transformed = {k: v for k, v in transformed.items() if not v.is_zero()}
     canonical_all = {}
-    for i, wstar in A.dual_pairs(p):
+    for i, wstar in sorted(A.duals[p].items()):
         for jj, c in wstar.items():
             canonical_all[(i, jj)] = c
     assert set(transformed) == set(canonical_all)
@@ -178,6 +178,23 @@ def test_nakayama(pipe):
     for i in range(A5.dim(A5.top)):
         assert A5.f(A5.beta_vec(A5.top, A5.unit(A5.top, i))) == \
             A5.f(A5.unit(A5.top, i))
+
+
+def test_form_detects_a_wrong_nakayama_action(monkeypatch):
+    # beta as the identity on the idempotents only: the form propagation reads
+    # beta in degree 1 and still passes, and (x,y) = (y,beta(x)) fails for x
+    # an idempotent at a vertex that nu moves
+    real = GradedAlgebra.beta_basis
+
+    def beta_basis(self, k, i):
+        return self.unit(k, i) if k == 0 else real(self, k, i)
+
+    monkeypatch.setattr(GradedAlgebra, "beta_basis", beta_basis)
+    for spec in ("A4", "A5", "A9"):
+        g = parse_graph_spec(spec)
+        A = GradedAlgebra(g, derive_relations(builtin_cells(g)))
+        with pytest.raises(AlgebraError, match=r"\(x,y\) != \(y,beta\(x\)\) at degree 0"):
+            A.build_form()
 
 
 def test_relation_count_and_snapshot(pipe):

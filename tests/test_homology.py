@@ -418,6 +418,18 @@ def test_cli_d2_check_reports_a_bumped_mu4(monkeypatch, capsys):
     assert ["d2-exact", 4, "0,0"] in doc["details"]["d2_failures"]
 
 
+def test_compute_report_d2_sees_a_bumped_mu4(monkeypatch, capsys):
+    # the Hochschild d o d the report always runs misses this fault; the
+    # certificate's generator check sees it, and both checks report it
+    monkeypatch.setattr(acy.homology, "differentials",
+                        lambda A: _bump_mu4(differentials(A)))
+    code = cli.main(["compute", "--graph", "A4", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert doc["checks"]["d2"] is False
+    assert doc["checks"]["exactness"] is False
+
+
 def test_resolution_detects_a_bumped_modular_mu4(pipe, monkeypatch):
     # the modular stage 4 applies the reduced mu_4 table, so the same +1 on
     # its image fails the generator check mod p; the rank failures it also
@@ -484,8 +496,13 @@ def test_resolution_skips_a_prime_that_fails_to_reduce(pipe, monkeypatch):
     _, cells, _, hom = pipe("A4")
     first = PrimeEmbedding.find(cells.tower).p
     reduce_mod = Scalar.reduce_mod
-    monkeypatch.setattr(Scalar, "reduce_mod",
-                        lambda x, emb: None if emb.p == first else reduce_mod(x, emb))
+
+    def failing_at_first(x, emb):
+        if emb.p == first:
+            raise ZeroDivisionError
+        return reduce_mod(x, emb)
+
+    monkeypatch.setattr(Scalar, "reduce_mod", failing_at_first)
     out = verify_resolution(hom)
     assert out["ok"], out
     assert out["prime"] == PrimeEmbedding.find(cells.tower, skip=1).p != first
@@ -493,7 +510,11 @@ def test_resolution_skips_a_prime_that_fails_to_reduce(pipe, monkeypatch):
 
 def test_resolution_without_a_usable_prime(pipe, monkeypatch):
     _, _, _, hom = pipe("A4")
-    monkeypatch.setattr(Scalar, "reduce_mod", lambda x, emb: None)
+
+    def failing(x, emb):
+        raise ZeroDivisionError
+
+    monkeypatch.setattr(Scalar, "reduce_mod", failing)
     monkeypatch.setattr(acy.homology, "_PRIME_TRIES", 2)
     out = verify_resolution(hom)
     assert not out["ok"]

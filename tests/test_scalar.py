@@ -214,6 +214,16 @@ def test_base_relation_recognises_a_base_field_element(h):
         assert base_relation(h, x.value(300), 300) == x.re[0]
 
 
+@pytest.mark.parametrize("prec", [232, 300, 400])
+@pytest.mark.parametrize("h", [8, 12, 17, 24])
+def test_base_relation_finds_no_relation_for_pi_or_e(h, prec):
+    # neither lies in Q(c), so a relation with coefficients beyond what the
+    # precision determines would be spurious
+    with mpmath.workprec(prec):
+        for value in (+mpmath.pi, +mpmath.e):
+            assert base_relation(h, value, prec) is None
+
+
 @pytest.mark.parametrize("h, g", [
     (6, (1, 378, 216)),    # from the A6 solve: 6 (3 (2 + c))^2, and sqrt 6 is not in Q(c)
     (7, (1, -1, 4, -1)),   # nsimplify cannot coerce this one; exact rationals can
@@ -250,7 +260,7 @@ def test_solve_loads_no_sympy():
 
 from functools import lru_cache  # noqa: E402
 
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, given, reject, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from acy.scalar import _bnormalize, _bone, _cyclotomic  # noqa: E402
@@ -392,8 +402,10 @@ def test_reduce_mod_is_a_ring_homomorphism(args):
     t, a, b = args
     emb = PrimeEmbedding.find(t)
     p = emb.p
-    pa, pb = a.reduce_mod(emb), b.reduce_mod(emb)
-    assume(pa is not None and pb is not None)
+    try:
+        pa, pb = a.reduce_mod(emb), b.reduce_mod(emb)
+    except ZeroDivisionError:  # p divides a denominator
+        reject()
     assert (a + b).reduce_mod(emb) == (pa + pb) % p
     assert (a * b).reduce_mod(emb) == pa * pb % p
     assert (-a).reduce_mod(emb) == -pa % p
