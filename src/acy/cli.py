@@ -4,6 +4,12 @@
     acy compute --graph E8* --cells builtin --format json
     acy verify  --graph A5 --check duality
 
+`compute` and `verify` pass the same gates, cell verification and the
+Hilbert gate, and take their checks from one `build_report`: `compute`
+prints the whole report, `verify` the check that `--check` selects (`all`:
+every check of the report, plus the cell checks) with its first failing
+locations.
+
 Exit codes: 0 all checks pass; 2 input/schema error; 3 mathematical check
 failure; 4 solver failure.
 """
@@ -15,12 +21,11 @@ import json
 import sys
 
 from . import __version__
-from .algebra import AlgebraError, GradedAlgebra
+from .algebra import AlgebraError, GradedAlgebra, spot_checks
 from .cells import (builtin_cells, cells_from_doc, derive_relations, family_cells,
                     verify_type_I, verify_type_II)
-from .homology import Homology, build_report, generator_d_squared, verify_resolution
+from .homology import build_report
 from .quiver import GraphError, family_catalog, parse_graph_spec
-from .series import euler_characteristic_hc
 from .solver import SolverError, solve_cells
 
 EXIT_OK, EXIT_INPUT, EXIT_MATH, EXIT_SOLVER = 0, 2, 3, 4
@@ -77,6 +82,20 @@ def cmd_graphs_list(args) -> int:
     return EXIT_OK
 
 
+def _gates(args, graph):
+    """Load the cells and run the cell and Hilbert gates of `compute` and
+    `verify`: (cells, type I result, type II result, algebra, Hilbert error);
+    the algebra is None when a gate fails."""
+    cells = _load_cells(graph, args.cells, args.seed, args.precision)
+    r1, r2 = verify_type_I(cells), verify_type_II(cells)
+    if not (r1.ok and r2.ok):
+        return cells, r1, r2, None, None
+    try:
+        return cells, r1, r2, GradedAlgebra(graph, derive_relations(cells)), None
+    except AlgebraError as exc:
+        return cells, r1, r2, None, str(exc)
+
+
 def cmd_compute(args) -> int:
     if args.periods < 1:
         raise GraphError(f"--periods must be >= 1, got {args.periods}")
@@ -84,24 +103,18 @@ def cmd_compute(args) -> int:
     if args.cutoff_degree is not None and args.cutoff_degree < 3 * graph.h:
         raise GraphError(f"--cutoff-degree must be >= 3h = {3 * graph.h} "
                          "when cyclic homology is requested")
-    cells = _load_cells(graph, args.cells, args.seed, args.precision)
-    r1 = verify_type_I(cells)
-    r2 = verify_type_II(cells)
+    cells, r1, r2, A, error = _gates(args, graph)
     if not (r1.ok and r2.ok):
         _emit({"schema": "acy-report/1", "graph": graph.name, "failed_gate": "cells",
                "type_I_failures": r1.failures[:10], "type_II_failures": r2.failures[:10]},
               args, f"FAIL cells: type I/II verification failed for {graph.name}")
         return EXIT_MATH
-    try:
-        A = GradedAlgebra(graph, derive_relations(cells))
-    except AlgebraError as exc:
+    if A is None:
         _emit({"schema": "acy-report/1", "graph": graph.name, "failed_gate": "hilbert",
-               "error": str(exc)}, args, f"FAIL hilbert: {exc}")
+               "error": error}, args, f"FAIL hilbert: {error}")
         return EXIT_MATH
     max_index = 12 * args.periods + 1
     rep = build_report(A, cells, max_index=max_index, cutoff=args.cutoff_degree)
-    from .algebra import spot_checks
-
     rep.checks.update(spot_checks(A, args.seed))
     doc = rep.to_doc()
     doc["tool"] = _tool_meta(args.seed, cells.tower)
@@ -110,70 +123,37 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """The gates, then the selected checks of `build_report`: the one that
+    `--check` names, or with `all` every check `compute` reports.  A failing
+    gate is always shown, as the checks after it cannot run."""
     graph = parse_graph_spec(args.graph)
-    checks = {}
-    details = {}
     want = args.check
-    cells = None
-    if want in ("cells", "all", "duality", "euler", "resolution", "d2", "hh0"):
-        cells = _load_cells(graph, args.cells, args.seed, args.precision)
-    if want in ("cells", "all"):
-        r1 = verify_type_I(cells)
-        r2 = verify_type_II(cells)
-        checks["cells_type_I"] = r1.ok
-        checks["cells_type_II"] = r2.ok
+    cells, r1, r2, A, error = _gates(args, graph)
+    checks, details = {}, {}
+    if want in ("cells", "all") or not (r1.ok and r2.ok):
+        checks.update(cells_type_I=r1.ok, cells_type_II=r2.ok)
         details["frames"] = {"type_I": r1.frames, "type_II": r2.frames}
-    if want in ("hilbert", "all", "duality", "euler", "resolution", "d2", "hh0"):
-        if cells is None:
-            cells = _load_cells(graph, args.cells, args.seed, args.precision)
-        try:
-            A = GradedAlgebra(graph, derive_relations(cells))
-            checks["hilbert"] = True
-        except AlgebraError as exc:
-            checks["hilbert"] = False
-            details["hilbert_error"] = str(exc)
-            A = None
-    if want in ("duality", "euler", "resolution", "d2", "hh0", "all") and checks.get("hilbert"):
-        hom = Homology(A)
-        if want in ("duality", "all"):
-            bad = hom.verify_duality()
-            checks["duality"] = not bad
-            if bad:
-                details["duality_failures"] = bad[:10]
-        if want in ("d2", "all"):
-            # d o d of the Hochschild maps, then of the resolution on its
-            # generators, which also sees the faults in mu_4 the first misses
-            bad = hom.check_d_squared(14, 4 * graph.h) + generator_d_squared(hom)
-            checks["d2"] = not bad
-            if bad:
-                details["d2_failures"] = bad[:10]
-        if want in ("euler", "all"):
-            from .homology import cyclic_from_hh, euler_from_hc
-
-            cutoff = 4 * graph.h
-            i_full = Homology.index_bound(graph.h, cutoff)
-            hh = hom.hh_table(i_full, cutoff)
-            hc = cyclic_from_hh(hom.reduced(hh), cutoff, i_full)
-            checks["euler"] = euler_from_hc(hc, cutoff) == euler_characteristic_hc(graph, cutoff)
-        if want in ("hh0", "all"):
-            from .homology import hh0_direct
-
-            hh0 = hh0_direct(A)
-            hh0_complex = {d: hom.hh_dim(0, d) for d in range(4 * graph.h + 1)}
-            hh0_complex = {d: v for d, v in hh0_complex.items() if v}
-            checks["hh0_cross"] = hh0_complex == hh0
-        if want in ("resolution", "all"):
-            res = verify_resolution(hom)
-            checks["resolution"] = res["ok"]
-            if not res["ok"]:
-                details["resolution_failures"] = res["failures"][:10]
-    ok = all(checks.values()) if checks else False
+    if error is not None:
+        checks["hilbert"] = False
+        details["hilbert_error"] = error
+    elif A is not None and want != "cells":
+        checks["hilbert"] = True
+    if A is not None and want not in ("cells", "hilbert"):
+        rep = build_report(A, cells, with_resolution=want in ("d2", "resolution", "all"))
+        rep.checks.update(spot_checks(A, args.seed))
+        selected = {"hh0": "hh0_cross", "resolution": "exactness"}.get(want, want)
+        for key, ok in rep.checks.items():
+            if selected in ("all", key):
+                name = "resolution" if key == "exactness" else key
+                checks[name] = ok
+                if key in rep.failures:
+                    details[f"{name}_failures"] = rep.failures[key]
     doc = {"schema": "acy-verify/1", "graph": graph.name, "checks": checks,
            "details": details}
     text = f"graph {graph.name}\n" + "\n".join(
         f"  {k}: {'pass' if v else 'FAIL'}" for k, v in sorted(checks.items()))
     _emit(doc, args, text)
-    return EXIT_OK if ok else EXIT_MATH
+    return EXIT_OK if all(checks.values()) else EXIT_MATH
 
 
 def main(argv=None) -> int:
@@ -196,7 +176,7 @@ def main(argv=None) -> int:
     c.add_argument("--seed", type=int, default=0, help="seed for solver and spot checks")
     _common_output(c)
 
-    v = sub.add_parser("verify", help="run selected verifications only")
+    v = sub.add_parser("verify", help="the report's checks, all or one")
     v.add_argument("--graph", required=True)
     v.add_argument("--cells", default="builtin")
     v.add_argument("--check", default="all",

@@ -27,6 +27,7 @@ finite, so every degree is covered.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 from . import linalg, series
@@ -35,7 +36,7 @@ from .cells import CellSystem
 from .scalar import PrimeEmbedding
 
 __all__ = ["Homology", "differentials", "apply_mu", "hh0_direct", "cyclic_from_hh",
-           "structure_from_euler", "generator_d_squared", "verify_resolution",
+           "structure_from_euler", "verify_resolution",
            "HomologyReport", "build_report"]
 
 _HOM_KINDS = ("N", "VN", "TVN", "N")
@@ -929,26 +930,17 @@ def _d_squared(A: GradedAlgebra, mu: dict) -> list:
     return bad
 
 
-def generator_d_squared(hom: Homology) -> list:
-    """The exact d o d = 0 check on bimodule generators, mu_0 mu_1 up to
-    mu_4 mu_5 over the tower: a ("d2-exact", r, generator) failure for each
-    generator of V_r whose mu_(r-1) mu_r image does not vanish.  This is
-    `_d_squared` on `hom.A` and `hom.mu`; `verify_resolution` runs the same
-    function on each prime's image."""
-    return _d_squared(hom.A, hom.mu)
-
-
 def verify_resolution(hom: Homology) -> dict:
     """Certified exactness of the bimodule resolution in every degree.
 
     The maps are those of `differentials`.  d o d = 0 is checked on
     bimodule generators, for mu_0 mu_1 up to mu_4 mu_5, by one function,
-    `_d_squared`: first over the tower (`generator_d_squared`), which is the
-    premise of the theorem below, then on the modular image of each prime,
-    `_Resolution`'s algebra and table, before any rank is taken.  With d o d = 0, the complex of right-free modules
-    A <- P_0 <- ... <- P_5 is exact iff P (x)_A A_0 is (Butler and King,
-    J. Algebra 212, 1999; both directions are in `_Resolution`, the converse
-    by graded Nakayama).  That one-sided complex vanishes above degree
+    `_d_squared`: first over the tower, which is the premise of the theorem
+    below, then on the modular image of each prime, `_Resolution`'s algebra
+    and table, before any rank is taken.  With d o d = 0, the complex of
+    right-free modules A <- P_0 <- ... <- P_5 is exact iff P (x)_A A_0 is
+    (Butler and King, J. Algebra 212, 1999; both directions are in
+    `_Resolution`, the converse by graded Nakayama).  That one-sided complex vanishes above degree
     top + h, the `cutoff`, and its exactness follows from ranks taken over
     the modular image, built once per prime: a mod-p rank is at most the
     exact rank, so mod-p ranks that meet the dimension bound pin the exact
@@ -958,7 +950,7 @@ def verify_resolution(hom: Homology) -> dict:
     a node its one-sided (d, u, v) block) and the `prime` that was used.
     """
     cutoff = hom.A.top + hom.g.h
-    failures = generator_d_squared(hom)
+    failures = _d_squared(hom.A, hom.mu)
     if failures:
         return {"ok": False, "cutoff": cutoff, "failures": failures}
     # mod-p rank certificates per node, degree and block
@@ -1017,6 +1009,7 @@ class HomologyReport:
     cohomology: dict
     hh0: dict
     checks: dict = field(default_factory=dict)
+    failures: dict = field(default_factory=dict)  # failing check -> first 10 locations
 
     @property
     def ok(self) -> bool:
@@ -1029,7 +1022,7 @@ class HomologyReport:
                 out.setdefault(str(i), {})[str(d)] = v
             return out
 
-        return {
+        doc = {
             "schema": "acy-report/1",
             "graph": self.graph,
             "cells": self.cells,
@@ -1039,6 +1032,9 @@ class HomologyReport:
                        "hh0": {str(d): v for d, v in sorted(self.hh0.items())}},
             "checks": dict(sorted(self.checks.items())),
         }
+        if self.failures:
+            doc["failures"] = dict(sorted(self.failures.items()))
+        return doc
 
     def render_text(self) -> str:
         def series_str(row: dict[int, int]) -> str:
@@ -1066,6 +1062,7 @@ class HomologyReport:
         lines.append("")
         lines.append("checks: " + ", ".join(f"{k}={'pass' if v else 'FAIL'}"
                                             for k, v in sorted(self.checks.items())))
+        lines += [f"{k} failed at: {json.dumps(v)}" for k, v in sorted(self.failures.items())]
         return "\n".join(lines)
 
 
@@ -1088,23 +1085,22 @@ def build_report(A: GradedAlgebra, cells: CellSystem, max_index: int = 13,
     hh0 = hh0_direct(A)
     checks = {}
     checks["hilbert"] = True  # enforced during algebra construction
-    d2_bad = hom.check_d_squared(min(max_index + 1, 14), cutoff)
+    failures = {"d2": hom.check_d_squared(min(max_index + 1, 14), cutoff)}
     hh0_complex = {d: v for (i, d), v in hh_full.items() if i == 0}
     checks["hh0_cross"] = hh0_complex == {d: v for d, v in hh0.items() if v}
-    checks["duality"] = not hom.verify_duality()
-    checks["dim_symmetry"] = not hom.verify_dim_symmetry(hh_full, cutoff)
-    checks["periodicity"] = not hom.verify_periodicity(hh_full, i_full, cutoff)
+    failures["duality"] = hom.verify_duality()
+    failures["dim_symmetry"] = hom.verify_dim_symmetry(hh_full, cutoff)
+    failures["periodicity"] = hom.verify_periodicity(hh_full, i_full, cutoff)
     chi = series.euler_characteristic_hc(g, cutoff)
     checks["euler"] = euler_from_hc(hc_red, cutoff) == chi
-    checks["cohomology_routes"] = not hom.verify_cohomology_routes(
+    failures["cohomology_routes"] = hom.verify_cohomology_routes(
         hh_full, coh, min(max_index, 12))
     checks["hh0_cohomology"] = hom.verify_hh0_cohomology(hh_full)
     if with_resolution:
         # the certificate checks d o d on generators first, which sees the
         # faults in mu_4 that the Hochschild maps miss
-        res = verify_resolution(hom)
-        d2_bad += [f for f in res["failures"] if f[0] == "d2-exact"]
-        checks["exactness"] = res["ok"]
-    checks["d2"] = not d2_bad
-    return HomologyReport(g.name, cells.label, max_index, cutoff,
-                          hh, hc, coh, hh0, checks)
+        failures["exactness"] = verify_resolution(hom)["failures"]
+        failures["d2"] += [f for f in failures["exactness"] if f[0] == "d2-exact"]
+    checks.update((k, not bad) for k, bad in failures.items())
+    return HomologyReport(g.name, cells.label, max_index, cutoff, hh, hc, coh, hh0,
+                          checks, {k: bad[:10] for k, bad in failures.items() if bad})

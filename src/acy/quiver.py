@@ -506,6 +506,10 @@ def load_graph(doc: dict) -> Graph:
     edges = [Edge(json_field(e, "id", int, "edge"), json_field(e, "src", str, "edge"),
                   json_field(e, "dst", str, "edge"))
              for e in json_field(doc, "edges", list, "graph")]
+    vertices = json_field(doc, "vertices", list, "graph")
+    vertex_map = json_field(nu, "vertex_map", dict, "nu")
+    if not all(isinstance(v, str) for v in vertices + list(vertex_map.values())):
+        raise GraphError("vertices and nu.vertex_map must name vertices by strings")
     phi = None
     if "pf" in doc:
         tower = FieldTower.from_doc(json_field(doc["pf"], "tower", dict, "pf"))
@@ -513,15 +517,18 @@ def load_graph(doc: dict) -> Graph:
             raise GraphError("pf tower h does not match graph h")
         if tower.roots:
             raise GraphError("pf coordinates must live in the base tower")
-        phi = {v: Scalar.from_coords(tower, c)
-               for v, c in json_field(doc["pf"], "coords", dict, "pf").items()}
+        coords = json_field(doc["pf"], "coords", dict, "pf")
+        if set(coords) != set(vertices):
+            raise GraphError("pf.coords must have one entry per vertex and no other")
+        phi = {v: Scalar.from_coords(tower, c) for v, c in coords.items()}
     edge_map = json_field(nu, "edge_map", dict, "nu") if "edge_map" in nu else {}
     if not all(k.isdigit() and isinstance(v, int) for k, v in edge_map.items()):
         raise GraphError("nu.edge_map must map edge ids to integer edge ids")
     nu_e = {int(k): v for k, v in edge_map.items()} or None
     coloring = json_field(doc, "coloring", dict, "graph") if "coloring" in doc else None
-    return Graph(doc.get("name", "custom"), h, list(json_field(doc, "vertices", list, "graph")),
-                 edges, dict(json_field(nu, "vertex_map", dict, "nu")), coloring,
+    if coloring and not all(isinstance(c, int) for c in coloring.values()):
+        raise GraphError("field 'coloring' of graph must map vertices to integers")
+    return Graph(doc.get("name", "custom"), h, vertices, edges, vertex_map, coloring,
                  nu_e=nu_e, phi=phi)
 
 

@@ -91,11 +91,26 @@ def _malformed(case):
     if case == "coloring-as-a-list":
         doc["coloring"] = [0]
         return "--graph", doc, "'coloring'"
+    if case == "coloring-with-a-string":
+        doc["coloring"][doc["vertices"][0]] = "0"
+        return "--graph", doc, "'coloring'"
+    if case == "pf-coords-without-a-vertex":
+        del doc["pf"]["coords"][doc["vertices"][0]]
+        return "--graph", doc, "pf.coords"
+    if case == "pf-coords-with-an-extra-key":
+        doc["pf"]["coords"]["x"] = doc["pf"]["coords"][doc["vertices"][0]]
+        return "--graph", doc, "pf.coords"
+    if case == "vertex-as-a-list":
+        doc["vertices"][0] = ["x"]
+        return "--graph", doc, "vertices"
     return "--graph", [doc], "must be a JSON object, not list"
 
 
 @pytest.mark.parametrize("case", ["cells-without-tower", "cells-with-a-bad-root",
-                                  "edge-without-id", "coloring-as-a-list", "graph-as-a-list"])
+                                  "edge-without-id", "coloring-as-a-list",
+                                  "coloring-with-a-string", "pf-coords-without-a-vertex",
+                                  "pf-coords-with-an-extra-key", "vertex-as-a-list",
+                                  "graph-as-a-list"])
 def test_malformed_files_are_input_errors(tmp_path, case):
     from acy.cli import EXIT_INPUT
 
@@ -210,6 +225,17 @@ def test_verify_all_a4():
     for line in ("cells_type_I: pass", "hilbert: pass", "duality: pass",
                  "resolution: pass", "euler: pass", "hh0_cross: pass"):
         assert line in out, line
+
+
+def test_verify_all_runs_every_check_of_compute():
+    code, out, _ = run_cli("compute", "--graph", "A4", "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and "failures" not in report
+    code, out, _ = run_cli("verify", "--graph", "A4", "--check", "all", "--format", "json")
+    doc = json.loads(out)
+    want = {"resolution" if k == "exactness" else k for k in report["checks"]}
+    assert code == 0 and set(doc["details"]) == {"frames"}
+    assert set(doc["checks"]) == want | {"cells_type_I", "cells_type_II"}
 
 
 def test_verify_reports_where_d2_fails(monkeypatch, capsys):

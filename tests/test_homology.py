@@ -319,10 +319,8 @@ def _with_first_weight(change):
     """A _Resolution whose first reduced cell weight is replaced by
     change(w, p) in its modular image of mu_2; over the tower it is exact."""
     class Corrupted(_Resolution):
-        def __init__(self, hom, emb=None):
+        def __init__(self, hom, emb):
             super().__init__(hom, emb)
-            if not self.p:
-                return
             a = min(a for a, terms in self.mu[2].items() if terms)
             terms = self.mu[2][a]
             # the two terms of mu_2(a~) that carry one weight W_abc come first
@@ -430,15 +428,28 @@ def test_compute_report_d2_sees_a_bumped_mu4(monkeypatch, capsys):
     assert doc["checks"]["exactness"] is False
 
 
+def test_compute_report_names_where_a_bumped_mu4_fails(monkeypatch, capsys):
+    monkeypatch.setattr(acy.homology, "differentials",
+                        lambda A: _bump_mu4(differentials(A)))
+    code = cli.main(["compute", "--graph", "A4", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert ["d2-exact", 4, "0,0"] in doc["failures"]["d2"]
+    assert doc["failures"]["exactness"]
+    assert cli.main(["compute", "--graph", "A4"]) == 3
+    text = capsys.readouterr().out
+    assert 'd2 failed at: [["d2-exact", 4, "0,0"]' in text
+    assert "exactness failed at: [" in text
+
+
 def test_resolution_detects_a_bumped_modular_mu4(pipe, monkeypatch):
     # the modular stage 4 applies the reduced mu_4 table, so the same +1 on
     # its image fails the generator check mod p; the rank failures it also
     # causes come after
     class Bumped(_Resolution):
-        def __init__(self, hom, emb=None):
+        def __init__(self, hom, emb):
             super().__init__(hom, emb)
-            if self.p:
-                _bump_mu4(self.mu)
+            _bump_mu4(self.mu)
 
     monkeypatch.setattr(acy.homology, "_Resolution", Bumped)
     for spec, m in MU4_FAULT.items():
