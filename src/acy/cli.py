@@ -47,6 +47,8 @@ def _load_cells(graph, spec: str, seed: int, precision: int):
     if spec == "builtin":
         return builtin_cells(graph)
     if spec == "solve":
+        if precision < 16:  # PSLQ needs 53 bits, at ~3.32 bits per digit
+            raise GraphError(f"--precision must be >= 16 with --cells solve, got {precision}")
         return family_cells(graph, lambda base: solve_cells(base, seed=seed, digits=precision))
     if spec.startswith("file:"):
         with open(spec[5:], "r", encoding="utf-8") as fh:
@@ -150,9 +152,11 @@ def cmd_verify(args) -> int:
                     details[f"{name}_failures"] = rep.failures[key]
     doc = {"schema": "acy-verify/1", "graph": graph.name, "checks": checks,
            "details": details}
-    text = f"graph {graph.name}\n" + "\n".join(
-        f"  {k}: {'pass' if v else 'FAIL'}" for k, v in sorted(checks.items()))
-    _emit(doc, args, text)
+    text = [f"graph {graph.name}"] + [f"  {k}: {'pass' if v else 'FAIL'}"
+                                      for k, v in sorted(checks.items())]
+    text += [f"  {k.removesuffix('_failures')} failed at: {json.dumps(v)}"
+             for k, v in sorted(details.items()) if k.endswith("_failures")]
+    _emit(doc, args, "\n".join(text))
     return EXIT_OK if all(checks.values()) else EXIT_MATH
 
 
@@ -193,7 +197,7 @@ def main(argv=None) -> int:
         if args.command == "compute":
             return cmd_compute(args)
         return cmd_verify(args)
-    except (GraphError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (GraphError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SolverError as exc:

@@ -3,26 +3,27 @@ everything derived from them: graded HH/HC/HH* tables, the independent
 HH_0 = A/[A,A] computation, duality and periodicity checks, resolution
 exactness, and the structure tables predicted by the Euler characteristic.
 
-Chain spaces are S-centralizers of twisted bimodules:
+All three complexes read here are built on the generators V_0..V_4 of the
+superpotential resolution P (Bocklandt, JPAA 212, 2008), of degrees 0, 1,
+2, 3, h and listed once by `_generators` as (gen, a, b), gen running a -> b:
+vertices on V_0 and V_3, edges on V_1, reversed edges on V_2 and vertices
+m -> nu(m) on V_4.  A chain space is indexed by the degree k of its algebra
+factor: space(r, t, k) holds the pairs (gen, x) with gen in V_r and x in
+A_k running from b to nu^(-t)(a).  With i = 4s + r and _shift(i) = s h + r,
+the chains of A (x)_(A^e) P at total degree d are
+C_i = space(r, s, d - _shift(i)), and those of Hom_(A^e)(P, A) are
+C^i = space(3 - r, -s, d + _shift(i)).  The twist only matters mod 3, so
+the matrices depend on (r, t mod 3, k); for trivial nu every twist is 0.
 
-  N(k)   at internal degree j: algebra basis x with r(x) = nu^(-k)(s(x))
-  V (x) N(k):  pairs (edge a, x) with s(x) = r(a), r(x) = nu^(-k)(s(a))
-  V~(x) N(k):  pairs (edge a, x) with s(x) = s(a), r(x) = nu^(-k)(r(a))
-
-Differential matrices depend only on (formula type, twist mod 3, internal
-degree); the period-12 structure and the homology/cohomology sharing are
-automatic, and for trivial nu all twists collapse to one block family.
-
-The four maps mu_1..mu_4 of the superpotential resolution P are written
-once, as terms on bimodule generators (`differentials`), and applied by one
-term rule, `apply_mu`, to both complexes P (x)_(A^e) M that are read here:
-`Homology.mat` builds A (x)_(A^e) P over the tower, and `_Resolution` builds
-the one-sided complex P (x)_A A_0 over the algebra's image in F_p.
-`verify_resolution` composes the table on generators in both rings, which
-gives d o d = 0, and then ranks P (x)_A A_0 over F_p: a complex of
-right-free modules with d o d = 0 is exact iff that complex is (Butler and
-King, J. Algebra 212, 1999; the converse by graded Nakayama), and it is
-finite, so every degree is covered.
+The four maps mu_1..mu_4 of P are written once, as terms on generators
+(`differentials`), and applied by one term rule, `apply_mu`, to both
+complexes P (x)_(A^e) M that are read here: `Homology.mat` builds
+A (x)_(A^e) P over the tower, and `_Resolution` builds the one-sided complex
+P (x)_A A_0 over the algebra's image in F_p.  `verify_resolution` composes
+the table on generators in both rings, which gives d o d = 0, and then ranks
+P (x)_A A_0 over F_p: a complex of right-free modules with d o d = 0 is
+exact iff that complex is (Butler and King, J. Algebra 212, 1999; the
+converse by graded Nakayama), and it is finite, so every degree is covered.
 """
 
 from __future__ import annotations
@@ -39,22 +40,20 @@ __all__ = ["Homology", "differentials", "apply_mu", "hh0_direct", "cyclic_from_h
            "structure_from_euler", "verify_resolution",
            "HomologyReport", "build_report"]
 
-_HOM_KINDS = ("N", "VN", "TVN", "N")
-_COH_KINDS = ("N", "TVN", "VN", "N")
-# The chain space of V_r (x) A, r = 0..4: vertex generators (V_0 = V_3 = S,
-# and V_4 = S twisted by nu) give N, the edges V_1 give V (x) N, and the
-# reversed edges V_2 give V~ (x) N.
-_STAGE_KINDS = ("N", "VN", "TVN", "N", "N")
+
+def _generators(g, stage: int) -> list:
+    """The generators (gen, a, b) of V_stage, gen running a -> b: the edge
+    ids on V_1, reversed on V_2, and the vertices, in label order, on V_0,
+    V_3 and V_4, where V_4 is twisted by nu on the right."""
+    if stage in (1, 2):
+        return [(e.id, *((e.src, e.dst) if stage == 1 else (e.dst, e.src))) for e in g.edges]
+    return [(m, m, g.nu_v[m] if stage == 4 else m) for m in sorted(g.vertices)]
 
 
-def _shift_hom(i: int, h: int) -> int:
+def _shift(i: int, h: int) -> int:
+    """The degree of the generators of C_i: s h + r for i = 4s + r."""
     s, r = divmod(i, 4)
-    return s * h + (0, 0, 1, 3)[r]
-
-
-def _shift_coh(i: int, h: int) -> int:
-    s, r = divmod(i, 4)
-    return -s * h - (0, 2, 3, 3)[r]
+    return s * h + r
 
 
 def _gen_degrees(h: int) -> tuple[int, ...]:
@@ -68,9 +67,8 @@ def differentials(A: GradedAlgebra) -> dict:
 
     mu[r][v] lists the terms (left, v', right, c) of mu_r(1 (x) v (x) 1),
     which is the sum of c * left (x) v' (x) right: left and right are basis
-    elements (degree, index) of A, v' is a generator of V_(r-1) and c is an
-    exact scalar.  The generators of V_1 and V_2 are edge ids (e~ in V_2
-    runs against e); those of V_0, V_3 and V_4 are vertices.
+    elements (degree, index) of A, v' is a generator of V_(r-1), as
+    `_generators` lists them, and c is an exact scalar.
 
       mu_1(e)   = e (x) 1 - 1 (x) e
       mu_2(a~)  = sum W_abc (b (x) c (x) 1 + 1 (x) b (x) c)
@@ -157,7 +155,7 @@ class Homology:
         """The largest homological index whose chain spaces can be nonzero at
         a degree <= cutoff, and at least max_index."""
         i = max_index
-        while _shift_hom(i + 1, h) <= cutoff:
+        while _shift(i + 1, h) <= cutoff:
             i += 1
         return i
 
@@ -166,40 +164,25 @@ class Homology:
     def _tw(self, t: int) -> int:
         return 0 if self.trivial_nu else t % 3
 
-    def space(self, kind: str, twist: int, j: int) -> list:
-        key = (kind, self._tw(twist), j)
+    def space(self, r: int, twist: int, k: int) -> list:
+        """The pairs (gen, x) of V_r (x) A_k with x running from b to
+        nu^(-twist)(a), for each generator (gen, a, b) of `_generators`."""
+        key = (r, self._tw(twist), k)
         hit = self._space_cache.get(key)
-        if hit is not None:
-            return hit
-        A, g = self.A, self.g
-        tw = self._tw(twist)
-        inv = (3 - tw) % 3
-        out = []
-        if kind == "N":
-            if 0 <= j <= A.top:
-                for (s, d), idxs in sorted(A.block_index[j].items()):
-                    if d == g.nu_vertex_pow(s, inv):
-                        out.extend((i,) for i in idxs)
-        else:
-            if 1 <= j <= A.top + 1:
-                for e in g.edges:
-                    if kind == "VN":
-                        blk = (e.dst, g.nu_vertex_pow(e.src, inv))
-                    else:
-                        blk = (e.src, g.nu_vertex_pow(e.dst, inv))
-                    for i in A.block_index[j - 1].get(blk, ()):
-                        out.append((e.id, i))
-        self._space_cache[key] = out
-        return out
+        if hit is None:
+            A, g, inv = self.A, self.g, -self._tw(twist) % 3
+            hit = self._space_cache[key] = [
+                (gen, x) for gen, a, b in (_generators(g, r) if 0 <= k <= A.top else ())
+                for x in A.block_index[k].get((b, g.nu_vertex_pow(a, inv)), ())]
+        return hit
 
     def chain_space(self, i: int, d: int, coh: bool = False) -> list:
-        h = self.g.h
-        s = i // 4
+        """C_i at total degree d, or C^i when coh: `space` at the degree of
+        its algebra factor, d -/+ `_shift`(i)."""
+        s, r = divmod(i, 4)
         if coh:
-            kind = _COH_KINDS[i % 4]
-            return self.space(kind, (-s) % 3, d - _shift_coh(i, h))
-        kind = _HOM_KINDS[i % 4]
-        return self.space(kind, s % 3, d - _shift_hom(i, h))
+            return self.space(3 - r, -s, d + _shift(i, self.g.h))
+        return self.space(r, s, d - _shift(i, self.g.h))
 
     # -- differentials ------------------------------------------------------------
 
@@ -209,54 +192,43 @@ class Homology:
             eid = self.g.nu_e[eid]
         return eid
 
-    def _pos(self, kind: str, twist: int, j: int) -> dict:
-        key = ("pos", kind, self._tw(twist), j)
+    def _pos(self, r: int, twist: int, k: int) -> dict:
+        key = ("pos", r, self._tw(twist), k)
         hit = self._space_cache.get(key)
         if hit is None:
-            hit = {elt: p for p, elt in enumerate(self.space(kind, twist, j))}
+            hit = {elt: p for p, elt in enumerate(self.space(r, twist, k))}
             self._space_cache[key] = hit
         return hit
 
-    def mat(self, r: int, twist: int, j: int) -> dict:
-        """Matrix of mu_r on the centralizers at twist `twist`, domain internal j.
-
-        r=1: VN(t,j) -> N(t,j)        r=2: TVN(t,j) -> VN(t,j+1)
-        r=3: N(t,j) -> TVN(t,j+2)     r=4: N(t+1,j) -> N(t,j+top)
+    def mat(self, r: int, twist: int, k: int) -> dict:
+        """Matrix of mu_r from space(r % 4, t + (r == 4), k) to
+        space(r - 1, t, k + gdeg[r] - gdeg[r - 1]), t = twist.
 
         The term rule `apply_mu`, with power b^(-t) on the left factors: a
-        term (l, v', rt, c) of mu_r(v) sends (v, x) to c (v', rt x~ b^(-t)(l)),
-        where x~ = b(x) on the nu-twisted V_4 and x~ = x otherwise.  The
-        generator of an element x of N is its source vertex.
+        term (l, v', rt, c) of mu_r(gen) sends (gen, x) to
+        c (v', rt x~ b^(-t)(l)), where x~ = b(x) for r = 4, as b carries
+        space(0, t + 1, k) onto space(4, t, k), and x~ = x otherwise.
         """
-        key = (r, self._tw(twist), j)
+        key = (r, self._tw(twist), k)
         hit = self._mat_cache.get(key)
         if hit is not None:
             return hit
         A = self.A
         t = self._tw(twist)
-        twisted = r == 4
-        dk, tk = _STAGE_KINDS[r], _STAGE_KINDS[r - 1]
         gdeg = _gen_degrees(self.g.h)
-        k = j - (dk != "N")  # degree of the algebra factor x of the domain
-        pos = self._pos(tk, t, k + gdeg[r] - gdeg[r - 1] + (tk != "N"))
+        pos = self._pos(r - 1, t, k + gdeg[r] - gdeg[r - 1])
 
-        def at(v, jj) -> int:
-            elt = (jj,) if tk == "N" else (v, jj)
+        def at(elt) -> int:
             p = pos.get(elt)
             if p is None:
                 raise AlgebraError(f"image element {elt} escapes the target space")
             return p
 
         cols = []
-        for elt in self.space(dk, t + twisted, j):
-            if dk == "N":
-                (i,) = elt
-                gen = A.basis[k][i].src
-            else:
-                gen, i = elt
-            x = A.beta_vec(k, {i: A.one}) if twisted else {i: A.one}
+        for gen, i in self.space(r % 4, t + (r == 4), k):
+            x = A.beta_vec(k, {i: A.one}) if r == 4 else {i: A.one}
             img = apply_mu(A, self.mu[r][gen], k, x, (3 - t) % 3)
-            cols.append(linalg.axpy({}, [(at(v, jj), c) for (v, jj), c in img.items()]))
+            cols.append(linalg.axpy({}, [(at(elt), c) for elt, c in img.items()]))
         hit = {"cols": cols, "nd": len(cols), "nt": len(pos)}
         self._mat_cache[key] = hit
         return hit
@@ -264,35 +236,22 @@ class Homology:
     # -- (index, total degree) -> builder parameters ---------------------------------
 
     def _hom_params(self, i: int, d: int):
-        h = self.g.h
+        """(r, twist, k) of mat for mu'_i at total degree d, domain C_i."""
         t, r0 = divmod(i - 1, 4)
-        return r0 + 1, t, d - _shift_hom(i, h)
+        return r0 + 1, t, d - _shift(i, self.g.h)
 
     def _coh_params(self, i: int, d: int):
-        """Formula (r, twist, internal j) for mu_i^*, domain D^(i-1)."""
-        h = self.g.h
+        """(r, twist, k) of mat for mu_i^*, domain C^(i-1)."""
         t, r0 = divmod(i - 1, 4)
-        if r0 == 0:
-            return 3, (3 - t) % 3, d + t * h
-        if r0 == 1:
-            return 2, (3 - t) % 3, d + t * h + 2
-        if r0 == 2:
-            return 1, (3 - t) % 3, d + t * h + 3
-        return 4, (2 - t) % 3, d + t * h + 3
+        return (3, 2, 1, 4)[r0], -t - (r0 == 3), d + _shift(i - 1, self.g.h)
 
-    def _dom_ok(self, r: int, j: int) -> bool:
-        top = self.A.top
-        if _STAGE_KINDS[r] == "N":
-            return 0 <= j <= top
-        return 1 <= j <= top + 1
-
-    def rank(self, r: int, twist: int, j: int) -> int:
-        if not self._dom_ok(r, j):
+    def rank(self, r: int, twist: int, k: int) -> int:
+        if not 0 <= k <= self.A.top:
             return 0
-        key = (r, self._tw(twist), j)
+        key = (r, self._tw(twist), k)
         hit = self._rank_cache.get(key)
         if hit is None:
-            hit = linalg.rank(self.mat(r, twist, j)["cols"])
+            hit = linalg.rank(self.mat(r, twist, k)["cols"])
             self._rank_cache[key] = hit
         return hit
 
@@ -344,19 +303,19 @@ class Homology:
 
     def check_d_squared(self, max_i: int, max_d: int) -> list:
         """Exact mu'_i o mu'_(i+1) = 0 at every total degree; returns failures."""
-        bad = []
+        bad, top = [], self.A.top
         checked = set()
         for i in range(1, max_i + 1):
             for d in range(max_d + 1):
-                r2, t2, j2 = self._hom_params(i + 1, d)
-                r1, t1, j1 = self._hom_params(i, d)
-                if not (self._dom_ok(r2, j2) and self._dom_ok(r1, j1)):
+                r2, t2, k2 = self._hom_params(i + 1, d)
+                r1, t1, k1 = self._hom_params(i, d)
+                if not (0 <= k2 <= top and 0 <= k1 <= top):
                     continue
-                key = (r2, self._tw(t2), j2, r1, self._tw(t1), j1)
+                key = (r2, self._tw(t2), k2, r1, self._tw(t1), k1)
                 if key in checked:
                     continue
                 checked.add(key)
-                if not self._compose_zero(self.mat(r1, t1, j1), self.mat(r2, t2, j2)):
+                if not self._compose_zero(self.mat(r1, t1, k1), self.mat(r2, t2, k2)):
                     bad.append((i, d))
         return bad
 
@@ -377,29 +336,26 @@ class Homology:
         row {column: value} per C_jdx(d) basis element; the twists satisfy
         t1 + t2 = 2 mod 3.
 
-        The value is the plain product f(x1 x2) of the N-components; for the
-        V/V~ factors composability forces the matching a1 = nu^t1(a2).  Since
-        A_top lies on the nu-diagonal, f(x1 x2) can be nonzero only for x2 in
-        the block (r(x1), nu(s(x1))), so each row reads just that block.  The
-        family of valid identifications is a torsor under powers of beta;
-        this member is the one with untwisted products."""
+        The value is the plain product f(x1 x2) of the algebra factors; for
+        edge generators composability forces the matching a1 = nu^t1(a2), and
+        a vertex generator is the source of its factor.  Since A_top lies on
+        the nu-diagonal, f(x1 x2) can be nonzero only for x2 in the block
+        (r(x1), nu(s(x1))), so each row reads just that block.  The family of
+        valid identifications is a torsor under powers of beta; this member
+        is the one with untwisted products."""
         A, g, h = self.A, self.g, self.g.h
         i1, i2 = jdx, 11 - jdx
-        t1, t2 = (i1 // 4) % 3, (i2 // 4) % 3
-        j1 = d - _shift_hom(i1, h)
-        j2 = (3 * h - d) - _shift_hom(i2, h)
-        kind = _HOM_KINDS[i1 % 4]
-        edged = kind != "N"  # then C_(11-jdx) has edge factors too
-        k1, k2 = j1 - edged, j2 - edged  # degrees of the algebra factors
-        cols = self._pos(_HOM_KINDS[i2 % 4], t2, j2)
+        (t1, r1), (t2, r2) = divmod(i1, 4), divmod(i2, 4)
+        k1, k2 = d - _shift(i1, h), (3 * h - d) - _shift(i2, h)
+        cols = self._pos(r2, t2, k2)
         rows = []
-        for elt in self.space(kind, t1, j1):
-            i = elt[-1]
-            a2 = self._nu_edge_pow(elt[0], -self._tw(t1)) if edged else None
+        for gen, i in self.space(r1, t1, k1):
             x = A.basis[k1][i]
+            # r1 + r2 = 3: edges pair with reversed edges, vertices with vertices
+            gen2 = self._nu_edge_pow(gen, -self._tw(t1)) if r1 in (1, 2) else x.dst
             row = {}
             for y in A.block_index[k2].get((x.dst, g.nu_v[x.src]), ()):
-                col = cols.get((a2, y) if edged else (y,))
+                col = cols.get((gen2, y))
                 if col is not None:
                     v = A.f(A.mul_basis(k1, i, k2, y))
                     if not v.is_zero():
@@ -418,7 +374,7 @@ class Homology:
         compared row by row as dicts, so the work follows their support.  A
         pairing is built once: P_i is the right side at step i and the left
         side at step i + 1."""
-        h = self.g.h
+        h, top = self.g.h, self.A.top
         pairs: dict = {}
 
         def pairing(jdx: int, d: int) -> list[dict]:
@@ -430,12 +386,12 @@ class Homology:
         bad = []
         for i in range(1, 7):
             for d in range(3 * h + 1):
-                r, t, j = self._hom_params(i, d)
-                rv, tv, jv = self._hom_params(12 - i, 3 * h - d)
-                if not (self._dom_ok(r, j) and self._dom_ok(rv, jv)):
+                r, t, k = self._hom_params(i, d)
+                rv, tv, kv = self._hom_params(12 - i, 3 * h - d)
+                if not (0 <= k <= top and 0 <= kv <= top):
                     continue
-                m_i = self.mat(r, t, j)
-                m_v = self.mat(rv, tv, jv)
+                m_i = self.mat(r, t, k)
+                m_v = self.mat(rv, tv, kv)
                 if m_i["nd"] == 0 or m_v["nd"] == 0:
                     continue
                 lhs_pair = pairing(i - 1, d)
@@ -468,18 +424,18 @@ class Homology:
         only values it contributes."""
         A, vi, T = self.A, self.g.vindex, self.A.top
         m = self.mat(4, 2, 0)
-        dom = self.space("N", 0, 0)
-        tgt = self.space("N", 2, T)
+        dom = self.space(0, 0, 0)
+        tgt = self.space(3, 2, T)
         # y = e_b with beta(y) = sum cc e_c, listed under c
         beta_of: dict[int, list] = {}
-        for (ib,) in dom:
+        for _, ib in dom:
             for ic, cc in A.beta_vec(0, A.unit(0, ib)).items():
                 beta_of.setdefault(ic, []).append((ib, cc))
         lhs: dict = {}
         rhs: dict = {}
-        for (ic,), col in zip(dom, m["cols"]):
+        for (_, ic), col in zip(dom, m["cols"]):
             for p, c in col.items():
-                (it,) = tgt[p]
+                _, it = tgt[p]
                 top = A.basis[T][it]
                 a, b = vi[top.src], vi[top.dst]
                 linalg.axpy(lhs, [((ic, b), A.f(A.mul_basis(T, it, 0, b)))], c)
@@ -785,12 +741,10 @@ class _Resolution:
     A-bimodule (Bocklandt, JPAA 212, 2008) over F_p, and the one-sided
     complex P (x)_A A_0 on which its exactness is ranked.
 
-    P_r = A (x) V_r (x) A with V_0 = V_3 = S, V_1 the edges, V_2 the
-    relations (one per reversed edge) and V_4 = S twisted by nu on the
-    right; the generators have degrees 0, 1, 2, 3, h, and stage 5 is stage 1
-    shifted by h.  Every P_r is free as a right A-module, and so is A.  For
-    such a bounded graded complex with d o d = 0, A <- P_0 <- ... <- P_5 is
-    exact iff P (x)_A A_0 is (Butler and King, Minimal resolutions of
+    P_r = A (x) V_r (x) A on the generators of `_generators`, and stage 5
+    is stage 1 shifted by h.  Every P_r is free as a right A-module, and so
+    is A.  For such a bounded graded complex with d o d = 0,
+    A <- P_0 <- ... <- P_5 is exact iff P (x)_A A_0 is (Butler and King, Minimal resolutions of
     algebras, J. Algebra 212, 1999):
     - an exact bounded complex of right-projectives splits as right
       modules, so it stays exact under (x)_A A_0;
@@ -832,24 +786,15 @@ class _Resolution:
                 self.ends[k].setdefault(t, []).append((s, idxs))
 
     def _bases(self, stage: int, d: int) -> dict:
-        """The domain of stage at total degree d, {(u, v): [(gen, x)]}: the
-        elements x (x) gen (x) e_v of A (x) V_stage; gen is an edge id on
-        stages 1 and 2, and the vertex where x ends otherwise."""
-        A, g = self.A, self.g
+        """The domain of stage at total degree d, {(u, b): [(gen, x)]}: the
+        elements x (x) gen (x) e_b of A (x) V_stage, x running from u to a,
+        for each generator (gen, a, b) of `_generators`."""
         n = d - self.gdeg[stage]
         out: dict = {}
-        if not 0 <= n <= A.top:
-            return out
-        if stage in (1, 2):
-            for e in g.edges:
-                a, b = (e.src, e.dst) if stage == 1 else (e.dst, e.src)
+        if 0 <= n <= self.A.top:
+            for gen, a, b in _generators(self.g, stage):
                 for u, xs in self.ends[n].get(a, ()):
-                    out.setdefault((u, b), []).extend((e.id, x) for x in xs)
-        else:
-            for (u, m), xs in A.block_index[n].items():
-                # V_4 is twisted by nu on the right: b(e_m) = e_(nu m)
-                v = g.nu_v[m] if stage == 4 else m
-                out.setdefault((u, v), []).extend((m, x) for x in xs)
+                    out.setdefault((u, b), []).extend((gen, x) for x in xs)
         return out
 
     def _rows(self, stage: int, d: int, dom: list, tgt: list) -> list[dict]:

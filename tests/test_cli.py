@@ -190,6 +190,25 @@ def test_out_file(tmp_path):
     assert doc["graph"] == "A4"
 
 
+@pytest.mark.parametrize("option", ["--out", "--graph", "--cells"])
+def test_a_directory_path_is_an_input_error(tmp_path, option):
+    from acy.cli import EXIT_INPUT
+
+    args = {"--graph": "A4", "--cells": "builtin",
+            option: str(tmp_path) if option == "--out" else f"file:{tmp_path}"}
+    code, _, err = run_cli("compute", *[x for kv in args.items() for x in kv])
+    assert code == EXIT_INPUT and "Traceback" not in err
+
+
+@pytest.mark.parametrize("precision", ["0", "15", "-3"])
+def test_a_solve_precision_below_16_is_an_input_error(precision):
+    from acy.cli import EXIT_INPUT
+
+    code, _, err = run_cli("compute", "--graph", "A4", "--cells", "solve",
+                           "--precision", precision)
+    assert code == EXIT_INPUT and "--precision" in err and "Traceback" not in err
+
+
 def test_compute_from_graph_file(tmp_path):
     import json as _json
 
@@ -277,7 +296,7 @@ def test_failed_math_check_exits_3(monkeypatch, capsys):
 
 
 def test_verify_reports_where_duality_fails(monkeypatch, capsys):
-    # +1 on one entry of mu'_2 at internal degree 2 (total degree 3) of the
+    # +1 on one entry of mu'_2 at algebra degree 1 (total degree 3) of the
     # twist-0 family: on A5 its dual partner mu'_10 has twist 2, so the
     # duality identity fails at (2, 3) only
     import acy.cli
@@ -287,7 +306,7 @@ def test_verify_reports_where_duality_fails(monkeypatch, capsys):
 
     def bumped(self, r, twist, j):
         m = mat(self, r, twist, j)
-        if (r, self._tw(twist), j) != (2, 0, 2):
+        if (r, self._tw(twist), j) != (2, 0, 1):
             return m
         cols = [dict(c) for c in m["cols"]]
         p, c = next(iter(cols[0].items()))

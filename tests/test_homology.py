@@ -6,9 +6,10 @@ import pytest
 import acy.homology
 from acy import cli
 from acy.algebra import AlgebraError
-from acy.homology import (Homology, _Resolution, _resolution_ranks, build_report,
-                          cyclic_from_hh, differentials, euler_from_hc, hh0_direct,
-                          predicted_tables, structure_from_euler, verify_resolution)
+from acy.homology import (Homology, _generators, _Resolution, _resolution_ranks,
+                          build_report, cyclic_from_hh, differentials, euler_from_hc,
+                          hh0_direct, predicted_tables, structure_from_euler,
+                          verify_resolution)
 from acy.scalar import PrimeEmbedding, Scalar
 from acy.series import euler_characteristic_hc
 
@@ -24,7 +25,7 @@ def test_a4_chain_space_v_block_empty(pipe):
 def test_vn_degree_zero_needs_loops(pipe):
     # (a (x) idempotent) lies in (V (x) A)^S only if a is a loop
     g, _, _, hom = pipe("E8*")
-    elems = hom.space("VN", 0, 1)
+    elems = hom.space(1, 0, 0)
     for (eid, i) in elems:
         e = g.edge_by_id[eid]
         assert e.src == e.dst
@@ -128,9 +129,10 @@ def _bump_first_entry(hom, r, t, j):
     raise AssertionError(f"mat{(r, t, j)} is zero")
 
 
-# verify_duality after one entry of mu'_2 = mat(2, 0, j) is raised by 1, for
-# the first j where mu'_2 is nonzero.  With trivial nu the same matrix also
-# serves mu'_6 and mu'_10, so it fails at more (i, d).
+# verify_duality after one entry of mu'_2 at total degree j + 1, which is
+# mat(2, 0, j - 1), is raised by 1, for the first j where mu'_2 is nonzero.
+# With trivial nu the same matrix also serves mu'_6 and mu'_10, so it fails
+# at more (i, d).
 MU2_FAULT = {
     "A9": (2, [(2, 3)]),
     "D9": (2, [(2, 3), (2, 6), (6, 12), (6, 15)]),
@@ -142,8 +144,8 @@ def test_duality_detects_a_perturbed_differential(pipe):
     for spec, (j, want) in MU2_FAULT.items():
         _, cells, A, _ = pipe(spec)
         hom = Homology(A)
-        assert not any(hom.mat(2, 0, j - 1)["cols"]), spec
-        _bump_first_entry(hom, 2, 0, j)
+        assert not any(hom.mat(2, 0, j - 2)["cols"]), spec
+        _bump_first_entry(hom, 2, 0, j - 1)
         assert hom.verify_duality() == want, spec
 
 
@@ -177,11 +179,9 @@ def _mat_digest(hom) -> tuple[int, str]:
     out = []
     for r in range(1, 5):
         for t in sorted({hom._tw(t) for t in range(3)}):
-            for j in range(hom.A.top + 2):
-                if not hom._dom_ok(r, j):
-                    continue
-                m = hom.mat(r, t, j)
-                out.append([r, t, j, m["nd"], m["nt"],
+            for k in range(hom.A.top + 1):
+                m = hom.mat(r, t, k)
+                out.append([r, t, k + (r in (1, 2)), m["nd"], m["nt"],
                             [sorted((p, normal_form(c)) for p, c in col.items())
                              for col in m["cols"]]])
     return len(out), hashlib.sha256(json.dumps(out, separators=(",", ":")).encode()).hexdigest()
@@ -191,6 +191,22 @@ def test_differential_matrices_pinned(pipe):
     for spec, pin in MAT_PIN.items():
         _, _, _, hom = pipe(spec)
         assert _mat_digest(hom) == pin, spec
+
+
+def test_generators_match_the_ends_of_every_mu_term(pipe):
+    # a term (l, v', rt, c) of mu_r(gen), gen: a -> b, is a path l v' rt:
+    # l runs from a to the left end of v', and rt from its right end to b
+    for spec in ("A4", "A5*", "D9", "E8*"):
+        g, _, A, hom = pipe(spec)
+        for r in range(1, 5):
+            ends = {v: (a, b) for v, a, b in _generators(g, r - 1)}
+            gens = _generators(g, r)
+            assert sorted(gen for gen, _, _ in gens) == sorted(hom.mu[r]), (spec, r)
+            for gen, a, b in gens:
+                for (kl, il), v, (kr, ir), _ in hom.mu[r][gen]:
+                    left, right = A.basis[kl][il], A.basis[kr][ir]
+                    assert (left.src, left.dst) == (a, ends[v][0]), (spec, r, gen)
+                    assert (right.src, right.dst) == (ends[v][1], b), (spec, r, gen)
 
 
 def test_resolution_exactness(pipe):
@@ -414,6 +430,17 @@ def test_cli_d2_check_reports_a_bumped_mu4(monkeypatch, capsys):
     assert code == 3
     assert doc["checks"] == {"hilbert": True, "d2": False}
     assert ["d2-exact", 4, "0,0"] in doc["details"]["d2_failures"]
+
+
+def test_cli_d2_check_text_names_where_it_fails(monkeypatch, capsys):
+    monkeypatch.setattr(acy.homology, "differentials",
+                        lambda A: _bump_mu4(differentials(A)))
+    code = cli.main(["verify", "--graph", "A4", "--check", "d2"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "  d2: FAIL" in out.splitlines()
+    line = next(x for x in out.splitlines() if x.startswith("  d2 failed at: "))
+    assert ["d2-exact", 4, "0,0"] in json.loads(line.split(": ", 1)[1])
 
 
 def test_compute_report_d2_sees_a_bumped_mu4(monkeypatch, capsys):
