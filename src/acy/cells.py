@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg
 from .quiver import Graph, build_family, json_field
 from .scalar import FieldTower, Scalar
 
@@ -25,8 +24,7 @@ __all__ = ["CellSystem", "RelationSet", "CellReport", "compile_equations",
            "gauge_transform", "check_nu_invariance",
            "orbifold_cells", "unfold_cells", "builtin_cells", "family_cells",
            "builtin_relations",
-           "standard_relations_e8star", "standard_relations_e8", "cells_to_doc", "cells_from_doc",
-           "relations_to_doc", "relations_from_doc"]
+           "standard_relations_e8star", "standard_relations_e8", "cells_to_doc", "cells_from_doc"]
 
 
 def canon(tri: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -85,12 +83,6 @@ class RelationSet:
                 eb, ec = graph.edge_by_id[b], graph.edge_by_id[c]
                 if eb.src != r.src or eb.dst != ec.src or ec.dst != r.dst:
                     raise ValueError(f"relation term {(b, c)} is not a path {r.src}->{r.dst}")
-
-    def by_block(self) -> dict[tuple[str, str], list[dict]]:
-        out: dict[tuple[str, str], list[dict]] = {}
-        for r in self.relations:
-            out.setdefault((r.src, r.dst), []).append(r.terms)
-        return out
 
     def __repr__(self):
         return f"RelationSet({self.graph.name}, {len(self.relations)} relations)"
@@ -247,7 +239,7 @@ def verify_type_II(cells: CellSystem, equations=None) -> CellReport:
 
 
 # ---------------------------------------------------------------------------
-# relations, gauge, nu-invariance
+# relations, gauge, nu-invariance test
 # ---------------------------------------------------------------------------
 
 def derive_relations(cells: CellSystem) -> RelationSet:
@@ -329,41 +321,16 @@ def gauge_transform(cells: CellSystem, u: dict) -> CellSystem:
     return CellSystem(g, tower, weights, label=cells.label + "+gauge")
 
 
-def check_nu_invariance(cells: CellSystem) -> str:
-    """'invariant' if W(nu tri) = W(tri); else 'span-stable' if the derived
-    relation spans are nu-stable; else 'unstable'."""
+def check_nu_invariance(cells: CellSystem) -> bool:
+    """True if W(nu tri) = W(tri) for every triangle."""
     g = cells.graph
-    invariant = True
-    for t in g.triangles():
-        nt = canon(tuple(g.nu_e[e] for e in t))
-        if cells.weights[nt] != cells.weights[t]:
-            invariant = False
-            break
-    if invariant:
-        return "invariant"
-    rels = derive_relations(cells)
-    blocks = rels.by_block()
-    path_index: dict[tuple, int] = {}
-
-    def vec(terms):
-        v = {}
-        for bc, w in terms.items():
-            idx = path_index.setdefault(bc, len(path_index))
-            v[idx] = w
-        return v
-
-    for (i, j), terms_list in blocks.items():
-        ti, tj = g.nu_v[i], g.nu_v[j]
-        target = [vec(terms) for terms in blocks.get((ti, tj), [])]
-        mapped = [vec({(g.nu_e[b], g.nu_e[c]): w for (b, c), w in terms.items()})
-                  for terms in terms_list]
-        if linalg.rank(target + mapped) != linalg.rank(target):
-            return "unstable"
-    return "span-stable"
+    return all(cells.weights[canon(tuple(g.nu_e[e] for e in t))] == w
+               for t, w in cells.weights.items())
 
 
 # ---------------------------------------------------------------------------
-# orbifold (A(3k+3) -> D(3k+3)) and unfolding (G -> threefold cover)
+# orbifold (A(3k+3) -> D(3k+3), one nu-orbit lift per triangle) and
+# unfolding (G -> threefold cover)
 # ---------------------------------------------------------------------------
 
 def _phi_ratio(d_graph: Graph, cover: Graph, rep_of: dict, centre: str, tower: FieldTower):
@@ -388,25 +355,25 @@ def _phi_ratio(d_graph: Graph, cover: Graph, rep_of: dict, centre: str, tower: F
 def orbifold_cells(d_graph: Graph, a_cells: CellSystem) -> CellSystem:
     """Cell system on D(3k+3) from a nu-invariant one on A(3k+3).
 
-    Weights of liftable triangles are the cover weights; triangles through a
-    triplicated vertex c_l pick up 1/sqrt(3) and a cube-root-of-unity phase
-    omega^(l) or omega^(2l) according to which of the two parallel edges the
-    triangle uses; non-liftable triangles get weight zero.
+    Each D triangle is rotated to start at its first free edge and lifted from
+    the orbit representative of that edge's source: every edge lifts to the
+    member of its nu-orbit that leaves the previous end, and the last one must
+    also close at the start.  The weight is the cover weight of the lift (zero
+    if it does not close); a triangle through the triplicated vertex c_l also
+    takes 1/sqrt(3) and the phase omega^(l) or omega^(2l) according to which
+    of the two parallel edges it uses.
     """
     cover: Graph = d_graph.cover
-    lift_info = d_graph.cover_lift
+    lift = d_graph.cover_lift
     rep_of = d_graph.cover_orbit_rep
-    centre = d_graph.cover_centre
-    if check_nu_invariance(a_cells) != "invariant":
+    if not check_nu_invariance(a_cells):
         raise ValueError("orbifold requires nu-invariant cover cells")
     tower, sqrt3 = a_cells.tower.adjoin_sqrt(a_cells.tower.from_fraction(3))
-    mu = _phi_ratio(d_graph, cover, rep_of, centre, tower)
+    mu = _phi_ratio(d_graph, cover, rep_of, d_graph.cover_centre, tower)
     inv_sqrt3 = sqrt3.inverse()
     # omega^1 = -1/2 + i sqrt3/2
-    om_re = tower.from_fraction(Fraction(-1, 2))
-    om_im = sqrt3 * Fraction(1, 2)
-    omega = om_re + tower.i_times(om_im)
-    omega2 = omega * omega
+    omega = tower.from_fraction(Fraction(-1, 2)) + tower.i_times(sqrt3 * Fraction(1, 2))
+    omegas = [tower.one(), omega, omega * omega]
 
     # the two parallel D-edges: phase exponents 1 and 2 by increasing edge id
     doubles = [es for es in d_graph.parallel_classes().values() if len(es) > 1]
@@ -415,56 +382,26 @@ def orbifold_cells(d_graph: Graph, a_cells: CellSystem) -> CellSystem:
     gamma, gamma2 = sorted(e.id for e in doubles[0])
     phase_exp = {gamma: 1, gamma2: 2}
 
-    cover_orbit_members: dict[int, tuple[int, ...]] = {}
-    for eid, info in lift_info.items():
-        base = info[1]
-        cover_orbit_members[eid] = (base, cover.nu_e[base], cover.nu_e[cover.nu_e[base]])
-
-    def lift_edge_from(eid: int, src_vertex: str):
-        """The cover edge in eid's orbit with the given source, or None."""
-        for m in cover_orbit_members[eid]:
-            if cover.edge_by_id[m].src == src_vertex:
-                return cover.edge_by_id[m]
-        return None
-
     weights = {}
     for t in d_graph.triangles():
-        es = [d_graph.edge_by_id[x] for x in t]
-        kinds = [lift_info[x][0] for x in t]
-        if "into_centre" in kinds:
-            # rotate so the order is (free gamma-edge, into_centre, from_centre)
-            while kinds[0] != "free":
-                es = es[1:] + es[:1]
-                kinds = kinds[1:] + kinds[:1]
-            free_e, in_e, out_e = es
-            l = lift_info[in_e.id][2]
-            if lift_info[out_e.id][2] != l:
-                raise ValueError(f"centre triangle {t}: its legs lift to different cover copies")
-            # lift: free edge from its source rep, into the centre, then the
-            # out-of-centre member closing back at the start
-            start = rep_of[free_e.src[1:-1]]
-            le1 = lift_edge_from(free_e.id, start)
-            le2 = lift_edge_from(in_e.id, le1.dst)
-            le3 = None
-            for m in cover_orbit_members[out_e.id]:
-                if cover.edge_by_id[m].dst == start:
-                    le3 = cover.edge_by_id[m]
-                    break
-            if le2 is None or le3 is None:
-                raise ValueError("centre triangle failed to lift")
-            w = a_cells.weight(le1.id, le2.id, le3.id) * mu * inv_sqrt3
-            phase = omega if phase_exp[free_e.id] == 1 else omega2
-            weights[t] = w * (phase ** (l % 3)) if l % 3 else w
-        else:
-            # free triangle: lift from the source rep of the first edge
-            start = rep_of[es[0].src[1:-1]]
-            le1 = lift_edge_from(es[0].id, start)
-            le2 = lift_edge_from(es[1].id, le1.dst)
-            le3 = lift_edge_from(es[2].id, le2.dst) if le2 is not None else None
-            if le2 is None or le3 is None or le3.dst != start:
-                weights[t] = tower.zero()
-            else:
-                weights[t] = a_cells.weights[canon((le1.id, le2.id, le3.id))] * mu
+        first = next(n for n, x in enumerate(t) if lift[x][1] is None)
+        ring = t[first:] + t[:first]
+        start = end = rep_of[cover.edge_by_id[lift[ring[0]][0]].src]
+        path = []
+        for n, x in enumerate(ring):
+            base = lift[x][0]
+            orbit = (cover.edge_by_id[m] for m in
+                     (base, cover.nu_e[base], cover.nu_e[cover.nu_e[base]]))
+            e = next((e for e in orbit if e.src == end and (n < 2 or e.dst == start)), None)
+            if e is None:
+                break
+            path.append(e.id)
+            end = e.dst
+        w = a_cells.weight(*path) * mu if len(path) == 3 else tower.zero()
+        copy = lift[ring[1]][1]  # c_l for a centre triangle (free, into c_l, out of c_l)
+        if copy is not None:
+            w = w * inv_sqrt3 * omegas[phase_exp[ring[0]] * copy % 3]
+        weights[t] = w
     return CellSystem(d_graph, tower, weights, label=f"orbifold({a_cells.label})")
 
 
@@ -499,13 +436,7 @@ def _data_path(name: str) -> str:
 
 
 def _load_cell_doc(name: str) -> dict:
-    path = _data_path(name)
-    try:
-        return json.loads(path.read_text())
-    except FileNotFoundError:
-        raise FileNotFoundError(
-            f"built-in cell data {name} is missing; regenerate with scripts/make_cells.py"
-        ) from None
+    return json.loads(_data_path(name).read_text())
 
 
 def builtin_cells(graph: Graph) -> CellSystem:
@@ -515,12 +446,11 @@ def builtin_cells(graph: Graph) -> CellSystem:
 
 
 def _frozen_cells(graph: Graph) -> CellSystem:
-    name = graph.name
-    if name.startswith("A"):
-        return cells_from_doc(graph, _load_cell_doc(f"cells_{name.replace('*', 's')}.json"))
-    if name == "E8*":
-        return cells_from_doc(graph, _load_cell_doc("cells_E8s.json"))
-    raise ValueError(f"no built-in cell data for {name}: user data required")
+    name = f"cells_{graph.name.replace('*', 's')}.json"
+    if not _data_path(name).is_file():
+        raise FileNotFoundError(f"no built-in cell data for {graph.name}: "
+                                "use --cells solve or --cells file:PATH")
+    return cells_from_doc(graph, _load_cell_doc(name))
 
 
 def family_cells(graph: Graph, base_cells) -> CellSystem:
@@ -627,7 +557,7 @@ def standard_relations_e8(graph: Graph | None = None) -> RelationSet:
 
 
 # ---------------------------------------------------------------------------
-# serialization: "acy-cells/1" and "acy-rels/1"
+# serialization: "acy-cells/1"
 # ---------------------------------------------------------------------------
 
 def cells_to_doc(cells: CellSystem) -> dict:
@@ -650,33 +580,12 @@ def cells_from_doc(graph: Graph, doc: dict) -> CellSystem:
         raise ValueError("cell tower h does not match the graph")
     weights = {}
     for row in json_field(doc, "triangles", list, "cell document"):
-        t = canon(tuple(int(x) for x in json_field(row, "edge_ids", list, "triangle")))
+        ids = json_field(row, "edge_ids", list, "triangle")
+        if len(ids) != 3 or not all(type(x) is int for x in ids):
+            raise ValueError(f"field 'edge_ids' of triangle must be three integers, not {ids!r}")
+        t = canon(tuple(ids))
+        if t in weights:
+            raise ValueError(f"triangle {t} is listed twice")
         weights[t] = Scalar.from_coords(tower, json_field(row, "weight_coords", dict, "triangle"))
-    return CellSystem(graph, tower, weights, label=doc.get("label", "file"))
-
-
-def relations_to_doc(rels: RelationSet) -> dict:
-    return {
-        "schema": "acy-rels/1",
-        "graph_ref": rels.graph.name,
-        "tower": rels.tower.to_doc(),
-        "relations": [{
-            "edge_id": r.edge_id,
-            "terms": [{"path": list(bc), "coeff": w.to_coords()}
-                      for bc, w in sorted(r.terms.items())],
-        } for r in rels.relations],
-    }
-
-
-def relations_from_doc(graph: Graph, doc: dict) -> RelationSet:
-    if doc.get("schema") != "acy-rels/1":
-        raise ValueError(f"unsupported schema {doc.get('schema')!r}")
-    tower = FieldTower.from_doc(doc["tower"])
-    rels = []
-    for row in doc["relations"]:
-        eid = int(row["edge_id"])
-        e = graph.edge_by_id[eid]
-        terms = {tuple(int(x) for x in item["path"]): Scalar.from_coords(tower, item["coeff"])
-                 for item in row["terms"]}
-        rels.append(Relation(eid, e.dst, e.src, terms))
-    return RelationSet(graph, tower, rels)
+    label = json_field(doc, "label", str, "cell document") if "label" in doc else "file"
+    return CellSystem(graph, tower, weights, label=label)

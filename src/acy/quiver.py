@@ -364,7 +364,7 @@ def _build_d(n: int) -> Graph:
     edges = []
     eid = 0
     seen_orbits = set()
-    lift_of_edge: dict[int, tuple] = {}
+    lift_of_edge: dict[int, tuple] = {}  # D edge -> (A edge, centre copy l or None)
     for e in sorted(a.edges, key=lambda e: e.id):
         if e.src == centre or e.dst == centre:
             continue
@@ -373,19 +373,19 @@ def _build_d(n: int) -> Graph:
             continue
         seen_orbits.add(orb)
         edges.append(Edge(eid, dlabel(e.src), dlabel(e.dst)))
-        lift_of_edge[eid] = ("free", e.id)
+        lift_of_edge[eid] = (e.id, None)
         eid += 1
     in_orbit = sorted(e.id for e in a.in_edges[centre])
     out_orbit = sorted(e.id for e in a.out_edges[centre])
     for l in range(3):
         e = a.edge_by_id[in_orbit[0]]
         edges.append(Edge(eid, dlabel(e.src), f"c{l}"))
-        lift_of_edge[eid] = ("into_centre", e.id, l)
+        lift_of_edge[eid] = (e.id, l)
         eid += 1
     for l in range(3):
         e = a.edge_by_id[out_orbit[0]]
         edges.append(Edge(eid, f"c{l}", dlabel(e.dst)))
-        lift_of_edge[eid] = ("from_centre", e.id, l)
+        lift_of_edge[eid] = (e.id, l)
         eid += 1
     coloring = {}
     for v in a.vertices:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,10 +9,9 @@ import pytest
 from acy.algebra import GradedAlgebra
 from acy.cells import (CellSystem, builtin_cells, builtin_relations,
                        cells_from_doc, cells_to_doc, check_nu_invariance,
-                       derive_relations, gauge_transform, standard_relations_e8star,
-                       relations_from_doc, relations_to_doc, verify_type_I,
-                       verify_type_II)
-from acy.quiver import build_family
+                       derive_relations, gauge_transform, orbifold_cells,
+                       standard_relations_e8star, verify_type_I, verify_type_II)
+from acy.quiver import build_family, parse_graph_spec
 from acy.solver import solve_cells
 
 
@@ -160,15 +160,43 @@ def test_gauge_double_edge_rotation(pipe):
 
 def test_nu_invariance(pipe):
     g, cells, _, _ = pipe("A4")
-    assert check_nu_invariance(cells) == "invariant"
+    assert check_nu_invariance(cells)
     g6, cells6, _, _ = pipe("A6")
-    assert check_nu_invariance(cells6) == "invariant"
-    # breaking one orbit's weight breaks invariance (and the span)
+    assert check_nu_invariance(cells6)
+    # breaking one orbit's weight breaks invariance
     t = g6.triangles()[0]
     broken = dict(cells6.weights)
     broken[t] = broken[t] * 2
     broken_cells = CellSystem(g6, cells6.tower, broken)
-    assert check_nu_invariance(broken_cells) != "invariant"
+    assert not check_nu_invariance(broken_cells)
+
+
+def test_orbifold_refuses_cover_cells_that_are_not_nu_invariant():
+    cover = builtin_cells(build_family("A", 9))
+    t = cover.graph.triangles()[0]
+    broken = CellSystem(cover.graph, cover.tower, {**cover.weights, t: cover.weights[t] * 2})
+    assert not check_nu_invariance(broken)
+    with pytest.raises(ValueError, match="nu-invariant"):
+        orbifold_cells(parse_graph_spec("D9"), broken)
+
+
+# sha256 of the sorted-key JSON of the cells that the orbifold (D) and the
+# unfoldings (D*, E8) build from the frozen data
+CELL_PINS = {
+    "D6": "7cbbd5b06c94fc8cf978c778137e4549b8a5197ea74b6293e48eac8236595982",
+    "D9": "78cee25d7aecdf1a5716bb822ee52bd735247439f65a123ade2d29058c624558",
+    "D12": "d4fa8790fede92e884a7401820871eab9e6820466411e1b5d3ba31f41ececf7d",
+    "D5*": "4f5549938971140671439cdfd0f72239f4af634986a2d44dc7515aa0ca9aeae0",
+    "D7*": "2bd495e34dfc190fe1b1bafafc7bc228d0d5936b53f777f07b9bd0392318d83e",
+    "D9*": "7263da753e410c84e19b325fdcefa9200ecc5138a686fc89dab749c366d21aff",
+    "E8": "8c47037b80660834168dae6b448ffff6988d9c23cb058735800cc3c5c831ec1c",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CELL_PINS))
+def test_constructed_cells_are_pinned(spec):
+    doc = json.dumps(cells_to_doc(builtin_cells(parse_graph_spec(spec))), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == CELL_PINS[spec]
 
 
 def test_cells_serialization_round_trip(pipe):
@@ -177,16 +205,12 @@ def test_cells_serialization_round_trip(pipe):
         doc = json.loads(json.dumps(cells_to_doc(cells)))
         back = cells_from_doc(g, doc)
         assert back.weights == cells.weights
-    g, cells, _, _ = pipe("E8*")
-    rels = derive_relations(cells)
-    doc = json.loads(json.dumps(relations_to_doc(rels)))
-    back = relations_from_doc(g, doc)
-    assert all(a.terms == b.terms for a, b in zip(rels.relations, back.relations))
 
 
 def test_unsupported_family_message():
     g = build_family("A", 10)
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(FileNotFoundError, match="no built-in cell data for A10: "
+                       "use --cells solve or --cells file:PATH"):
         builtin_cells(g)
 
 

@@ -82,6 +82,22 @@ def _malformed(case):
         if case == "cells-without-tower":
             del doc["tower"]
             return "--cells", doc, "'tower'"
+        ids = doc["triangles"][0]["edge_ids"]
+        if case == "cells-edge-id-as-a-fraction":
+            ids[0] = 0.25
+            return "--cells", doc, "'edge_ids'"
+        if case == "cells-edge-ids-as-strings":
+            ids[:] = [str(x) for x in ids]
+            return "--cells", doc, "'edge_ids'"
+        if case == "cells-four-edge-ids":
+            ids.append(ids[0])
+            return "--cells", doc, "'edge_ids'"
+        if case == "cells-triangle-listed-twice":
+            doc["triangles"].append(doc["triangles"][0])
+            return "--cells", doc, f"triangle {tuple(ids)}"
+        if case == "cells-label-as-a-list":
+            doc["label"] = ["x"]
+            return "--cells", doc, "'label'"
         doc["tower"]["roots"] = [5]
         return "--cells", doc, "'roots'"
     doc = save_graph(build_family("A", 4))
@@ -107,6 +123,9 @@ def _malformed(case):
 
 
 @pytest.mark.parametrize("case", ["cells-without-tower", "cells-with-a-bad-root",
+                                  "cells-edge-id-as-a-fraction", "cells-edge-ids-as-strings",
+                                  "cells-four-edge-ids", "cells-triangle-listed-twice",
+                                  "cells-label-as-a-list",
                                   "edge-without-id", "coloring-as-a-list",
                                   "coloring-with-a-string", "pf-coords-without-a-vertex",
                                   "pf-coords-with-an-extra-key", "vertex-as-a-list",
