@@ -463,16 +463,20 @@ def family_cells(graph: Graph, base_cells) -> CellSystem:
     and re-tagged)."""
     name = graph.name
     if name == "E8":
-        twin = graph if hasattr(graph, "base_graph") else _canonical_twin(graph)
-        cells = unfold_cells(twin, base_cells(build_family("E8*")))
+        base, link, lift = build_family("E8*"), "base_graph", unfold_cells
     elif name.startswith("D") and name.endswith("*"):
-        twin = graph if hasattr(graph, "base_graph") else _canonical_twin(graph)
-        cells = unfold_cells(twin, base_cells(build_family("A*", int(name[1:-1]))))
+        base, link, lift = build_family("A*", int(name[1:-1])), "base_graph", unfold_cells
     elif name.startswith("D"):
-        twin = graph if hasattr(graph, "cover") else _canonical_twin(graph)
-        cells = orbifold_cells(twin, base_cells(build_family("A", int(name[1:]))))
+        base, link, lift = build_family("A", int(name[1:])), "cover", orbifold_cells
     else:
         return base_cells(graph)
+    twin = graph if hasattr(graph, link) else _canonical_twin(graph)
+    try:
+        base_system = base_cells(base)
+    except FileNotFoundError:
+        raise FileNotFoundError(f"no built-in cell data for {name}, which is built from "
+                                f"{base.name}: use --cells solve or --cells file:PATH") from None
+    cells = lift(twin, base_system)
     if twin is graph:
         return cells
     return CellSystem(graph, cells.tower, cells.weights, label=cells.label)

@@ -482,13 +482,13 @@ class Homology:
 
     def verify_cohomology_routes(self, hh: dict, coh: dict, max_i: int) -> list:
         """HH^i from the cohomology complex vs the identification formulas:
-        HH^i = HH_(3-i)[-3] (i=1,2), HH^i = HH_(15-i)[-3h-3] (i=3..12)."""
+        HH^i = HH_(3-i)[-3] (i=1,2), HH^i = HH_(15-i)[-3h-3] (i=3..13)."""
         h = self.g.h
         bad = []
         coh_by_i: dict[int, dict] = {}
         for (i, d), v in coh.items():
             coh_by_i.setdefault(i, {})[d] = v
-        for i in range(1, min(max_i, 12) + 1):
+        for i in range(1, min(max_i, 13) + 1):
             want: dict[int, int] = {}
             if i in (1, 2):
                 for (ii, d), v in hh.items():
@@ -1039,7 +1039,7 @@ def build_report(A: GradedAlgebra, cells: CellSystem, max_index: int = 13,
     chi = series.euler_characteristic_hc(g, cutoff)
     checks["euler"] = euler_from_hc(hc_red, cutoff) == chi
     failures["cohomology_routes"] = hom.verify_cohomology_routes(
-        hh_full, coh, min(max_index, 12))
+        hh_full, coh, min(max_index, 13))
     checks["hh0_cohomology"] = hom.verify_hh0_cohomology(hh_full)
     if with_resolution:
         # the certificate checks d o d on generators first, which sees the

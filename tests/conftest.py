@@ -1,3 +1,6 @@
+import functools
+from fractions import Fraction
+
 import pytest
 
 import acy.homology
@@ -5,6 +8,7 @@ from acy.algebra import GradedAlgebra
 from acy.cells import builtin_cells, derive_relations
 from acy.homology import Homology
 from acy.quiver import parse_graph_spec
+from acy.series import _nu_cycles
 
 _CACHE: dict = {}
 _DIFFERENTIALS = acy.homology.differentials
@@ -31,3 +35,75 @@ def pipeline(spec: str):
 @pytest.fixture(scope="session")
 def pipe():
     return pipeline
+
+
+# -- sympy as the oracle for the determinant identities of det H_A(t) -------------
+# acy reads log det H_A through traces and never expands a determinant; these
+# helpers expand it.  sympy is imported in the functions, as a required test
+# extra: without it they raise, so no oracle passes by skipping.
+
+@functools.cache
+def _ring(domain: str):
+    """The ring domain[t] and its generator t."""
+    import sympy
+
+    return sympy.ring("t", getattr(sympy, domain))
+
+
+def poly(coeffs):
+    """The element of ZZ[t] with the ascending integer coefficients `coeffs`."""
+    R, t = _ring("ZZ")
+    return sum((c * t ** i for i, c in enumerate(coeffs)), R.zero)
+
+
+def rational(num_factors, den_factors) -> tuple:
+    """prod (1 - t^k), k in num_factors, over prod (1 - t^k), k in den_factors."""
+    R, t = _ring("ZZ")
+    num, den = R.one, R.one
+    for k in num_factors:
+        num *= 1 - t ** k
+    for k in den_factors:
+        den *= 1 - t ** k
+    return num, den
+
+
+def same_ratio(a: tuple, b: tuple) -> bool:
+    """num_a/den_a == num_b/den_b, by cross-multiplication."""
+    return a[0] * b[1] == b[0] * a[1]
+
+
+def poly_det(rows):
+    """Determinant of a square matrix over ZZ[t], by sympy's DomainMatrix."""
+    from sympy.polys.matrices import DomainMatrix
+
+    R, _ = _ring("ZZ")
+    return DomainMatrix(rows, (len(rows), len(rows)), R.to_domain()).det()
+
+
+@functools.cache
+def det_hilbert(spec: str) -> tuple:
+    """det H_A(t) = det(1 - P t^h) / det(1 - Dt + D^T t^2 - t^3), unreduced:
+    the numerator is prod (1 - t^(h l)) over the nu-cycles of length l."""
+    g = parse_graph_spec(spec)
+    D = g.adjacency()
+    n = len(D)
+    num, _ = rational([g.h * clen for clen in _nu_cycles(g)], [])
+    M = [[poly([int(i == j), -D[i][j], D[j][i], -int(i == j)]) for j in range(n)]
+         for i in range(n)]
+    return num, poly_det(M)
+
+
+def log_series(p, N: int) -> list[Fraction]:
+    """Coefficients 0..N of log p, for p in ZZ[t] with constant term 1."""
+    from sympy.polys.ring_series import rs_log
+
+    R, t = _ring("QQ")
+    lg = rs_log(p.set_ring(R), t, N + 1)
+    return [Fraction(c.numerator, c.denominator)
+            for c in (lg.coeff(t ** k) for k in range(N + 1))]
+
+
+def taylor(num_coeffs: dict[int, int], period: int, N: int) -> list[int]:
+    """Coefficients 0..N of sum_i num_coeffs[i] t^i / (1 - t^period)."""
+    return [sum(c for i, c in num_coeffs.items() if i <= k and (k - i) % period == 0)
+            for k in range(N + 1)]

@@ -73,6 +73,9 @@ def test_bad_inputs():
     assert code == 2
     code, _, err = run_cli("compute", "--graph", "A4", "--cutoff-degree", "5")
     assert code == 2 and "3h" in err
+    # D15 is the orbifold of A15, for which no frozen cells ship
+    code, _, err = run_cli("compute", "--graph", "D15")
+    assert code == 2 and "for D15, which is built from A15:" in err
 
 
 def _malformed(case):

@@ -582,6 +582,52 @@ def test_cohomology_hh0_l_space(pipe):
     assert L4 == {}
 
 
+def _rank_fault_outcomes(spec, pipe, monkeypatch) -> dict:
+    """For each distinct `Homology.rank(r, twist, k)` call of a report
+    without the resolution, keyed on the raw arguments: the checks that fail
+    when that one call returns rank + 1, or ["AlgebraError"] if it raises."""
+    _, cells, A, _ = pipe(spec)
+    real = Homology.rank
+    calls = []
+
+    def recorded(self, r, twist, k):
+        calls.append((r, twist, k))
+        return real(self, r, twist, k)
+
+    monkeypatch.setattr(Homology, "rank", recorded)
+    build_report(A, cells, with_resolution=False)
+    out = {}
+    for fault in dict.fromkeys(calls):
+        def bumped(self, r, twist, k, fault=fault):
+            return real(self, r, twist, k) + ((r, twist, k) == fault)
+
+        monkeypatch.setattr(Homology, "rank", bumped)
+        try:
+            report = build_report(A, cells, with_resolution=False)
+        except AlgebraError:
+            out[fault] = ["AlgebraError"]
+        else:
+            out[fault] = [check for check, ok in report.checks.items() if not ok]
+    return out
+
+
+def test_no_single_rank_fault_is_silent(pipe, monkeypatch):
+    """+1 on one distinct rank call at a time, 54 calls each on A6 and D6.
+    Tally of faults per outcome (a fault may fail several checks):
+
+      A6: 43 AlgebraError, 10 cohomology_routes, 4 euler, 2 dim_symmetry,
+          2 periodicity;
+      D6: 20 AlgebraError, 32 cohomology_routes, 12 euler, 9 dim_symmetry,
+          12 periodicity, 1 hh0_cross.
+
+    The fault at Homology.rank(2, -3, 1) changes only HH^13 at degree -3h;
+    of all checks, only cohomology_routes (HH^13 = HH_2[-3h-3]) sees it."""
+    for spec in ("A6", "D6"):
+        outcomes = _rank_fault_outcomes(spec, pipe, monkeypatch)
+        assert outcomes
+        assert [f for f, fired in outcomes.items() if not fired] == [], spec
+
+
 def test_report_assembly(pipe):
     g, cells, A, _ = pipe("A5")
     rep = build_report(A, cells, with_resolution=False)

@@ -149,7 +149,7 @@ def test_serialization_round_trip():
 # -- the integer routes against sympy, used here only as an oracle ------------------
 
 def test_coxeter_minpoly_matches_sympy():
-    sympy = pytest.importorskip("sympy")
+    import sympy
     x = sympy.Symbol("x")
     for h in range(3, 61):
         ref = sympy.Poly(sympy.minimal_polynomial(2 * sympy.cos(sympy.pi / h), x), x)
@@ -157,7 +157,7 @@ def test_coxeter_minpoly_matches_sympy():
 
 
 def test_isprime_matches_sympy():
-    sympy = pytest.importorskip("sympy")
+    import sympy
     for lo, hi in ((2, 5000), (2 ** 30, 2 ** 30 + 20000)):
         assert [n for n in range(lo, hi) if _isprime(n)] == \
             [n for n in range(lo, hi) if sympy.isprime(n)]
@@ -166,7 +166,7 @@ def test_isprime_matches_sympy():
 
 
 def test_sqrt_mod_matches_sympy():
-    sympy = pytest.importorskip("sympy")
+    import sympy
     rng = random.Random(11)
     primes = [3, 5, 7, 13, 17, 97, 257, 65537, 1073741953, 1073742113]
     for p in primes:
@@ -178,7 +178,7 @@ def test_sqrt_mod_matches_sympy():
 def _factor_is_square(h, g):
     """Complete decision: z^2 - g has a linear factor over Q(2cos(pi/h)).  The
     radicand is built from exact rationals, so no numeric guess enters."""
-    sympy = pytest.importorskip("sympy")
+    import sympy
     theta = 2 * sympy.cos(sympy.pi / h)
     expr = sum(sympy.Rational(n, g[0]) * theta ** i for i, n in enumerate(g[1:]))
     z = sympy.Symbol("z")
@@ -414,7 +414,7 @@ def test_reduce_mod_is_a_ring_homomorphism(args):
 
 
 def test_cyclotomic_matches_sympy():
-    sympy = pytest.importorskip("sympy")
+    import sympy
     x = sympy.Symbol("x")
     for n in range(1, 121):
         ref = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
