@@ -9,12 +9,15 @@ child process, against the source tree next to this script, with a wall-clock
 limit of TIMEOUT_S and an address-space cap of RSS_CAP_MB (RLIMIT_AS, set in
 the child only).  The record, BENCH_frontier_LABEL.json at the repository
 root, gives per rung the wall time, the peak RSS (from os.wait4), the exit
-status and the outcome: pass, fail, timeout or oom.  A rung that passes runs
+status and the outcome: pass, fail, timeout or oom; a rung that passes also
+gets `report_sha256`, the sha256 of the report on standard output, so that a
+record shows which bytes held at each rung.  A rung that passes runs
 REPEATS times, and the record keeps the medians of its wall times and peak
 RSS, so that one slow run does not set the figure; a rung that fails or
 times out runs once.  The record's `runs` says how many runs a rung took.
 """
 
+import hashlib
 import json
 import os
 import pathlib
@@ -42,14 +45,15 @@ def _cap_address_space():
 
 
 def run_rung(graph: str, cells: str) -> dict:
-    """One `acy compute` child: its wall time, peak RSS, exit status and outcome."""
+    """One `acy compute` child: its wall time, peak RSS, exit status and
+    outcome, and the sha256 of its report when it passes."""
     cmd = [sys.executable, "-m", "acy.cli", "compute", "--graph", graph,
            "--cells", cells, "--format", "json"]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
-    with tempfile.TemporaryFile("w+") as err:
+    with tempfile.TemporaryFile("w+") as err, tempfile.TemporaryFile() as out:
         start = time.perf_counter()
-        proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=err,
+        proc = subprocess.Popen(cmd, env=env, stdout=out, stderr=err,
                                 preexec_fn=_cap_address_space)
         killed = False
         while True:
@@ -64,6 +68,8 @@ def run_rung(graph: str, cells: str) -> dict:
         proc.returncode = code = os.waitstatus_to_exitcode(status)
         err.seek(0)
         stderr = err.read()
+        out.seek(0)
+        report_sha256 = hashlib.sha256(out.read()).hexdigest()
     if killed:
         outcome = "timeout"
     elif code == 0:
@@ -74,7 +80,9 @@ def run_rung(graph: str, cells: str) -> dict:
         outcome = "fail"
     row = {"graph": graph, "cells": cells, "outcome": outcome, "exit": code,
            "wall_s": round(wall, 2), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}
-    if outcome != "pass" and stderr.strip():
+    if outcome == "pass":
+        row["report_sha256"] = report_sha256
+    elif stderr.strip():
         row["error"] = stderr.strip().splitlines()[-1]
     return row
 

@@ -4,7 +4,8 @@ A cell system assigns a weight W(tri) to every closed loop of length three;
 the weights must satisfy the two compatibility equations (type I over
 pairs of parallel edges, type II over quadrilateral frames).  From a cell
 system we derive the degree-2 relations of the quotient algebra: for an edge
-a the relation is the sum over based loops (a, b, c) of W * (the path bc).
+a the relation is the sum over based loops (a, b, c) of W' * (the path bc),
+for the simplest potential W' gauge-equivalent to W (see `derive_relations`).
 
 The equations are compiled once per graph into monomial form, shared by the
 exact verifier and the numeric solver backends.
@@ -16,8 +17,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import linalg
 from .quiver import Graph, build_family, json_field
-from .scalar import FieldTower, Scalar
+from .scalar import RATIONALS, FieldTower, Scalar
 
 __all__ = ["CellSystem", "RelationSet", "CellReport", "compile_equations",
            "verify_type_I", "verify_type_II", "derive_relations",
@@ -243,8 +245,34 @@ def verify_type_II(cells: CellSystem, equations=None) -> CellReport:
 # ---------------------------------------------------------------------------
 
 def derive_relations(cells: CellSystem) -> RelationSet:
-    """Relation at edge a: sum over based loops (a, b, c) of W * path(b, c)."""
+    """The relations of the simplest potential W' gauge-equivalent to W: at
+    edge a, the sum over based loops (a, b, c) of W'(abc) * path(b, c).
+
+    W' is 1 on W's support, over Q, when W is nu-invariant and the incidence
+    of W's nonzero triangle nu-orbits against the edge nu-orbits has full row
+    rank; otherwise W' = W, over the cells' tower.  The first case covers
+    the whole A family: A(n) is the Jacobi algebra of the all-ones potential
+    over Q (Ginzburg, math/0612139; Bocklandt, JPAA 212, 2008).
+
+    The edge rescaling x_e -> lambda_e x_e maps the relation of W at a to
+    lambda_a^-1 times that of W'(abc) = lambda_a lambda_b lambda_c W(abc), so
+    it is an isomorphism A(G, W) -> A(G, W').  Take lambda constant on edge
+    nu-orbits, so that it commutes with nu and beta stays nu.  W' = 1 then
+    asks prod_o lambda_o^M[T, o] = W(T)^-1 for each triangle orbit T, which
+    needs W constant on T: the nu-invariance.  M has no integer left kernel,
+    so Z^T -> Z^O, n -> n M, is injective, and as C* is divisible its dual
+    (C*)^O -> (C*)^T is onto: a solution lambda exists over C.  The
+    dimensions of HH, HC and HH^* do not change under the extension from Q
+    to C.  One rank mod a prime decides: a full rank mod p is a full rank
+    over Q, and a deficit only keeps W.  The guard matters: for W not
+    nu-invariant, W' = 1 would hide that beta is not nu, which the form
+    check sees.
+    """
     g = cells.graph
+    W, tower = cells.weights, cells.tower
+    if check_nu_invariance(cells) and not _has_gauge_invariants(cells):
+        one = RATIONALS.one()
+        W, tower = {t: one for t, w in W.items() if not w.is_zero()}, RATIONALS
     rels = []
     for a in g.edges:
         terms = {}
@@ -252,11 +280,35 @@ def derive_relations(cells: CellSystem) -> RelationSet:
             for c in g.out_edges[b.dst]:
                 if c.dst != a.src:
                     continue
-                w = cells.weight(a.id, b.id, c.id)
-                if not w.is_zero():
+                w = W.get(canon((a.id, b.id, c.id)))
+                if w is not None and not w.is_zero():
                     terms[(b.id, c.id)] = w
         rels.append(Relation(a.id, a.dst, a.src, terms))
-    return RelationSet(g, cells.tower, rels)
+    return RelationSet(g, tower, rels)
+
+
+# a full row rank mod this prime is one over Q
+_INCIDENCE_PRIME = 2**31 - 1
+
+
+def _has_gauge_invariants(cells: CellSystem) -> bool:
+    """True unless the incidence of the nonzero triangle nu-orbits against
+    the edge nu-orbits, a row per triangle orbit counting its edges with
+    multiplicity, has full row rank mod `_INCIDENCE_PRIME`: an integer left
+    kernel n gives the gauge invariant prod_t W(t)^n_t."""
+    nu = cells.graph.nu_e
+    seen, rows = set(), []
+    for t, w in cells.weights.items():
+        if t in seen or w.is_zero():
+            continue
+        seen.update(canon(u) for u in (t, tuple(nu[e] for e in t),
+                                       tuple(nu[nu[e]] for e in t)))
+        row: dict[int, int] = {}
+        for e in t:
+            orbit = min(e, nu[e], nu[nu[e]])
+            row[orbit] = row.get(orbit, 0) + 1
+        rows.append(row)
+    return linalg.rank(rows, _INCIDENCE_PRIME) < len(rows)
 
 
 def gauge_transform(cells: CellSystem, u: dict) -> CellSystem:

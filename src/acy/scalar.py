@@ -27,7 +27,7 @@ from math import comb, gcd
 import mpmath
 from mpmath import mp
 
-__all__ = ["FieldTower", "Scalar", "PrimeEmbedding", "base_relation"]
+__all__ = ["FieldTower", "Scalar", "PrimeEmbedding", "RATIONALS", "base_relation"]
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +373,10 @@ class FieldTower:
             if not base.from_base([Fraction(v, g[0]) for v in g[1:]]).is_positive():
                 raise ValueError(f"radicand {g} is not positive")
         return cls(h, tuple(tuple(g) for g in roots))
+
+
+# Q as a tower: the base field at h = 3 is Q, as 2cos(pi/3) = 1.
+RATIONALS = FieldTower(3)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 import acy.homology
 from acy.algebra import GradedAlgebra
-from acy.cells import builtin_cells, derive_relations
+from acy.cells import RelationSet, builtin_cells, derive_relations
 from acy.homology import Homology
 from acy.quiver import parse_graph_spec
 from acy.series import _nu_cycles
@@ -35,6 +35,16 @@ def pipeline(spec: str):
 @pytest.fixture(scope="session")
 def pipe():
     return pipeline
+
+
+def own_relations(cells) -> RelationSet:
+    """The relations of W itself, over the cells' tower: `derive_relations`
+    with each coefficient of the gauge-equivalent W' replaced by W's weight
+    on the same triangle (W' has W's support)."""
+    rels = derive_relations(cells).relations
+    for r in rels:
+        r.terms = {(b, c): cells.weight(r.edge_id, b, c) for b, c in r.terms}
+    return RelationSet(cells.graph, cells.tower, rels)
 
 
 # -- sympy as the oracle for the determinant identities of det H_A(t) -------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from acy.algebra import AlgebraError, GradedAlgebra
+from acy.algebra import AlgebraError, GradedAlgebra, spot_checks
 from acy.cells import CellSystem, builtin_cells, derive_relations
 from acy.quiver import build_family, parse_graph_spec
 from acy.series import hilbert_closed_form
@@ -195,6 +195,32 @@ def test_form_detects_a_wrong_nakayama_action(monkeypatch):
         A = GradedAlgebra(g, derive_relations(builtin_cells(g)))
         with pytest.raises(AlgebraError, match=r"\(x,y\) != \(y,beta\(x\)\) at degree 0"):
             A.build_form()
+
+
+def _a6():
+    g = parse_graph_spec("A6")
+    return GradedAlgebra(g, derive_relations(builtin_cells(g)))
+
+
+def test_spot_associativity_sees_a_faulted_reduction():
+    # seed 0 draws no composable triple of positive degrees on A6; its first
+    # triple of degrees (1, 1, 1) is x = e5, y = e3, z = e15 with y z = 0.  The
+    # fault sends x y partly into the block of the path (2, 10), which e15
+    # continues: then (x y) z != 0 = x (y z)
+    assert spot_checks(_a6(), 0)["spot_associativity"] is True
+    A = _a6()
+    key = (A.index_of[1][(5,)], 3)
+    A.red[2][key] = {**A.red[2][key], A.index_of[2][(2, 10)]: A.one}
+    assert spot_checks(A, 0)["spot_associativity"] is False
+
+
+def test_spot_nakayama_sees_a_faulted_beta_coefficient():
+    # beta(x) = 2 nu(x) for the degree-1 basis element 10, and nu elsewhere
+    assert spot_checks(_a6(), 0)["spot_nakayama"] is True
+    A = _a6()
+    (j, c), = A.beta_basis(1, 10).items()
+    A._beta_cache[(1, 10)] = {j: c + A.one}
+    assert spot_checks(A, 0)["spot_nakayama"] is False
 
 
 def test_relation_count_and_snapshot(pipe):

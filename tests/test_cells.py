@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from acy.algebra import GradedAlgebra
+from acy.algebra import AlgebraError, GradedAlgebra
 from acy.cells import (CellSystem, builtin_cells, builtin_relations,
                        cells_from_doc, cells_to_doc, check_nu_invariance,
                        derive_relations, gauge_transform, orbifold_cells,
                        standard_relations_e8star, verify_type_I, verify_type_II)
 from acy.quiver import build_family, parse_graph_spec
+from acy.scalar import RATIONALS
 from acy.solver import solve_cells
 
 
@@ -48,14 +49,16 @@ def test_d_cells_are_complex(pipe):
 
 
 def test_derive_relations_single_triangle():
+    # A4 has no gauge invariants: its one triangle gets the weight 1, over Q
     g = build_family("A", 4)
     cells = builtin_cells(g)
     rels = derive_relations(cells)
-    assert len(rels.relations) == 3
+    assert len(rels.relations) == 3 and rels.tower == RATIONALS
     for r in rels.relations:
         assert len(r.terms) == 1
         ((b, c), w), = r.terms.items()
-        assert w == cells.weight(r.edge_id, b, c)
+        assert not cells.weight(r.edge_id, b, c).is_zero()
+        assert w == 1
 
 
 def _loop_at(g, v):
@@ -138,6 +141,49 @@ def test_gauge_identity_and_sign():
     t = g.triangles()[0]
     assert flipped.weights[t] == -cells.weights[t]
     assert verify_type_I(flipped).ok and verify_type_II(flipped).ok
+
+
+# -- the gauge rule of derive_relations --------------------------------------------
+
+@pytest.mark.parametrize("spec,where", [("A6", "degree 1, basis 1 / 0"),
+                                        ("E8", "degree 1, basis 8 / 18")])
+def test_a_rescaling_off_the_nu_orbits_still_fails_the_form_check(spec, where):
+    # one edge negated, and not the rest of its nu-orbit: the cells still pass
+    # type I/II, but W is no longer nu-invariant, so derive_relations keeps it
+    # and the form check sees that beta is not nu
+    g = parse_graph_spec(spec)
+    e = g.edges[0]
+    flipped = gauge_transform(builtin_cells(g), {(e.src, e.dst): [[-1]]})
+    assert verify_type_I(flipped).ok and verify_type_II(flipped).ok
+    assert not check_nu_invariance(flipped)
+    rels = derive_relations(flipped)
+    assert rels.tower == flipped.tower
+    A = GradedAlgebra(g, rels)
+    with pytest.raises(AlgebraError, match=rf"^\(x,y\) != \(y,beta\(x\)\) at {where}$"):
+        A.build_form()
+
+
+@pytest.mark.parametrize("spec", ["D6", "E8*"])
+def test_gauge_invariants_keep_the_cells_own_weights(pipe, spec):
+    _, cells, _, _ = pipe(spec)
+    rels = derive_relations(cells)
+    assert rels.tower == cells.tower != RATIONALS
+    for r in rels.relations:
+        for (b, c), w in r.terms.items():
+            assert w == cells.weight(r.edge_id, b, c)
+
+
+def test_without_gauge_invariants_the_relations_are_the_all_ones_potential_over_q():
+    g = parse_graph_spec("A9")
+    cells = builtin_cells(g)
+    rels = derive_relations(cells)
+    assert rels.tower == RATIONALS != cells.tower
+    got = {(r.edge_id, b, c): w for r in rels.relations for (b, c), w in r.terms.items()}
+    support = {(a.id, b.id, c.id) for a in g.edges for b in g.out_edges[a.dst]
+               for c in g.out_edges[b.dst]
+               if c.dst == a.src and not cells.weight(a.id, b.id, c.id).is_zero()}
+    assert set(got) == support
+    assert all(w.tower == RATIONALS and w == 1 for w in got.values())
 
 
 def test_gauge_rejects_non_unitary():

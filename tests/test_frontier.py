@@ -24,7 +24,11 @@ def test_frontier_records_a_pass_and_a_timeout(tmp_path, monkeypatch):
     a4, slow = doc["rungs"]
     assert (a4["graph"], a4["cells"], a4["outcome"], a4["exit"]) == ("A4", "builtin", "pass", 0)
     assert 0 < a4["wall_s"] < 3 and a4["peak_rss_mb"] > 0 and a4["runs"] == 3
+    # the sha256 of `acy compute --graph A4 --format json`
+    assert a4["report_sha256"] == \
+        "67caaf932182d69c482a3884006d4cb6efd04f30242cdf57995bfbd7e19f5ffa"
     assert (slow["graph"], slow["outcome"], slow["runs"]) == ("A13", "timeout", 1)
+    assert "report_sha256" not in slow
     assert slow["exit"] < 0 and 3 <= slow["wall_s"] < 10 and slow["peak_rss_mb"] > 0
 
 

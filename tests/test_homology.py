@@ -5,13 +5,14 @@ import pytest
 
 import acy.homology
 from acy import cli
-from acy.algebra import AlgebraError
+from acy.algebra import AlgebraError, GradedAlgebra
 from acy.homology import (Homology, _generators, _Resolution, _resolution_ranks,
                           build_report, cyclic_from_hh, differentials, euler_from_hc,
                           hh0_direct, predicted_tables, structure_from_euler,
                           verify_resolution)
 from acy.scalar import PrimeEmbedding, Scalar
 from acy.series import euler_characteristic_hc
+from conftest import own_relations
 
 
 def test_a4_chain_space_v_block_empty(pipe):
@@ -188,8 +189,10 @@ def _mat_digest(hom) -> tuple[int, str]:
 
 
 def test_differential_matrices_pinned(pipe):
+    # the pins are of the algebra of W itself, over the cells' tower
     for spec, pin in MAT_PIN.items():
-        _, _, _, hom = pipe(spec)
+        g, cells, _, _ = pipe(spec)
+        hom = Homology(GradedAlgebra(g, own_relations(cells)))
         assert _mat_digest(hom) == pin, spec
 
 
@@ -224,7 +227,7 @@ def test_resolution_exactness(pipe):
 # the bimodule complex, keeping the elements whose right factor has degree 0
 # and the targets of right degree 0; the exact ranks over the tower agree.
 RESOLUTION_PIN = {
-    "A5": (1073742721, [
+    "A5": (1073741833, [
         ([6, 0, 0, 0, 0, 0, 0, 0],
          [6, 9, 6, 0, 0, 0, 0, 0],
          [6, 0, 0, 0, 0, 0, 0, 0]),
@@ -275,7 +278,7 @@ RESOLUTION_PIN = {
          [0, 0, 0, 0, 0, 0, 6, 10, 10, 6],
          [0, 0, 0, 6, 10, 10, 6, 0, 0, 0]),
     ]),
-    "D5*": (1073742721, [
+    "D5*": (1073741833, [
         ([6, 0, 0, 0, 0, 0, 0, 0],
          [6, 9, 6, 0, 0, 0, 0, 0],
          [6, 0, 0, 0, 0, 0, 0, 0]),
@@ -297,8 +300,8 @@ RESOLUTION_PIN = {
 
 def test_resolution_ranks_pinned(pipe):
     for spec, (prime, stages) in RESOLUTION_PIN.items():
-        g, cells, _, hom = pipe(spec)
-        emb = PrimeEmbedding.find(cells.tower)
+        g, _, _, hom = pipe(spec)
+        emb = PrimeEmbedding.find(hom.A.tower)
         assert emb.p == prime, spec
         res = _Resolution(hom, emb)
         got = [([], [], []) for _ in range(5)]
@@ -317,13 +320,13 @@ def test_one_sided_ranks_drop_terms_with_a_positive_right_factor(pipe):
     # drops that term, so its ranks stay exact, and only the generator check
     # over the tower, the premise d o d = 0, sees the fault
     for spec in ("A4", "D6", "E8*"):
-        g, cells, A, _ = pipe(spec)
+        g, _, A, _ = pipe(spec)
         hom = Homology(A)
         e = g.edges[0].id
         left, v, right, c = hom.mu[1][e][1]
         assert right[0] > 0, spec
         hom.mu[1][e][1] = (left, v, right, c + A.one)
-        res = _Resolution(hom, PrimeEmbedding.find(cells.tower))
+        res = _Resolution(hom, PrimeEmbedding.find(A.tower))
         assert _resolution_ranks(res, A.top + g.h) == [], spec
         out = verify_resolution(hom)
         assert not out["ok"], spec
@@ -531,8 +534,8 @@ def test_cli_reports_a_zeroed_stage(monkeypatch, capsys):
 
 
 def test_resolution_skips_a_prime_that_fails_to_reduce(pipe, monkeypatch):
-    _, cells, _, hom = pipe("A4")
-    first = PrimeEmbedding.find(cells.tower).p
+    _, _, A, hom = pipe("A4")
+    first = PrimeEmbedding.find(A.tower).p
     reduce_mod = Scalar.reduce_mod
 
     def failing_at_first(x, emb):
@@ -543,7 +546,7 @@ def test_resolution_skips_a_prime_that_fails_to_reduce(pipe, monkeypatch):
     monkeypatch.setattr(Scalar, "reduce_mod", failing_at_first)
     out = verify_resolution(hom)
     assert out["ok"], out
-    assert out["prime"] == PrimeEmbedding.find(cells.tower, skip=1).p != first
+    assert out["prime"] == PrimeEmbedding.find(A.tower, skip=1).p != first
 
 
 def test_resolution_without_a_usable_prime(pipe, monkeypatch):
@@ -580,6 +583,19 @@ def test_cohomology_hh0_l_space(pipe):
     _, _, _, hom4 = pipe("A4")
     _, L4 = hom4.hh0_cohomology()
     assert L4 == {}
+
+
+def test_hh0_cohomology_sees_a_rank_fault(pipe):
+    # +1 on the rank of mu_1^* at the lowest degree of HH^0, after the HH table
+    # that the check compares with was taken
+    g, _, A, _ = pipe("A6")
+    hom = Homology(A)
+    hh = hom.hh_table(3, g.h)
+    assert hom.verify_hh0_cohomology(hh)
+    got, _ = hom.hh0_cohomology()
+    r, twist, k = hom._coh_params(1, min(got))
+    hom._rank_cache[(r, hom._tw(twist), k)] += 1
+    assert not hom.verify_hh0_cohomology(hh)
 
 
 def _rank_fault_outcomes(spec, pipe, monkeypatch) -> dict:
