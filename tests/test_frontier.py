@@ -14,8 +14,8 @@ def _frontier():
 
 def test_frontier_records_a_pass_and_a_timeout(tmp_path, monkeypatch):
     frontier = _frontier()
-    # A4 passes in well under a second; A13 with a live solve takes ~8 s
-    monkeypatch.setattr(frontier, "LADDER", [("A4", "builtin"), ("A13", "solve")])
+    # A4 passes in well under a second; A16 with a live solve takes ~10 s
+    monkeypatch.setattr(frontier, "LADDER", [("A4", "builtin"), ("A16", "solve")])
     monkeypatch.setattr(frontier, "TIMEOUT_S", 3)
     monkeypatch.setattr(frontier, "OUT_DIR", tmp_path)
     assert frontier.main(["t"]) == 0
@@ -27,7 +27,7 @@ def test_frontier_records_a_pass_and_a_timeout(tmp_path, monkeypatch):
     # the sha256 of `acy compute --graph A4 --format json`
     assert a4["report_sha256"] == \
         "67caaf932182d69c482a3884006d4cb6efd04f30242cdf57995bfbd7e19f5ffa"
-    assert (slow["graph"], slow["outcome"], slow["runs"]) == ("A13", "timeout", 1)
+    assert (slow["graph"], slow["outcome"], slow["runs"]) == ("A16", "timeout", 1)
     assert "report_sha256" not in slow
     assert slow["exit"] < 0 and 3 <= slow["wall_s"] < 10 and slow["peak_rss_mb"] > 0
 
