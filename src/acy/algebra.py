@@ -392,19 +392,30 @@ class GradedAlgebra:
 
 
 def spot_checks(A: GradedAlgebra, seed: int) -> dict[str, bool]:
-    """Seeded randomized sanity checks: associativity on 100 basis triples
-    and multiplicativity of the Nakayama action on 50 basis pairs."""
+    """Seeded randomized sanity checks: associativity on 100 composable basis
+    triples and multiplicativity of the Nakayama action on 50 basis pairs.
+
+    An associativity triple draws y among the basis elements that start where
+    x ends, and z among those that start where y ends: a uniform triple is
+    almost never composable on a small graph, and then both sides are 0.
+    Every vertex starts a basis element of every degree up to the top, since
+    the top degree pairs each vertex with its nu-image."""
     import random
 
+    starting_at = [{} for _ in range(A.top + 1)]  # [k][vertex] -> indices
+    for k in range(A.top + 1):
+        for i, b in enumerate(A.basis[k]):
+            starting_at[k].setdefault(b.src, []).append(i)
     rng = random.Random(seed)
     ok_assoc = True
     for _ in range(100):
         p = rng.randrange(0, A.top + 1)
         q = rng.randrange(0, A.top + 1 - p)
         r = rng.randrange(0, A.top + 1 - p - q)
-        x = A.unit(p, rng.randrange(A.dim(p)))
-        y = A.unit(q, rng.randrange(A.dim(q)))
-        z = A.unit(r, rng.randrange(A.dim(r)))
+        i = rng.randrange(A.dim(p))
+        j = rng.choice(starting_at[q][A.basis[p][i].dst])
+        k = rng.choice(starting_at[r][A.basis[q][j].dst])
+        x, y, z = A.unit(p, i), A.unit(q, j), A.unit(r, k)
         if A.mul(p + q, A.mul(p, x, q, y), r, z) != A.mul(p, x, q + r, A.mul(q, y, r, z)):
             ok_assoc = False
             break

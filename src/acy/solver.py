@@ -1,16 +1,20 @@
 """Numeric cell solver with exact reconstruction.
 
-One Levenberg-Marquardt least-squares routine on the compiled type I/II
-system, first in floats from random starts and then in mpmath at high
-precision; then each distinct squared weight is recognised in the base field
-Q(2cos(pi/h)) by one integer relation (PSLQ), and its square root is adjoined
-to the tower unless the tower already holds it.  The result is re-verified
-exactly; a system that survives is certified.
+One Levenberg-Marquardt least-squares loop on the compiled type I/II
+system, first in floats from random starts and then in fixed-point integers
+at scale 2^prec from the first start that converges; then each distinct
+squared weight is recognised in the base field Q(2cos(pi/h)) by one integer
+relation (PSLQ), and its square root is adjoined to the tower unless the
+tower already holds it.  The result is re-verified exactly; a system that
+survives is certified.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from functools import partial
+from math import isqrt
 
 import mpmath
 
@@ -23,7 +27,9 @@ __all__ = ["solve_cells", "SolverError"]
 
 _MAX_STARTS = 20   # random least-squares starts before giving up
 _MAX_STEPS = 100   # damped steps per least-squares run
-_FTOL = 1e-8       # relative cost reduction below which a run has stalled
+# relative cost reduction below which a run has stalled; a Fraction, so that
+# the test is exact on the integer pass and equals 1e-8 on floats
+_FTOL = Fraction(1, 10 ** 8)
 
 
 class SolverError(RuntimeError):
@@ -47,23 +53,26 @@ class _NumericSystem:
         self.n_unknowns = len(reps)
         self.equations = compile_equations(graph)
 
-    def compiled(self, prec: int) -> list:
-        """[(terms, rhs)] with terms [(coefficient, unknown indices)], every
-        number an mpf evaluated once at binary precision prec."""
-        return [([(c.value(prec), tuple(self.unknown_of[t] for t, _ in monos))
-                  for c, monos in eq.terms], eq.rhs.value(prec))
-                for eq in self.equations]
+    def compiled(self, prec: int):
+        """(terms, rhs) per equation, with terms [(coefficient, unknown
+        indices)], every number an mpf evaluated once at binary precision prec."""
+        for eq in self.equations:
+            yield ([(c.value(prec), tuple(self.unknown_of[t] for t, _ in monos))
+                    for c, monos in eq.terms], eq.rhs.value(prec))
 
     def root(self, seed: int, digits: int) -> list:
         """A root with residuals below ~10^-digits, in mpf: least squares in
-        floats from random starts, then refined in mpmath from the first
-        start that converges.  The compiled equations live only as long as
-        this call, so they do not add to the reconstruction's peak memory."""
+        floats from random starts, then refined in integers at scale 2^prec
+        from the first start that converges.  The compiled equations live
+        only as long as this call, so they do not add to the reconstruction's
+        peak memory."""
         # a tower element evaluated in floats can lose many bits to
         # cancellation, so the float stage rounds the refinement's coefficients
         prec = int(digits * 3.5) + 60
-        eqs = self.compiled(prec)
-        eqs_f = [([(float(c), idx) for c, idx in terms], float(rhs)) for terms, rhs in eqs]
+        eqs_f, eqs_x = [], []
+        for terms, rhs in self.compiled(prec):
+            eqs_f.append(([(float(c), idx) for c, idx in terms], float(rhs)))
+            eqs_x.append(([(_fixed(c, prec), idx) for c, idx in terms], _fixed(rhs, prec)))
         rng = random.Random(seed)
         for _ in range(_MAX_STARTS):
             scale = rng.uniform(0.6, 3.0)
@@ -74,20 +83,27 @@ class _NumericSystem:
         else:
             raise SolverError(f"least squares did not converge for {self.name} "
                               f"after {_MAX_STARTS} starts")
+        # cost < 10^(-2 digits) / 2 and max |r| < 10^-ceil(digits/2), exactly:
+        # the integer pass's cost is sum r^2 at scale 2^(2 prec)
+        x, r = _least_squares(eqs_x, [_fixed(v, prec) for v in x],
+                              Fraction(1 << 2 * prec, 10 ** (2 * digits)), prec)
+        if max(abs(v) for v in r) * 10 ** ((digits + 1) // 2) >= 1 << prec:
+            raise SolverError("high-precision refinement did not converge")
         with mpmath.workprec(prec):
-            x, r = _least_squares(eqs, [mpmath.mpf(v) for v in x],
-                                  mpmath.mpf(10) ** (-2 * digits) / 2)
-            if max(abs(v) for v in r) >= mpmath.mpf(10) ** (-digits // 2):
-                raise SolverError("high-precision refinement did not converge")
-        return x
+            return [mpmath.ldexp(v, -prec) for v in x]
+
+
+def _fixed(v, prec: int) -> int:
+    """v * 2^prec, truncated to an integer, for a float or an mpf v."""
+    return int(mpmath.ldexp(v, prec))
 
 
 def _linearise(eqs: list, x: list):
     """The residuals r_i = sum c prod x_j - rhs of the compiled equations at
-    x, their cost sum r_i^2 / 2, and the normal equations J^T J, J^T r,
-    accumulated from one sparse gradient row {j: dr_i/dx_j} per equation."""
-    zero = x[0] * 0
-    r, jtj, jtr = [], [[zero] * len(x) for _ in x], [zero] * len(x)
+    the float point x, their cost sum r_i^2 / 2, and the normal equations
+    J^T J, J^T r, accumulated from one sparse gradient row {j: dr_i/dx_j} per
+    equation."""
+    r, jtj, jtr = [], [[0.0] * len(x) for _ in x], [0.0] * len(x)
     for terms, rhs in eqs:
         res, grad = -rhs, {}
         for c, idx in terms:
@@ -101,13 +117,45 @@ def _linearise(eqs: list, x: list):
                 for k, v in enumerate(vals):
                     if k != pos:
                         q *= v
-                grad[j] = grad.get(j, zero) + q
+                grad[j] = grad.get(j, 0.0) + q
         r.append(res)
         for ja, va in grad.items():
             jtr[ja] += va * res
             for jb, vb in grad.items():
                 jtj[ja][jb] += va * vb
     return r, sum(v * v for v in r) / 2, jtj, jtr
+
+
+def _linearise_fixed(eqs: list, x: list, prec: int):
+    """`_linearise` on integers at scale 2^prec: the residuals and the
+    gradient rows at scale 2^prec, each monomial shifted once; J^T J and
+    J^T r accumulated exactly at scale 2^(2 prec) and shifted once to 2^prec;
+    and, in place of the cost, sum r_i^2 exactly at scale 2^(2 prec)."""
+    n = len(x)
+    r, jtj, jtr = [], [[0] * n for _ in x], [0] * n
+    for terms, rhs in eqs:
+        res, grad = -rhs, {}
+        for c, idx in terms:
+            vals = [x[j] for j in idx]
+            p = c
+            for v in vals:
+                p *= v
+            shift = prec * (len(idx) - 1)
+            res += p >> shift + prec
+            for pos, j in enumerate(idx):
+                q = c
+                for k, v in enumerate(vals):
+                    if k != pos:
+                        q *= v
+                grad[j] = grad.get(j, 0) + (q >> shift)
+        r.append(res)
+        for ja, va in grad.items():
+            jtr[ja] += va * res
+            row = jtj[ja]
+            for jb, vb in grad.items():
+                row[jb] += va * vb
+    return (r, sum(v * v for v in r), [[v >> prec for v in row] for row in jtj],
+            [v >> prec for v in jtr])
 
 
 def _damped_step(jtj: list, jtr: list, lam):
@@ -134,9 +182,40 @@ def _damped_step(jtj: list, jtr: list, lam):
     return dx
 
 
-def _least_squares(eqs: list, x: list, tol):
+def _damped_step_fixed(jtj: list, jtr: list, lam, prec: int):
+    """`_damped_step` on integers: J^T J, J^T r, the Cholesky factor and dx
+    are all at scale 2^prec.  A lone term is shifted up to the scale
+    2^(2 prec) of a product of two, and dividing by a diagonal entry, with
+    // or math.isqrt, brings it back; lam is applied exactly."""
+    n = len(jtr)
+    lam = Fraction(lam)
+    low = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            s = jtj[i][j]
+            if i == j:
+                s += s * lam.numerator // lam.denominator
+            s = (s << prec) - sum(low[i][k] * low[j][k] for k in range(j))
+            if i != j:
+                low[i][j] = s // low[j][j]
+            elif s > 0 and (d := isqrt(s)):
+                low[i][i] = d
+            else:
+                return None
+    y = []
+    for i in range(n):
+        y.append(((jtr[i] << prec) - sum(low[i][k] * y[k] for k in range(i))) // low[i][i])
+    dx = [0] * n
+    for i in reversed(range(n)):
+        dx[i] = (((y[i] << prec) - sum(low[k][i] * dx[k] for k in range(i + 1, n)))
+                 // low[i][i])
+    return dx
+
+
+def _least_squares(eqs: list, x: list, tol, prec: int | None = None):
     """Levenberg-Marquardt (More, LNM 630, 1978) on the compiled equations
-    from x, in the number type of x: float, or mpf at the working precision.
+    from x: in floats, or, given prec, in integers at scale 2^prec, where the
+    cost that tol bounds is sum r_i^2 at scale 2^(2 prec).
 
     Each step linearises once and solves the damped normal equations.  The
     damping lam is divided by 10 on an accepted step and multiplied by 10 on
@@ -149,19 +228,25 @@ def _least_squares(eqs: list, x: list, tol):
     of it, as MINPACK's ftol test does: Gauss-Newton converges only linearly
     to a minimum with nonzero residuals, so a start caught in one would
     otherwise creep on to _MAX_STEPS."""
-    r, cost, jtj, jtr = _linearise(eqs, x)
-    lam = min(1e-3, cost)
+    if prec is None:
+        linearise, step = _linearise, _damped_step
+    else:
+        linearise = partial(_linearise_fixed, prec=prec)
+        step = partial(_damped_step_fixed, prec=prec)
+    r, cost, jtj, jtr = linearise(eqs, x)
+    # lam is a pure number, so the integer pass starts it from the real cost
+    lam = min(1e-3, cost if prec is None else Fraction(cost, 2 << 2 * prec))
     for _ in range(_MAX_STEPS):
         if cost < tol:
             break
-        dx = _damped_step(jtj, jtr, lam)
+        dx = step(jtj, jtr, lam)
         if dx is None:
             lam *= 10
             continue
         x_new = [a - b for a, b in zip(x, dx)]
         if x_new == x:
             break
-        new = _linearise(eqs, x_new)
+        new = linearise(eqs, x_new)
         if new[1] < cost:
             stalled = cost - new[1] <= _FTOL * cost
             x, (r, cost, jtj, jtr) = x_new, new

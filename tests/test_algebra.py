@@ -202,15 +202,16 @@ def _a6():
     return GradedAlgebra(g, derive_relations(builtin_cells(g)))
 
 
-def test_spot_associativity_sees_a_faulted_reduction():
-    # seed 0 draws no composable triple of positive degrees on A6; its first
-    # triple of degrees (1, 1, 1) is x = e5, y = e3, z = e15 with y z = 0.  The
-    # fault sends x y partly into the block of the path (2, 10), which e15
-    # continues: then (x y) z != 0 = x (y z)
+def test_spot_associativity_sees_an_in_block_fault():
+    # the monomial (0, 7) is a basis element of degree 2; the fault reduces
+    # it to twice itself, which stays in its block.  A uniform sample drew no
+    # composable triple of positive degrees on A6 at seed 0; the composable
+    # sample multiplies through the fault and sees (x y) z != x (y z)
     assert spot_checks(_a6(), 0)["spot_associativity"] is True
     A = _a6()
-    key = (A.index_of[1][(5,)], 3)
-    A.red[2][key] = {**A.red[2][key], A.index_of[2][(2, 10)]: A.one}
+    key, i = (A.index_of[1][(0,)], 7), A.index_of[2][(0, 7)]
+    assert A.red[2][key] == {i: A.one}
+    A.red[2][key] = {i: A.one + A.one}
     assert spot_checks(A, 0)["spot_associativity"] is False
 
 

@@ -644,6 +644,64 @@ def test_no_single_rank_fault_is_silent(pipe, monkeypatch):
         assert [f for f, fired in outcomes.items() if not fired] == [], spec
 
 
+def _failed_with_rank_fault(pipe, monkeypatch, spec, fault) -> set:
+    """The checks that fail in A(spec)'s report without the resolution when
+    Homology.rank(*fault) returns rank + 1."""
+    _, cells, A, _ = pipe(spec)
+    real = Homology.rank
+
+    def bumped(self, r, twist, k):
+        return real(self, r, twist, k) + ((r, twist, k) == fault)
+
+    monkeypatch.setattr(Homology, "rank", bumped)
+    report = build_report(A, cells, with_resolution=False)
+    return {check for check, ok in report.checks.items() if not ok}
+
+
+def test_dim_symmetry_sees_a_rank_fault(pipe, monkeypatch):
+    # rank(1, 2, 2) + 1 lowers HH_8 and HH_9 at degree 15 but not their
+    # partners HH_3 and HH_2 at degree 3h - 15 = 3
+    failed = _failed_with_rank_fault(pipe, monkeypatch, "A6", (1, 2, 2))
+    assert failed == {"dim_symmetry", "euler", "cohomology_routes"}
+
+
+def test_periodicity_sees_a_rank_fault(pipe, monkeypatch):
+    # rank(3, 3, 0) + 1 moves HH_14 and HH_15 at degree 21, above the
+    # reported indices, but not HH_2 and HH_3 at degree 21 - 3h = 3
+    failed = _failed_with_rank_fault(pipe, monkeypatch, "A6", (3, 3, 0))
+    assert failed == {"periodicity", "euler"}
+
+
+def test_euler_sees_a_rank_fault(pipe, monkeypatch):
+    # rank(4, 2, 0) + 1 lowers HH_11 and HH_12 at degree 3h together, so
+    # HH_11,d = HH_12,(6h-d) still holds; HC_11 at degree 3h drops with them
+    failed = _failed_with_rank_fault(pipe, monkeypatch, "A6", (4, 2, 0))
+    assert failed == {"euler", "cohomology_routes"}
+
+
+def test_cohomology_routes_sees_a_rank_fault(pipe, monkeypatch):
+    # the fault of test_no_single_rank_fault_is_silent's docstring: it moves
+    # only HH^13 at degree -3h, which no other check reads
+    failed = _failed_with_rank_fault(pipe, monkeypatch, "A6", (2, -3, 1))
+    assert failed == {"cohomology_routes"}
+
+
+def test_hh0_cross_sees_a_faulted_commutator_table(pipe, monkeypatch):
+    # +1 on HH_0 by commutators at degree 1: only the cross-check with HH_0
+    # of the complex reads that table
+    _, cells, A, _ = pipe("A6")
+    real = acy.homology.hh0_direct
+
+    def bumped(A):
+        out = real(A)
+        out[1] = out.get(1, 0) + 1
+        return out
+
+    monkeypatch.setattr(acy.homology, "hh0_direct", bumped)
+    report = build_report(A, cells, with_resolution=False)
+    assert {check for check, ok in report.checks.items() if not ok} == {"hh0_cross"}
+
+
 def test_report_assembly(pipe):
     g, cells, A, _ = pipe("A5")
     rep = build_report(A, cells, with_resolution=False)

@@ -1,19 +1,22 @@
+import hashlib
 import json
+from fractions import Fraction
 from importlib import resources
 
 import mpmath
 import pytest
 
 from acy import solver
-from acy.cells import cells_from_doc
+from acy.cells import cells_from_doc, cells_to_doc
 from acy.quiver import build_family
 from acy.scalar import FieldTower, Scalar
-from acy.solver import SolverError, _least_squares, solve_cells
+from acy.solver import SolverError, _fixed, _least_squares, solve_cells
 
 # x0^2 = 1, x0 x1 = 2, x1^2 = 4 and 3 x0 x1^2 = 12 in compiled form
 # [(terms, rhs)], terms [(coefficient, unknown indices)]: the root is (1, 2)
 TINY = [([(1, (0, 0))], 1), ([(1, (0, 1))], 2), ([(1, (1, 1))], 4), ([(3, (0, 1, 1))], 12)]
 START = [0.6, 2.7]
+PREC = 260  # scale 2^PREC of the fixed-point tests
 
 
 def _compiled(num):
@@ -27,13 +30,12 @@ def test_least_squares_in_floats():
     assert abs(x[0] - 1) < 1e-9 and abs(x[1] - 2) < 1e-9
 
 
-def test_least_squares_in_mpf_from_the_same_start():
-    with mpmath.workprec(260):
-        x, r = _least_squares(_compiled(mpmath.mpf), [mpmath.mpf(v) for v in START],
-                              mpmath.mpf(10) ** -130)
-        assert all(isinstance(v, mpmath.mpf) for v in x)
-        assert max(abs(v) for v in r) < mpmath.mpf(10) ** -60
-        assert abs(x[1] - 2) < mpmath.mpf(10) ** -60
+def test_least_squares_in_fixed_point_from_the_same_start():
+    x, r = _least_squares(_compiled(lambda v: _fixed(v, PREC)), [_fixed(v, PREC) for v in START],
+                          Fraction(2 << 2 * PREC, 10 ** 130), PREC)
+    assert all(type(v) is int for v in x + r)
+    assert max(abs(v) for v in r) * 10 ** 60 < 1 << PREC
+    assert abs(x[1] - (2 << PREC)) * 10 ** 60 < 1 << PREC
 
 
 def test_least_squares_stops_at_a_residual_it_cannot_lower():
@@ -43,22 +45,90 @@ def test_least_squares_stops_at_a_residual_it_cannot_lower():
     assert abs(x[0]) < 1e-3 and abs(r[0] - 1) < 1e-6
 
 
-def test_least_squares_stops_on_a_plateau(monkeypatch):
-    # x0^2 = 1 and x0^2 = -1: the least-squares minimum x0 = 0 has cost 1,
-    # and Gauss-Newton only halves x0 per step; the run ends once a step
-    # lowers the cost by a negligible fraction instead of creeping on
+def test_fixed_point_least_squares_stops_at_a_residual_it_cannot_lower():
+    one = 1 << PREC
+    x, r = _least_squares([([(one, (0, 0))], -one)], [_fixed(0.8, PREC)],
+                          Fraction(1 << 2 * PREC, 10 ** 18), PREC)
+    assert abs(x[0]) * 10 ** 3 < one and abs(r[0] - one) * 10 ** 6 < one
+
+
+# x0^2 = 1 and x0^2 = -1: the least-squares minimum x0 = 0 has cost 1, and
+# Gauss-Newton only halves x0 per step; the run ends once a step lowers the
+# cost by a negligible fraction instead of creeping on
+PLATEAU = [([(1, (0, 0))], 1), ([(1, (0, 0))], -1)]
+
+
+def _counted(monkeypatch, name) -> list:
+    """The points at which solver.<name> is called from now on."""
     calls = []
+    real = getattr(solver, name)
 
-    def counted(eqs, x):
+    def counted(eqs, x, *args, **kwargs):
         calls.append(x)
-        return linearise(eqs, x)
+        return real(eqs, x, *args, **kwargs)
 
-    linearise = solver._linearise
-    monkeypatch.setattr(solver, "_linearise", counted)
-    eqs = [([(1.0, (0, 0))], 1.0), ([(1.0, (0, 0))], -1.0)]
+    monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
+def test_least_squares_stops_on_a_plateau(monkeypatch):
+    calls = _counted(monkeypatch, "_linearise")
+    eqs = [([(float(c), idx) for c, idx in terms], float(rhs)) for terms, rhs in PLATEAU]
     x, r = _least_squares(eqs, [1.0], 1e-18)
     assert abs(x[0]) < 0.1 and abs(sum(v * v for v in r) / 2 - 1) < 1e-4
     assert len(calls) <= 12
+
+
+def test_fixed_point_least_squares_stops_on_a_plateau(monkeypatch):
+    calls = _counted(monkeypatch, "_linearise_fixed")
+    one = 1 << PREC
+    eqs = [([(c * one, idx) for c, idx in terms], rhs * one) for terms, rhs in PLATEAU]
+    x, r = _least_squares(eqs, [one], Fraction(1 << 2 * PREC, 10 ** 18), PREC)
+    # the cost sum r^2 is 2 at scale 2^(2 PREC)
+    assert abs(x[0]) * 10 < one and abs(sum(v * v for v in r) - 2 * one * one) * 10 ** 4 < one * one
+    assert len(calls) <= 12
+
+
+def test_fixed_point_keeps_the_sign():
+    # mpf.man_exp would give the mantissa of |v|; ldexp keeps the sign
+    with mpmath.workprec(PREC):
+        for v in (-1.25, -0.3, mpmath.mpf(-2) / 3, mpmath.mpf(-1) / 7 * 2 ** -40):
+            x = _fixed(v, PREC)
+            assert x < 0
+            assert abs(mpmath.ldexp(x, -PREC) - v) <= mpmath.ldexp(1, -PREC)
+    assert _fixed(-1.25, PREC) == -5 << PREC - 2
+
+
+def test_refinement_rejects_an_unrefined_start(monkeypatch):
+    # the float pass returns its random start as it is, with zero residuals,
+    # so that root takes it; from A6*'s seed-0 start the integer pass ends on
+    # a nonzero-residual plateau, and its exact acceptance test rejects it
+    least_squares = solver._least_squares
+
+    def unrefined(eqs, x, tol, prec=None):
+        if prec is None:
+            return x, [0.0] * len(eqs)
+        return least_squares(eqs, x, tol, prec)
+
+    monkeypatch.setattr(solver, "_least_squares", unrefined)
+    with pytest.raises(SolverError, match="high-precision refinement did not converge"):
+        solve_cells(build_family("A*", 6), seed=0)
+
+
+# sha256 of the compact sorted JSON of cells_to_doc(solve_cells(g, seed=0))
+SOLVED_SHA256 = {
+    ("A", 10): "d08d7a5225c3ce520308606f01d72c595791a3985030225675c39c55fc5c53ed",
+    ("A", 11): "f1a88958d91b27589d73244735f7d293c05c84079014afd039ad3fc168382edd",
+    ("A*", 10): "95ec7ad955226908e1549d6e79f586384c933a5a37ebb2e5c7da7ec7f6ebbdc1",
+    ("A*", 11): "fabebc121ab4650d9423ecf1678d0109ac63ecb0ebff3d7a386de61808d06d73",
+}
+
+
+@pytest.mark.parametrize("tag,n", sorted(SOLVED_SHA256))
+def test_seed_0_solution_is_pinned(tag, n):
+    doc = cells_to_doc(solve_cells(build_family(tag, n), seed=0))
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == SOLVED_SHA256[tag, n]
 
 
 # the shipped cell files whose cells a seed-1 solve reproduces
