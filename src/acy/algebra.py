@@ -393,11 +393,12 @@ class GradedAlgebra:
 
 def spot_checks(A: GradedAlgebra, seed: int) -> dict[str, bool]:
     """Seeded randomized sanity checks: associativity on 100 composable basis
-    triples and multiplicativity of the Nakayama action on 50 basis pairs.
+    triples and multiplicativity of the Nakayama action on 50 composable
+    basis pairs.
 
-    An associativity triple draws y among the basis elements that start where
-    x ends, and z among those that start where y ends: a uniform triple is
-    almost never composable on a small graph, and then both sides are 0.
+    A triple or pair draws y among the basis elements that start where x
+    ends, and z among those that start where y ends: a uniform draw is almost
+    never composable on a small graph, and then both sides are 0.
     Every vertex starts a basis element of every degree up to the top, since
     the top degree pairs each vertex with its nu-image."""
     import random
@@ -423,8 +424,9 @@ def spot_checks(A: GradedAlgebra, seed: int) -> dict[str, bool]:
     for _ in range(50):
         p = rng.randrange(0, A.top + 1)
         q = rng.randrange(0, A.top + 1 - p)
-        x = A.unit(p, rng.randrange(A.dim(p)))
-        y = A.unit(q, rng.randrange(A.dim(q)))
+        i = rng.randrange(A.dim(p))
+        j = rng.choice(starting_at[q][A.basis[p][i].dst])
+        x, y = A.unit(p, i), A.unit(q, j)
         lhs = A.beta_vec(p + q, A.mul(p, x, q, y))
         rhs = A.mul(p, A.beta_vec(p, x), q, A.beta_vec(q, y))
         if lhs != rhs:

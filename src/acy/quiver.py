@@ -24,8 +24,8 @@ from . import linalg
 from .scalar import FieldTower, Scalar
 
 __all__ = ["Edge", "Graph", "GraphError", "build_family", "parse_graph_spec",
-           "family_catalog", "perron_frobenius", "opposite", "save_graph",
-           "load_graph", "json_field", "unfold", "graphs_equal"]
+           "family_catalog", "perron_frobenius", "save_graph", "load_graph",
+           "json_field", "unfold"]
 
 
 @dataclass(frozen=True)
@@ -249,13 +249,6 @@ def _normalize_min(phi: dict[str, Scalar]) -> dict[str, Scalar]:
             minimum = x
     inv = minimum.inverse()
     return {v: x * inv for v, x in phi.items()}
-
-
-def opposite(g: Graph) -> Graph:
-    """Same vertices, every edge reversed (same ids)."""
-    edges = [Edge(e.id, e.dst, e.src) for e in g.edges]
-    return Graph(g.name[:-3] if g.name.endswith("^op") else g.name + "^op",
-                 g.h, g.vertices, edges, g.nu_v, coloring=None, nu_e=g.nu_e)
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +523,3 @@ def load_graph(doc: dict) -> Graph:
         raise GraphError("field 'coloring' of graph must map vertices to integers")
     return Graph(doc.get("name", "custom"), h, vertices, edges, vertex_map, coloring,
                  nu_e=nu_e, phi=phi)
-
-
-def graphs_equal(a: Graph, b: Graph) -> bool:
-    return (a.h == b.h and a.vertices == b.vertices
-            and [(e.id, e.src, e.dst) for e in a.edges] == [(e.id, e.src, e.dst) for e in b.edges]
-            and a.nu_v == b.nu_v and a.nu_e == b.nu_e
-            and a.coloring == b.coloring
-            and all(a.phi[v] == b.phi[v] for v in a.vertices))

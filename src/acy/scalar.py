@@ -556,18 +556,6 @@ class Scalar:
         finally:
             iv.prec = old
 
-    def embed_real(self, digits: int = 15):
-        """Certified interval of width <= 10^-digits around the real embedding."""
-        if digits < 1:
-            raise ValueError("digits must be >= 1")
-        target = mpmath.mpf(10) ** (-digits)
-        prec = max(80, int(digits * 3.4) + 40)
-        while True:
-            box = self.interval(prec)
-            if mpmath.mpf(box.delta.b) <= target:
-                return box
-            prec *= 2
-
     def is_positive(self) -> bool:
         """Certified sign of a real scalar; False for zero."""
         if self.im:

@@ -1,7 +1,7 @@
 """Numeric cell solver with exact reconstruction.
 
-One Levenberg-Marquardt least-squares loop on the compiled type I/II
-system, first in floats from random starts and then in fixed-point integers
+One Levenberg-Marquardt least-squares kernel on the compiled type I/II
+system, in fixed-point integers: at scale 2^64 from random starts, and then
 at scale 2^prec from the first start that converges; then each distinct
 squared weight is recognised in the base field Q(2cos(pi/h)) by one integer
 relation (PSLQ), and its square root is adjoined to the tower unless the
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import partial
 from math import isqrt
 
 import mpmath
@@ -27,8 +26,8 @@ __all__ = ["solve_cells", "SolverError"]
 
 _MAX_STARTS = 20   # random least-squares starts before giving up
 _MAX_STEPS = 100   # damped steps per least-squares run
-# relative cost reduction below which a run has stalled; a Fraction, so that
-# the test is exact on the integer pass and equals 1e-8 on floats
+_START_PREC = 64   # binary scale of the start search
+# relative cost reduction below which a run has stalled, exactly
 _FTOL = Fraction(1, 10 ** 8)
 
 
@@ -61,31 +60,33 @@ class _NumericSystem:
                     for c, monos in eq.terms], eq.rhs.value(prec))
 
     def root(self, seed: int, digits: int) -> list:
-        """A root with residuals below ~10^-digits, in mpf: least squares in
-        floats from random starts, then refined in integers at scale 2^prec
+        """A root with residuals below ~10^-digits, in mpf: least squares at
+        scale 2^_START_PREC from random starts, then refined at scale 2^prec
         from the first start that converges.  The compiled equations live
         only as long as this call, so they do not add to the reconstruction's
         peak memory."""
-        # a tower element evaluated in floats can lose many bits to
-        # cancellation, so the float stage rounds the refinement's coefficients
         prec = int(digits * 3.5) + 60
-        eqs_f, eqs_x = [], []
+        eqs_s, eqs_x = [], []
         for terms, rhs in self.compiled(prec):
-            eqs_f.append(([(float(c), idx) for c, idx in terms], float(rhs)))
+            eqs_s.append(([(_fixed(c, _START_PREC), idx) for c, idx in terms],
+                          _fixed(rhs, _START_PREC)))
             eqs_x.append(([(_fixed(c, prec), idx) for c, idx in terms], _fixed(rhs, prec)))
+        # a start converges at cost < 1e-18, that is sum r^2 < 2e-18 at
+        # scale 2^(2 _START_PREC)
+        start_tol = Fraction(2 << 2 * _START_PREC, 10 ** 18)
         rng = random.Random(seed)
         for _ in range(_MAX_STARTS):
             scale = rng.uniform(0.6, 3.0)
-            x, r = _least_squares(eqs_f, [rng.uniform(0.4, 1.6) * scale
-                                          for _ in range(self.n_unknowns)], 1e-18)
-            if sum(v * v for v in r) / 2 < 1e-18:
+            x, r = _least_squares(eqs_s, [_fixed(rng.uniform(0.4, 1.6) * scale, _START_PREC)
+                                          for _ in range(self.n_unknowns)],
+                                  start_tol, _START_PREC)
+            if sum(v * v for v in r) < start_tol:
                 break
         else:
             raise SolverError(f"least squares did not converge for {self.name} "
                               f"after {_MAX_STARTS} starts")
-        # cost < 10^(-2 digits) / 2 and max |r| < 10^-ceil(digits/2), exactly:
-        # the integer pass's cost is sum r^2 at scale 2^(2 prec)
-        x, r = _least_squares(eqs_x, [_fixed(v, prec) for v in x],
+        # cost < 10^(-2 digits) / 2 and max |r| < 10^-ceil(digits/2), exactly
+        x, r = _least_squares(eqs_x, [v << prec - _START_PREC for v in x],
                               Fraction(1 << 2 * prec, 10 ** (2 * digits)), prec)
         if max(abs(v) for v in r) * 10 ** ((digits + 1) // 2) >= 1 << prec:
             raise SolverError("high-precision refinement did not converge")
@@ -98,39 +99,15 @@ def _fixed(v, prec: int) -> int:
     return int(mpmath.ldexp(v, prec))
 
 
-def _linearise(eqs: list, x: list):
+def _linearise(eqs: list, x: list, prec: int):
     """The residuals r_i = sum c prod x_j - rhs of the compiled equations at
-    the float point x, their cost sum r_i^2 / 2, and the normal equations
-    J^T J, J^T r, accumulated from one sparse gradient row {j: dr_i/dx_j} per
-    equation."""
-    r, jtj, jtr = [], [[0.0] * len(x) for _ in x], [0.0] * len(x)
-    for terms, rhs in eqs:
-        res, grad = -rhs, {}
-        for c, idx in terms:
-            vals = [x[j] for j in idx]
-            p = c
-            for v in vals:
-                p *= v
-            res += p
-            for pos, j in enumerate(idx):
-                q = c
-                for k, v in enumerate(vals):
-                    if k != pos:
-                        q *= v
-                grad[j] = grad.get(j, 0.0) + q
-        r.append(res)
-        for ja, va in grad.items():
-            jtr[ja] += va * res
-            for jb, vb in grad.items():
-                jtj[ja][jb] += va * vb
-    return r, sum(v * v for v in r) / 2, jtj, jtr
-
-
-def _linearise_fixed(eqs: list, x: list, prec: int):
-    """`_linearise` on integers at scale 2^prec: the residuals and the
-    gradient rows at scale 2^prec, each monomial shifted once; J^T J and
-    J^T r accumulated exactly at scale 2^(2 prec) and shifted once to 2^prec;
-    and, in place of the cost, sum r_i^2 exactly at scale 2^(2 prec)."""
+    the point x, on integers at scale 2^prec, with sum r_i^2 and the normal
+    equations J^T J, J^T r, accumulated from one sparse gradient row
+    {j: dr_i/dx_j} per equation.  The residuals and the gradient rows are at
+    scale 2^prec, each monomial shifted once, so a residual is exact up to
+    one truncation per monomial; J^T J and J^T r are accumulated exactly at
+    scale 2^(2 prec) and shifted once to 2^prec; sum r_i^2 is exact, at scale
+    2^(2 prec)."""
     n = len(x)
     r, jtj, jtr = [], [[0] * n for _ in x], [0] * n
     for terms, rhs in eqs:
@@ -158,35 +135,13 @@ def _linearise_fixed(eqs: list, x: list, prec: int):
             [v >> prec for v in jtr])
 
 
-def _damped_step(jtj: list, jtr: list, lam):
+def _damped_step(jtj: list, jtr: list, lam, prec: int):
     """The solution of (J^T J + lam diag(J^T J)) dx = J^T r by Cholesky, or
-    None when that matrix is not numerically positive definite."""
-    n = len(jtr)
-    low = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            s = jtj[i][j] * (1 + lam) if i == j else jtj[i][j]
-            s -= sum(low[i][k] * low[j][k] for k in range(j))
-            if i != j:
-                low[i][j] = s / low[j][j]
-            elif s > 0:
-                low[i][i] = s ** 0.5
-            else:
-                return None
-    y = []
-    for i in range(n):
-        y.append((jtr[i] - sum(low[i][k] * y[k] for k in range(i))) / low[i][i])
-    dx = [0] * n
-    for i in reversed(range(n)):
-        dx[i] = (y[i] - sum(low[k][i] * dx[k] for k in range(i + 1, n))) / low[i][i]
-    return dx
-
-
-def _damped_step_fixed(jtj: list, jtr: list, lam, prec: int):
-    """`_damped_step` on integers: J^T J, J^T r, the Cholesky factor and dx
-    are all at scale 2^prec.  A lone term is shifted up to the scale
-    2^(2 prec) of a product of two, and dividing by a diagonal entry, with
-    // or math.isqrt, brings it back; lam is applied exactly."""
+    None when that matrix is not numerically positive definite.  J^T J,
+    J^T r, the Cholesky factor and dx are all integers at scale 2^prec.  A
+    lone term is shifted up to the scale 2^(2 prec) of a product of two, and
+    dividing by a diagonal entry, with // or math.isqrt, brings it back; lam
+    is applied exactly."""
     n = len(jtr)
     lam = Fraction(lam)
     low = [[0] * n for _ in range(n)]
@@ -212,10 +167,10 @@ def _damped_step_fixed(jtj: list, jtr: list, lam, prec: int):
     return dx
 
 
-def _least_squares(eqs: list, x: list, tol, prec: int | None = None):
+def _least_squares(eqs: list, x: list, tol, prec: int):
     """Levenberg-Marquardt (More, LNM 630, 1978) on the compiled equations
-    from x: in floats, or, given prec, in integers at scale 2^prec, where the
-    cost that tol bounds is sum r_i^2 at scale 2^(2 prec).
+    from x, in integers at scale 2^prec; the cost that tol bounds is
+    sum r_i^2 at scale 2^(2 prec).
 
     Each step linearises once and solves the damped normal equations.  The
     damping lam is divided by 10 on an accepted step and multiplied by 10 on
@@ -228,25 +183,20 @@ def _least_squares(eqs: list, x: list, tol, prec: int | None = None):
     of it, as MINPACK's ftol test does: Gauss-Newton converges only linearly
     to a minimum with nonzero residuals, so a start caught in one would
     otherwise creep on to _MAX_STEPS."""
-    if prec is None:
-        linearise, step = _linearise, _damped_step
-    else:
-        linearise = partial(_linearise_fixed, prec=prec)
-        step = partial(_damped_step_fixed, prec=prec)
-    r, cost, jtj, jtr = linearise(eqs, x)
-    # lam is a pure number, so the integer pass starts it from the real cost
-    lam = min(1e-3, cost if prec is None else Fraction(cost, 2 << 2 * prec))
+    r, cost, jtj, jtr = _linearise(eqs, x, prec)
+    # lam is a pure number, so it starts from the real cost sum r_i^2 / 2
+    lam = min(1e-3, Fraction(cost, 2 << 2 * prec))
     for _ in range(_MAX_STEPS):
         if cost < tol:
             break
-        dx = step(jtj, jtr, lam)
+        dx = _damped_step(jtj, jtr, lam, prec)
         if dx is None:
             lam *= 10
             continue
         x_new = [a - b for a, b in zip(x, dx)]
         if x_new == x:
             break
-        new = linearise(eqs, x_new)
+        new = _linearise(eqs, x_new, prec)
         if new[1] < cost:
             stalled = cost - new[1] <= _FTOL * cost
             x, (r, cost, jtj, jtr) = x_new, new

@@ -224,6 +224,17 @@ def test_spot_nakayama_sees_a_faulted_beta_coefficient():
     assert spot_checks(A, 0)["spot_nakayama"] is False
 
 
+def test_spot_nakayama_sees_a_fault_off_the_uniform_sample():
+    # beta(x) = 2 nu(x) for the degree-1 basis element 17.  A sample of
+    # uniform pairs, mostly not composable, passed this fault at seeds 0-4;
+    # pairs with y starting where x ends catch it at each of them
+    A = _a6()
+    (j, c), = A.beta_basis(1, 17).items()
+    A._beta_cache[(1, 17)] = {j: c + A.one}
+    for seed in range(5):
+        assert spot_checks(A, seed)["spot_nakayama"] is False
+
+
 def test_relation_count_and_snapshot(pipe):
     for spec in ("A5", "E8*", "D9"):
         g, cells, A, _ = pipe(spec)

@@ -4,9 +4,8 @@ import sys
 
 import pytest
 
-from acy.quiver import (GraphError, build_family, family_catalog, graphs_equal,
-                        load_graph, opposite, parse_graph_spec, perron_frobenius,
-                        save_graph)
+from acy.quiver import (GraphError, build_family, family_catalog, load_graph,
+                        parse_graph_spec, perron_frobenius, save_graph)
 
 
 def _matmul(A, B):
@@ -97,8 +96,7 @@ def test_save_load_round_trip():
     for spec in ("A4", "D9", "E8*"):
         g = parse_graph_spec(spec)
         doc = json.loads(json.dumps(save_graph(g)))
-        g2 = load_graph(doc)
-        assert graphs_equal(g, g2)
+        assert save_graph(load_graph(doc)) == doc
 
 
 def test_load_rejects_bad_coloring():
@@ -129,18 +127,6 @@ def test_hand_written_e8_document():
     assert sorted((e.src, e.dst) for e in g.edges) == sorted((e.src, e.dst) for e in ref.edges)
     assert g.nu_v == ref.nu_v
     assert all(g.phi[v] == ref.phi[v] for v in g.vertices)
-
-
-def test_opposite():
-    g = build_family("E8*")
-    op = opposite(g)
-    e24 = [e for e in g.edges if (e.src, e.dst) == ("2", "4")][0]
-    assert (op.edge_by_id[e24.id].src, op.edge_by_id[e24.id].dst) == ("4", "2")
-    loops = [e for e in g.edges if e.src == e.dst]
-    assert all(op.edge_by_id[e.id].src == op.edge_by_id[e.id].dst for e in loops)
-    opop = opposite(op)
-    assert sorted((e.id, e.src, e.dst) for e in opop.edges) == \
-        sorted((e.id, e.src, e.dst) for e in g.edges)
 
 
 def test_catalog():

@@ -71,23 +71,12 @@ def test_normal_form_random():
             assert (a * c) / c == a
 
 
-def test_embed_real():
-    t = FieldTower(6)
-    three = t.quantum(3)   # equals 2 exactly
-    box = three.embed_real(5)
-    assert box.a <= 2 <= box.b and mpmath.mpf(box.delta.b) <= mpmath.mpf(10) ** -5
-    zero_box = t.zero().embed_real(10)
-    assert zero_box.a <= 0 <= zero_box.b
-    v = FieldTower(12).quantum(2).embed_real(12)
-    assert abs(mpmath.mpf(v.a) - 1.9318516525781366) < 1e-10
-
-
 def test_is_zero_and_interval_consistency():
     t = FieldTower(7)
     x = t.quantum(2) * t.quantum(4) - t.quantum(3) - t.quantum(5)  # product rule: zero
     assert x.is_zero()
-    for digits in (5, 15, 30):
-        box = x.embed_real(digits)
+    for prec in (80, 120, 200):
+        box = x.interval(prec)
         assert box.a <= 0 <= box.b
 
 

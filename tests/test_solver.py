@@ -19,33 +19,19 @@ START = [0.6, 2.7]
 PREC = 260  # scale 2^PREC of the fixed-point tests
 
 
-def _compiled(num):
-    return [([(num(c), idx) for c, idx in terms], num(rhs)) for terms, rhs in TINY]
-
-
-def test_least_squares_in_floats():
-    x, r = _least_squares(_compiled(float), START, 1e-18)
-    assert all(isinstance(v, float) for v in x)
-    assert sum(v * v for v in r) / 2 < 1e-18
-    assert abs(x[0] - 1) < 1e-9 and abs(x[1] - 2) < 1e-9
-
-
 def test_least_squares_in_fixed_point_from_the_same_start():
-    x, r = _least_squares(_compiled(lambda v: _fixed(v, PREC)), [_fixed(v, PREC) for v in START],
+    eqs = [([(_fixed(c, PREC), idx) for c, idx in terms], _fixed(rhs, PREC))
+           for terms, rhs in TINY]
+    x, r = _least_squares(eqs, [_fixed(v, PREC) for v in START],
                           Fraction(2 << 2 * PREC, 10 ** 130), PREC)
     assert all(type(v) is int for v in x + r)
     assert max(abs(v) for v in r) * 10 ** 60 < 1 << PREC
     assert abs(x[1] - (2 << PREC)) * 10 ** 60 < 1 << PREC
 
 
-def test_least_squares_stops_at_a_residual_it_cannot_lower():
+def test_fixed_point_least_squares_stops_at_a_residual_it_cannot_lower():
     # x0^2 = -1 has no real root: the run ends at the least-squares minimum
     # x0 = 0 with cost 1/2 instead of looping
-    x, r = _least_squares([([(1.0, (0, 0))], -1.0)], [0.8], 1e-18)
-    assert abs(x[0]) < 1e-3 and abs(r[0] - 1) < 1e-6
-
-
-def test_fixed_point_least_squares_stops_at_a_residual_it_cannot_lower():
     one = 1 << PREC
     x, r = _least_squares([([(one, (0, 0))], -one)], [_fixed(0.8, PREC)],
                           Fraction(1 << 2 * PREC, 10 ** 18), PREC)
@@ -71,16 +57,8 @@ def _counted(monkeypatch, name) -> list:
     return calls
 
 
-def test_least_squares_stops_on_a_plateau(monkeypatch):
-    calls = _counted(monkeypatch, "_linearise")
-    eqs = [([(float(c), idx) for c, idx in terms], float(rhs)) for terms, rhs in PLATEAU]
-    x, r = _least_squares(eqs, [1.0], 1e-18)
-    assert abs(x[0]) < 0.1 and abs(sum(v * v for v in r) / 2 - 1) < 1e-4
-    assert len(calls) <= 12
-
-
 def test_fixed_point_least_squares_stops_on_a_plateau(monkeypatch):
-    calls = _counted(monkeypatch, "_linearise_fixed")
+    calls = _counted(monkeypatch, "_linearise")
     one = 1 << PREC
     eqs = [([(c * one, idx) for c, idx in terms], rhs * one) for terms, rhs in PLATEAU]
     x, r = _least_squares(eqs, [one], Fraction(1 << 2 * PREC, 10 ** 18), PREC)
@@ -100,14 +78,15 @@ def test_fixed_point_keeps_the_sign():
 
 
 def test_refinement_rejects_an_unrefined_start(monkeypatch):
-    # the float pass returns its random start as it is, with zero residuals,
-    # so that root takes it; from A6*'s seed-0 start the integer pass ends on
-    # a nonzero-residual plateau, and its exact acceptance test rejects it
+    # the start search returns its random start as it is, with zero
+    # residuals, so that root takes it; from A6*'s seed-0 start the refinement
+    # ends on a nonzero-residual plateau, and its exact acceptance test
+    # rejects it
     least_squares = solver._least_squares
 
-    def unrefined(eqs, x, tol, prec=None):
-        if prec is None:
-            return x, [0.0] * len(eqs)
+    def unrefined(eqs, x, tol, prec):
+        if prec == solver._START_PREC:
+            return x, [0] * len(eqs)
         return least_squares(eqs, x, tol, prec)
 
     monkeypatch.setattr(solver, "_least_squares", unrefined)
@@ -119,6 +98,9 @@ def test_refinement_rejects_an_unrefined_start(monkeypatch):
 SOLVED_SHA256 = {
     ("A", 10): "d08d7a5225c3ce520308606f01d72c595791a3985030225675c39c55fc5c53ed",
     ("A", 11): "f1a88958d91b27589d73244735f7d293c05c84079014afd039ad3fc168382edd",
+    # past the float round-off floor: in floats, every A21 start ends just
+    # above cost 1e-18
+    ("A", 21): "7c68efaffb5cbf6fe36f64095d2e90cd457877e696bcc6ada0f65d040c92b894",
     ("A*", 10): "95ec7ad955226908e1549d6e79f586384c933a5a37ebb2e5c7da7ec7f6ebbdc1",
     ("A*", 11): "fabebc121ab4650d9423ecf1678d0109ac63ecb0ebff3d7a386de61808d06d73",
 }
