@@ -15,10 +15,10 @@ import copy
 import operator
 from dataclasses import dataclass
 
-from . import linalg, series
+from . import linalg, scalar, series
 from .cells import RelationSet
 from .quiver import Graph
-from .scalar import PrimeEmbedding, Scalar
+from .scalar import RATIONALS, PrimeEmbedding, Scalar
 
 __all__ = ["GradedAlgebra", "AlgebraError", "BasisElt"]
 
@@ -60,14 +60,18 @@ class GradedAlgebra:
     """Bases, reduction tables, multiplication, the non-degenerate form and
     its dual bases, and the Nakayama action, for A = A(G, W).
 
-    Coefficients are tower scalars (p = 0), or ints mod p on the image
-    `reduce_mod` returns; multiplication and the Nakayama action serve both."""
+    Coefficients are tower scalars, or Python's ints and Fractions when the
+    relations are over Q (`RATIONALS`), with p = 0; or ints mod p on the
+    image `reduce_mod` returns.  Multiplication and the Nakayama action serve
+    all three."""
 
     def __init__(self, graph: Graph, relations: RelationSet):
         self.graph = graph
         self.relations = relations
         self.tower = relations.tower
-        self.one = self.tower.one()  # shared: scalars are immutable
+        # shared: scalars are immutable, and over Q these are the ints 1, 0
+        self.one, self.zero = ((1, 0) if self.tower == RATIONALS
+                               else (self.tower.one(), self.tower.zero()))
         self.p = 0
         self.top = graph.h - 3
         self.basis: list[list[BasisElt]] = []
@@ -253,10 +257,11 @@ class GradedAlgebra:
         """Choose top generators u_j and propagate f by (x,y) = (y, beta(x))
         along a spanning tree; then tabulate f(x y) once per pairing pair,
         check (x,y) = (y, beta(x)) on every pair off that table, and invert
-        each pairing block for the dual bases."""
+        each pairing block for the dual bases.  The tables of degrees p and
+        T - p are built together and dropped once both degrees are done."""
         if self._form_built:
             return
-        g, T, tower = self.graph, self.top, self.tower
+        g, T = self.graph, self.top
         tops: dict[str, int] = {}
         for (s, d), idxs in self.block_index[T].items():
             if d != g.nu_v[s]:
@@ -269,7 +274,7 @@ class GradedAlgebra:
             missing = sorted(set(g.vertices) - set(tops))
             raise AlgebraError(f"no top-degree generator at vertices {missing}")
         # propagate the scale c_j of f on j A_T nu(j) along a spanning tree
-        c: dict[str, Scalar] = {g.vertices[0]: tower.one()}
+        c: dict[str, Scalar] = {g.vertices[0]: self.one}
         queue = [g.vertices[0]]
         while queue:
             j = queue.pop()
@@ -292,60 +297,78 @@ class GradedAlgebra:
                     break
                 if lam is None:
                     raise AlgebraError(f"cannot propagate the form along edge {j}->{m}")
-                c[m] = c[j] * lam * lam2.inverse()
+                c[m] = c[j] * lam * scalar.inverse(lam2)
                 queue.append(m)
         if set(c) != set(g.vertices):
             raise AlgebraError("graph is not strongly connected; form propagation failed")
         self.f_coeff = {tops[j]: c[j] for j in g.vertices}
         # normalized generators u_j with f(u_j) = 1
-        self.u_vec = {j: {tops[j]: c[j].inverse()} for j in g.vertices}
+        self.u_vec = {j: {tops[j]: scalar.inverse(c[j])} for j in g.vertices}
         # f(x y) once per pairing pair: x in a block (s, d) of degree p and y
         # in its partner block (d, nu s) of degree T - p.  A_T lies on the
         # nu-diagonal, so f vanishes on every other product.
-        blocks = [(p, s, d, idxs, self.block_index[T - p].get((d, g.nu_v[s]), []))
-                  for p in range(T + 1) for (s, d), idxs in self.block_index[p].items()]
-        fxy = {}
-        for p, _, _, idxs, yidx in blocks:
-            for x_i in idxs:
-                for y_i in yidx:
-                    val = self.f(self.mul_basis(p, x_i, T - p, y_i))
-                    if not val.is_zero():
-                        fxy[p, x_i, y_i] = val
-        zero = tower.zero()
+        def blocks(p: int) -> list:
+            return [(s, d, idxs, self.block_index[T - p].get((d, g.nu_v[s]), []))
+                    for (s, d), idxs in self.block_index[p].items()]
+
+        def table(p: int) -> dict:
+            return {(x_i, y_i): val for _, _, idxs, yidx in blocks(p)
+                    for x_i in idxs for y_i in yidx
+                    if (val := self.f(self.mul_basis(p, x_i, T - p, y_i)))}
+
+        def pair_degree(p: int, own: dict, partner: dict) -> None:
+            """Check (x, y) = (y, beta(x)) at degree p off the tables of p and
+            T - p, and invert each pairing block of degree p for the duals."""
+            zero = self.zero
+            for s, d, idxs, yidx in blocks(p):
+                # y beta(x) = sum beta(x)[x'] y x', and (y, x') is a pair of
+                # the partner block
+                for i in idxs:
+                    bx = self.beta_basis(p, i).items()
+                    for y_i in yidx:
+                        rhs = zero
+                        for j, b in bx:
+                            v = partner.get((y_i, j))
+                            if v is not None:
+                                rhs = rhs + self.times(b, v)
+                        if own.get((i, y_i), zero) != rhs:
+                            raise AlgebraError(
+                                f"(x,y) != (y,beta(x)) at degree {p}, basis {i} / {y_i}")
+                # duals[p][i] = w_i* in degree T - p with f(w_i w_j*) = delta_ij
+                if len(yidx) != len(idxs):
+                    raise AlgebraError(
+                        f"pairing block at degree {p}, {s}->{d} is not square "
+                        f"({len(idxs)} vs {len(yidx)})")
+                cols = [{r: own[x_i, y_i] for r, x_i in enumerate(idxs) if (x_i, y_i) in own}
+                        for y_i in yidx]
+                try:
+                    inv = linalg.invert_dense(cols, len(idxs), self.one)
+                except ValueError:
+                    raise AlgebraError(
+                        f"pairing matrix singular at degree {p}, block {s}->{d}") from None
+                for r, x_i in enumerate(idxs):
+                    self.duals[p][x_i] = {yidx[q]: cq for q, cq in inv[r].items()}
+
         self.duals: list[dict[int, dict]] = [dict() for _ in range(T + 1)]
-        for p, s, d, idxs, yidx in blocks:
-            # (x, y) = (y, beta(x)), read off the table of the partner block:
-            # y beta(x) = sum beta(x)[x'] y x', and (y, x') is one of its pairs
-            for i in idxs:
-                bx = self.beta_basis(p, i).items()
-                for y_i in yidx:
-                    rhs = zero
-                    for j, b in bx:
-                        v = fxy.get((T - p, y_i, j))
-                        if v is not None:
-                            rhs = rhs + self.times(b, v)
-                    if fxy.get((p, i, y_i), zero) != rhs:
-                        raise AlgebraError(
-                            f"(x,y) != (y,beta(x)) at degree {p}, basis {i} / {y_i}")
-            # duals[p][i] = w_i* in degree T - p with f(w_i w_j*) = delta_ij
-            if len(yidx) != len(idxs):
-                raise AlgebraError(
-                    f"pairing block at degree {p}, {s}->{d} is not square "
-                    f"({len(idxs)} vs {len(yidx)})")
-            cols = [{r: fxy[p, x_i, y_i] for r, x_i in enumerate(idxs) if (p, x_i, y_i) in fxy}
-                    for y_i in yidx]
-            try:
-                inv = linalg.invert_dense(cols, len(idxs), tower.one())
-            except ValueError:
-                raise AlgebraError(
-                    f"pairing matrix singular at degree {p}, block {s}->{d}") from None
-            for r, x_i in enumerate(idxs):
-                self.duals[p][x_i] = {yidx[q]: cq for q, cq in inv[r].items()}
+        # degree p reads the table of T - p: take the degrees in partner
+        # pairs, so that one pair's tables are alive at a time, and raise the
+        # failure of the lowest degree, the first in degree order
+        failed: dict[int, AlgebraError] = {}
+        for p0 in range(T // 2 + 1):
+            fxy = {p: table(p) for p in sorted({p0, T - p0})}
+            for p in fxy:
+                try:
+                    pair_degree(p, fxy[p], fxy[T - p])
+                except AlgebraError as err:
+                    failed[p] = err
+            del fxy  # before the next pair's tables are built
+        if failed:
+            raise failed[min(failed)]
         self._form_built = True
 
     def f(self, vec: dict) -> Scalar:
         """The functional f on A_top (zero on other degrees by convention)."""
-        acc = self.tower.zero()
+        acc = self.zero
         for i, x in vec.items():
             coeff = self.f_coeff.get(i)
             if coeff is not None:
@@ -360,7 +383,7 @@ class GradedAlgebra:
         self.build_form()
 
         def image(vec: dict) -> dict:
-            return {i: r for i, c in vec.items() if (r := c.reduce_mod(emb))}
+            return {i: r for i, c in vec.items() if (r := scalar.residue(c, emb))}
 
         out = copy.copy(self)
         out.p, out.one = emb.p, 1

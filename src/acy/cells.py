@@ -69,7 +69,7 @@ class Relation:
     edge_id: int          # the deriving edge a
     src: str              # r(a): relations live in paths r(a) -> s(a)
     dst: str              # s(a)
-    terms: dict           # (b_id, c_id) -> Scalar
+    terms: dict           # (b_id, c_id) -> Scalar, or the int 1 over Q
 
 
 class RelationSet:
@@ -248,11 +248,12 @@ def derive_relations(cells: CellSystem) -> RelationSet:
     """The relations of the simplest potential W' gauge-equivalent to W: at
     edge a, the sum over based loops (a, b, c) of W'(abc) * path(b, c).
 
-    W' is 1 on W's support, over Q, when W is nu-invariant and the incidence
-    of W's nonzero triangle nu-orbits against the edge nu-orbits has full row
-    rank; otherwise W' = W, over the cells' tower.  The first case covers
-    the whole A family: A(n) is the Jacobi algebra of the all-ones potential
-    over Q (Ginzburg, math/0612139; Bocklandt, JPAA 212, 2008).
+    W' is the int 1 on W's support, over Q, when W is nu-invariant and the
+    incidence of W's nonzero triangle nu-orbits against the edge nu-orbits
+    has full row rank; otherwise W' = W, over the cells' tower.  The first
+    case covers the whole A family: A(n) is the Jacobi algebra of the
+    all-ones potential over Q (Ginzburg, math/0612139; Bocklandt, JPAA 212,
+    2008).
 
     The edge rescaling x_e -> lambda_e x_e maps the relation of W at a to
     lambda_a^-1 times that of W'(abc) = lambda_a lambda_b lambda_c W(abc), so
@@ -271,8 +272,7 @@ def derive_relations(cells: CellSystem) -> RelationSet:
     g = cells.graph
     W, tower = cells.weights, cells.tower
     if check_nu_invariance(cells) and not _has_gauge_invariants(cells):
-        one = RATIONALS.one()
-        W, tower = {t: one for t, w in W.items() if not w.is_zero()}, RATIONALS
+        W, tower = {t: 1 for t, w in W.items() if w}, RATIONALS
     rels = []
     for a in g.edges:
         terms = {}
@@ -281,7 +281,7 @@ def derive_relations(cells: CellSystem) -> RelationSet:
                 if c.dst != a.src:
                     continue
                 w = W.get(canon((a.id, b.id, c.id)))
-                if w is not None and not w.is_zero():
+                if w:
                     terms[(b.id, c.id)] = w
         rels.append(Relation(a.id, a.dst, a.src, terms))
     return RelationSet(g, tower, rels)

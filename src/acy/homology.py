@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from . import linalg, series
+from . import linalg, scalar, series
 from .algebra import AlgebraError, GradedAlgebra
 from .cells import CellSystem
 from .scalar import PrimeEmbedding
@@ -358,7 +358,7 @@ class Homology:
                 col = cols.get((gen2, y))
                 if col is not None:
                     v = A.f(A.mul_basis(k1, i, k2, y))
-                    if not v.is_zero():
+                    if v:
                         row[col] = v
             rows.append(row)
         return rows
@@ -775,7 +775,7 @@ class _Resolution:
     def __init__(self, hom: Homology, emb: PrimeEmbedding):
         self.g, self.p = hom.g, emb.p
         self.A = A = hom.A.reduce_mod(emb)
-        self.mu = {r: {v: [(l, w, rt, c.reduce_mod(emb)) for l, w, rt, c in terms]
+        self.mu = {r: {v: [(l, w, rt, scalar.residue(c, emb)) for l, w, rt, c in terms]
                        for v, terms in tab.items()}
                    for r, tab in hom.mu.items()}
         self.gdeg = _gen_degrees(self.g.h)

@@ -1,4 +1,5 @@
-"""Sparse Gaussian elimination over tower scalars or the integers mod p.
+"""Sparse Gaussian elimination over tower scalars, over Q in Python's ints
+and Fractions, or over the integers mod p.
 
 Vectors are dicts {index: value}; matrices are lists of such vectors
 (column-wise: vectors[j] is the image of domain basis element j).  One
@@ -10,6 +11,8 @@ on insertion order), kernels and inverses.  Pivot choice is deterministic
 
 from __future__ import annotations
 
+from . import scalar
+
 __all__ = ["Eliminator", "rank", "nullspace", "invert_dense", "axpy"]
 
 
@@ -17,7 +20,8 @@ def axpy(out: dict, items, c=None, p: int = 0) -> dict:
     """out += c * vec in place, where `items` yields vec's (index, value)
     pairs and c=None means 1; entries that become zero are dropped.
 
-    Values are tower scalars, or ints mod p when p is given."""
+    Values are tower scalars or ints and Fractions, or ints mod p when p is
+    given."""
     if p:
         c = 1 if c is None else c
         for i, x in items:
@@ -32,7 +36,7 @@ def axpy(out: dict, items, c=None, p: int = 0) -> dict:
         cur = out.get(i)
         if cur is not None:
             t = cur + t
-            if t.is_zero():
+            if not t:
                 del out[i]
                 continue
         out[i] = t
@@ -40,7 +44,7 @@ def axpy(out: dict, items, c=None, p: int = 0) -> dict:
 
 
 class Eliminator:
-    """Forward echelon accumulator over tower scalars (p = 0) or F_p.
+    """Forward echelon accumulator over tower scalars or Q (p = 0), or F_p.
 
     `pivots[lead]` is a stored vector whose lowest index is `lead`, with
     value 1 there.  A new vector is reduced at its lowest index until that
@@ -67,7 +71,7 @@ class Eliminator:
                     inv = pow(v[lead], -1, p)
                     pivots[lead] = {i: x * inv % p for i, x in v.items()}
                 else:
-                    inv = v[lead].inverse()
+                    inv = scalar.inverse(v[lead])
                     pivots[lead] = {i: x * inv for i, x in v.items()}
                 return
             axpy(v, piv.items(), -v[lead], p)
@@ -94,7 +98,7 @@ def rank(vectors, p: int = 0) -> int:
 
 
 def nullspace(vectors, one) -> list[dict]:
-    """Kernel of the column-wise matrix, as combinations {column: Scalar}:
+    """Kernel of the column-wise matrix, as combinations {column: value}:
     one per column that depends on the columns before it, in ascending
     order, with 1 there and 0 at every other such column."""
     rows: dict[int, dict] = {}

@@ -27,7 +27,8 @@ from math import comb, gcd
 import mpmath
 from mpmath import mp
 
-__all__ = ["FieldTower", "Scalar", "PrimeEmbedding", "RATIONALS", "base_relation"]
+__all__ = ["FieldTower", "Scalar", "PrimeEmbedding", "RATIONALS", "inverse", "residue",
+           "base_relation"]
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +404,9 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
     def is_real(self) -> bool:
         return not self.im
 
@@ -608,6 +612,32 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({mpmath.nstr(self.value(80), 12)})"
+
+
+# The coefficients of an algebra over Q (`RATIONALS`) are Python's ints and
+# Fractions, not Scalars; these two functions are where the types part.
+
+def inverse(x):
+    """1/x for a Scalar, an int or a Fraction.  An int +-1 is its own
+    inverse and any other int gives a Fraction, never a float."""
+    if isinstance(x, Scalar):
+        return x.inverse()
+    if isinstance(x, int):
+        return x if x in (1, -1) else Fraction(1, x)
+    return 1 / x
+
+
+def residue(x, emb: "PrimeEmbedding") -> int:
+    """The image of a Scalar, an int or a Fraction under a prime embedding;
+    raises ZeroDivisionError when p divides a denominator."""
+    if isinstance(x, Scalar):
+        return x.reduce_mod(emb)
+    p = emb.p
+    if isinstance(x, int):
+        return x % p
+    if not x.denominator % p:
+        raise ZeroDivisionError(f"denominator {x.denominator} vanishes mod {p}")
+    return x.numerator * pow(x.denominator, -1, p) % p
 
 
 def _coerce(a: Scalar, b: Scalar) -> tuple[Scalar, Scalar]:

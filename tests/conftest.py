@@ -47,6 +47,17 @@ def own_relations(cells) -> RelationSet:
     return RelationSet(cells.graph, cells.tower, rels)
 
 
+def scalar_relations(cells) -> RelationSet:
+    """The relations `derive_relations` gives, with each coefficient as a
+    Scalar over the tower of the relation set: for the all-ones potential
+    over Q, the int 1 becomes `RATIONALS.one()`."""
+    rs = derive_relations(cells)
+    for r in rs.relations:
+        r.terms = {bc: rs.tower.from_fraction(w) if isinstance(w, int) else w
+                   for bc, w in r.terms.items()}
+    return rs
+
+
 # -- sympy as the oracle for the determinant identities of det H_A(t) -------------
 # acy reads log det H_A through traces and never expands a determinant; these
 # helpers expand it.  sympy is imported in the functions, as a required test

@@ -1,11 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from acy.algebra import AlgebraError, GradedAlgebra, spot_checks
 from acy.cells import CellSystem, builtin_cells, derive_relations
+from acy.homology import Homology, build_report, verify_resolution
 from acy.quiver import build_family, parse_graph_spec
+from acy.scalar import Scalar
 from acy.series import hilbert_closed_form
+from conftest import scalar_relations
 
 
 def test_a4_dims(pipe):
@@ -92,7 +96,7 @@ def test_dual_bases(pipe):
             for i2 in range(A.dim(p)):
                 if i2 != i:
                     val = A.f(A.mul(p, A.unit(p, i2), T - p, wstar))
-                    assert val.is_zero()
+                    assert val == 0
     # degree 0: the dual of a vertex idempotent is the normalized generator
     for j in g.vertices:
         assert A.duals[0][g.vindex[j]] == A.u_vec[j]
@@ -244,3 +248,33 @@ def test_relation_count_and_snapshot(pipe):
     assert doc["schema"] == "acy-algebra/1"
     assert doc["dims"] == [6, 9, 6]
     assert doc["basis_paths"][0] == [[]] * 6
+
+
+@pytest.mark.parametrize("spec", ["A4", "A5", "A6", "A7", "A8", "A9", "A12"])
+def test_the_algebra_over_q_in_ints_equals_the_one_in_rational_scalars(pipe, spec):
+    # the same all-ones relations, once as the int 1 and once as RATIONALS.one()
+    g, cells, A, _ = pipe(spec)
+    B = GradedAlgebra(g, scalar_relations(cells))
+    A.build_form()
+    B.build_form()
+    # the relations act from degree 2, where eliminating in Scalars leaves
+    # Scalars in B's tables; A4 stops at degree 1
+    assert A.top < 2 or any(isinstance(c, Scalar) for tab in B.red for vec in tab.values()
+                            for c in vec.values())
+    assert A.red == B.red
+    assert A.duals == B.duals
+    assert A.f_coeff == B.f_coeff
+
+
+def test_the_algebra_over_q_holds_only_ints_and_fractions(pipe):
+    g, cells, _, _ = pipe("A6")
+    A = GradedAlgebra(g, derive_relations(cells))
+    assert build_report(A, cells).ok
+    hom = Homology(A)
+    assert verify_resolution(hom)["ok"]
+    values = [c for tab in A.red + A.duals for vec in tab.values() for c in vec.values()]
+    values += [c for vec in A.products.values() for c in vec.values()]
+    values += [c for tab in hom.mu.values() for terms in tab.values() for *_, c in terms]
+    values += list(A.f_coeff.values())
+    assert A.products and hom.mu[4]
+    assert {type(c) for c in values} <= {int, Fraction}

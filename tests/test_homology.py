@@ -4,13 +4,14 @@ import json
 import pytest
 
 import acy.homology
+import acy.scalar
 from acy import cli
 from acy.algebra import AlgebraError, GradedAlgebra
 from acy.homology import (Homology, _generators, _Resolution, _resolution_ranks,
                           build_report, cyclic_from_hh, differentials, euler_from_hc,
                           hh0_direct, predicted_tables, structure_from_euler,
                           verify_resolution)
-from acy.scalar import PrimeEmbedding, Scalar
+from acy.scalar import PrimeEmbedding
 from acy.series import euler_characteristic_hc
 from conftest import own_relations
 
@@ -536,14 +537,14 @@ def test_cli_reports_a_zeroed_stage(monkeypatch, capsys):
 def test_resolution_skips_a_prime_that_fails_to_reduce(pipe, monkeypatch):
     _, _, A, hom = pipe("A4")
     first = PrimeEmbedding.find(A.tower).p
-    reduce_mod = Scalar.reduce_mod
+    residue = acy.scalar.residue
 
     def failing_at_first(x, emb):
         if emb.p == first:
             raise ZeroDivisionError
-        return reduce_mod(x, emb)
+        return residue(x, emb)
 
-    monkeypatch.setattr(Scalar, "reduce_mod", failing_at_first)
+    monkeypatch.setattr(acy.scalar, "residue", failing_at_first)
     out = verify_resolution(hom)
     assert out["ok"], out
     assert out["prime"] == PrimeEmbedding.find(A.tower, skip=1).p != first
@@ -555,7 +556,7 @@ def test_resolution_without_a_usable_prime(pipe, monkeypatch):
     def failing(x, emb):
         raise ZeroDivisionError
 
-    monkeypatch.setattr(Scalar, "reduce_mod", failing)
+    monkeypatch.setattr(acy.scalar, "residue", failing)
     monkeypatch.setattr(acy.homology, "_PRIME_TRIES", 2)
     out = verify_resolution(hom)
     assert not out["ok"]

@@ -1,6 +1,8 @@
 """Properties of the sparse elimination in `acy.linalg`, over towers with
-0-2 adjoined roots (real and complex entries) and over F_p."""
+0-2 adjoined roots (real and complex entries), over Q in ints and Fractions,
+and over F_p."""
 
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -8,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acy.linalg import Eliminator, axpy, invert_dense, nullspace, rank
-from acy.scalar import FieldTower, PrimeEmbedding, Scalar
+from acy.scalar import RATIONALS, FieldTower, PrimeEmbedding, Scalar
 
 PROPS = settings(deadline=None, max_examples=40)
 TOWERS = ("h7", "h8", "h8i", "h5")
+NATIVE_Q = ("Q",)
 PRIMES = (2, 7, 1000003)
 
 
@@ -29,9 +32,12 @@ def _tower(name):
 
 def _entries(ring):
     """Nonzero entries: tower scalars with small integer coordinates, complex
-    for 'h8i', or ints in [1, p)."""
+    for 'h8i', ints in [1, p), or for 'Q' ints and Fractions, most of them
+    not +-1, so that pivots have non-unit inverses."""
     if isinstance(ring, int):
         return st.integers(1, ring - 1)
+    if ring == "Q":
+        return st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=6)).filter(bool)
     t = _tower(ring)
 
     @st.composite
@@ -86,7 +92,7 @@ def _rank(rows, ring):
 
 
 def _one(ring):
-    return 1 if isinstance(ring, int) else _tower(ring).one()
+    return 1 if isinstance(ring, int) or ring == "Q" else _tower(ring).one()
 
 
 def _rings(*kinds):
@@ -94,7 +100,7 @@ def _rings(*kinds):
             for kind in kinds for r in kind]
 
 
-@pytest.mark.parametrize("ring", _rings(TOWERS, PRIMES))
+@pytest.mark.parametrize("ring", _rings(TOWERS, NATIVE_Q, PRIMES))
 @PROPS
 @given(data=st.data())
 def test_rank_of_transpose_and_of_shuffled_rows(ring, data):
@@ -118,7 +124,7 @@ def test_rank_mod_p_is_at_most_the_exact_rank(ring, data):
     assert rank(images, emb.p) <= rank(rows)
 
 
-@pytest.mark.parametrize("ring", _rings(TOWERS, PRIMES))
+@pytest.mark.parametrize("ring", _rings(TOWERS, NATIVE_Q, PRIMES))
 @PROPS
 @given(data=st.data())
 def test_reduced_form_is_unique_and_spans_the_rows(ring, data):
@@ -152,7 +158,7 @@ def _apply(cols, x):
     return out
 
 
-@pytest.mark.parametrize("ring", _rings(TOWERS))
+@pytest.mark.parametrize("ring", _rings(TOWERS, NATIVE_Q))
 @PROPS
 @given(data=st.data())
 def test_nullspace_is_annihilated_and_complements_the_rank(ring, data):
@@ -166,7 +172,7 @@ def test_nullspace_is_annihilated_and_complements_the_rank(ring, data):
     assert free == sorted(set(free)) and all(k[max(k)] == 1 for k in kernel)
 
 
-@pytest.mark.parametrize("ring", _rings(TOWERS))
+@pytest.mark.parametrize("ring", _rings(TOWERS, NATIVE_Q))
 @PROPS
 @given(data=st.data())
 def test_invert_dense_gives_the_two_sided_inverse(ring, data):
@@ -184,3 +190,40 @@ def test_invert_dense_gives_the_two_sided_inverse(ring, data):
     for j in range(n):
         assert _apply(cols, inv[j]) == {j: one}       # M . M^-1 = I
         assert _apply(inv, cols[j]) == {j: one}       # M^-1 . M = I
+
+
+def _as_scalars(vectors):
+    return [{j: RATIONALS.from_fraction(x) for j, x in v.items()} for v in vectors]
+
+
+def _rational(vectors) -> bool:
+    """Every value is an int or a Fraction: no float, no Scalar."""
+    return all(type(x) in (int, Fraction) for v in vectors for x in v.values())
+
+
+@PROPS
+@given(data=st.data())
+def test_elimination_over_q_in_ints_and_fractions_agrees_with_rational_scalars(data):
+    ncols, rows = data.draw(matrices("Q"))
+    scalars = _as_scalars(rows)
+    assert rank(rows) == rank(scalars)
+    native, tower = Eliminator(), Eliminator()
+    for row, srow in zip(rows, scalars):
+        native.add(row)
+        tower.add(srow)
+    red = native.reduced()
+    assert red == tower.reduced() and _rational(red.values())
+    cols = _transpose(rows, ncols)
+    kernel = nullspace(cols, 1)
+    assert kernel == nullspace(_as_scalars(cols), RATIONALS.one()) and _rational(kernel)
+    n = data.draw(st.integers(1, 4))
+    square = [{i: data.draw(_entries("Q"))
+               for i in data.draw(st.lists(st.integers(0, n - 1), unique=True))}
+              for _ in range(n)]
+    try:
+        inv = invert_dense(square, n, 1)
+    except ValueError:
+        with pytest.raises(ValueError):
+            invert_dense(_as_scalars(square), n, RATIONALS.one())
+        return
+    assert inv == invert_dense(_as_scalars(square), n, RATIONALS.one()) and _rational(inv)

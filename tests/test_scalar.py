@@ -6,8 +6,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from acy.scalar import (FieldTower, PrimeEmbedding, Scalar, _base_field, _base_sqrt,
-                        _isprime, _sqrt_mod, base_relation, coxeter_minpoly)
+from acy.scalar import (RATIONALS, FieldTower, PrimeEmbedding, Scalar, _base_field,
+                        _base_sqrt, _isprime, _sqrt_mod, base_relation, coxeter_minpoly,
+                        inverse, residue)
 
 
 def test_quantum_examples():
@@ -488,3 +489,37 @@ def test_bnormalize_invariants(a):
     assert _bnormalize(out[0], out[1:]) == out
     zero = (0,) * len(nums)
     assert _bnormalize(den, zero) == (1,) + zero
+
+
+def test_inverse_over_q_never_makes_a_float():
+    assert inverse(1) == 1 and type(inverse(1)) is int
+    assert inverse(-1) == -1 and type(inverse(-1)) is int
+    assert inverse(-3) == Fraction(-1, 3) and type(inverse(-3)) is Fraction
+    assert inverse(Fraction(2, 3)) == Fraction(3, 2) and type(inverse(Fraction(2, 3))) is Fraction
+    two = FieldTower(7).quantum(2)
+    assert inverse(two) == two.inverse() and inverse(two) * two == 1
+    for zero in (0, Fraction(0), RATIONALS.zero()):
+        with pytest.raises(ZeroDivisionError):
+            inverse(zero)
+
+
+def test_scalar_truth_is_nonzero():
+    t = FieldTower(8).adjoin_sqrt(FieldTower(8).quantum(3))[0]
+    assert not t.zero() and t.one() and t.i_times(t.one())
+    assert not (t.quantum(2) - t.quantum(2))
+
+
+@PROPS
+@given(st.fractions(-50, 50, max_denominator=30))
+def test_residue_over_q_agrees_with_the_rational_scalar(q):
+    emb = PrimeEmbedding.find(RATIONALS)
+    x = q.numerator if q.denominator == 1 else q
+    assert residue(x, emb) == residue(RATIONALS.from_fraction(q), emb)
+    assert residue(x, emb) * q.denominator % emb.p == q.numerator % emb.p
+
+
+def test_residue_raises_when_p_divides_a_denominator():
+    emb = PrimeEmbedding.find(RATIONALS)
+    with pytest.raises(ZeroDivisionError):
+        residue(Fraction(1, 3 * emb.p), emb)
+    assert residue(-1, emb) == emb.p - 1
