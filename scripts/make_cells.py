@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate the frozen cell data shipped in src/acy/data/.
 
-Each file is produced by the numeric solver with a fixed seed and passes the
+Each file is produced by the solver with a fixed seed (the A graphs and A5*
+take its exact type I route, on which the seed plays no part) and passes the
 exact type I/II verification before being written; orbifold and unfolding
 families (D, D*, E8) are reconstructed from these at runtime and need no
 files of their own.

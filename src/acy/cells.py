@@ -23,7 +23,7 @@ from .scalar import RATIONALS, FieldTower, Scalar
 
 __all__ = ["CellSystem", "RelationSet", "CellReport", "compile_equations",
            "verify_type_I", "verify_type_II", "derive_relations",
-           "gauge_transform", "check_nu_invariance",
+           "gauge_transform", "check_nu_invariance", "orbit_incidence",
            "orbifold_cells", "unfold_cells", "builtin_cells", "family_cells",
            "builtin_relations",
            "standard_relations_e8star", "standard_relations_e8", "cells_to_doc", "cells_from_doc"]
@@ -291,15 +291,15 @@ def derive_relations(cells: CellSystem) -> RelationSet:
 _INCIDENCE_PRIME = 2**31 - 1
 
 
-def _has_gauge_invariants(cells: CellSystem) -> bool:
-    """True unless the incidence of the nonzero triangle nu-orbits against
-    the edge nu-orbits, a row per triangle orbit counting its edges with
-    multiplicity, has full row rank mod `_INCIDENCE_PRIME`: an integer left
-    kernel n gives the gauge invariant prod_t W(t)^n_t."""
-    nu = cells.graph.nu_e
+def orbit_incidence(graph: Graph, triangles) -> list[dict[int, int]]:
+    """The incidence of the nu-orbits of `triangles` against the edge
+    nu-orbits: a row per triangle orbit, in order of its first member,
+    counting its edges' orbits (each named by its least edge id) with
+    multiplicity."""
+    nu = graph.nu_e
     seen, rows = set(), []
-    for t, w in cells.weights.items():
-        if t in seen or w.is_zero():
+    for t in triangles:
+        if t in seen:
             continue
         seen.update(canon(u) for u in (t, tuple(nu[e] for e in t),
                                        tuple(nu[nu[e]] for e in t)))
@@ -308,6 +308,14 @@ def _has_gauge_invariants(cells: CellSystem) -> bool:
             orbit = min(e, nu[e], nu[nu[e]])
             row[orbit] = row.get(orbit, 0) + 1
         rows.append(row)
+    return rows
+
+
+def _has_gauge_invariants(cells: CellSystem) -> bool:
+    """True unless the `orbit_incidence` of the nonzero triangles has full
+    row rank mod `_INCIDENCE_PRIME`: an integer left kernel n gives the
+    gauge invariant prod_t W(t)^n_t."""
+    rows = orbit_incidence(cells.graph, [t for t, w in cells.weights.items() if w])
     return linalg.rank(rows, _INCIDENCE_PRIME) < len(rows)
 
 

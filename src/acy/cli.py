@@ -8,7 +8,7 @@
 Hilbert gate, and take their checks from one `build_report`: `compute`
 prints the whole report, `verify` the check that `--check` selects (`all`:
 every check of the report, plus the cell checks) with its first failing
-locations.
+locations.  `verify --check cells` runs the cell gates alone.
 
 Exit codes: 0 all checks pass; 2 input/schema error; 3 mathematical check
 failure; 4 solver failure.
@@ -84,18 +84,20 @@ def cmd_graphs_list(args) -> int:
     return EXIT_OK
 
 
-def _gates(args, graph):
-    """Load the cells and run the cell and Hilbert gates of `compute` and
-    `verify`: (cells, type I result, type II result, algebra, Hilbert error);
-    the algebra is None when a gate fails."""
+def _cell_gates(args, graph):
+    """Load the cells and run the cell gates of `compute` and `verify`:
+    (cells, type I result, type II result)."""
     cells = _load_cells(graph, args.cells, args.seed, args.precision)
-    r1, r2 = verify_type_I(cells), verify_type_II(cells)
-    if not (r1.ok and r2.ok):
-        return cells, r1, r2, None, None
+    return cells, verify_type_I(cells), verify_type_II(cells)
+
+
+def _hilbert_gate(graph, cells):
+    """The algebra of cells that passed the cell gates, which runs the
+    Hilbert gate: (algebra, None), or (None, the gate's error)."""
     try:
-        return cells, r1, r2, GradedAlgebra(graph, derive_relations(cells)), None
+        return GradedAlgebra(graph, derive_relations(cells)), None
     except AlgebraError as exc:
-        return cells, r1, r2, None, str(exc)
+        return None, str(exc)
 
 
 def cmd_compute(args) -> int:
@@ -105,12 +107,13 @@ def cmd_compute(args) -> int:
     if args.cutoff_degree is not None and args.cutoff_degree < 3 * graph.h:
         raise GraphError(f"--cutoff-degree must be >= 3h = {3 * graph.h} "
                          "when cyclic homology is requested")
-    cells, r1, r2, A, error = _gates(args, graph)
+    cells, r1, r2 = _cell_gates(args, graph)
     if not (r1.ok and r2.ok):
         _emit({"schema": "acy-report/1", "graph": graph.name, "failed_gate": "cells",
                "type_I_failures": r1.failures[:10], "type_II_failures": r2.failures[:10]},
               args, f"FAIL cells: type I/II verification failed for {graph.name}")
         return EXIT_MATH
+    A, error = _hilbert_gate(graph, cells)
     if A is None:
         _emit({"schema": "acy-report/1", "graph": graph.name, "failed_gate": "hilbert",
                "error": error}, args, f"FAIL hilbert: {error}")
@@ -127,10 +130,14 @@ def cmd_compute(args) -> int:
 def cmd_verify(args) -> int:
     """The gates, then the selected checks of `build_report`: the one that
     `--check` names, or with `all` every check `compute` reports.  A failing
-    gate is always shown, as the checks after it cannot run."""
+    gate is always shown, as the checks after it cannot run.  `cells`
+    stops after the cell gates, and builds no algebra."""
     graph = parse_graph_spec(args.graph)
     want = args.check
-    cells, r1, r2, A, error = _gates(args, graph)
+    cells, r1, r2 = _cell_gates(args, graph)
+    A = error = None
+    if want != "cells" and r1.ok and r2.ok:
+        A, error = _hilbert_gate(graph, cells)
     checks, details = {}, {}
     if want in ("cells", "all") or not (r1.ok and r2.ok):
         checks.update(cells_type_I=r1.ok, cells_type_II=r2.ok)
@@ -138,9 +145,9 @@ def cmd_verify(args) -> int:
     if error is not None:
         checks["hilbert"] = False
         details["hilbert_error"] = error
-    elif A is not None and want != "cells":
+    elif A is not None:
         checks["hilbert"] = True
-    if A is not None and want not in ("cells", "hilbert"):
+    if A is not None and want != "hilbert":
         rep = build_report(A, cells, with_resolution=want in ("d2", "resolution", "all"))
         rep.checks.update(spot_checks(A, args.seed))
         selected = {"hh0": "hh0_cross", "resolution": "exactness"}.get(want, want)
@@ -177,7 +184,10 @@ def main(argv=None) -> int:
     c.add_argument("--cutoff-degree", type=int, default=None, help="degree cutoff (default 4h)")
     c.add_argument("--periods", type=int, default=1, help="periods of the complex (index 12p+1)")
     c.add_argument("--precision", type=int, default=70, help="solver digits")
-    c.add_argument("--seed", type=int, default=0, help="seed for solver and spot checks")
+    c.add_argument("--seed", type=int, default=0,
+                   help="seed for the spot checks, and for the least-squares solver where "
+                        "--cells solve takes it; the A family and A5* are solved exactly "
+                        "from type I, so the seed does not change their cells")
     _common_output(c)
 
     v = sub.add_parser("verify", help="the report's checks, all or one")

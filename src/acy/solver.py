@@ -1,12 +1,16 @@
-"""Numeric cell solver with exact reconstruction.
+"""Cell solver with exact reconstruction.
 
-One Levenberg-Marquardt least-squares kernel on the compiled type I/II
-system, in fixed-point integers: at scale 2^64 from random starts, and then
-at scale 2^prec from the first start that converges; then each distinct
-squared weight is recognised in the base field Q(2cos(pi/h)) by one integer
-relation (PSLQ), and its square root is adjoined to the tower unless the
-tower already holds it.  The result is re-verified exactly; a system that
-survives is certified.
+Two routes give each nu-orbit unknown an exact squared weight |w|^2 in the
+base field Q(2cos(pi/h)) and a sign.  Where the type I equations fix |w|^2
+on their own (the A family and A5*), one exact elimination solves them and
+every sign is +; the seed plays no part.  Elsewhere one Levenberg-Marquardt
+least-squares kernel runs on the compiled type I/II system, in fixed-point
+integers: at scale 2^64 from random starts, and then at scale 2^prec from the
+first start that converges; each distinct squared weight is recognised in
+the base field by one integer relation (PSLQ).  Both routes then adjoin the
+square root of each distinct |w|^2 to the tower unless the tower already
+holds it, and re-verify the cells exactly; a system that survives is
+certified.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from math import isqrt
 
 import mpmath
 
-from .cells import CellSystem, canon, compile_equations, verify_type_I, verify_type_II
+from . import linalg
+from .cells import (CellSystem, canon, compile_equations, orbit_incidence, verify_type_I,
+                    verify_type_II)
 from .quiver import Graph
 from .scalar import Scalar, base_relation
 
@@ -215,44 +221,33 @@ def _least_squares(eqs: list, x: list, tol, prec: int):
 def solve_cells(graph: Graph, seed: int = 0, digits: int = 70) -> CellSystem:
     """Solve the type I/II system and return exactly verified cells.
 
-    Each distinct squared weight |w|^2 is recognised once in the base field
-    Q(c) by `base_relation`, and its square root is adjoined to the tower
-    (`adjoin_sqrt` adds none when the tower already holds it); then
-    w = sign * sqrt(|w|^2).  The exact type I/II verification is the only
-    acceptance.  Raises SolverError when least squares does not converge,
-    when a |w|^2 has no positive value in Q(c), or when verification fails.
+    The exact route `_type_I_squares` goes first; where it does not apply,
+    `_numeric_squares` finds the squared weights by least squares and PSLQ.
+    Then the square root of each distinct |w|^2 is adjoined to the tower, in
+    unknown order (`adjoin_sqrt` adds none when the tower already holds it),
+    and w = sign * sqrt(|w|^2).  The exact type I/II verification is the
+    only acceptance.  Raises SolverError when least squares does not
+    converge, when a |w|^2 has no positive value in Q(c), or when
+    verification fails.
     """
     sys = _NumericSystem(graph)
     if sys.n_unknowns == 0:
         return CellSystem(graph, graph.tower, {}, label="solved")
-    x = sys.root(seed, digits)
+    squares = _type_I_squares(sys, graph)
+    if squares is not None:
+        signs = [1] * sys.n_unknowns
+    else:
+        squares, signs = _numeric_squares(sys, graph, seed, digits)
 
-    tower = graph.tower
-    prec = int(digits * 3.32)   # ~ the digits to which the refinement fixes x
-    # unknowns whose |w|^2 agree as floats share one relation; should two
-    # unequal values tie, the exact verification below rejects the cells
-    classes: dict[float, list[int]] = {}   # float |w|^2 -> its unknowns
-    for j, v in enumerate(x):
-        if abs(v) >= mpmath.mpf(10) ** (-digits // 2):
-            classes.setdefault(float(v * v), []).append(j)
-    roots = {}   # unknown -> sqrt(|w|^2), in the tower it was adjoined to
-    for members in classes.values():
-        with mpmath.workprec(prec):
-            b = base_relation(tower.h, x[members[0]] ** 2, prec)
-        w2 = Scalar(tower, {0: b}) if b is not None and any(b[1:]) else None
-        if w2 is None or not w2.is_positive():
-            t = next(t for t in sys.triangles if sys.unknown_of[t] == members[0])
-            raise SolverError(f"exactification failed for triangle {t} "
-                              f"(value {mpmath.nstr(x[members[0]], 20)})")
-        tower, root = tower.adjoin_sqrt(w2)
-        roots.update(dict.fromkeys(members, root))
+    tower, roots = graph.tower, {}   # |w|^2 -> sqrt(|w|^2), in the tower it was adjoined to
+    for u in squares:
+        if u is not None and u not in roots:
+            tower, roots[u] = tower.adjoin_sqrt(u)
     weights = {}
     for t in sys.triangles:
         j = sys.unknown_of[t]
-        if j not in roots:
-            weights[t] = tower.zero()
-        else:
-            weights[t] = (roots[j] if x[j] > 0 else -roots[j]).lift(tower)
+        w = tower.zero() if squares[j] is None else roots[squares[j]].lift(tower)
+        weights[t] = w if signs[j] > 0 else -w
     cells = CellSystem(graph, tower, weights, label=f"solved(seed={seed})")
 
     eqs = sys.equations
@@ -263,3 +258,67 @@ def solve_cells(graph: Graph, seed: int = 0, digits: int = 70) -> CellSystem:
             f"exactified cells for {graph.name} fail verification "
             f"(type I failures: {rep1.failures[:3]}, type II: {rep2.failures[:3]})")
     return cells
+
+
+def _type_I_squares(sys: _NumericSystem, graph: Graph) -> list | None:
+    """|w|^2 per unknown from the type I equations alone, exact in the
+    graph's tower, or None when this route does not apply.
+
+    Without parallel edges every type I term is W(t) conj W(t), so type I
+    reads sum_t u_t = [2] phi_i phi_j, linear in u_t = |W(t)|^2.  Its rows
+    over the unknowns, with the rhs as one more column, go into one
+    `Eliminator`, and u is read off the reduced form.  The route applies
+    when every term is diagonal, the system has full column rank, every u
+    is positive, and the `orbit_incidence` of the triangles has full row
+    rank mod 2.  The last is the gauge argument for taking every sign +:
+    a sign pattern s_T on the triangle orbits is then prod_(e in T) eps_e
+    for a +-1 gauge eps, constant on edge nu-orbits, and the edge rescaling
+    by eps keeps type I and II, so the signed cells solve them exactly when
+    w = +sqrt(u) does.  Should w = +sqrt(u) fail the exact verification,
+    no real nu-invariant cells solve the system, and least squares could
+    find none either."""
+    n = sys.n_unknowns
+    elim = linalg.Eliminator()
+    for eq in sys.equations:
+        if eq.kind != "I":
+            continue
+        row: dict = {}
+        for c, ((t1, conj1), (t2, conj2)) in eq.terms:
+            if t1 != t2 or conj1 or not conj2:
+                return None
+            linalg.axpy(row, [(sys.unknown_of[t1], c)])
+        row[n] = eq.rhs   # the row reads sum a_j u_j = rhs
+        elim.add(row)
+    red = elim.reduced()
+    if sorted(red) != list(range(n)):
+        return None
+    squares = [red[j].get(n) for j in range(n)]
+    if not all(u is not None and u.is_positive() for u in squares):
+        return None
+    rows = [{o: 1 for o, k in row.items() if k % 2}
+            for row in orbit_incidence(graph, sys.triangles)]
+    return squares if linalg.rank(rows, p=2) == len(rows) else None
+
+
+def _numeric_squares(sys: _NumericSystem, graph: Graph, seed: int, digits: int):
+    """(|w|^2 or None for a zero weight, sign) per unknown, from a least
+    squares root.  Unknowns whose |w|^2 agree as floats share one relation;
+    should two unequal values tie, the exact verification rejects the cells."""
+    x = sys.root(seed, digits)
+    prec = int(digits * 3.32)   # ~ the digits to which the refinement fixes x
+    classes: dict[float, list[int]] = {}   # float |w|^2 -> its unknowns
+    for j, v in enumerate(x):
+        if abs(v) >= mpmath.mpf(10) ** (-digits // 2):
+            classes.setdefault(float(v * v), []).append(j)
+    squares = [None] * len(x)
+    for members in classes.values():
+        with mpmath.workprec(prec):
+            b = base_relation(graph.h, x[members[0]] ** 2, prec)
+        w2 = Scalar(graph.tower, {0: b}) if b is not None and any(b[1:]) else None
+        if w2 is None or not w2.is_positive():
+            t = next(t for t in sys.triangles if sys.unknown_of[t] == members[0])
+            raise SolverError(f"exactification failed for triangle {t} "
+                              f"(value {mpmath.nstr(x[members[0]], 20)})")
+        for j in members:
+            squares[j] = w2
+    return squares, [1 if v > 0 else -1 for v in x]

@@ -221,6 +221,23 @@ def test_verify_commands():
     assert doc["checks"]["cells_type_I"] and doc["checks"]["cells_type_II"]
 
 
+def test_verify_cells_builds_no_algebra(monkeypatch, capsys):
+    import acy.cli
+
+    argv = ["verify", "--graph", "A12", "--check", "cells", "--format", "json"]
+    assert acy.cli.main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def no_algebra(*args, **kwargs):
+        raise AssertionError("verify --check cells built the algebra")
+
+    monkeypatch.setattr(acy.cli, "GradedAlgebra", no_algebra)
+    assert acy.cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == expected
+    assert json.loads(out)["checks"] == {"cells_type_I": True, "cells_type_II": True}
+
+
 def test_out_file(tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run_cli("compute", "--graph", "A4", "--format", "json",

@@ -153,8 +153,9 @@ def test_seed_1_reproduces_the_shipped_cells(tag, n):
         assert solved.weights[t] == _rewritten(w, tower, roots), t
 
 
-def test_one_relation_per_distinct_squared_weight(monkeypatch):
-    # A11 has 64 triangles, 22 nu-orbit unknowns and 15 distinct |w|^2
+def _count_exactification(monkeypatch) -> tuple[list, list]:
+    """The values that solver.base_relation and the radicands that
+    FieldTower.adjoin_sqrt see from now on."""
     relations, adjoined = [], []
 
     def counted_relation(h, value, prec):
@@ -169,28 +170,90 @@ def test_one_relation_per_distinct_squared_weight(monkeypatch):
     adjoin_sqrt = FieldTower.adjoin_sqrt
     monkeypatch.setattr(solver, "base_relation", counted_relation)
     monkeypatch.setattr(FieldTower, "adjoin_sqrt", counted_adjoin)
+    return relations, adjoined
+
+
+def test_one_relation_per_distinct_squared_weight(monkeypatch):
+    # E8* takes the least-squares path: 6 triangles, 6 unknowns and 3
+    # distinct |w|^2
+    relations, adjoined = _count_exactification(monkeypatch)
+    g = build_family("E8*")
+    cells = solve_cells(g, seed=0)
+    assert len(g.triangles()) == 6 and solver._NumericSystem(g).n_unknowns == 6
+    assert len(relations) == 3 and len(adjoined) <= 3
+    assert len(cells.weights) == 6
+
+
+def test_a11_is_solved_from_type_I_without_relations(monkeypatch):
+    # A11 has 64 triangles, 22 nu-orbit unknowns and 15 distinct |w|^2,
+    # which the exact route finds with no integer relation
+    relations, adjoined = _count_exactification(monkeypatch)
     g = build_family("A", 11)
     cells = solve_cells(g, seed=0)
     assert len(g.triangles()) == 64 and solver._NumericSystem(g).n_unknowns == 22
-    assert len(relations) == 15 and len(adjoined) <= 15
+    assert len(relations) == 0 and len(adjoined) <= 15
     assert cells.tower.degree == 80 and len(cells.weights) == 64
+
+
+def test_a9_cells_do_not_depend_on_the_seed():
+    g = build_family("A", 9)
+    a, b = solve_cells(g, seed=0), solve_cells(g, seed=7)
+    assert a.tower == b.tower and a.weights == b.weights
+
+
+def test_a_wrong_exact_square_fails_the_exact_gate(monkeypatch, capsys):
+    # the exact route's |w|^2 + 1 for the first unknown is still positive,
+    # so it is adjoined, and only the exact type I/II verification can
+    # reject it
+    from acy.cli import EXIT_SOLVER, main
+
+    def off_by_one(sys, graph):
+        squares = type_I_squares(sys, graph)
+        return [squares[0] + 1] + squares[1:]
+
+    type_I_squares = solver._type_I_squares
+    monkeypatch.setattr(solver, "_type_I_squares", off_by_one)
+    with pytest.raises(SolverError, match="fail verification"):
+        solve_cells(build_family("A", 9))
+    assert main(["compute", "--graph", "A9", "--cells", "solve"]) == EXIT_SOLVER == 4
+    err = capsys.readouterr().err
+    assert "fail verification" in err and "Traceback" not in err
+
+
+def test_a_failed_sign_check_takes_the_least_squares_path(monkeypatch):
+    # a mod-2 incidence rank one short of full: the solve falls back to
+    # least squares, which finds the pinned cells
+    def short_mod_2(vectors, p=0):
+        return real_rank(vectors, p) - (p == 2)
+
+    real_rank = solver.linalg.rank
+    monkeypatch.setattr(solver.linalg, "rank", short_mod_2)
+    calls = _counted(monkeypatch, "_least_squares")
+    doc = cells_to_doc(solve_cells(build_family("A", 10), seed=0))
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == SOLVED_SHA256["A", 10]
+    assert calls
 
 
 def _no_relation(h, value, prec):
     return None
 
 
+# the exactification faults below are injected on A6*, whose type I system
+# is rank-deficient, so that its solve takes the least-squares path
+
+
 def test_a_failed_exactification_is_a_solver_error(monkeypatch):
     monkeypatch.setattr(solver, "base_relation", _no_relation)
     with pytest.raises(SolverError, match="exactification failed for triangle"):
-        solve_cells(build_family("A", 5))
+        solve_cells(build_family("A*", 6))
 
 
 def test_a_failed_exactification_exits_4(monkeypatch, capsys):
     from acy.cli import EXIT_SOLVER, main
 
     monkeypatch.setattr(solver, "base_relation", _no_relation)
-    assert main(["compute", "--graph", "A5", "--cells", "solve"]) == EXIT_SOLVER == 4
+    assert main(["compute", "--graph", "A6*", "--cells", "solve"]) == EXIT_SOLVER == 4
     err = capsys.readouterr().err
     assert "solver error: exactification failed" in err and "Traceback" not in err
 
@@ -204,7 +267,7 @@ def test_a_negative_squared_weight_is_a_solver_error(monkeypatch):
     base_relation = solver.base_relation
     monkeypatch.setattr(solver, "base_relation", negated)
     with pytest.raises(SolverError, match="exactification failed for triangle"):
-        solve_cells(build_family("A", 5))
+        solve_cells(build_family("A*", 6))
 
 
 def test_a_wrong_squared_weight_fails_the_exact_gate(monkeypatch, capsys):
@@ -222,8 +285,8 @@ def test_a_wrong_squared_weight_fails_the_exact_gate(monkeypatch, capsys):
     base_relation, calls = solver.base_relation, []
     monkeypatch.setattr(solver, "base_relation", off_by_one)
     with pytest.raises(SolverError, match="fail verification"):
-        solve_cells(build_family("A", 5))
+        solve_cells(build_family("A*", 6))
     calls.clear()
-    assert main(["compute", "--graph", "A5", "--cells", "solve"]) == EXIT_SOLVER == 4
+    assert main(["compute", "--graph", "A6*", "--cells", "solve"]) == EXIT_SOLVER == 4
     err = capsys.readouterr().err
     assert "fail verification" in err and "Traceback" not in err
