@@ -173,11 +173,6 @@ class GradedAlgebra:
             return len(self.basis[k])
         return 0
 
-    def dims_by_block(self, k: int) -> dict[tuple[str, str], int]:
-        if not 0 <= k <= self.top:
-            return {}
-        return {blk: len(idxs) for blk, idxs in self.block_index[k].items()}
-
     # -- multiplication ---------------------------------------------------------
 
     def unit(self, k: int, i: int) -> dict:
@@ -392,22 +387,6 @@ class GradedAlgebra:
         out.duals = [{i: image(vec) for i, vec in tab.items()} for tab in self.duals]
         out.products, out._beta_cache = _Products(out), {}
         return out
-
-    def to_doc(self) -> dict:
-        """Regression snapshot of bases and dimension tables."""
-        return {
-            "schema": "acy-algebra/1",
-            "graph": self.graph.name,
-            "tower": self.tower.to_doc(),
-            "top_degree": self.top,
-            "dims": [self.dim(k) for k in range(self.top + 1)],
-            "dims_by_block": [
-                {f"{s}->{d}": n for (s, d), n in sorted(self.dims_by_block(k).items())}
-                for k in range(self.top + 1)
-            ],
-            "basis_paths": [[list(b.path) for b in self.basis[k]]
-                            for k in range(self.top + 1)],
-        }
 
     def __repr__(self):
         dims = [self.dim(k) for k in range(self.top + 1)]

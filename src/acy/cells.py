@@ -23,16 +23,21 @@ from .scalar import RATIONALS, FieldTower, Scalar
 
 __all__ = ["CellSystem", "RelationSet", "CellReport", "compile_equations",
            "verify_type_I", "verify_type_II", "derive_relations",
-           "gauge_transform", "check_nu_invariance", "orbit_incidence",
-           "orbifold_cells", "unfold_cells", "builtin_cells", "family_cells",
-           "builtin_relations",
-           "standard_relations_e8star", "standard_relations_e8", "cells_to_doc", "cells_from_doc"]
+           "check_nu_invariance", "orbit_incidence", "orbifold_cells", "unfold_cells",
+           "builtin_cells", "family_cells", "cells_to_doc", "cells_from_doc"]
 
 
 def canon(tri: tuple[int, int, int]) -> tuple[int, int, int]:
     """Canonical representative of a closed loop under cyclic rotation."""
     a, b, c = tri
     return min((a, b, c), (b, c, a), (c, a, b))
+
+
+def nu_orbit(graph: Graph, tri: tuple[int, int, int]) -> tuple[tuple, tuple, tuple]:
+    """(tri, nu tri, nu^2 tri) for a canonical triangle, each canonical."""
+    nu = graph.nu_e
+    nu_t = canon(tuple(nu[e] for e in tri))
+    return tri, nu_t, canon(tuple(nu[e] for e in nu_t))
 
 
 class CellSystem:
@@ -241,7 +246,7 @@ def verify_type_II(cells: CellSystem, equations=None) -> CellReport:
 
 
 # ---------------------------------------------------------------------------
-# relations, gauge, nu-invariance test
+# relations, gauge rule, nu-invariance test
 # ---------------------------------------------------------------------------
 
 def derive_relations(cells: CellSystem) -> RelationSet:
@@ -301,8 +306,7 @@ def orbit_incidence(graph: Graph, triangles) -> list[dict[int, int]]:
     for t in triangles:
         if t in seen:
             continue
-        seen.update(canon(u) for u in (t, tuple(nu[e] for e in t),
-                                       tuple(nu[nu[e]] for e in t)))
+        seen.update(nu_orbit(graph, t))
         row: dict[int, int] = {}
         for e in t:
             orbit = min(e, nu[e], nu[nu[e]])
@@ -319,72 +323,9 @@ def _has_gauge_invariants(cells: CellSystem) -> bool:
     return linalg.rank(rows, _INCIDENCE_PRIME) < len(rows)
 
 
-def gauge_transform(cells: CellSystem, u: dict) -> CellSystem:
-    """Apply a family of unitaries u[(src, dst)] (matrices over parallel edges).
-
-    Missing classes default to the identity.  Unitarity is checked exactly.
-    """
-    g = cells.graph
-    tower = cells.tower
-    classes = g.parallel_classes()
-    mats = {}
-    for key, es in classes.items():
-        m = u.get(key)
-        if m is None:
-            continue
-        n = len(es)
-        if len(m) != n or any(len(row) != n for row in m):
-            raise ValueError(f"gauge matrix at {key} has wrong shape")
-        m = [[x.lift(tower) if isinstance(x, Scalar) else tower.from_fraction(x)
-              for x in row] for row in m]
-        for i in range(n):
-            for j in range(n):
-                acc = tower.zero()
-                for k in range(n):
-                    acc = acc + m[i][k] * m[j][k].conjugate()
-                if acc != (tower.one() if i == j else tower.zero()):
-                    raise ValueError(f"gauge matrix at {key} is not unitary")
-        mats[key] = {(es[i].id, es[j].id): m[i][j] for i in range(n) for j in range(n)}
-
-    def factor(e_new: int, e_old: int) -> Scalar | None:
-        e = g.edge_by_id[e_new]
-        m = mats.get((e.src, e.dst))
-        if m is None:
-            return tower.one() if e_new == e_old else None
-        return m.get((e_new, e_old))
-
-    weights = {}
-    for t in g.triangles():
-        a, b, c = t
-        acc = tower.zero()
-        ea, eb, ec = (g.edge_by_id[x] for x in t)
-        for a2 in g.out_edges[ea.src]:
-            if a2.dst != ea.dst:
-                continue
-            fa = factor(a, a2.id)
-            if fa is None or fa.is_zero():
-                continue
-            for b2 in g.out_edges[eb.src]:
-                if b2.dst != eb.dst:
-                    continue
-                fb = factor(b, b2.id)
-                if fb is None or fb.is_zero():
-                    continue
-                for c2 in g.out_edges[ec.src]:
-                    if c2.dst != ec.dst:
-                        continue
-                    fc = factor(c, c2.id)
-                    if fc is None or fc.is_zero():
-                        continue
-                    acc = acc + fa * fb * fc * cells.weights[canon((a2.id, b2.id, c2.id))]
-        weights[t] = acc
-    return CellSystem(g, tower, weights, label=cells.label + "+gauge")
-
-
 def check_nu_invariance(cells: CellSystem) -> bool:
     """True if W(nu tri) = W(tri) for every triangle."""
-    g = cells.graph
-    return all(cells.weights[canon(tuple(g.nu_e[e] for e in t))] == w
+    return all(cells.weights[nu_orbit(cells.graph, t)[1]] == w
                for t, w in cells.weights.items())
 
 
@@ -555,69 +496,6 @@ def _canonical_twin(graph: Graph) -> Graph:
         raise ValueError(f"graph {graph.name!r} does not match the built-in family "
                          "of that name: supply cells from a file")
     return twin
-
-
-def builtin_relations(graph: Graph) -> RelationSet:
-    """Relation sets in their standard closed form where one exists (E8,
-    E8*); relations derived from built-in cells otherwise."""
-    if graph.name == "E8*":
-        return standard_relations_e8star(graph)
-    if graph.name == "E8":
-        return standard_relations_e8(graph)
-    return derive_relations(builtin_cells(graph))
-
-
-def standard_relations_e8star(graph: Graph | None = None) -> RelationSet:
-    """The eight closed-form relations of the four-vertex exceptional graph."""
-    g = graph if graph is not None else build_family("E8*")
-    base = FieldTower(8)
-    tower, s3 = base.adjoin_sqrt(base.quantum(3))
-    one = tower.one()
-    inv_s3 = s3.inverse()
-    q2 = tower.quantum(2)
-    s3_over_2 = s3 / q2
-
-    def eid(src, dst):
-        hits = [e.id for e in g.out_edges[src] if e.dst == dst]
-        if len(hits) != 1:
-            raise ValueError(f"expected one edge {src}->{dst} on E8*, found {len(hits)}")
-        return hits[0]
-
-    e12, e22, e23, e32 = eid("1", "2"), eid("2", "2"), eid("2", "3"), eid("3", "2")
-    e33, e31, e24, e43 = eid("3", "3"), eid("3", "1"), eid("2", "4"), eid("4", "3")
-    rels = [
-        Relation(e31, "1", "3", {(e12, e23): one}),                    # [123] = 0
-        Relation(e12, "2", "1", {(e23, e31): one}),                    # [231] = 0
-        Relation(e43, "3", "4", {(e32, e24): one}),                    # [324] = 0
-        Relation(e24, "4", "2", {(e43, e32): one}),                    # [432] = 0
-        Relation(e22, "2", "2", {(e22, e22): one, (e23, e32): inv_s3}),
-        Relation(e33, "3", "3", {(e33, e33): one, (e32, e23): -inv_s3}),
-        Relation(e23, "3", "2", {(e31, e12): s3_over_2, (e32, e22): one, (e33, e32): one}),
-        Relation(e32, "2", "3", {(e24, e43): s3_over_2, (e22, e23): one, (e23, e33): one}),
-    ]
-    return RelationSet(g, tower, rels)
-
-
-def standard_relations_e8(graph: Graph | None = None) -> RelationSet:
-    """The E8 relations: the threefold unfolding of the E8* ones."""
-    g = graph if graph is not None else build_family("E8")
-    base_rels = standard_relations_e8star()
-    edge_of = g.base_edge_of
-    lift = {}
-    for ce, (be, a) in edge_of.items():
-        lift.setdefault(be, {})[a] = ce
-    rels = []
-    for r in base_rels.relations:
-        for a in range(3):
-            eid = lift[r.edge_id][a]
-            e = g.edge_by_id[eid]
-            terms = {}
-            for (b, c), w in r.terms.items():
-                b2 = lift[b][(a + 1) % 3]
-                c2 = lift[c][(a + 2) % 3]
-                terms[(b2, c2)] = w
-            rels.append(Relation(eid, e.dst, e.src, terms))
-    return RelationSet(g, base_rels.tower, rels)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The 12-periodic Hochschild homology complex, the cohomology complex, and
 everything derived from them: graded HH/HC/HH* tables, the independent
-HH_0 = A/[A,A] computation, duality and periodicity checks, resolution
-exactness, and the structure tables predicted by the Euler characteristic.
+HH_0 = A/[A,A] computation, duality and periodicity checks, and resolution
+exactness.
 
 All three complexes read here are built on the generators V_0..V_4 of the
 superpotential resolution P (Bocklandt, JPAA 212, 2008), of degrees 0, 1,
@@ -37,8 +37,7 @@ from .cells import CellSystem
 from .scalar import PrimeEmbedding
 
 __all__ = ["Homology", "differentials", "apply_mu", "hh0_direct", "cyclic_from_hh",
-           "structure_from_euler", "verify_resolution",
-           "HomologyReport", "build_report"]
+           "verify_resolution", "HomologyReport", "build_report"]
 
 
 def _generators(g, stage: int) -> list:
@@ -536,24 +535,31 @@ class Homology:
 # ---------------------------------------------------------------------------
 
 def hh0_direct(A: GradedAlgebra) -> dict[int, int]:
-    """Graded dimensions of A/[A,A] per degree (including degree 0)."""
+    """Graded dimensions of A/[A,A] per degree (including degree 0), from
+    the commutators [e, y] of an edge e: s -> t with a basis element y of
+    degree k - 1 in block (t, s).
+
+    The identity [xy, z] = [x, yz] + [y, zx] gives [A, A] = [A_1, A] +
+    [A_0, A] by induction on deg x, as A is generated in degree 1.  It needs
+    A associative, which the Hilbert gate and `spot_associativity` back.
+    [A_0, A] is zero on the cyclic blocks e_v A e_v and is all of every
+    other block, so A_k/[A,A]_k is the cyclic part of A_k modulo the cyclic
+    part of [A_1, A_(k-1)].  Of y's blocks only (t, s) puts [e, y] there."""
     g = A.graph
     out = {0: len(g.vertices)}
     for k in range(1, A.top + 1):
         cyclic = [i for (s, d), idxs in A.block_index[k].items() if s == d for i in idxs]
         pos = {i: p for p, i in enumerate(cyclic)}
         commutators = []
-        for p in range(1, k):
-            q = k - p
-            for (s, d), idxs in A.block_index[p].items():
-                yblk = A.block_index[q].get((d, s), [])
-                for i in idxs:
-                    for yi in yblk:
-                        xy = A.mul_basis(p, i, q, yi)
-                        yx = A.mul_basis(q, yi, p, i)
-                        vec = {pos[ii]: c for ii, c in xy.items()}
-                        linalg.axpy(vec, ((pos[ii], -c) for ii, c in yx.items()))
-                        commutators.append(vec)
+        for (s, t), edges in A.block_index[1].items():
+            ys = A.block_index[k - 1].get((t, s), [])
+            for i in edges:
+                for yi in ys:
+                    ey = A.mul_basis(1, i, k - 1, yi)
+                    ye = A.mul_basis(k - 1, yi, 1, i)
+                    vec = {pos[ii]: c for ii, c in ey.items()}
+                    linalg.axpy(vec, ((pos[ii], -c) for ii, c in ye.items()))
+                    commutators.append(vec)
         dim = len(cyclic) - linalg.rank(commutators)
         if dim:
             out[k] = dim
@@ -600,136 +606,6 @@ def euler_from_hc(hc_reduced: dict, max_d: int) -> list[int]:
         if d <= max_d:
             out[d] += v if i % 2 == 0 else -v
     return out
-
-
-# ---------------------------------------------------------------------------
-# structure tables from the Euler characteristic
-# ---------------------------------------------------------------------------
-
-def structure_from_euler(h: int, chi: list[int], c_series: dict[int, int],
-                         trivial_nu: bool, hh1: dict[int, int] | None = None,
-                         hh4: dict[int, int] | None = None) -> dict:
-    """Solve for the building blocks of the periodic structure tables.
-
-    Trivial nu: chi (1 - t^h) = C - X + C*[h] - K t^h within one period;
-    X in degrees 2..h-2 and K at h are disjoint, so both are determined.
-    Non-trivial nu: K1 from degree h of chi (1 - t^3h); X1 = HH1 - C and
-    X3 = HH4 - K1[h] from the computed tables; then X2, X4, K2 degreewise.
-    """
-    def refl(s: dict[int, int], shift: int) -> dict[int, int]:
-        return {shift - d: v for d, v in s.items()}
-
-    def sub(a: dict, b: dict) -> dict:
-        out = dict(a)
-        for d, v in b.items():
-            out[d] = out.get(d, 0) - v
-            if not out[d]:
-                del out[d]
-        return out
-
-    C = dict(c_series)
-    # chi (1 - t^period) through degree 4h
-    period = h if trivial_nu else 3 * h
-    coeff = [(chi[d] if d < len(chi) else 0) - (chi[d - period] if d >= period else 0)
-             for d in range(4 * h + 1)]
-    if trivial_nu:
-        lhs = sub(sub({d: coeff[d] for d in range(len(coeff)) if coeff[d]}, C),
-                  refl(C, h))
-        X = {}
-        K = {}
-        for d, v in lhs.items():
-            if d == h:
-                K[0] = -v
-            elif 2 <= d <= h - 2:
-                X[d] = -v
-            elif v:
-                raise AlgebraError(f"structure bookkeeping leftover at degree {d}: {v}")
-        if any(v < 0 for v in X.values()) or K.get(0, 0) < 0:
-            raise AlgebraError("negative structure dimensions")
-        return {"C": C, "X": X, "K": K}
-    K1 = {}
-    if coeff[h]:
-        K1 = {0: -coeff[h]}
-        if K1[0] < 0:
-            raise AlgebraError("negative K1")
-    if hh1 is None or hh4 is None:
-        raise AlgebraError("non-trivial nu requires computed HH1 and HH4 tables")
-    X1 = sub(dict(hh1), C)
-    X3 = sub(dict(hh4), {d + h: v for d, v in K1.items()})
-    if any(v < 0 for v in X1.values()) or any(v < 0 for v in X3.values()):
-        raise AlgebraError("negative X1/X3")
-    # X2 at degrees 2..h-1: coeff_d = C - X1 + X2 (below h)
-    X2 = {}
-    for d in range(0, h):
-        v = coeff[d] - C.get(d, 0) + X1.get(d, 0)
-        if v:
-            X2[d] = v
-    X4 = {}
-    for d in range(h + 1, 2 * h - 1):
-        v = X3.get(d, 0) + X3.get(3 * h - d, 0) - coeff[d]
-        if v:
-            X4[d] = v
-    K2 = {}
-    v = -coeff[3 * h]
-    if v:
-        K2[0] = v
-    if any(x < 0 for x in list(X2.values()) + list(X4.values()) + list(K2.values())):
-        raise AlgebraError("negative structure dimensions")
-    return {"C": C, "X1": X1, "X2": X2, "X3": X3, "X4": X4, "K1": K1, "K2": K2}
-
-
-def predicted_tables(h: int, blocks: dict, trivial_nu: bool, max_i: int, max_d: int):
-    """Assemble the predicted reduced HH/HC tables from structure blocks."""
-    def refl(s, shift):
-        return {shift - d: v for d, v in s.items()}
-
-    def shift(s, k):
-        return {d + k: v for d, v in s.items()}
-
-    def merge(*parts):
-        out: dict[int, int] = {}
-        for p in parts:
-            for d, v in p.items():
-                out[d] = out.get(d, 0) + v
-        return {d: v for d, v in out.items() if v}
-
-    if trivial_nu:
-        C, X, K = blocks["C"], blocks["X"], blocks["K"]
-        # K lives in degree 0: K[h] and K*[h] agree dimension-wise
-        hh = {0: C, 1: merge(C, X), 2: merge(refl(C, h), refl(X, h)),
-              3: merge(refl(C, h), shift(K, h)), 4: merge(shift(C, h), shift(K, h))}
-        hc = {0: C, 1: X, 2: refl(C, h), 3: shift(K, h), 4: shift(C, h)}
-        period, pshift = 4, h
-    else:
-        C, X1, X2 = blocks["C"], blocks["X1"], blocks["X2"]
-        X3, X4, K1, K2 = blocks["X3"], blocks["X4"], blocks["K1"], blocks["K2"]
-        hh = {0: C, 1: merge(C, X1), 2: merge(X2, X1), 3: merge(X2, shift(K1, h)),
-              4: merge(X3, shift(K1, h)), 5: merge(X3, X4),
-              6: merge(refl(X3, 3 * h), refl(X4, 3 * h)),
-              7: merge(refl(X3, 3 * h), refl(K1, 2 * h)),
-              8: merge(refl(X2, 3 * h), refl(K1, 2 * h)),
-              9: merge(refl(X2, 3 * h), refl(X1, 3 * h)),
-              10: merge(refl(C, 3 * h), refl(X1, 3 * h)),
-              11: merge(refl(C, 3 * h), shift(K2, 3 * h)),
-              12: merge(shift(C, 3 * h), shift(K2, 3 * h))}
-        hc = {0: C, 1: X1, 2: X2, 3: shift(K1, h), 4: X3, 5: X4,
-              6: refl(X3, 3 * h), 7: refl(K1, 2 * h), 8: refl(X2, 3 * h),
-              9: refl(X1, 3 * h), 10: refl(C, 3 * h), 11: shift(K2, 3 * h),
-              12: shift(C, 3 * h)}
-        period, pshift = 12, 3 * h
-    out_hh: dict[tuple[int, int], int] = {}
-    out_hc: dict[tuple[int, int], int] = {}
-    for i in range(max_i + 1):
-        if i <= period:
-            base, lift = i, 0
-        else:
-            base = (i - 1) % period + 1
-            lift = ((i - 1) // period) * pshift
-        for table, out in ((hh, out_hh), (hc, out_hc)):
-            for d, v in table.get(base, {}).items():
-                if 0 <= d + lift <= max_d:
-                    out[(i, d + lift)] = v
-    return out_hh, out_hc
 
 
 # ---------------------------------------------------------------------------

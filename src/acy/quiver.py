@@ -98,13 +98,6 @@ class Graph:
             delta[self.vindex[e.src]][self.vindex[e.dst]] += 1
         return delta
 
-    def permutation_matrix(self) -> list[list[int]]:
-        n = len(self.vertices)
-        P = [[0] * n for _ in range(n)]
-        for v, w in self.nu_v.items():
-            P[self.vindex[v]][self.vindex[w]] = 1
-        return P
-
     def nu_is_trivial(self) -> bool:
         return all(v == w for v, w in self.nu_v.items())
 

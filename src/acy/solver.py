@@ -22,7 +22,7 @@ from math import isqrt
 import mpmath
 
 from . import linalg
-from .cells import (CellSystem, canon, compile_equations, orbit_incidence, verify_type_I,
+from .cells import (CellSystem, compile_equations, nu_orbit, orbit_incidence, verify_type_I,
                     verify_type_II)
 from .quiver import Graph
 from .scalar import Scalar, base_relation
@@ -48,14 +48,10 @@ class _NumericSystem:
     def __init__(self, graph: Graph):
         self.name = graph.name
         self.triangles = graph.triangles()
-        rep = {t: t for t in self.triangles}
-        if not graph.nu_is_trivial():
-            for t in self.triangles:
-                nu_t = canon(tuple(graph.nu_e[e] for e in t))
-                rep[t] = min(t, nu_t, canon(tuple(graph.nu_e[e] for e in nu_t)))
-        reps = sorted(set(rep.values()))
-        self.unknown_of = {t: reps.index(rep[t]) for t in self.triangles}
-        self.n_unknowns = len(reps)
+        rep = {t: min(nu_orbit(graph, t)) for t in self.triangles}
+        index = {r: j for j, r in enumerate(sorted(set(rep.values())))}
+        self.unknown_of = {t: index[rep[t]] for t in self.triangles}
+        self.n_unknowns = len(index)
         self.equations = compile_equations(graph)
 
     def compiled(self, prec: int):

@@ -24,7 +24,7 @@ def test_dims_match_series_oracle(pipe):
         H = hilbert_closed_form(g, g.h)
         vi = g.vindex
         for k in range(A.top + 1):
-            dims = A.dims_by_block(k)
+            dims = {blk: len(idxs) for blk, idxs in A.block_index[k].items()}
             for a in g.vertices:
                 for b in g.vertices:
                     assert dims.get((a, b), 0) == H[k][vi[a]][vi[b]], (spec, k, a, b)
@@ -244,10 +244,8 @@ def test_relation_count_and_snapshot(pipe):
         g, cells, A, _ = pipe(spec)
         assert len(A.relations.relations) == len(g.edges)
     g, _, A, _ = pipe("A5")
-    doc = A.to_doc()
-    assert doc["schema"] == "acy-algebra/1"
-    assert doc["dims"] == [6, 9, 6]
-    assert doc["basis_paths"][0] == [[]] * 6
+    assert [A.dim(k) for k in range(A.top + 1)] == [6, 9, 6]
+    assert [list(b.path) for b in A.basis[0]] == [[]] * 6
 
 
 @pytest.mark.parametrize("spec", ["A4", "A5", "A6", "A7", "A8", "A9", "A12"])

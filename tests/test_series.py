@@ -192,7 +192,7 @@ def hilbert_by_dense_recurrence(g, N: int) -> list[list[list[int]]]:
     """H^k = D H^(k-1) - D^T H^(k-2) + H^(k-3) - delta(k, h) P, dense."""
     n = len(g.vertices)
     D = g.adjacency()
-    P = g.permutation_matrix()
+    P = [[int(g.nu_v[v] == w) for w in g.vertices] for v in g.vertices]
 
     def mm(X, Y):
         return [[sum(X[i][t] * Y[t][j] for t in range(n)) for j in range(n)]
