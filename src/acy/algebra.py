@@ -97,7 +97,7 @@ class GradedAlgebra:
         rels_at = {}
         for r in self.relations.relations:
             rels_at.setdefault(r.src, []).append(r)
-        H = series.hilbert_closed_form(g, g.h)
+        H = series.hilbert_closed_form(g)
         vi = g.vindex
         for k in range(1, self.top + 2):
             prev = self.basis[k - 1]

@@ -14,6 +14,7 @@ exact verifier and the numeric solver backends.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -99,7 +100,7 @@ class RelationSet:
 # equation compiler: type I and type II in monomial form
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Equation:
     kind: str                  # "I" or "II"
     frame: tuple               # edge ids identifying the frame
@@ -107,16 +108,32 @@ class Equation:
     rhs: Scalar
 
 
-def compile_equations(graph: Graph) -> list[Equation]:
-    """All type I and type II equations of the graph, with exact coefficients."""
-    return _type_I_equations(graph) + _type_II_equations(graph)
+_EQUATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _type_I_equations(graph: Graph) -> list[Equation]:
+def compile_equations(graph: Graph) -> tuple[Equation, ...]:
+    """All type I and type II equations of the graph, with exact coefficients.
+
+    A Graph is immutable, so they are compiled once per graph and shared by
+    the verifier and the solver."""
+    if graph not in _EQUATIONS:
+        pool: dict = {}   # one object per distinct (tri, conj_flag) factor and rhs
+        _EQUATIONS[graph] = tuple(_type_I_equations(graph, pool)
+                                  + _type_II_equations(graph, pool))
+    return _EQUATIONS[graph]
+
+
+def _mono(pool: dict, path: tuple[int, int, int], conj: bool) -> tuple:
+    key = (canon(path), conj)
+    return pool.setdefault(key, key)
+
+
+def _type_I_equations(graph: Graph, pool: dict) -> list[Equation]:
     """One equation per ordered pair of parallel edges (a, a')."""
     tower = graph.tower
     phi = graph.phi
     two = tower.quantum(2)
+    one, zero = tower.one(), tower.zero()
     eqs: list[Equation] = []
     out_e = graph.out_edges
     for (i, j), cls in sorted(graph.parallel_classes().items()):
@@ -127,18 +144,18 @@ def _type_I_equations(graph: Graph) -> list[Equation]:
                     for b2 in graph.out_edges[b1.dst]:
                         if b2.dst != i:
                             continue
-                        t1 = canon((a.id, b1.id, b2.id))
-                        t2 = canon((a2.id, b1.id, b2.id))
-                        terms.append((tower.one(), ((t1, False), (t2, True))))
-                rhs = two * phi[i] * phi[j] if a.id == a2.id else tower.zero()
-                eqs.append(Equation("I", (a.id, a2.id), terms, rhs))
+                        terms.append((one, (_mono(pool, (a.id, b1.id, b2.id), False),
+                                            _mono(pool, (a2.id, b1.id, b2.id), True))))
+                rhs = two * phi[i] * phi[j] if a.id == a2.id else zero
+                eqs.append(Equation("I", (a.id, a2.id), terms, pool.setdefault(rhs, rhs)))
     return eqs
 
 
-def _type_II_equations(graph: Graph) -> list[Equation]:
+def _type_II_equations(graph: Graph, pool: dict) -> list[Equation]:
     """One equation per frame a1: i4->i1, a2: i2->i1, a3: i2->i3, a4: i4->i3."""
     tower = graph.tower
     phi = graph.phi
+    zero = tower.zero()
     inv_phi = {v: phi[v].inverse() for v in graph.vertices}
     eqs: list[Equation] = []
     out_e, in_e = graph.out_edges, graph.in_edges
@@ -170,17 +187,18 @@ def _type_II_equations(graph: Graph) -> list[Equation]:
                                     for b3 in b3s:
                                         for b4 in b4s:
                                             terms.append((coeff, (
-                                                (canon((a2.id, b1.id, b2.id)), False),
-                                                (canon((a3.id, b3.id, b2.id)), True),
-                                                (canon((a4.id, b3.id, b4.id)), False),
-                                                (canon((a1.id, b1.id, b4.id)), True),
+                                                _mono(pool, (a2.id, b1.id, b2.id), False),
+                                                _mono(pool, (a3.id, b3.id, b2.id), True),
+                                                _mono(pool, (a4.id, b3.id, b4.id), False),
+                                                _mono(pool, (a1.id, b1.id, b4.id), True),
                                             )))
-                        rhs = tower.zero()
+                        rhs = zero
                         if a1.id == a4.id and a2.id == a3.id:
                             rhs = rhs + phi[i4] * phi[i1] * phi[i2]
                         if a1.id == a2.id and a3.id == a4.id:
                             rhs = rhs + phi[i1] * phi[i2] * phi[i3]
-                        eqs.append(Equation("II", (a1.id, a2.id, a3.id, a4.id), terms, rhs))
+                        eqs.append(Equation("II", (a1.id, a2.id, a3.id, a4.id), terms,
+                                            pool.setdefault(rhs, rhs)))
     return eqs
 
 
@@ -195,9 +213,7 @@ class CellReport:
         return not self.failures
 
 
-def _verify(cells: CellSystem, kind: str, eqs=None) -> CellReport:
-    if eqs is None:
-        eqs = (_type_I_equations if kind == "I" else _type_II_equations)(cells.graph)
+def _verify(cells: CellSystem, kind: str) -> CellReport:
     tower = cells.tower
     W = cells.weights
     pair_cache: dict = {}
@@ -213,7 +229,7 @@ def _verify(cells: CellSystem, kind: str, eqs=None) -> CellReport:
             pair_cache[key] = v
         return v
 
-    for eq in eqs:
+    for eq in compile_equations(cells.graph):
         if eq.kind != kind:
             continue
         report.frames += 1
@@ -235,14 +251,14 @@ def _verify(cells: CellSystem, kind: str, eqs=None) -> CellReport:
     return report
 
 
-def verify_type_I(cells: CellSystem, equations=None) -> CellReport:
-    """Exact pass/fail per type I frame; `equations` may hold both kinds."""
-    return _verify(cells, "I", equations)
+def verify_type_I(cells: CellSystem) -> CellReport:
+    """Exact pass/fail per type I frame."""
+    return _verify(cells, "I")
 
 
-def verify_type_II(cells: CellSystem, equations=None) -> CellReport:
-    """Exact pass/fail per type II frame; `equations` may hold both kinds."""
-    return _verify(cells, "II", equations)
+def verify_type_II(cells: CellSystem) -> CellReport:
+    """Exact pass/fail per type II frame."""
+    return _verify(cells, "II")
 
 
 # ---------------------------------------------------------------------------

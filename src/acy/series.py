@@ -1,14 +1,15 @@
 """The closed-form Hilbert series and the Euler characteristic of reduced
 cyclic homology extracted from prod_s det H_A(t^s).
 
-Both series are read off one sparse recurrence for the coefficients of
-G = M^(-1), M = 1 - Dt + D^T t^2 - t^3: the Hilbert series is
-G (1 - P t^h), and log det M is integrated from the traces tr(M' G), so the
-Euler path never expands a determinant."""
+The matrix Hilbert series H_A = (1 - P t^h) / M, M = 1 - Dt + D^T t^2 - t^3,
+is a polynomial of degree h - 3 for these algebras: one sparse recurrence
+for M H_A = 1 - P t^h gives its coefficients.  The Euler path reads log det
+H_A from 3h traces of H_A' M P^j, j = 0, 1, 2, so it never expands a
+determinant nor an inverse series."""
 
 from __future__ import annotations
 
-from .quiver import Graph
+from .quiver import Graph, GraphError
 
 __all__ = ["hilbert_closed_form", "euler_characteristic_hc"]
 
@@ -17,70 +18,45 @@ __all__ = ["hilbert_closed_form", "euler_characteristic_hc"]
 # Hilbert series of the quotient algebra
 # ---------------------------------------------------------------------------
 
-def _inverse_series(g: Graph, N: int):
-    """Yield the matrix coefficients G^0..G^N of G = M^(-1), where
-    M = 1 - Dt + D^T t^2 - t^3, as lists of rows.
+def _coefficients(g: Graph):
+    """Yield the matrix coefficients H^0..H^h of
+    H_A = (1 - P t^h) / (1 - Dt + D^T t^2 - t^3), as lists of rows.
 
-    M G = 1 gives G^k = D G^(k-1) - D^T G^(k-2) + G^(k-3); row i of D G is
-    the sum of the rows G[t] over the edges i -> t, so D is applied as
-    adjacency lists and each step costs n^2 times the mean degree.
+    M H_A = 1 - P t^h gives H^k = D H^(k-1) - D^T H^(k-2) + H^(k-3) - [k = h] P.
+    Row i of D H is the sum of the rows H[t] over the edges i -> t, so D is
+    applied as adjacency lists; row i of P is the unit row at nu(i).  Once
+    H^(h-2), H^(h-1) and H^h vanish, every later H^k does too, so H_A is a
+    polynomial of degree below h - 2; after H^h, GraphError when it is not.
     """
-    n = len(g.vertices)
-    vi = g.vindex
-    outs: list[list[int]] = [[] for _ in range(n)]  # row i of D G: rows t, i -> t
-    ins: list[list[int]] = [[] for _ in range(n)]   # row i of D^T G: rows t, t -> i
-    for e in g.edges:
-        outs[vi[e.src]].append(vi[e.dst])
-        ins[vi[e.dst]].append(vi[e.src])
-    zero = [[0] * n for _ in range(n)]
-    g1 = [[int(i == j) for j in range(n)] for i in range(n)]  # G^(k-1)
-    g2 = g3 = zero                                              # G^(k-2), G^(k-3)
-    yield g1
-    for _ in range(N):
-        G = []
-        for i in range(n):
-            acc = list(g3[i])
+    n, vi = len(g.vertices), g.vindex
+    outs = [[vi[e.dst] for e in g.out_edges[v]] for v in g.vertices]  # rows of D H
+    ins = [[vi[e.src] for e in g.in_edges[v]] for v in g.vertices]    # rows of D^T H
+    h1 = [[int(i == j) for j in range(n)] for i in range(n)]  # H^(k-1)
+    h2 = h3 = [[0] * n for _ in range(n)]                     # H^(k-2), H^(k-3)
+    yield h1
+    for k in range(1, g.h + 1):
+        Hk = []
+        for i, v in enumerate(g.vertices):
+            acc = list(h3[i])
             for t in outs[i]:
-                acc = [a + b for a, b in zip(acc, g1[t])]
+                acc = [a + b for a, b in zip(acc, h1[t])]
             for t in ins[i]:
-                acc = [a - b for a, b in zip(acc, g2[t])]
-            G.append(acc)
-        g1, g2, g3 = G, g1, g2
-        yield G
+                acc = [a - b for a, b in zip(acc, h2[t])]
+            if k == g.h:
+                acc[vi[g.nu_v[v]]] -= 1
+            Hk.append(acc)
+        h1, h2, h3 = Hk, h1, h2
+        yield Hk
+    for k, H in zip(range(g.h - 2, g.h + 1), (h3, h2, h1)):
+        if any(x for row in H for x in row):
+            raise GraphError(f"the Hilbert series of {g.name} is not a polynomial "
+                             f"of degree below h - 2 = {g.h - 2}: H^{k} != 0")
 
 
-def hilbert_closed_form(g: Graph, N: int) -> list[list[list[int]]]:
-    """Matrix coefficients H^0..H^N of (1 - P t^h) / (1 - Dt + D^T t^2 - t^3).
-
-    H = M^(-1) (1 - P t^h), so H^k = G^k - G^(k-h) P with G = M^(-1) from
-    `_inverse_series`; column j of G P is column nu^(-1)(j) of G.
-    """
-    if N < g.h:
-        raise ValueError(f"cutoff {N} must be at least h = {g.h}")
-    vi = g.vindex
-    back = [0] * len(g.vertices)  # back[j] = nu^(-1)(j)
-    for v, w in g.nu_v.items():
-        back[vi[w]] = vi[v]
-    G = list(_inverse_series(g, N))
-    out = G[:g.h]
-    for k in range(g.h, N + 1):
-        out.append([[a - low[b] for a, b in zip(row, back)]
-                    for row, low in zip(G[k], G[k - g.h])])
-    return out
-
-
-def _nu_cycles(g: Graph) -> list[int]:
-    """Lengths of the cycles of nu on the vertices."""
-    out, seen = [], set()
-    for v in g.vertices:
-        w, clen = v, 0
-        while w not in seen:
-            seen.add(w)
-            w = g.nu_v[w]
-            clen += 1
-        if clen:
-            out.append(clen)
-    return out
+def hilbert_closed_form(g: Graph) -> list[list[list[int]]]:
+    """Matrix coefficients H^0..H^h of the closed form of H_A, from
+    `_coefficients`; GraphError when H_A is not a polynomial."""
+    return list(_coefficients(g))
 
 
 # ---------------------------------------------------------------------------
@@ -104,26 +80,29 @@ def _mobius(n: int) -> int:
 def _log_det_power_sums(g: Graph, N: int) -> list[int]:
     """q_0..q_N with log det H_A(t) = sum_(m >= 1) q_m t^m / m (q_0 = 0).
 
-    The denominator is read through traces, not expanded: with G = M^(-1),
-    (log det M)' = tr(M' G) and M' = -D + 2 D^T t - 3 t^2, so
-    m [t^m] log det M = -tr(D G^(m-1)) + 2 tr(D^T G^(m-2)) - 3 tr(G^(m-3)).
-    tr(D G) sums G[dst][src] and tr(D^T G) sums G[src][dst] over the edges.
-    The numerator det(1 - P t^h) is the product of 1 - t^(h l) over the
-    nu-cycles of length l, whose logs add -h l at every multiple of h l."""
-    vi = g.vindex
+    (log det H_A)' = tr(H_A' H_A^(-1)), and H_A^(-1) = M (1 - P t^h)^(-1) =
+    sum_(n >= 0) t^(nh) M P^(n mod 3), as P commutes with M and P^3 = 1.  H_A'
+    M has degree below h, so q_m = [t^s] tr(H_A' M P^(n mod 3)) with
+    m - 1 = n h + s.  With X = H_A' and M = (1 - t^3) - D t + D^T t^2,
+    tr(X M P^j) = sum_c X[nu^j c][c] (1 - t^3) - sum_(a -> c) X[nu^j c][a] t
+    + sum_(c -> a) X[nu^j c][a] t^2, over the vertices c and the edges."""
+    h, vi = g.h, g.vindex
     arcs = [(vi[e.src], vi[e.dst]) for e in g.edges]
-    q = [0] * (N + 1)
-    for k, G in enumerate(_inverse_series(g, N - 1)):
-        # the t^k coefficient of tr(M' G) enters q_(k+1), q_(k+2), q_(k+3)
-        q[k + 1] += sum(G[b][a] for a, b in arcs)
-        if k + 2 <= N:
-            q[k + 2] -= 2 * sum(G[a][b] for a, b in arcs)
-        if k + 3 <= N:
-            q[k + 3] += 3 * sum(G[i][i] for i in range(len(G)))
-    for clen in _nu_cycles(g):
-        for m in range(g.h * clen, N + 1, g.h * clen):
-            q[m] -= g.h * clen
-    return q
+    nu = [vi[g.nu_v[v]] for v in g.vertices]
+    rhos = [list(range(len(nu))), nu, [nu[c] for c in nu]]  # nu^j, j = 0, 1, 2
+    # per j, entry i: the t^(i-4) coefficient of the vertex sum and of the
+    # sums over the arcs a -> c and c -> a, each of X[nu^j c][.]; the t^(k-1)
+    # coefficient of X = H_A' is k H^k
+    sums = [([0] * 3, [0] * 3, [0] * 3) for _ in rhos]
+    for k, Hk in enumerate(_coefficients(g)):
+        for rho, (verts, ins, outs) in zip(rhos, sums):
+            verts.append(k * sum(Hk[r][c] for c, r in enumerate(rho)))
+            ins.append(k * sum(Hk[rho[c]][a] for a, c in arcs))
+            outs.append(k * sum(Hk[rho[c]][a] for c, a in arcs))
+    # traces[j][s] = [t^s] tr(H_A' M P^j)
+    traces = [[verts[s + 4] - verts[s + 1] - ins[s + 3] + outs[s + 2] for s in range(h)]
+              for verts, ins, outs in sums]
+    return [0] + [traces[m // h % 3][m % h] for m in range(N)]   # q_(m+1)
 
 
 def euler_characteristic_hc(g: Graph, N: int | None = None) -> list[int]:

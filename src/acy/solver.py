@@ -223,8 +223,8 @@ def solve_cells(graph: Graph, seed: int = 0, digits: int = 70) -> CellSystem:
     unknown order (`adjoin_sqrt` adds none when the tower already holds it),
     and w = sign * sqrt(|w|^2).  The exact type I/II verification is the
     only acceptance.  Raises SolverError when least squares does not
-    converge, when a |w|^2 has no positive value in Q(c), or when
-    verification fails.
+    converge, when a |w|^2 has no positive value in Q(c), when the square
+    test of a |w|^2 stays undecided, or when verification fails.
     """
     sys = _NumericSystem(graph)
     if sys.n_unknowns == 0:
@@ -238,7 +238,11 @@ def solve_cells(graph: Graph, seed: int = 0, digits: int = 70) -> CellSystem:
     tower, roots = graph.tower, {}   # |w|^2 -> sqrt(|w|^2), in the tower it was adjoined to
     for u in squares:
         if u is not None and u not in roots:
-            tower, roots[u] = tower.adjoin_sqrt(u)
+            try:
+                tower, roots[u] = tower.adjoin_sqrt(u)
+            except ArithmeticError as exc:   # the square test gave up
+                raise SolverError(f"cannot adjoin a squared weight of {graph.name}: "
+                                  f"{exc}") from exc
     weights = {}
     for t in sys.triangles:
         j = sys.unknown_of[t]
@@ -246,9 +250,8 @@ def solve_cells(graph: Graph, seed: int = 0, digits: int = 70) -> CellSystem:
         weights[t] = w if signs[j] > 0 else -w
     cells = CellSystem(graph, tower, weights, label=f"solved(seed={seed})")
 
-    eqs = sys.equations
-    rep1 = verify_type_I(cells, eqs)
-    rep2 = verify_type_II(cells, eqs)
+    rep1 = verify_type_I(cells)
+    rep2 = verify_type_II(cells)
     if not (rep1.ok and rep2.ok):
         raise SolverError(
             f"exactified cells for {graph.name} fail verification "

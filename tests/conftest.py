@@ -8,7 +8,6 @@ from acy.algebra import GradedAlgebra
 from acy.cells import RelationSet, builtin_cells, derive_relations
 from acy.homology import Homology
 from acy.quiver import parse_graph_spec
-from acy.series import _nu_cycles
 
 _CACHE: dict = {}
 _DIFFERENTIALS = acy.homology.differentials
@@ -101,6 +100,20 @@ def poly_det(rows):
     return DomainMatrix(rows, (len(rows), len(rows)), R.to_domain()).det()
 
 
+def nu_cycles(g) -> list[int]:
+    """Lengths of the cycles of nu on the vertices."""
+    out, seen = [], set()
+    for v in g.vertices:
+        w, clen = v, 0
+        while w not in seen:
+            seen.add(w)
+            w = g.nu_v[w]
+            clen += 1
+        if clen:
+            out.append(clen)
+    return out
+
+
 @functools.cache
 def det_hilbert(spec: str) -> tuple:
     """det H_A(t) = det(1 - P t^h) / det(1 - Dt + D^T t^2 - t^3), unreduced:
@@ -108,7 +121,7 @@ def det_hilbert(spec: str) -> tuple:
     g = parse_graph_spec(spec)
     D = g.adjacency()
     n = len(D)
-    num, _ = rational([g.h * clen for clen in _nu_cycles(g)], [])
+    num, _ = rational([g.h * clen for clen in nu_cycles(g)], [])
     M = [[poly([int(i == j), -D[i][j], D[j][i], -int(i == j)]) for j in range(n)]
          for i in range(n)]
     return num, poly_det(M)

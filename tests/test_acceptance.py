@@ -129,7 +129,7 @@ def test_criterion_1_hilbert_gate():
     for spec in graphs:
         t0 = time.time()
         g, cells, A, _ = pipeline(spec)   # construction enforces the gate
-        H = hilbert_closed_form(g, g.h)
+        H = hilbert_closed_form(g)
         vi = g.vindex
         for k in range(g.h):
             blocks = A.block_index[k] if k <= A.top else {}

@@ -21,7 +21,7 @@ def test_a4_dims(pipe):
 def test_dims_match_series_oracle(pipe):
     for spec in ("A5", "A7", "E8*", "D9"):
         g, _, A, _ = pipe(spec)
-        H = hilbert_closed_form(g, g.h)
+        H = hilbert_closed_form(g)
         vi = g.vindex
         for k in range(A.top + 1):
             dims = {blk: len(idxs) for blk, idxs in A.block_index[k].items()}

@@ -352,6 +352,40 @@ def test_failed_math_check_exits_3(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_an_undecided_square_test_is_a_solver_error(monkeypatch, capsys):
+    # the square test gives up with ArithmeticError past its last PSLQ
+    # precision; solve_cells reports it as a SolverError, exit 4
+    import acy.cli
+    import acy.scalar
+    from acy.cli import EXIT_SOLVER
+
+    def undecided(h, g):
+        raise ArithmeticError(f"undecided whether {g} is a square at h={h}")
+
+    monkeypatch.setattr(acy.scalar, "_base_sqrt", undecided)
+    assert acy.cli.main(["compute", "--graph", "A6", "--cells", "solve"]) == EXIT_SOLVER
+    assert "solver error: cannot adjoin a squared weight of A6" in capsys.readouterr().err
+
+
+def test_a_closed_form_that_is_no_polynomial_is_an_input_error(monkeypatch, capsys):
+    # A4's h bumped to 5 once its cells have passed their gates: the closed
+    # form of its Hilbert series is then no polynomial, a typed input error
+    import acy.cli
+    from acy.cli import EXIT_INPUT
+
+    derive = acy.cli.derive_relations
+
+    def bumped(cells):
+        rels = derive(cells)
+        cells.graph.h += 1
+        return rels
+
+    monkeypatch.setattr(acy.cli, "parse_graph_spec", lambda spec: build_family("A", 4))
+    monkeypatch.setattr(acy.cli, "derive_relations", bumped)
+    assert acy.cli.main(["verify", "--graph", "A4", "--check", "hilbert"]) == EXIT_INPUT
+    assert "error: the Hilbert series of A4 is not a polynomial" in capsys.readouterr().err
+
+
 def test_verify_reports_where_duality_fails(monkeypatch, capsys):
     # +1 on one entry of mu'_2 at algebra degree 1 (total degree 3) of the
     # twist-0 family: on A5 its dual partner mu'_10 has twist 2, so the

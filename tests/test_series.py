@@ -1,14 +1,16 @@
 import functools
 from fractions import Fraction
 
-from acy.quiver import build_family, parse_graph_spec
+import pytest
+
+from acy.quiver import GraphError, build_family, parse_graph_spec
 from acy.series import _mobius, euler_characteristic_hc, hilbert_closed_form
 from conftest import det_hilbert, log_series, poly, poly_det, rational, same_ratio, taylor
 
 
 def test_hilbert_a4():
     g = build_family("A", 4)
-    H = hilbert_closed_form(g, 8)
+    H = hilbert_closed_form(g)
     totals = [sum(sum(r) for r in Hk) for Hk in H]
     assert totals[:4] == [3, 3, 0, 0]
     n = len(g.vertices)
@@ -19,7 +21,7 @@ def test_hilbert_a4():
 def test_hilbert_nonnegative_window():
     for spec in ("A6", "E8*", "D9"):
         g = parse_graph_spec(spec)
-        H = hilbert_closed_form(g, g.h)
+        H = hilbert_closed_form(g)
         for k in range(g.h - 2, g.h):
             assert all(x == 0 for row in H[k] for x in row), (spec, k)
         for k in range(g.h - 2):
@@ -222,13 +224,27 @@ def graph(spec: str):
 
 
 def test_euler_matches_the_expanded_determinant():
-    for spec in EQUIVALENCE_GRAPHS:
+    # at 7h, every trace tr(H_A' M P^j), j = n mod 3, is read twice; A7 and
+    # D7* have a nontrivial nu, so the three traces differ
+    cases = [(spec, 4) for spec in EQUIVALENCE_GRAPHS] + [("A7", 7), ("D7*", 7)]
+    for spec, periods in cases:
         g = graph(spec)
-        N = 4 * g.h
-        assert euler_characteristic_hc(g, N) == euler_by_expanded_determinant(g, N), spec
+        N = periods * g.h
+        assert euler_characteristic_hc(g, N) == euler_by_expanded_determinant(g, N), (spec, N)
 
 
 def test_hilbert_matches_the_dense_recurrence():
     for spec in EQUIVALENCE_GRAPHS:
         g = graph(spec)
-        assert hilbert_closed_form(g, 2 * g.h) == hilbert_by_dense_recurrence(g, 2 * g.h), spec
+        dense = hilbert_by_dense_recurrence(g, 2 * g.h)
+        assert hilbert_closed_form(g) == dense[:g.h + 1], spec
+        # the closed form is a polynomial of degree h - 3
+        assert all(x == 0 for Hk in dense[g.h - 2:] for row in Hk for x in row), spec
+
+
+def test_a_wrong_h_makes_the_closed_form_no_polynomial():
+    # A4 with h = 5: the P t^h term comes one degree late, so H^4 = H^1
+    g = build_family("A", 4)
+    g.h += 1
+    with pytest.raises(GraphError, match="not a polynomial"):
+        hilbert_closed_form(g)
