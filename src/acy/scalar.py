@@ -897,7 +897,9 @@ def _sqrt_in_tower(tower: FieldTower, g: tuple[int, ...]) -> Scalar | None:
     """sqrt(g) as a tower element if one exists, else None (g positive, base).
 
     Kummer: sqrt(g) lies in the multiquadratic tower iff g * prod_{i in S} g_i
-    is a square in Q(c) for some subset S of the adjoined roots.
+    is a square in Q(c) for some subset S of the adjoined roots.  The root
+    returned is positive: `_base_sqrt` gives the root positive at c, and
+    each adjoined root is the positive one of a positive radicand.
     """
     base = tower.base
     r = len(tower.roots)
@@ -913,8 +915,6 @@ def _sqrt_in_tower(tower: FieldTower, g: tuple[int, ...]) -> Scalar | None:
         out = Scalar(tower, {mask: s})
         if mask:
             out = out * Scalar(tower, {0: base.inv(prod)})
-        if not out.is_positive():
-            out = -out
         return out
     return None
 
@@ -938,26 +938,79 @@ def base_relation(h: int, value, prec: int) -> tuple[int, ...] | None:
     return _bnormalize(rel[0], tuple(-a for a in rel[1:]))
 
 
-def _pslq_base_sqrt(h: int, g: tuple[int, ...], prec: int) -> tuple[int, ...] | None:
-    """A root of g in Q(c), recognised from sqrt(g) at `prec` bits and
-    returned only if it squares back to g."""
+@lru_cache(maxsize=None)
+def _conjugates(h: int, prec: int) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+    """(taus, W) at `prec` bits: taus the real conjugates tau_j(c) = 2cos(j pi/h)
+    for the j of the split-prime scan, and W the inverse of V_jk = tau_j(c)^k
+    in fixed point, W[j][k] = V^-1_kj 2^prec, so that row j is column j of V^-1."""
+    js = _split_primes(h).js
     with mpmath.workprec(prec):
-        c, _ = FieldTower(h).numeric(prec)
-        val = _beval(g, c, mp.mpf(0))
-        b = base_relation(h, mpmath.sqrt(val), prec) if val > 0 else None
-    return b if b is not None and _base_field(h).mul(b, b) == g else None
+        taus = tuple(2 * mpmath.cos(j * mp.pi / h) for j in js)
+        inv = mpmath.inverse(mpmath.matrix([[t ** k for k in range(len(js))] for t in taus]))
+        W = tuple(tuple(int(mpmath.ldexp(inv[k, j], prec)) for k in range(len(js)))
+                  for j in range(len(js)))
+    return taus, W
+
+
+def _root_conjugates(h: int, G: tuple[int, ...], prec: int) -> list | None:
+    """sqrt(tau_j(G)) for each real conjugate of G in Z[c] (denominator 1), at
+    `prec` bits; None when a conjugate is not positive, as no square's is."""
+    taus, _ = _conjugates(h, prec)
+    with mpmath.workprec(prec):
+        vals = [_beval(G, t, mp.mpf(0)) for t in taus]
+        if min(vals) <= 0:
+            return None
+        return [mpmath.sqrt(v) for v in vals]
+
+
+def _conjugate_sqrt(h: int, g: tuple[int, ...], prec: int) -> tuple[int, ...] | None:
+    """The root of g in Q(c) that is positive at c, read off the real
+    conjugates of g at `prec` bits, or None when no candidate squares back.
+
+    G = den^2 g lies in Z[c], the ring of integers of the real subfield of
+    Q(zeta_2h) (Washington, Prop. 2.16), so a square root of G is integral:
+    its coordinates x are integers with V x = (e_j a_j), a_j = sqrt(tau_j(G))
+    and signs e_j = +-1, and sqrt(g) = x / den.  e_1 = +1 at j = 1, acy's
+    embedding, as -x has the opposite signs; the other 2^(D-1) sign
+    patterns are walked in Gray code, one fixed-point column of V^-1 per
+    step.  Each pattern's coordinates are rounded, and the candidate is a
+    root only if it squares back to g exactly.  Rounding can still land on
+    the negative root when the root is small at c, so its sign is then
+    certified (`Scalar.is_positive`)."""
+    den = g[0]
+    roots = _root_conjugates(h, (1,) + tuple(den * n for n in g[1:]), prec)
+    if roots is None:
+        return None
+    _, W = _conjugates(h, prec)
+    with mpmath.workprec(prec):
+        cols = [[int(a * w) for w in row] for a, row in zip(roots, W)]   # a_j V^-1[:, j] 2^prec
+    x = [sum(col) for col in zip(*cols)]
+    sign = [1] * len(cols)
+    half = 1 << (prec - 1)
+    mul = _base_field(h).mul
+    for step in range(1 << (len(cols) - 1)):
+        if step:   # flip the sign of conjugate j, by the Gray code of step
+            j = (step & -step).bit_length()
+            x = [v - 2 * sign[j] * w for v, w in zip(x, cols[j])]
+            sign[j] = -sign[j]
+        b = _bnormalize(den, tuple((v + half) >> prec for v in x))
+        if mul(b, b) == g:
+            return b if Scalar(FieldTower(h), {0: b}).is_positive() else _bneg(b)
+    return None
 
 
 def _base_sqrt(h: int, g: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Exact sqrt of a positive g in Q(c) if it is a square there, else None.
+    """The exact sqrt of a positive g in Q(c) that is positive at c, if g is a
+    square there, else None.
 
     Both answers are certain.  A quadratic non-residue of g at a degree-1
-    prime of Q(c) proves that g is not a square; a PSLQ root that squares
-    back to g proves that it is.  The split primes supply D degree-1 primes
-    each, and Q(c) is the whole real subfield of Q(zeta_2h), so a positive
-    non-square is a non-residue at half of them (Chebotarev; Adleman's
-    quadratic characters).  The two sides alternate: 16 primes, then PSLQ at
-    400, 800, 1600 and 3200 bits; past that, ArithmeticError.
+    prime of Q(c) proves that g is not a square; a root read off the real
+    conjugates of g (`_conjugate_sqrt`) that squares back to g proves that it
+    is.  The split primes supply D degree-1 primes each, and Q(c) is the whole
+    real subfield of Q(zeta_2h), so a positive non-square is a non-residue at
+    half of them (Chebotarev; Adleman's quadratic characters).  The two sides
+    alternate: 16 primes, then the conjugates at 400, 800, 1600 and 3200
+    bits; past that, ArithmeticError.
     """
     g = _bnormalize(g[0], g[1:])
     if _bis_zero(g):
@@ -970,7 +1023,7 @@ def _base_sqrt(h: int, g: tuple[int, ...]) -> tuple[int, ...] | None:
                 continue
             if any(pow(_bmod(g, x, p), (p - 1) // 2, p) == p - 1 for x in images):
                 return None
-        hit = _pslq_base_sqrt(h, g, prec)
+        hit = _conjugate_sqrt(h, g, prec)
         if hit is not None:
             return hit
     raise ArithmeticError(f"undecided whether {g} is a square at h={h}")

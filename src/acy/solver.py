@@ -7,10 +7,13 @@ every sign is +; the seed plays no part.  Elsewhere one Levenberg-Marquardt
 least-squares kernel runs on the compiled type I/II system, in fixed-point
 integers: at scale 2^64 from random starts, and then at scale 2^prec from the
 first start that converges; each distinct squared weight is recognised in
-the base field by one integer relation (PSLQ).  Both routes then adjoin the
-square root of each distinct |w|^2 to the tower unless the tower already
-holds it, and re-verify the cells exactly; a system that survives is
-certified.
+the base field by one integer relation (PSLQ), the only lattice search of
+the solver.  Both routes then adjoin the square root of each distinct |w|^2
+to the tower unless the tower already holds it.  That test
+(`FieldTower.adjoin_sqrt`) is exact: quadratic characters refute a
+non-square, and a square's root is read off its real conjugates and
+squared back.  The cells are then re-verified exactly; a system that
+survives is certified.
 """
 
 from __future__ import annotations

@@ -353,7 +353,7 @@ def test_failed_math_check_exits_3(monkeypatch, capsys):
 
 
 def test_an_undecided_square_test_is_a_solver_error(monkeypatch, capsys):
-    # the square test gives up with ArithmeticError past its last PSLQ
+    # the square test gives up with ArithmeticError past its last
     # precision; solve_cells reports it as a SolverError, exit 4
     import acy.cli
     import acy.scalar

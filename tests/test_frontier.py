@@ -14,7 +14,7 @@ def _frontier():
 
 def test_frontier_records_a_pass_and_a_timeout(tmp_path, monkeypatch):
     frontier = _frontier()
-    # A4 passes in well under a second; D21 with a live solve takes ~50 s
+    # A4 passes in well under a second; D21 with a live solve takes ~28 s
     monkeypatch.setattr(frontier, "LADDER", [("A4", "builtin"), ("D21", "solve")])
     monkeypatch.setattr(frontier, "TIMEOUT_S", 3)
     monkeypatch.setattr(frontier, "OUT_DIR", tmp_path)

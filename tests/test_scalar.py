@@ -184,8 +184,9 @@ def _check_against_the_factor_route(h, g):
 
 
 def test_base_sqrt_matches_the_factor_route():
-    # the quadratic characters and the verified PSLQ root decide these; their
-    # decisions must be the ones the complete factorization gives
+    # the quadratic characters and the verified root from the real conjugates
+    # decide these; their decisions must be the ones the complete
+    # factorization gives
     for h in (5, 7, 8, 9, 12):
         t = FieldTower(h)
         c = t.generator()
@@ -197,7 +198,7 @@ def test_base_sqrt_matches_the_factor_route():
 
 @pytest.mark.parametrize("h", [3, 5, 8, 12, 17])
 def test_base_relation_recognises_a_base_field_element(h):
-    # the solver's exact |w|^2 and the square test's root both come from here
+    # the least-squares route's exact |w|^2 comes from here
     t = FieldTower(h)
     c = t.generator()
     for x in (t.from_fraction(Fraction(-3, 7)), (3 + c * 5 - c * c * 2) / 7, (1 + c) ** 3):
@@ -250,7 +251,7 @@ def test_solve_loads_no_sympy():
 
 from functools import lru_cache  # noqa: E402
 
-from hypothesis import assume, given, reject, settings  # noqa: E402
+from hypothesis import assume, example, given, reject, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from acy.scalar import _bnormalize, _bone, _cyclotomic  # noqa: E402
@@ -523,3 +524,26 @@ def test_residue_raises_when_p_divides_a_denominator():
     with pytest.raises(ZeroDivisionError):
         residue(Fraction(1, 3 * emb.p), emb)
     assert residue(-1, emb) == emb.p - 1
+
+
+@settings(deadline=None, max_examples=40)
+# y = (2 - c)(c - 1) is 0.017 at c and of mixed sign at the other conjugates:
+# rounding lands on -y first, and only the sign check turns it round
+@example((24, [-2, 3, -1, 0, 0, 0, 0, 0], Fraction(1)))
+@given(st.sampled_from((20, 24, 27, 30, 33)).flatmap(lambda h: st.tuples(
+    st.just(h),
+    st.lists(st.one_of(st.integers(-40, 40), st.integers(-2 ** 64, 2 ** 64)),
+             min_size=_base_field(h).D, max_size=_base_field(h).D),
+    st.fractions(-50, 50, max_denominator=30).filter(bool))))
+def test_base_sqrt_of_a_square_at_large_degree(args):
+    # D = 8, 8, 9, 8 and 10: up to 2^9 sign patterns of the conjugates; the
+    # root returned is the one positive at c, and it squares back exactly
+    h, nums, k = args
+    assume(any(nums))
+    t = FieldTower(h)
+    y = t.from_base(nums) * k
+    root = y if y.is_positive() else -y
+    g = (y * y).re[0]
+    b = _base_sqrt(h, g)
+    assert b == root.re[0]
+    assert _base_field(h).mul(b, b) == g

@@ -195,6 +195,43 @@ def test_a11_is_solved_from_type_I_without_relations(monkeypatch):
     assert cells.tower.degree == 80 and len(cells.weights) == 64
 
 
+def test_the_a_family_reaches_no_pslq(monkeypatch):
+    # the exact route's square roots come from the real conjugates, so an
+    # A11 solve with PSLQ unavailable still gives the pinned cells
+    def no_pslq(*args, **kwargs):
+        raise AssertionError("mpmath.pslq was called")
+
+    monkeypatch.setattr(mpmath, "pslq", no_pslq)
+    doc = cells_to_doc(solve_cells(build_family("A", 11), seed=0))
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == SOLVED_SHA256["A", 11]
+
+
+def test_a_perturbed_conjugate_gives_no_root_and_a_solver_error(monkeypatch):
+    # the last conjugate root off by 2 moves the c coordinate of every sign
+    # pattern by 2 V^-1[1, 2] = -0.87 at h = 7, past what rounding absorbs:
+    # the sign search returns nothing, the square test stays undecided at
+    # every precision, and the A7 solve, whose radicands include squares,
+    # stops with a SolverError
+    import acy.scalar as scalar
+
+    def perturbed(h, G, prec):
+        roots = root_conjugates(h, G, prec)
+        return roots[:-1] + [roots[-1] + 2]
+
+    root_conjugates = scalar._root_conjugates
+    mul = scalar._base_field(7).mul
+    y = (1, 2, 1, 0)   # 2 + c at h = 7
+    g = mul(y, y)
+    assert scalar._conjugate_sqrt(7, g, 400) == y
+    monkeypatch.setattr(scalar, "_root_conjugates", perturbed)
+    assert scalar._conjugate_sqrt(7, g, 400) is None
+    with pytest.raises(ArithmeticError, match="undecided"):
+        scalar._base_sqrt(7, g)
+    with pytest.raises(SolverError, match="cannot adjoin a squared weight of A7"):
+        solve_cells(build_family("A", 7))
+
+
 def test_a9_cells_do_not_depend_on_the_seed():
     g = build_family("A", 9)
     a, b = solve_cells(g, seed=0), solve_cells(g, seed=7)
