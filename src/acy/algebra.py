@@ -99,12 +99,10 @@ class GradedAlgebra:
             rels_at.setdefault(r.src, []).append(r)
         H = series.hilbert_closed_form(g)
         vi = g.vindex
+        out_by_id = {v: sorted(es, key=lambda e: e.id) for v, es in g.out_edges.items()}
         for k in range(1, self.top + 2):
             prev = self.basis[k - 1]
-            monos = []       # (prev index, edge)
-            for i, b in enumerate(prev):
-                for e in sorted(g.out_edges[b.dst], key=lambda e: e.id):
-                    monos.append((i, e))
+            monos = [(i, e) for i, b in enumerate(prev) for e in out_by_id[b.dst]]
             mono_pos = {(i, e.id): t for t, (i, e) in enumerate(monos)}
             by_block: dict[tuple[str, str], list[int]] = {}
             for t, (i, e) in enumerate(monos):
@@ -297,8 +295,6 @@ class GradedAlgebra:
         if set(c) != set(g.vertices):
             raise AlgebraError("graph is not strongly connected; form propagation failed")
         self.f_coeff = {tops[j]: c[j] for j in g.vertices}
-        # normalized generators u_j with f(u_j) = 1
-        self.u_vec = {j: {tops[j]: scalar.inverse(c[j])} for j in g.vertices}
         # f(x y) once per pairing pair: x in a block (s, d) of degree p and y
         # in its partner block (d, nu s) of degree T - p.  A_T lies on the
         # nu-diagonal, so f vanishes on every other product.

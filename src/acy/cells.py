@@ -7,7 +7,9 @@ system we derive the degree-2 relations of the quotient algebra: for an edge
 a the relation is the sum over based loops (a, b, c) of W' * (the path bc),
 for the simplest potential W' gauge-equivalent to W (see `derive_relations`).
 
-The equations are compiled once per graph into monomial form, shared by the
+Triangles, relations and both equations are sums over edge paths that
+close up, so they all join on `Graph.between`, the edges s -> d.  The
+equations are compiled once per graph into monomial form, shared by the
 exact verifier and the numeric solver backends.
 """
 
@@ -19,19 +21,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .quiver import Graph, build_family, json_field
+from .quiver import Graph, build_family, canon, json_field
 from .scalar import RATIONALS, FieldTower, Scalar
 
 __all__ = ["CellSystem", "RelationSet", "CellReport", "compile_equations",
            "verify_type_I", "verify_type_II", "derive_relations",
            "check_nu_invariance", "orbit_incidence", "orbifold_cells", "unfold_cells",
            "builtin_cells", "family_cells", "cells_to_doc", "cells_from_doc"]
-
-
-def canon(tri: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Canonical representative of a closed loop under cyclic rotation."""
-    a, b, c = tri
-    return min((a, b, c), (b, c, a), (c, a, b))
 
 
 def nu_orbit(graph: Graph, tri: tuple[int, int, int]) -> tuple[tuple, tuple, tuple]:
@@ -62,9 +58,6 @@ class CellSystem:
 
     def weight(self, e1: int, e2: int, e3: int) -> Scalar:
         return self.weights[canon((e1, e2, e3))]
-
-    def is_real(self) -> bool:
-        return all(w.is_real() for w in self.weights.values())
 
     def __repr__(self):
         return f"CellSystem({self.graph.name}, {len(self.weights)} triangles, {self.label})"
@@ -135,15 +128,13 @@ def _type_I_equations(graph: Graph, pool: dict) -> list[Equation]:
     two = tower.quantum(2)
     one, zero = tower.one(), tower.zero()
     eqs: list[Equation] = []
-    out_e = graph.out_edges
-    for (i, j), cls in sorted(graph.parallel_classes().items()):
+    out_e, between = graph.out_edges, graph.between
+    for (i, j), cls in sorted(between.items()):
         for a in cls:
             for a2 in cls:
                 terms = []
                 for b1 in out_e[j]:
-                    for b2 in graph.out_edges[b1.dst]:
-                        if b2.dst != i:
-                            continue
+                    for b2 in between.get((b1.dst, i), ()):
                         terms.append((one, (_mono(pool, (a.id, b1.id, b2.id), False),
                                             _mono(pool, (a2.id, b1.id, b2.id), True))))
                 rhs = two * phi[i] * phi[j] if a.id == a2.id else zero
@@ -158,7 +149,10 @@ def _type_II_equations(graph: Graph, pool: dict) -> list[Equation]:
     zero = tower.zero()
     inv_phi = {v: phi[v].inverse() for v in graph.vertices}
     eqs: list[Equation] = []
-    out_e, in_e = graph.out_edges, graph.in_edges
+    out_e, in_e, between = graph.out_edges, graph.in_edges, graph.between
+    # the k with an edge i1 -> k, in vertex order
+    targets = {v: sorted({e.dst for e in es}, key=graph.vindex.__getitem__)
+               for v, es in out_e.items()}
     for i2 in graph.vertices:
         for a2 in out_e[i2]:
             i1 = a2.dst
@@ -166,20 +160,14 @@ def _type_II_equations(graph: Graph, pool: dict) -> list[Equation]:
                 i3 = a3.dst
                 for a1 in in_e[i1]:
                     i4 = a1.src
-                    for a4 in out_e[i4]:
-                        if a4.dst != i3:
-                            continue
+                    for a4 in between.get((i4, i3), ()):
                         terms = []
-                        for k in graph.vertices:
-                            b1s = [b for b in out_e[i1] if b.dst == k]
-                            if not b1s:
-                                continue
-                            b3s = [b for b in out_e[i3] if b.dst == k]
-                            if not b3s:
-                                continue
-                            b2s = [b for b in out_e[k] if b.dst == i2]
-                            b4s = [b for b in out_e[k] if b.dst == i4]
-                            if not b2s or not b4s:
+                        for k in targets[i1]:
+                            b1s = between[(i1, k)]
+                            b3s = between.get((i3, k))
+                            b2s = between.get((k, i2))
+                            b4s = between.get((k, i4))
+                            if not b3s or not b2s or not b4s:
                                 continue
                             coeff = inv_phi[k]
                             for b1 in b1s:
@@ -298,9 +286,7 @@ def derive_relations(cells: CellSystem) -> RelationSet:
     for a in g.edges:
         terms = {}
         for b in g.out_edges[a.dst]:
-            for c in g.out_edges[b.dst]:
-                if c.dst != a.src:
-                    continue
+            for c in g.between.get((b.dst, a.src), ()):
                 w = W.get(canon((a.id, b.id, c.id)))
                 if w:
                     terms[(b.id, c.id)] = w
@@ -393,7 +379,7 @@ def orbifold_cells(d_graph: Graph, a_cells: CellSystem) -> CellSystem:
     omegas = [tower.one(), omega, omega * omega]
 
     # the two parallel D-edges: phase exponents 1 and 2 by increasing edge id
-    doubles = [es for es in d_graph.parallel_classes().values() if len(es) > 1]
+    doubles = [es for es in d_graph.between.values() if len(es) > 1]
     if len(doubles) != 1 or len(doubles[0]) != 2:
         raise ValueError("expected exactly one double edge on the orbifold graph")
     gamma, gamma2 = sorted(e.id for e in doubles[0])

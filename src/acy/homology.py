@@ -100,10 +100,11 @@ def differentials(A: GradedAlgebra) -> dict:
     for m in g.vertices:
         mu[3][m] = ([(edge(e.id), e.id, idem(m), one) for e in g.out_edges[m]]
                     + [(idem(m), e.id, edge(e.id), minus) for e in g.in_edges[m]])
-        mu[4][m] = [((p, w), A.basis[p][w].dst, (T - p, j), c)
-                    for p in range(T + 1)
-                    for (s, _), ws in A.block_index[p].items() if s == m
-                    for w in ws for j, c in A.duals[p][w].items()]
+        mu[4][m] = []
+    for p in range(T + 1):  # mu_4: each block's terms go to its source vertex
+        for (s, _), ws in A.block_index[p].items():
+            mu[4][s] += [((p, w), A.basis[p][w].dst, (T - p, j), c)
+                         for w in ws for j, c in A.duals[p][w].items()]
     return mu
 
 
@@ -142,7 +143,6 @@ class Homology:
         A.build_form()
         self.A = A
         self.g = A.graph
-        self.tower = A.tower
         self.trivial_nu = self.g.nu_is_trivial()
         self.mu = differentials(A)
         self._space_cache: dict = {}

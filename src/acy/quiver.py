@@ -17,14 +17,13 @@ built-in cell data; they can only enter through user-supplied files.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 
 from . import linalg
 from .scalar import FieldTower, Scalar
 
 __all__ = ["Edge", "Graph", "GraphError", "build_family", "parse_graph_spec",
-           "family_catalog", "perron_frobenius", "save_graph", "load_graph",
+           "canon", "family_catalog", "perron_frobenius", "save_graph", "load_graph",
            "json_field", "unfold"]
 
 
@@ -33,6 +32,12 @@ class Edge:
     id: int
     src: str
     dst: str
+
+
+def canon(tri: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Canonical representative of a closed loop under cyclic rotation."""
+    a, b, c = tri
+    return min((a, b, c), (b, c, a), (c, a, b))
 
 
 class GraphError(ValueError):
@@ -57,7 +62,8 @@ class Graph:
 
     Immutable after construction.  `nu_v`/`nu_e` give the Z3 symmetry on
     vertices and edge ids; `phi` is the exact Perron-Frobenius eigenvector
-    for the eigenvalue [3]_q, normalized to minimum entry 1.
+    for the eigenvalue [3]_q, normalized to minimum entry 1.  `between[s, d]`
+    lists the edges s -> d in edge-list order, for the pairs that have one.
     """
 
     def __init__(self, name: str, h: int, vertices: list[str], edges: list[Edge],
@@ -78,11 +84,13 @@ class Graph:
             raise GraphError("duplicate edge ids")
         self.out_edges: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         self.in_edges: dict[str, list[Edge]] = {v: [] for v in self.vertices}
+        self.between: dict[tuple[str, str], list[Edge]] = {}
         for e in self.edges:
             if e.src not in self.vindex or e.dst not in self.vindex:
                 raise GraphError(f"edge {e.id} has unknown endpoint")
             self.out_edges[e.src].append(e)
             self.in_edges[e.dst].append(e)
+            self.between.setdefault((e.src, e.dst), []).append(e)
         self._validate_nu()
         self.nu_e = dict(nu_e) if nu_e is not None else self._derive_edge_nu()
         self._validate()
@@ -101,28 +109,12 @@ class Graph:
     def nu_is_trivial(self) -> bool:
         return all(v == w for v, w in self.nu_v.items())
 
-    def parallel_classes(self) -> dict[tuple[str, str], list[Edge]]:
-        out: dict[tuple[str, str], list[Edge]] = {}
-        for e in self.edges:
-            out.setdefault((e.src, e.dst), []).append(e)
-        return out
-
     def triangles(self) -> list[tuple[int, int, int]]:
-        """Closed 3-loops of edge ids, one representative per cyclic class."""
-        seen = set()
-        out = []
-        for e1 in self.edges:
-            for e2 in self.out_edges[e1.dst]:
-                for e3 in self.out_edges[e2.dst]:
-                    if e3.dst != e1.src:
-                        continue
-                    t = (e1.id, e2.id, e3.id)
-                    canon = min(t, (t[1], t[2], t[0]), (t[2], t[0], t[1]))
-                    if canon not in seen:
-                        seen.add(canon)
-                        out.append(canon)
-        out.sort()
-        return out
+        """Closed 3-loops of edge ids, one `canon` representative per cyclic
+        class, sorted."""
+        return sorted({canon((e1.id, e2.id, e3.id)) for e1 in self.edges
+                       for e2 in self.out_edges[e1.dst]
+                       for e3 in self.between.get((e2.dst, e1.src), ())})
 
     def nu_vertex_pow(self, v: str, k: int) -> str:
         k %= 3
@@ -143,21 +135,20 @@ class Graph:
         for v in self.vertices:
             if self.nu_vertex_pow(v, 3) != v:
                 raise GraphError(f"nu^3 != id at vertex {v!r}")
-        mult = Counter((e.src, e.dst) for e in self.edges)
         nu = self.nu_v
-        for (s, d), m in mult.items():
-            if mult[(nu[s], nu[d])] != m:
+        for (s, d), es in self.between.items():
+            if len(self.between.get((nu[s], nu[d]), ())) != len(es):
                 raise GraphError(f"P does not commute with the adjacency matrix "
                                  f"at {s!r} -> {d!r}")
 
     def _derive_edge_nu(self) -> dict[int, int]:
         if self.nu_is_trivial():
             return {e.id: e.id for e in self.edges}
-        classes = self.parallel_classes()
-        if any(len(es) > 1 for es in classes.values()):
+        if any(len(es) > 1 for es in self.between.values()):
             raise GraphError("nontrivial nu requires an explicit edge map "
                              "in the presence of parallel edges")
-        return {e.id: classes[(self.nu_v[e.src], self.nu_v[e.dst])][0].id for e in self.edges}
+        return {e.id: self.between[(self.nu_v[e.src], self.nu_v[e.dst])][0].id
+                for e in self.edges}
 
     def _validate(self):
         if set(self.nu_e) != set(self.edge_by_id):
@@ -178,7 +169,7 @@ class Graph:
                 if ca is None or cb is None or (ca + 1) % 3 != cb:
                     raise GraphError(f"edge {e.id} ({e.src}->{e.dst}) violates the colouring")
         if not self.nu_is_trivial():
-            if any(len(es) > 1 for es in self.parallel_classes().values()):
+            if any(len(es) > 1 for es in self.between.values()):
                 raise GraphError("graphs with nontrivial P must not have parallel edges")
 
     def _validate_phi(self):

@@ -295,7 +295,7 @@ def _type_I_squares(sys: _NumericSystem, graph: Graph) -> list | None:
     if sorted(red) != list(range(n)):
         return None
     squares = [red[j].get(n) for j in range(n)]
-    if not all(u is not None and u.is_positive() for u in squares):
+    if None in squares or not all(u.is_positive() for u in set(squares)):
         return None
     rows = [{o: 1 for o, k in row.items() if k % 2}
             for row in orbit_incidence(graph, sys.triangles)]

@@ -2,6 +2,9 @@
 
 - `gauge_transform`: cells moved by a unitary gauge on the parallel edges,
   which must keep type I and II.
+- `brute_triangles`, `brute_equations`: the closed 3-loops and the type I
+  and II equations, listed from every edge tuple without `Graph.between`,
+  which `Graph.triangles` and `compile_equations` must equal, order included.
 - `standard_relations_e8star`, `standard_relations_e8`: the E8* relations
   in their closed form and their threefold unfolding, which must build the
   same algebra as the relations derived from the built-in cells.
@@ -29,9 +32,8 @@ def gauge_transform(cells: CellSystem, u: dict) -> CellSystem:
     """
     g = cells.graph
     tower = cells.tower
-    classes = g.parallel_classes()
     mats = {}
-    for key, es in classes.items():
+    for key, es in g.between.items():
         m = u.get(key)
         if m is None:
             continue
@@ -61,27 +63,80 @@ def gauge_transform(cells: CellSystem, u: dict) -> CellSystem:
         a, b, c = t
         acc = tower.zero()
         ea, eb, ec = (g.edge_by_id[x] for x in t)
-        for a2 in g.out_edges[ea.src]:
-            if a2.dst != ea.dst:
-                continue
+        for a2 in g.between[(ea.src, ea.dst)]:
             fa = factor(a, a2.id)
             if fa is None or fa.is_zero():
                 continue
-            for b2 in g.out_edges[eb.src]:
-                if b2.dst != eb.dst:
-                    continue
+            for b2 in g.between[(eb.src, eb.dst)]:
                 fb = factor(b, b2.id)
                 if fb is None or fb.is_zero():
                     continue
-                for c2 in g.out_edges[ec.src]:
-                    if c2.dst != ec.dst:
-                        continue
+                for c2 in g.between[(ec.src, ec.dst)]:
                     fc = factor(c, c2.id)
                     if fc is None or fc.is_zero():
                         continue
                     acc = acc + fa * fb * fc * cells.weights[canon((a2.id, b2.id, c2.id))]
         weights[t] = acc
     return CellSystem(g, tower, weights, label=cells.label + "+gauge")
+
+
+# ---------------------------------------------------------------------------
+# brute-force triangles and cell equations
+# ---------------------------------------------------------------------------
+
+def _edges(g: Graph, src: str | None = None, dst: str | None = None) -> list:
+    """The edges from src to dst, either end free when None, by a full scan."""
+    return [e for e in g.edges
+            if (src is None or e.src == src) and (dst is None or e.dst == dst)]
+
+
+def brute_triangles(g: Graph) -> list[tuple[int, int, int]]:
+    """The closed 3-loops, one canonical rotation each, sorted."""
+    return sorted({canon((a.id, b.id, c.id)) for a in g.edges
+                   for b in _edges(g, src=a.dst) for c in _edges(g, b.dst, a.src)})
+
+
+def brute_equations(g: Graph) -> list[tuple]:
+    """(kind, frame, terms, rhs) of each type I and II equation, in the order
+    of `compile_equations`, with terms (coeff, ((tri, conj), ...)).
+
+    Type I: a pair of parallel edges a, a': i -> j, by (i, j), sums
+    W(a b1 b2) conj W(a' b1 b2) over the paths b1 b2: j -> i.  Type II: a
+    frame a1: i4 -> i1, a2: i2 -> i1, a3: i2 -> i3, a4: i4 -> i3, by i2,
+    sums W(a2 b1 b2) conj W(a3 b3 b2) W(a4 b3 b4) conj W(a1 b1 b4) / phi_k
+    over k in vertex order and b1: i1 -> k, b2: k -> i2, b3: i3 -> k,
+    b4: k -> i4."""
+    tower, phi = g.tower, g.phi
+    one, zero = tower.one(), tower.zero()
+    out = []
+    pairs = [(a, a2) for a in g.edges for a2 in _edges(g, a.src, a.dst)]
+    for a, a2 in sorted(pairs, key=lambda p: (p[0].src, p[0].dst)):
+        i, j = a.src, a.dst
+        terms = [(one, ((canon((a.id, b1.id, b2.id)), False),
+                        (canon((a2.id, b1.id, b2.id)), True)))
+                 for b1 in _edges(g, src=j) for b2 in _edges(g, b1.dst, i)]
+        rhs = tower.quantum(2) * phi[i] * phi[j] if a.id == a2.id else zero
+        out.append(("I", (a.id, a2.id), terms, rhs))
+    for i2 in g.vertices:
+        for a2 in _edges(g, src=i2):
+            for a3 in _edges(g, src=i2):
+                for a1 in _edges(g, dst=a2.dst):
+                    for a4 in _edges(g, a1.src, a3.dst):
+                        i1, i3, i4 = a2.dst, a3.dst, a1.src
+                        terms = [(phi[k].inverse(), ((canon((a2.id, b1.id, b2.id)), False),
+                                                     (canon((a3.id, b3.id, b2.id)), True),
+                                                     (canon((a4.id, b3.id, b4.id)), False),
+                                                     (canon((a1.id, b1.id, b4.id)), True)))
+                                 for k in g.vertices
+                                 for b1 in _edges(g, i1, k) for b2 in _edges(g, k, i2)
+                                 for b3 in _edges(g, i3, k) for b4 in _edges(g, k, i4)]
+                        rhs = zero
+                        if a1.id == a4.id and a2.id == a3.id:
+                            rhs = rhs + phi[i4] * phi[i1] * phi[i2]
+                        if a1.id == a2.id and a3.id == a4.id:
+                            rhs = rhs + phi[i1] * phi[i2] * phi[i3]
+                        out.append(("II", (a1.id, a2.id, a3.id, a4.id), terms, rhs))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +154,7 @@ def standard_relations_e8star(graph: Graph | None = None) -> RelationSet:
     s3_over_2 = s3 / q2
 
     def eid(src, dst):
-        hits = [e.id for e in g.out_edges[src] if e.dst == dst]
+        hits = [e.id for e in g.between.get((src, dst), ())]
         if len(hits) != 1:
             raise ValueError(f"expected one edge {src}->{dst} on E8*, found {len(hits)}")
         return hits[0]

@@ -254,7 +254,7 @@ def test_criterion_7_cell_certification():
     for name in ("A4", "D9"):
         g, cells, A, hom = pipeline(name)
         if name == "D9":
-            (pair,) = [es for es in g.parallel_classes().values() if len(es) > 1]
+            (pair,) = [es for es in g.between.values() if len(es) > 1]
             u = {(pair[0].src, pair[0].dst):
                  [[Fraction(3, 5), Fraction(4, 5)], [Fraction(-4, 5), Fraction(3, 5)]]}
         else:

@@ -7,7 +7,7 @@ from acy.algebra import AlgebraError, GradedAlgebra, spot_checks
 from acy.cells import CellSystem, builtin_cells, derive_relations
 from acy.homology import Homology, build_report, verify_resolution
 from acy.quiver import build_family, parse_graph_spec
-from acy.scalar import Scalar
+from acy.scalar import Scalar, inverse
 from acy.series import hilbert_closed_form
 from conftest import scalar_relations
 
@@ -73,12 +73,19 @@ def test_associativity_random(pipe):
         checked += 1
 
 
+def _top_generators(A) -> dict:
+    """The normalized generators u_j of A_T, with f(u_j) = 1, by vertex j."""
+    return {A.basis[A.top][i].src: {i: inverse(c)} for i, c in A.f_coeff.items()}
+
+
 def test_form_and_top_generators(pipe):
     for spec in ("A4", "A5", "E8*", "E8"):
         g, _, A, _ = pipe(spec)
         A.build_form()
+        u = _top_generators(A)
+        assert set(u) == set(g.vertices)
         for j in g.vertices:
-            assert A.f(A.u_vec[j]) == 1
+            assert A.f(u[j]) == 1
         # f vanishes implicitly below the top degree: pair() uses top products
         # and the pairing matrices were inverted during build_form
 
@@ -87,11 +94,12 @@ def test_dual_bases(pipe):
     g, _, A, _ = pipe("A5")
     A.build_form()
     T = A.top
+    u = _top_generators(A)
     for p in range(T + 1):
         for i, wstar in sorted(A.duals[p].items()):
             b = A.basis[p][i]
             prod = A.mul(p, A.unit(p, i), T - p, wstar)
-            assert prod == A.u_vec[b.src]
+            assert prod == u[b.src]
             # mixed products vanish under f
             for i2 in range(A.dim(p)):
                 if i2 != i:
@@ -99,7 +107,7 @@ def test_dual_bases(pipe):
                     assert val == 0
     # degree 0: the dual of a vertex idempotent is the normalized generator
     for j in g.vertices:
-        assert A.duals[0][g.vindex[j]] == A.u_vec[j]
+        assert A.duals[0][g.vindex[j]] == u[j]
 
 
 def test_dual_element_basis_independence(pipe):

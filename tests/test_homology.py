@@ -126,7 +126,7 @@ def _bump_first_entry(hom, r, t, j):
     for col in hom.mat(r, t, j)["cols"]:
         if col:
             p = min(col)
-            col[p] = col[p] + hom.tower.one()
+            col[p] = col[p] + hom.A.one
             return
     raise AssertionError(f"mat{(r, t, j)} is zero")
 

@@ -46,7 +46,7 @@ def test_vertex_counts():
 
 def test_d9_double_edge_and_identity_p():
     g = build_family("D", 9)
-    doubles = [es for es in g.parallel_classes().values() if len(es) > 1]
+    doubles = [es for es in g.between.values() if len(es) > 1]
     assert len(doubles) == 1 and len(doubles[0]) == 2
     assert g.nu_is_trivial()
 
