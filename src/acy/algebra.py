@@ -248,10 +248,10 @@ class GradedAlgebra:
 
     def build_form(self):
         """Choose top generators u_j and propagate f by (x,y) = (y, beta(x))
-        along a spanning tree; then tabulate f(x y) once per pairing pair,
-        check (x,y) = (y, beta(x)) on every pair off that table, and invert
-        each pairing block for the dual bases.  The tables of degrees p and
-        T - p are built together and dropped once both degrees are done."""
+        along a spanning tree; then tabulate f(x y) once per pairing pair, in
+        degree order, check (x,y) = (y, beta(x)) on every pair off those
+        tables, and invert each pairing block for the dual bases.  The lowest
+        failing degree raises."""
         if self._form_built:
             return
         g, T = self.graph, self.top
@@ -341,20 +341,9 @@ class GradedAlgebra:
                     self.duals[p][x_i] = {yidx[q]: cq for q, cq in inv[r].items()}
 
         self.duals: list[dict[int, dict]] = [dict() for _ in range(T + 1)]
-        # degree p reads the table of T - p: take the degrees in partner
-        # pairs, so that one pair's tables are alive at a time, and raise the
-        # failure of the lowest degree, the first in degree order
-        failed: dict[int, AlgebraError] = {}
-        for p0 in range(T // 2 + 1):
-            fxy = {p: table(p) for p in sorted({p0, T - p0})}
-            for p in fxy:
-                try:
-                    pair_degree(p, fxy[p], fxy[T - p])
-                except AlgebraError as err:
-                    failed[p] = err
-            del fxy  # before the next pair's tables are built
-        if failed:
-            raise failed[min(failed)]
+        fxy = [table(p) for p in range(T + 1)]
+        for p in range(T + 1):
+            pair_degree(p, fxy[p], fxy[T - p])
         self._form_built = True
 
     def f(self, vec: dict) -> Scalar:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .quiver import Graph, build_family, canon, json_field
+from .quiver import Graph, canon, json_field
 from .scalar import RATIONALS, FieldTower, Scalar
 
 __all__ = ["CellSystem", "RelationSet", "CellReport", "compile_equations",
@@ -336,25 +336,6 @@ def check_nu_invariance(cells: CellSystem) -> bool:
 # unfolding (G -> threefold cover)
 # ---------------------------------------------------------------------------
 
-def _phi_ratio(d_graph: Graph, cover: Graph, rep_of: dict, centre: str, tower: FieldTower):
-    """mu with phi_D([u]) = mu phi_A(u) and phi_D(c_l) = mu phi_A(centre)/3."""
-    mu = None
-    for v in cover.vertices:
-        if v == centre:
-            continue
-        lbl = f"[{rep_of[v]}]"
-        ratio = d_graph.phi[lbl].lift(tower) / cover.phi[v].lift(tower)
-        if mu is None:
-            mu = ratio
-        elif mu != ratio:
-            raise ValueError("inconsistent phi ratio between orbifold and cover")
-    for l in range(3):
-        expect = mu * cover.phi[centre].lift(tower) / 3
-        if d_graph.phi[f"c{l}"].lift(tower) != expect:
-            raise ValueError("triplicated-vertex phi is not one third of the cover's")
-    return mu
-
-
 def orbifold_cells(d_graph: Graph, a_cells: CellSystem) -> CellSystem:
     """Cell system on D(3k+3) from a nu-invariant one on A(3k+3).
 
@@ -364,15 +345,18 @@ def orbifold_cells(d_graph: Graph, a_cells: CellSystem) -> CellSystem:
     also close at the start.  The weight is the cover weight of the lift (zero
     if it does not close); a triangle through the triplicated vertex c_l also
     takes 1/sqrt(3) and the phase omega^(l) or omega^(2l) according to which
-    of the two parallel edges it uses.
+    of the two parallel edges it uses.  Every weight also takes the scale mu
+    with phi_D([u]) = mu phi_A(u), which the construction fixes for all u at
+    once, so one orbit representative gives it.
     """
-    cover: Graph = d_graph.cover
+    cover: Graph = d_graph.base
     lift = d_graph.cover_lift
     rep_of = d_graph.cover_orbit_rep
     if not check_nu_invariance(a_cells):
         raise ValueError("orbifold requires nu-invariant cover cells")
     tower, sqrt3 = a_cells.tower.adjoin_sqrt(a_cells.tower.from_fraction(3))
-    mu = _phi_ratio(d_graph, cover, rep_of, d_graph.cover_centre, tower)
+    rep = rep_of[cover.vertices[0]]  # (0, 0) is in a free orbit
+    mu = (d_graph.phi[f"[{rep}]"] / cover.phi[rep]).lift(tower)
     inv_sqrt3 = sqrt3.inverse()
     # omega^1 = -1/2 + i sqrt3/2
     omega = tower.from_fraction(Fraction(-1, 2)) + tower.i_times(sqrt3 * Fraction(1, 2))
@@ -410,22 +394,12 @@ def orbifold_cells(d_graph: Graph, a_cells: CellSystem) -> CellSystem:
 
 def unfold_cells(cover_graph: Graph, base_cells: CellSystem) -> CellSystem:
     """Cell system on the threefold unfolding: each base triangle lifts three
-    times with the same weight, rescaled to the cover's phi normalization."""
-    base: Graph = cover_graph.base_graph
+    times with the same weight, since the cover carries the base's own phi."""
     edge_of = cover_graph.base_edge_of
-    tower = base_cells.tower
-    mu = None
-    for v in base.vertices:
-        ratio = cover_graph.phi[f"{v}_0"].lift(tower) / base.phi[v].lift(tower)
-        if mu is None:
-            mu = ratio
-        elif mu != ratio:
-            raise ValueError("inconsistent phi ratio between cover and base")
-    weights = {}
-    for t in cover_graph.triangles():
-        b = canon(tuple(edge_of[x][0] for x in t))
-        weights[t] = base_cells.weights[b] * mu
-    return CellSystem(cover_graph, tower, weights, label=f"unfold({base_cells.label})")
+    weights = {t: base_cells.weights[canon(tuple(edge_of[x][0] for x in t))]
+               for t in cover_graph.triangles()}
+    return CellSystem(cover_graph, base_cells.tower, weights,
+                      label=f"unfold({base_cells.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -458,27 +432,25 @@ def _frozen_cells(graph: Graph) -> CellSystem:
 
 def family_cells(graph: Graph, base_cells) -> CellSystem:
     """Cells for any graph from `base_cells`, which supplies them for A, A*,
-    E8* and graphs outside the families: D is the orbifold of A, D* and E8
-    the unfoldings of A* and E8*.
+    E8* and graphs outside the families.  D, D* and E8 lift them from the
+    `base` their graph carries: D is the orbifold of A, D* and E8 the
+    unfoldings of A* and E8*.
 
-    Graphs loaded from files are accepted when structurally identical to the
-    built-in family of the same name (cells are built on a canonical twin
-    and re-tagged)."""
-    name = graph.name
-    if name == "E8":
-        base, link, lift = build_family("E8*"), "base_graph", unfold_cells
-    elif name.startswith("D") and name.endswith("*"):
-        base, link, lift = build_family("A*", int(name[1:-1])), "base_graph", unfold_cells
-    elif name.startswith("D"):
-        base, link, lift = build_family("A", int(name[1:])), "cover", orbifold_cells
-    else:
+    A graph loaded from a file carries no base.  A D, D* or E8 one is
+    accepted when structurally identical to the built-in graph of its name:
+    the cells are lifted on that twin and re-tagged."""
+    twin = graph
+    if not hasattr(graph, "base") and (graph.name == "E8" or graph.name.startswith("D")):
+        twin = _canonical_twin(graph)
+    if not hasattr(twin, "base"):
         return base_cells(graph)
-    twin = graph if hasattr(graph, link) else _canonical_twin(graph)
     try:
-        base_system = base_cells(base)
+        base_system = base_cells(twin.base)
     except FileNotFoundError:
-        raise FileNotFoundError(f"no built-in cell data for {name}, which is built from "
-                                f"{base.name}: use --cells solve or --cells file:PATH") from None
+        raise FileNotFoundError(f"no built-in cell data for {graph.name}, which is built "
+                                f"from {twin.base.name}: use --cells solve or "
+                                "--cells file:PATH") from None
+    lift = orbifold_cells if hasattr(twin, "cover_lift") else unfold_cells
     cells = lift(twin, base_system)
     if twin is graph:
         return cells

@@ -419,8 +419,8 @@ class Homology:
 
         Both sides are sparse dicts over the idempotent pairs (x, y), built in
         one pass over the support of each column: a top element t ends at one
-        idempotent e_b and starts at one e_a, so f(t e_b) and f(e_a t) are the
-        only values it contributes."""
+        idempotent e_b and starts at one e_a, and t e_b = e_a t = t, so f(t)
+        is the only value it contributes."""
         A, vi, T = self.A, self.g.vindex, self.A.top
         m = self.mat(4, 2, 0)
         dom = self.space(0, 0, 0)
@@ -435,10 +435,10 @@ class Homology:
         for (_, ic), col in zip(dom, m["cols"]):
             for p, c in col.items():
                 _, it = tgt[p]
-                top = A.basis[T][it]
+                top, ft = A.basis[T][it], A.f_coeff[it]
                 a, b = vi[top.src], vi[top.dst]
-                linalg.axpy(lhs, [((ic, b), A.f(A.mul_basis(T, it, 0, b)))], c)
-                fa = A.times(c, A.f(A.mul_basis(0, a, T, it)))
+                linalg.axpy(lhs, [((ic, b), ft)], c)
+                fa = A.times(c, ft)
                 for ib, cc in beta_of.get(ic, ()):
                     linalg.axpy(rhs, [((a, ib), fa)], A.axpy_coef(cc))
         return lhs == rhs

@@ -128,7 +128,7 @@ class Graph:
         """nu is a permutation of order dividing 3 whose matrix P commutes with
         Delta: for a permutation, P Delta = Delta P says exactly that s -> d
         and nu(s) -> nu(d) have the same multiplicity, which also gives
-        P Delta^T = Delta^T P."""
+        P Delta^T = Delta^T P.  A nontrivial nu admits no parallel edges."""
         for v in self.vertices:
             if v not in self.nu_v or self.nu_v[v] not in self.vindex:
                 raise GraphError(f"nu undefined or out of range at vertex {v!r}")
@@ -140,13 +140,12 @@ class Graph:
             if len(self.between.get((nu[s], nu[d]), ())) != len(es):
                 raise GraphError(f"P does not commute with the adjacency matrix "
                                  f"at {s!r} -> {d!r}")
+        if not self.nu_is_trivial() and any(len(es) > 1 for es in self.between.values()):
+            raise GraphError("graphs with nontrivial P must not have parallel edges")
 
     def _derive_edge_nu(self) -> dict[int, int]:
         if self.nu_is_trivial():
             return {e.id: e.id for e in self.edges}
-        if any(len(es) > 1 for es in self.between.values()):
-            raise GraphError("nontrivial nu requires an explicit edge map "
-                             "in the presence of parallel edges")
         return {e.id: self.between[(self.nu_v[e.src], self.nu_v[e.dst])][0].id
                 for e in self.edges}
 
@@ -168,9 +167,6 @@ class Graph:
                 ca, cb = self.coloring.get(e.src), self.coloring.get(e.dst)
                 if ca is None or cb is None or (ca + 1) % 3 != cb:
                     raise GraphError(f"edge {e.id} ({e.src}->{e.dst}) violates the colouring")
-        if not self.nu_is_trivial():
-            if any(len(es) > 1 for es in self.between.values()):
-                raise GraphError("graphs with nontrivial P must not have parallel edges")
 
     def _validate_phi(self):
         three = self.tower.quantum(3)
@@ -285,7 +281,8 @@ def unfold(g: Graph, name: str) -> Graph:
     """Threefold cover: vertices v_a, edges v_a -> w_(a+1) per edge v -> w.
 
     nu on the cover is the deck shift by (h - 3) mod 3, matching the colour
-    step of top-degree paths; it is trivial when h = 0 mod 3.
+    step of top-degree paths; it is trivial when h = 0 mod 3.  The cover
+    keeps g as `base` and takes g's own phi objects.
     """
     verts = [f"{v}_{a}" for a in range(3) for v in g.vertices]
     edges = []
@@ -302,7 +299,7 @@ def unfold(g: Graph, name: str) -> Graph:
     coloring = {f"{v}_{a}": a for a in range(3) for v in g.vertices}
     phi = {f"{v}_{a}": g.phi[v] for a in range(3) for v in g.vertices}
     out = Graph(name, g.h, verts, edges, nu_v, coloring, nu_e=nu_e, phi=phi)
-    out.base_graph = g
+    out.base = g
     out.base_edge_of = {emap[(e.id, a)]: (e.id, a) for a in range(3) for e in g.edges}
     return out
 
@@ -324,7 +321,8 @@ def _build_e8() -> Graph:
 
 
 def _build_d(n: int) -> Graph:
-    """Z3-orbifold of A(n): free nu-orbits plus a triplicated centre."""
+    """Z3-orbifold of A(n), which it keeps as `base`: free nu-orbits plus a
+    triplicated centre."""
     a = _build_a(n)
     k = (n - 3) // 3
     centre = f"{k},{k}"
@@ -375,10 +373,9 @@ def _build_d(n: int) -> Graph:
     phi = {f"[{r}]": a.phi[r] for r in reps}
     phi.update({f"c{l}": third for l in range(3)})
     g = Graph(f"D{n}", n, verts, edges, nu_v, coloring, phi=_normalize_min(phi))
-    g.cover = a
+    g.base = a
     g.cover_lift = lift_of_edge
     g.cover_orbit_rep = orbit_rep
-    g.cover_centre = centre
     return g
 
 

@@ -9,7 +9,7 @@ import pytest
 from acy.algebra import AlgebraError, GradedAlgebra
 from acy.cells import (CellSystem, builtin_cells, cells_from_doc, cells_to_doc,
                        check_nu_invariance, compile_equations, derive_relations,
-                       orbifold_cells, verify_type_I, verify_type_II)
+                       family_cells, orbifold_cells, verify_type_I, verify_type_II)
 from acy.quiver import build_family, parse_graph_spec
 from acy.scalar import RATIONALS
 from acy.solver import solve_cells
@@ -267,6 +267,30 @@ CELL_PINS = {
 def test_constructed_cells_are_pinned(spec):
     doc = json.dumps(cells_to_doc(builtin_cells(parse_graph_spec(spec))), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == CELL_PINS[spec]
+
+
+def test_constructed_cells_lift_from_the_base_the_graph_carries(monkeypatch):
+    # no second build of the base: its cells are made on `g.base` itself
+    import acy.cells
+    import acy.quiver
+
+    graphs = [parse_graph_spec(spec) for spec in ("D9", "D7*", "E8")]
+
+    def build_family(*args):
+        raise AssertionError(f"build_family{args} called")
+
+    for mod in (acy.quiver, acy.cells):
+        monkeypatch.setattr(mod, "build_family", build_family, raising=False)
+    for g in graphs:
+        seen = []
+
+        def solver(base):
+            seen.append(base)
+            return builtin_cells(base)
+
+        cells = family_cells(g, solver)
+        assert len(seen) == 1 and seen[0] is g.base, g.name
+        assert cells.weights == builtin_cells(g).weights, g.name
 
 
 def test_cells_serialization_round_trip(pipe):

@@ -176,6 +176,23 @@ def test_nu_not_commuting_with_delta_raises():
         load_graph(doc)
 
 
+def test_nontrivial_nu_refuses_parallel_edges_with_or_without_an_edge_map():
+    # the 3-cycle a -> b -> c -> a with every edge doubled commutes with the
+    # rotation; the explicit edge map is a valid order-3 permutation over it
+    pairs = [("a", "b"), ("a", "b"), ("b", "c"), ("b", "c"), ("c", "a"), ("c", "a")]
+    doc = {"schema": "acy-graph/1", "name": "double", "h": 4, "vertices": ["a", "b", "c"],
+           "edges": [{"id": i, "src": s, "dst": d} for i, (s, d) in enumerate(pairs)],
+           "nu": {"vertex_map": {"a": "b", "b": "c", "c": "a"}}}
+    messages = []
+    for edge_map in (None, {str(i): (i + 2) % 6 for i in range(6)}):
+        if edge_map is not None:
+            doc["nu"]["edge_map"] = edge_map
+        with pytest.raises(GraphError, match="parallel edges") as err:
+            load_graph(doc)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
 def test_partial_edge_map_raises():
     doc = save_graph(build_family("A", 5))
     del doc["nu"]["edge_map"]["0"]
