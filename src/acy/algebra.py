@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import linalg, scalar, series
 from .cells import RelationSet
 from .quiver import Graph
-from .scalar import RATIONALS, PrimeEmbedding, Scalar
+from .scalar import PrimeEmbedding, Scalar
 
 __all__ = ["GradedAlgebra", "AlgebraError", "BasisElt"]
 
@@ -60,18 +60,18 @@ class GradedAlgebra:
     """Bases, reduction tables, multiplication, the non-degenerate form and
     its dual bases, and the Nakayama action, for A = A(G, W).
 
-    Coefficients are tower scalars, or Python's ints and Fractions when the
-    relations are over Q (`RATIONALS`), with p = 0; or ints mod p on the
-    image `reduce_mod` returns.  Multiplication and the Nakayama action serve
-    all three."""
+    Coefficients lie in the ring of the relations, with p = 0: tower
+    scalars, `Eisenstein`s over Q(omega), or Python's ints and Fractions
+    over Q (`RATIONALS`); or they are ints mod p on the image `reduce_mod`
+    returns.  Multiplication and the Nakayama action serve all of them."""
 
     def __init__(self, graph: Graph, relations: RelationSet):
         self.graph = graph
         self.relations = relations
-        self.tower = relations.tower
-        # shared: scalars are immutable, and over Q these are the ints 1, 0
-        self.one, self.zero = ((1, 0) if self.tower == RATIONALS
-                               else (self.tower.one(), self.tower.zero()))
+        self.tower = relations.tower   # the tower the modular certificate embeds
+        # shared: coefficients are immutable, and over Q these are the ints 1, 0
+        self.one = relations.one
+        self.zero = self.one - self.one
         self.p = 0
         self.top = graph.h - 3
         self.basis: list[list[BasisElt]] = []
@@ -122,7 +122,7 @@ class GradedAlgebra:
                             # (w * b_e) reduced over basis[k-1], then append c_e
                             left = self.red[k - 1][(w_i, b_e)]
                             linalg.axpy(vec, ((mono_pos[(j, c_e)], cj)
-                                              for j, cj in left.items()), coeff)
+                                              for j, cj in left.items()), self.axpy_coef(coeff))
                         elim.add(vec)
                 for elim in elim_by_block.values():
                     pivots_vec.update(elim.reduced())

@@ -22,9 +22,9 @@ from fractions import Fraction
 
 from . import linalg
 from .quiver import Graph, canon, json_field
-from .scalar import RATIONALS, FieldTower, Scalar
+from .scalar import OMEGA, RATIONALS, Eisenstein, FieldTower, Scalar
 
-__all__ = ["CellSystem", "RelationSet", "CellReport", "compile_equations",
+__all__ = ["CellSystem", "RelationSet", "CellReport", "GaugeError", "compile_equations",
            "verify_type_I", "verify_type_II", "derive_relations",
            "check_nu_invariance", "orbit_incidence", "orbifold_cells", "unfold_cells",
            "builtin_cells", "family_cells", "cells_to_doc", "cells_from_doc"]
@@ -68,13 +68,18 @@ class Relation:
     edge_id: int          # the deriving edge a
     src: str              # r(a): relations live in paths r(a) -> s(a)
     dst: str              # s(a)
-    terms: dict           # (b_id, c_id) -> Scalar, or the int 1 over Q
+    terms: dict           # (b_id, c_id) -> Scalar, Eisenstein, or the int 1 over Q
 
 
 class RelationSet:
-    def __init__(self, graph: Graph, tower: FieldTower, relations: list[Relation]):
+    """Relations with coefficients in one ring, whose unit is `one`: the
+    tower's by default, the int 1 over `RATIONALS`, or an Eisenstein over
+    Q(omega) in a tower that holds omega."""
+
+    def __init__(self, graph: Graph, tower: FieldTower, relations: list[Relation], one=None):
         self.graph = graph
         self.tower = tower
+        self.one = (1 if tower == RATIONALS else tower.one()) if one is None else one
         self.relations = relations
         for r in self.relations:
             e = graph.edge_by_id[r.edge_id]
@@ -253,35 +258,50 @@ def verify_type_II(cells: CellSystem) -> CellReport:
 # relations, gauge rule, nu-invariance test
 # ---------------------------------------------------------------------------
 
+class GaugeError(RuntimeError):
+    """The simplest potential failed the exact check that it has W's gauge
+    invariants."""
+
+
 def derive_relations(cells: CellSystem) -> RelationSet:
     """The relations of the simplest potential W' gauge-equivalent to W: at
     edge a, the sum over based loops (a, b, c) of W'(abc) * path(b, c).
 
-    W' is the int 1 on W's support, over Q, when W is nu-invariant and the
-    incidence of W's nonzero triangle nu-orbits against the edge nu-orbits
-    has full row rank; otherwise W' = W, over the cells' tower.  The first
-    case covers the whole A family: A(n) is the Jacobi algebra of the
-    all-ones potential over Q (Ginzburg, math/0612139; Bocklandt, JPAA 212,
-    2008).
+    When W is nu-invariant and each of its gauge invariants is a cube root
+    of unity, W' is 1 on W's support but for a few triangle nu-orbits, which
+    take powers of omega (`_cube_root_potential`).  With no such orbit, W'
+    is the int 1 over Q: the whole A family, which is the Jacobi algebra of
+    the all-ones potential over Q (Ginzburg, math/0612139; Bocklandt, JPAA
+    212, 2008).  Otherwise it is over Q(omega), in `Eisenstein`s: the D
+    family.  Every other W is kept, over the cells' tower.  The relation set
+    keeps the cells' tower in all but the first case, for the prime of the
+    modular certificate.
 
     The edge rescaling x_e -> lambda_e x_e maps the relation of W at a to
     lambda_a^-1 times that of W'(abc) = lambda_a lambda_b lambda_c W(abc), so
     it is an isomorphism A(G, W) -> A(G, W').  Take lambda constant on edge
-    nu-orbits, so that it commutes with nu and beta stays nu.  W' = 1 then
-    asks prod_o lambda_o^M[T, o] = W(T)^-1 for each triangle orbit T, which
-    needs W constant on T: the nu-invariance.  M has no integer left kernel,
-    so Z^T -> Z^O, n -> n M, is injective, and as C* is divisible its dual
-    (C*)^O -> (C*)^T is onto: a solution lambda exists over C.  The
-    dimensions of HH, HC and HH^* do not change under the extension from Q
-    to C.  One rank mod a prime decides: a full rank mod p is a full rank
-    over Q, and a deficit only keeps W.  The guard matters: for W not
-    nu-invariant, W' = 1 would hide that beta is not nu, which the form
-    check sees.
+    nu-orbits, so that it commutes with nu and beta stays nu.  Let M count
+    the edge orbits o of each triangle orbit T.  W' = lambda W then asks
+    prod_o lambda_o^M[T, o] = W'(T) / W(T) for each T, which needs W and W'
+    constant on T: the nu-invariance.  The gauge invariants prod_T W(T)^n_T,
+    for n in the integer left kernel L of M, are the obstruction.  When W'
+    has W's invariants on a Z-basis of L, the character n -> prod_T
+    (W'/W)(T)^n_T of Z^T is trivial on L, so it factors through n -> n M,
+    and as C* is divisible it extends from that image to all of Z^O: some
+    lambda in (C*)^O solves the system.  A Q-basis of L with its
+    denominators cleared can span a proper sublattice, on which the
+    character can be trivial while it is not on L; `linalg.integer_kernel`
+    gives a Z-basis.  The dimensions of HH, HC and HH^* do not change under
+    the extension from Q(omega) to C.  The guard matters: for W not
+    nu-invariant, W' would hide that beta is not nu, which the form check
+    sees.
     """
     g = cells.graph
-    W, tower = cells.weights, cells.tower
-    if check_nu_invariance(cells) and not _has_gauge_invariants(cells):
-        W, tower = {t: 1 for t, w in W.items() if w}, RATIONALS
+    W, tower, one = cells.weights, cells.tower, None
+    if check_nu_invariance(cells):
+        simple = _cube_root_potential(cells)
+        if simple is not None:
+            W, tower, one = simple
     rels = []
     for a in g.edges:
         terms = {}
@@ -291,11 +311,87 @@ def derive_relations(cells: CellSystem) -> RelationSet:
                 if w:
                     terms[(b.id, c.id)] = w
         rels.append(Relation(a.id, a.dst, a.src, terms))
-    return RelationSet(g, tower, rels)
+    return RelationSet(g, tower, rels, one)
 
 
-# a full row rank mod this prime is one over Q
-_INCIDENCE_PRIME = 2**31 - 1
+def _cube_root_potential(cells: CellSystem):
+    """(W', tower, one) for a nu-invariant W whose gauge invariants are all
+    cube roots of unity, else None.
+
+    Each invariant x of the Z-basis of L is evaluated exactly in the cells'
+    tower; it must have x^3 = 1, and omega^k = x is told from its conjugate
+    by the sign of Im x.  W' = omega^(e_T) on each triangle orbit T, with
+    sum_T n_T e_T = k mod 3 for each basis vector n: the kernel basis has
+    full rank mod 3, as L is saturated, so e is nonzero only on pivot orbits,
+    at most one per invariant.  W' is then checked exactly, in Q(omega), to
+    have W's invariants; a mismatch raises GaugeError.  With e = 0, W' is
+    the int 1 over Q."""
+    orbits = _orbits(cells.graph, [t for t, w in cells.weights.items() if w])
+    kernel = linalg.integer_kernel([_incidence_row(cells.graph, o[0]) for o in orbits])
+    W = [cells.weights[o[0]] for o in orbits]
+    powers = []
+    for n in kernel:
+        x = _invariant(W, n, cells.tower.one())
+        if x * x * x != 1:
+            return None
+        powers.append(0 if x == 1 else 1 if x.imag().is_positive() else 2)
+    e = _omega_exponents(len(orbits), kernel, powers)
+    one = Eisenstein(1)
+    roots = [one, OMEGA, OMEGA * OMEGA]
+    W2 = [roots[e.get(T, 0)] for T in range(len(orbits))]
+    for n, k in zip(kernel, powers):
+        x = _invariant(W2, n, one)
+        if x != roots[k]:
+            raise GaugeError(f"the potential over Q(omega) has invariant {x!r} "
+                             f"on the kernel vector {n}, where W has omega^{k}")
+    if not any(e.values()):
+        return {t: 1 for o in orbits for t in o}, RATIONALS, 1
+    return {t: w for o, w in zip(orbits, W2) for t in o}, cells.tower, one
+
+
+def _invariant(W: list, n: dict, one):
+    """prod_T W[T]^n_T for a kernel vector n."""
+    num = den = one
+    for T, k in n.items():
+        for _ in range(abs(k)):
+            if k > 0:
+                num = num * W[T]
+            else:
+                den = den * W[T]
+    return num * den.inverse()
+
+
+def _omega_exponents(n_orbits: int, kernel: list, powers: list) -> dict[int, int]:
+    """{T: e_T} with sum_T n_T e_T = k mod 3 for each kernel vector n and
+    its power k, nonzero only at the pivots of the reduced echelon form of
+    the kernel mod 3, the lowest orbits it allows."""
+    elim = linalg.Eliminator(3)
+    for n, k in zip(kernel, powers):
+        elim.add({**{T: v % 3 for T, v in n.items() if v % 3}, n_orbits: k})
+    return {T: row.get(n_orbits, 0) for T, row in elim.reduced().items() if T < n_orbits}
+
+
+def _orbits(graph: Graph, triangles) -> list[tuple]:
+    """The nu-orbits of `triangles`, in order of their first member, which
+    leads its orbit."""
+    seen, out = set(), []
+    for t in triangles:
+        if t not in seen:
+            orbit = nu_orbit(graph, t)
+            seen.update(orbit)
+            out.append(orbit)
+    return out
+
+
+def _incidence_row(graph: Graph, t: tuple) -> dict[int, int]:
+    """The edge nu-orbits of triangle t, each named by its least edge id,
+    with multiplicity."""
+    nu = graph.nu_e
+    row: dict[int, int] = {}
+    for e in t:
+        orbit = min(e, nu[e], nu[nu[e]])
+        row[orbit] = row.get(orbit, 0) + 1
+    return row
 
 
 def orbit_incidence(graph: Graph, triangles) -> list[dict[int, int]]:
@@ -303,26 +399,7 @@ def orbit_incidence(graph: Graph, triangles) -> list[dict[int, int]]:
     nu-orbits: a row per triangle orbit, in order of its first member,
     counting its edges' orbits (each named by its least edge id) with
     multiplicity."""
-    nu = graph.nu_e
-    seen, rows = set(), []
-    for t in triangles:
-        if t in seen:
-            continue
-        seen.update(nu_orbit(graph, t))
-        row: dict[int, int] = {}
-        for e in t:
-            orbit = min(e, nu[e], nu[nu[e]])
-            row[orbit] = row.get(orbit, 0) + 1
-        rows.append(row)
-    return rows
-
-
-def _has_gauge_invariants(cells: CellSystem) -> bool:
-    """True unless the `orbit_incidence` of the nonzero triangles has full
-    row rank mod `_INCIDENCE_PRIME`: an integer left kernel n gives the
-    gauge invariant prod_t W(t)^n_t."""
-    rows = orbit_incidence(cells.graph, [t for t, w in cells.weights.items() if w])
-    return linalg.rank(rows, _INCIDENCE_PRIME) < len(rows)
+    return [_incidence_row(graph, o[0]) for o in _orbits(graph, triangles)]
 
 
 def check_nu_invariance(cells: CellSystem) -> bool:

@@ -22,8 +22,8 @@ import sys
 
 from . import __version__
 from .algebra import AlgebraError, GradedAlgebra, spot_checks
-from .cells import (builtin_cells, cells_from_doc, derive_relations, family_cells,
-                    verify_type_I, verify_type_II)
+from .cells import (GaugeError, builtin_cells, cells_from_doc, derive_relations,
+                    family_cells, verify_type_I, verify_type_II)
 from .homology import build_report
 from .quiver import GraphError, family_catalog, parse_graph_spec
 from .solver import SolverError, solve_cells
@@ -213,7 +213,7 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except AlgebraError as exc:
+    except (AlgebraError, GaugeError) as exc:
         print(f"mathematical check failed: {exc}", file=sys.stderr)
         return EXIT_MATH
 

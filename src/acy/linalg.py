@@ -1,5 +1,6 @@
-"""Sparse Gaussian elimination over tower scalars, over Q in Python's ints
-and Fractions, or over the integers mod p.
+"""Sparse Gaussian elimination over tower scalars, over Q(omega) in
+`Eisenstein`s, over Q in Python's ints and Fractions, or over the integers
+mod p; and the integer kernel of integer vectors, as a Z-basis.
 
 Vectors are dicts {index: value}; matrices are lists of such vectors
 (column-wise: vectors[j] is the image of domain basis element j).  One
@@ -13,15 +14,15 @@ from __future__ import annotations
 
 from . import scalar
 
-__all__ = ["Eliminator", "rank", "nullspace", "invert_dense", "axpy"]
+__all__ = ["Eliminator", "rank", "nullspace", "integer_kernel", "invert_dense", "axpy"]
 
 
 def axpy(out: dict, items, c=None, p: int = 0) -> dict:
     """out += c * vec in place, where `items` yields vec's (index, value)
     pairs and c=None means 1; entries that become zero are dropped.
 
-    Values are tower scalars or ints and Fractions, or ints mod p when p is
-    given."""
+    Values are tower scalars, Eisensteins, ints and Fractions, or ints mod
+    p when p is given."""
     if p:
         c = 1 if c is None else c
         for i, x in items:
@@ -44,7 +45,8 @@ def axpy(out: dict, items, c=None, p: int = 0) -> dict:
 
 
 class Eliminator:
-    """Forward echelon accumulator over tower scalars or Q (p = 0), or F_p.
+    """Forward echelon accumulator over any coefficient field that
+    `scalar.inverse` serves (p = 0), or over F_p.
 
     `pivots[lead]` is a stored vector whose lowest index is `lead`, with
     value 1 there.  A new vector is reduced at its lowest index until that
@@ -116,6 +118,31 @@ def nullspace(vectors, one) -> list[dict]:
             k[j] = one
             out.append(k)
     return out
+
+
+def integer_kernel(vectors) -> list[dict]:
+    """A Z-basis of the lattice of integer relations {i: n_i} with
+    sum_i n_i v_i = 0 among integer vectors v_i.
+
+    The rows [v_i | e_i] are brought to echelon form in v by unimodular row
+    operations, Euclid's algorithm on each column in turn, so the e parts of
+    the rows whose v part vanishes span exactly the relations.  A Q-basis
+    of the kernel, such as `nullspace` gives, with its denominators cleared
+    can span a proper sublattice of them."""
+    rows = [(dict(v), {i: 1}) for i, v in enumerate(vectors)]
+    for col in sorted(set().union(*vectors)):
+        hits = [r for r in rows if r[0].get(col)]
+        while len(hits) > 1:
+            piv = min(hits, key=lambda r: abs(r[0][col]))
+            for r in hits:
+                if r is not piv:
+                    q = -(r[0][col] // piv[0][col])
+                    axpy(r[0], piv[0].items(), q)
+                    axpy(r[1], piv[1].items(), q)
+            hits = [r for r in hits if r[0].get(col)]
+        if hits:
+            rows = [r for r in rows if r is not hits[0]]
+    return [n for _, n in rows]
 
 
 def invert_dense(cols: list[dict], n: int, one) -> list[dict]:

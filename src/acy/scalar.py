@@ -11,7 +11,8 @@ straight-line function, generated once per h from the reduction table.
 
 Scalars may optionally carry an imaginary part (a second such map); this
 is only exercised by the orbifold cell systems on the D graphs, whose
-weights involve cube roots of unity.
+weights involve cube roots of unity.  The algebra of those cells runs in
+the smaller field Q(omega) instead, as `Eisenstein`s (a + b omega)/d.
 
 Zero is decided exactly from the normal form.  Positivity of a nonzero
 element is certified by interval arithmetic with escalating precision;
@@ -21,14 +22,14 @@ intervals never decide equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, gcd
 
 import mpmath
 from mpmath import mp
 
-__all__ = ["FieldTower", "Scalar", "PrimeEmbedding", "RATIONALS", "inverse", "residue",
-           "base_relation"]
+__all__ = ["FieldTower", "Scalar", "Eisenstein", "OMEGA", "PrimeEmbedding", "RATIONALS",
+           "inverse", "residue", "base_relation"]
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +287,14 @@ class FieldTower:
         re = _dneg(x.im) if x.im else {}
         return Scalar(self, re, dict(x.re) if x.re else None)
 
+    def omega(self) -> Scalar:
+        """omega = e^(2 pi i/3) = (-1 + i sqrt 3)/2, with the positive root of
+        3; ValueError when the tower does not hold sqrt 3."""
+        sqrt3 = _sqrt_in_tower(self, self.from_fraction(3).re[0])
+        if sqrt3 is None:
+            raise ValueError(f"{self!r} holds neither sqrt(3) nor omega")
+        return (self.i_times(sqrt3) - 1) * Fraction(1, 2)
+
     def quantum(self, n: int) -> Scalar:
         """Quantum integer [n] at q = exp(i pi/h), via [n+1] = [2][n] - [n-1]."""
         if n < 0 or n >= 2 * self.h:
@@ -409,6 +418,10 @@ class Scalar:
 
     def is_real(self) -> bool:
         return not self.im
+
+    def imag(self) -> "Scalar":
+        """The imaginary part, as a real scalar."""
+        return Scalar(self.tower, self.im or {})
 
     # The operators test for a Scalar first: Fraction's metaclass is ABCMeta,
     # whose __instancecheck__ is slow.
@@ -614,30 +627,125 @@ class Scalar:
         return f"Scalar({mpmath.nstr(self.value(80), 12)})"
 
 
+class Eisenstein:
+    """An element (a + b omega) / d of Q(omega), omega = e^(2 pi i/3) =
+    (-1 + i sqrt 3)/2, on Python ints: the coefficients of an algebra whose
+    gauge invariants are cube roots of unity.
+
+    Normal form: d > 0 and gcd(a, b, d) = 1, one gcd per result, so two
+    elements are equal iff their triples are.  omega^2 = -1 - omega, so
+    (a + b omega)(a' + b' omega) = (aa' - bb') + (ab' + a'b - bb') omega.
+    The conjugate of a + b omega is (a - b) - b omega, and their product is
+    the norm a^2 - ab + b^2, positive unless a = b = 0: the inverse divides
+    the conjugate by it.  `inverse` and `reduce_mod` follow `Scalar`'s
+    protocol, and Python ints mix in as the rationals they are.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a: int, b: int = 0, d: int = 1):
+        g = gcd(a, b, d)
+        if d < 0:
+            g = -g
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+        self.a, self.b, self.d = a, b, d
+
+    def __bool__(self) -> bool:
+        return bool(self.a or self.b)
+
+    def __eq__(self, other):
+        if type(other) is Eisenstein:
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, int):
+            return not self.b and self.d == 1 and self.a == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.a) if not self.b and self.d == 1 else hash((self.a, self.b, self.d))
+
+    def __add__(self, other):
+        if type(other) is not Eisenstein:
+            if not isinstance(other, int):
+                return NotImplemented
+            return Eisenstein(self.a + other * self.d, self.b, self.d)
+        d, e = self.d, other.d
+        if d == e:
+            return Eisenstein(self.a + other.a, self.b + other.b, d)
+        return Eisenstein(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Eisenstein(-self.a, -self.b, self.d)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if type(other) is not Eisenstein:
+            if not isinstance(other, int):
+                return NotImplemented
+            return Eisenstein(self.a * other, self.b * other, self.d)
+        a, b, c, e = self.a, self.b, other.a, other.b
+        be = b * e
+        return Eisenstein(a * c - be, a * e + b * c - be, self.d * other.d)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "Eisenstein":
+        a, b = self.a, self.b
+        norm = a * a - a * b + b * b
+        if not norm:
+            raise ZeroDivisionError("Q(omega) division by zero")
+        return Eisenstein((a - b) * self.d, -b * self.d, norm)
+
+    def reduce_mod(self, emb: "PrimeEmbedding") -> int:
+        """Image under a prime embedding of a tower that holds omega, which
+        maps omega as the tower's own omega (`PrimeEmbedding.omega_img`);
+        raises ZeroDivisionError when p divides d."""
+        p = emb.p
+        if not self.d % p:
+            raise ZeroDivisionError(f"denominator {self.d} vanishes mod {p}")
+        return (self.a + self.b * emb.omega_img) * pow(self.d, -1, p) % p
+
+    def __repr__(self):
+        return f"Eisenstein({self.a}, {self.b}, {self.d})"
+
+
+OMEGA = Eisenstein(0, 1)
+
+
 # The coefficients of an algebra over Q (`RATIONALS`) are Python's ints and
-# Fractions, not Scalars; these two functions are where the types part.
+# Fractions; every other coefficient is a Scalar or an Eisenstein, which
+# share the `inverse` and `reduce_mod` protocol.  These two functions are
+# where the types part.  Fraction's isinstance is slow (its metaclass is
+# ABCMeta), so its test is by type.
 
 def inverse(x):
-    """1/x for a Scalar, an int or a Fraction.  An int +-1 is its own
-    inverse and any other int gives a Fraction, never a float."""
-    if isinstance(x, Scalar):
-        return x.inverse()
+    """1/x for an int, a Fraction, a Scalar or an Eisenstein.  An int +-1 is
+    its own inverse and any other int gives a Fraction, never a float."""
     if isinstance(x, int):
         return x if x in (1, -1) else Fraction(1, x)
-    return 1 / x
+    if type(x) is Fraction:
+        return 1 / x
+    return x.inverse()
 
 
 def residue(x, emb: "PrimeEmbedding") -> int:
-    """The image of a Scalar, an int or a Fraction under a prime embedding;
-    raises ZeroDivisionError when p divides a denominator."""
-    if isinstance(x, Scalar):
-        return x.reduce_mod(emb)
+    """The image of an int, a Fraction, a Scalar or an Eisenstein under a
+    prime embedding; raises ZeroDivisionError when p divides a denominator."""
     p = emb.p
     if isinstance(x, int):
         return x % p
-    if not x.denominator % p:
-        raise ZeroDivisionError(f"denominator {x.denominator} vanishes mod {p}")
-    return x.numerator * pow(x.denominator, -1, p) % p
+    if type(x) is Fraction:
+        if not x.denominator % p:
+            raise ZeroDivisionError(f"denominator {x.denominator} vanishes mod {p}")
+        return x.numerator * pow(x.denominator, -1, p) % p
+    return x.reduce_mod(emb)
 
 
 def _coerce(a: Scalar, b: Scalar) -> tuple[Scalar, Scalar]:
@@ -800,11 +908,19 @@ class PrimeEmbedding:
     too (p = 1 mod 4), so that i has an image and complexified scalars reduce.
     """
 
-    def __init__(self, p: int, c_img: int, root_imgs: tuple[int, ...], i_img: int):
+    def __init__(self, tower: FieldTower, p: int, c_img: int, root_imgs: tuple[int, ...],
+                 i_img: int):
+        self.tower = tower
         self.p = p
         self.c_img = c_img
         self.root_imgs = root_imgs
         self.i_img = i_img
+
+    @cached_property
+    def omega_img(self) -> int:
+        """The image of the tower's own omega (`FieldTower.omega`), so that
+        an `Eisenstein` reduces as the same element written in the tower."""
+        return self.tower.omega().reduce_mod(self)
 
     @classmethod
     def find(cls, tower: FieldTower, skip: int = 0) -> "PrimeEmbedding":
@@ -828,7 +944,7 @@ class PrimeEmbedding:
         i_img = _sqrt_mod(p - 1, p)
         if None in root_imgs or i_img is None:
             return None
-        return cls(p, c_img, root_imgs, i_img)
+        return cls(tower, p, c_img, root_imgs, i_img)
 
 
 # Miller-Rabin with the first 13 prime bases is exact for n below this bound

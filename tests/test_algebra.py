@@ -7,7 +7,7 @@ from acy.algebra import AlgebraError, GradedAlgebra, spot_checks
 from acy.cells import CellSystem, builtin_cells, derive_relations
 from acy.homology import Homology, build_report, verify_resolution
 from acy.quiver import build_family, parse_graph_spec
-from acy.scalar import Scalar, inverse
+from acy.scalar import Eisenstein, Scalar, inverse
 from acy.series import hilbert_closed_form
 from conftest import scalar_relations
 
@@ -284,3 +284,20 @@ def test_the_algebra_over_q_holds_only_ints_and_fractions(pipe):
     values += list(A.f_coeff.values())
     assert A.products and hom.mu[4]
     assert {type(c) for c in values} <= {int, Fraction}
+
+
+def test_the_algebra_over_q_omega_holds_only_eisensteins(pipe):
+    # D6's cells are tower scalars with imaginary parts, but no tower scalar
+    # reaches its algebra, its complexes or the certificate's premise
+    g, cells, _, _ = pipe("D6")
+    A = GradedAlgebra(g, derive_relations(cells))
+    assert build_report(A, cells).ok
+    hom = Homology(A)
+    assert verify_resolution(hom)["ok"]
+    values = [c for tab in A.red + A.duals for vec in tab.values() for c in vec.values()]
+    values += [c for vec in A.products.values() for c in vec.values()]
+    values += [c for tab in hom.mu.values() for terms in tab.values() for *_, c in terms]
+    values += list(A.f_coeff.values())
+    assert A.products and hom.mu[4]
+    assert {type(c) for c in values} == {Eisenstein}
+    assert A.tower == cells.tower

@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+import acy.cells
+from acy import cli
 from acy.algebra import AlgebraError, GradedAlgebra
-from acy.cells import (CellSystem, builtin_cells, cells_from_doc, cells_to_doc,
+from acy.cells import (CellSystem, GaugeError, builtin_cells, cells_from_doc, cells_to_doc,
                        check_nu_invariance, compile_equations, derive_relations,
-                       family_cells, orbifold_cells, verify_type_I, verify_type_II)
-from acy.quiver import build_family, parse_graph_spec
-from acy.scalar import RATIONALS
+                       family_cells, nu_orbit, orbifold_cells, verify_type_I, verify_type_II)
+from acy.quiver import build_family, canon, parse_graph_spec
+from acy.scalar import OMEGA, RATIONALS, Eisenstein
 from acy.solver import solve_cells
 from oracles import (brute_equations, brute_triangles, gauge_transform,
                      standard_relations_e8, standard_relations_e8star)
@@ -187,14 +189,52 @@ def test_a_rescaling_off_the_nu_orbits_still_fails_the_form_check(spec, where):
         A.build_form()
 
 
-@pytest.mark.parametrize("spec", ["D6", "E8*"])
+@pytest.mark.parametrize("spec", ["E8*"])
 def test_gauge_invariants_keep_the_cells_own_weights(pipe, spec):
+    # E8*'s one invariant is -1, not a cube root of unity: W stays, over the
+    # cells' tower
     _, cells, _, _ = pipe(spec)
     rels = derive_relations(cells)
     assert rels.tower == cells.tower != RATIONALS
     for r in rels.relations:
         for (b, c), w in r.terms.items():
             assert w == cells.weight(r.edge_id, b, c)
+
+
+def test_cube_root_invariants_put_the_relations_over_q_omega(pipe):
+    # D6's two invariants are omega and its conjugate: W' is 1 on W's support
+    # but on two triangle nu-orbits, which take omega and its conjugate; the
+    # relation set keeps the cells' tower, for the certificate's prime
+    g, cells, A, _ = pipe("D6")
+    rels = derive_relations(cells)
+    assert rels.tower == cells.tower and rels.one == Eisenstein(1) and A.one is A.relations.one
+    got = {canon((r.edge_id, b, c)): w for r in rels.relations for (b, c), w in r.terms.items()}
+    assert set(got) == {t for t, w in cells.weights.items() if w}
+    assert all(type(w) is Eisenstein for w in got.values())
+    off = {t: w for t, w in got.items() if w != 1}
+    assert sorted(set(off.values()), key=repr) == [OMEGA * OMEGA, OMEGA]
+    assert len({min(nu_orbit(g, t)) for t in off}) == 2
+
+
+def test_a_potential_with_a_wrong_invariant_is_refused_before_the_algebra(monkeypatch, capsys):
+    # omega in place of its conjugate for one invariant: W' then fails the
+    # exact check against W's invariants, and no algebra is built
+    real = acy.cells._omega_exponents
+
+    def omega_for_its_conjugate(n_orbits, kernel, powers):
+        powers = list(powers)
+        powers[powers.index(2)] = 1
+        return real(n_orbits, kernel, powers)
+
+    def no_algebra(*args):
+        raise AssertionError("GradedAlgebra was built")
+
+    monkeypatch.setattr(acy.cells, "_omega_exponents", omega_for_its_conjugate)
+    monkeypatch.setattr(GradedAlgebra, "__init__", no_algebra)
+    with pytest.raises(GaugeError, match=r"where W has omega\^2$"):
+        derive_relations(builtin_cells(parse_graph_spec("D6")))
+    assert cli.main(["compute", "--graph", "D6", "--format", "json"]) == 3
+    assert "mathematical check failed: the potential over Q(omega)" in capsys.readouterr().err
 
 
 def test_without_gauge_invariants_the_relations_are_the_all_ones_potential_over_q():

@@ -48,14 +48,19 @@ def test_compute_text_is_pinned(graph, digest):
 
 
 # sha256 of `acy compute --format json`, the `tool` block included.  A6, A5*
-# and D5* have no gauge invariants, so their algebra is built over Q; D6, E8
-# and D7* have some, and theirs is built over the cells' tower.  Either way the
-# report, whose `tool.tower` is the cells' tower, keeps its bytes.
+# and D5* have no gauge invariants, so their algebra is built over Q.  The
+# invariants of D6, D9 and D12 are omega and its conjugate, so theirs is built
+# over Q(omega).  E8 and D7* have invariants that are not cube roots of unity,
+# and theirs is built over the cells' tower.  In every case the report, whose
+# `tool.tower` is the cells' tower, keeps the bytes it had when every algebra
+# with invariants was built over the cells' tower.
 @pytest.mark.parametrize("graph,digest", [
     ("A6", "3b9208d7e5aab660864f47c0b1ded37c5b4f456e46a549e12a5744257cc5eb08"),
     ("A5*", "c809538465a071381e1129056b9af3e321754771405853c203d640fef92a6b2a"),
     ("D5*", "14c9d8c57a850d5d7ba2d5443914fd456f9b300660a280f43db459b8c950ce19"),
     ("D6", "1d5770726c9a015bbc9c521ea9ebf38b7f753e3f64b3f989cb340022d598d774"),
+    ("D9", "1298b3c352031162981805fd809d02a9f7aca3707bc28266e2dfdbfc901b39cf"),
+    ("D12", "179e26f0bdd5d67f6ea301d39a061283b45e965d72b7eaa1f117a60aa1664a99"),
     ("E8", "276ed2d28369590c958389a0bc49eca280932405306766d5d588da35ec9e729c"),
     ("D7*", "44da743b5c6f6edca399e13dbf39718653db307d3a7ec635dbc94e8b2f3e0505"),
 ])

@@ -1,20 +1,22 @@
 """Properties of the sparse elimination in `acy.linalg`, over towers with
 0-2 adjoined roots (real and complex entries), over Q in ints and Fractions,
-and over F_p."""
+over Q(omega) in `Eisenstein`s, and over F_p; and of the integer kernel."""
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acy.linalg import Eliminator, axpy, invert_dense, nullspace, rank
-from acy.scalar import RATIONALS, FieldTower, PrimeEmbedding, Scalar
+from acy.linalg import Eliminator, axpy, integer_kernel, invert_dense, nullspace, rank
+from acy.scalar import RATIONALS, Eisenstein, FieldTower, PrimeEmbedding, Scalar
 
 PROPS = settings(deadline=None, max_examples=40)
 TOWERS = ("h7", "h8", "h8i", "h5")
-NATIVE_Q = ("Q",)
+NATIVE_Q = ("Q", "Qw")
 PRIMES = (2, 7, 1000003)
 
 
@@ -32,12 +34,16 @@ def _tower(name):
 
 def _entries(ring):
     """Nonzero entries: tower scalars with small integer coordinates, complex
-    for 'h8i', ints in [1, p), or for 'Q' ints and Fractions, most of them
-    not +-1, so that pivots have non-unit inverses."""
+    for 'h8i', ints in [1, p), for 'Q' ints and Fractions, or for 'Qw'
+    Eisensteins, most of them not +-1, so that pivots have non-unit
+    inverses."""
     if isinstance(ring, int):
         return st.integers(1, ring - 1)
     if ring == "Q":
         return st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=6)).filter(bool)
+    if ring == "Qw":
+        return st.builds(Eisenstein, st.integers(-6, 6), st.integers(-6, 6),
+                         st.integers(1, 6)).filter(bool)
     t = _tower(ring)
 
     @st.composite
@@ -92,7 +98,9 @@ def _rank(rows, ring):
 
 
 def _one(ring):
-    return 1 if isinstance(ring, int) or ring == "Q" else _tower(ring).one()
+    if isinstance(ring, int) or ring == "Q":
+        return 1
+    return Eisenstein(1) if ring == "Qw" else _tower(ring).one()
 
 
 def _rings(*kinds):
@@ -227,3 +235,68 @@ def test_elimination_over_q_in_ints_and_fractions_agrees_with_rational_scalars(d
             invert_dense(_as_scalars(square), n, RATIONALS.one())
         return
     assert inv == invert_dense(_as_scalars(square), n, RATIONALS.one()) and _rational(inv)
+
+
+# -- the integer kernel ----------------------------------------------------------------
+
+def _det(rows):
+    """The determinant of a square integer matrix, by elimination over Q."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for i in range(len(m)):
+        piv = next((r for r in range(i, len(m)) if m[r][i]), None)
+        if piv is None:
+            return 0
+        if piv != i:
+            m[i], m[piv] = m[piv], m[i]
+            det = -det
+        det *= m[i][i]
+        for r in range(i + 1, len(m)):
+            f = m[r][i] / m[i][i]
+            m[r] = [x - f * y for x, y in zip(m[r], m[i])]
+    return int(det)
+
+
+def _saturated(basis, m) -> bool:
+    """True if the k vectors span a saturated sublattice of Z^m, that is one
+    with a torsion-free quotient: the gcd of their k x k minors is 1."""
+    rows = [[n.get(i, 0) for i in range(m)] for n in basis]
+    g = 0
+    for cols in combinations(range(m), len(rows)):
+        g = gcd(g, _det([[row[c] for c in cols] for row in rows]))
+    return g == 1
+
+
+def _relation(vectors, n) -> dict:
+    out: dict = {}
+    for i, k in n.items():
+        axpy(out, vectors[i].items(), k)
+    return out
+
+
+def test_integer_kernel_spans_the_lattice_a_cleared_q_basis_misses():
+    # 2 n_0 + n_1 + n_2 = 0: the Q-basis (-1/2, 1, 0), (-1/2, 0, 1) cleared of
+    # denominators spans only the relations with n_1 and n_2 even, a
+    # sublattice of index 2 that misses (0, 1, -1)
+    vectors = [{0: 2}, {0: 1}, {0: 1}]
+    cleared = [{i: int(2 * x) for i, x in k.items()}
+               for k in nullspace(vectors, 1)]
+    assert cleared == [{0: -1, 1: 2}, {0: -1, 2: 2}] and not _saturated(cleared, 3)
+    basis = integer_kernel(vectors)
+    assert len(basis) == 2 and all(_relation(vectors, n) == {} for n in basis)
+    assert _saturated(basis, 3)
+
+
+@PROPS
+@given(data=st.data())
+def test_integer_kernel_is_a_z_basis_of_the_relations(data):
+    m = data.draw(st.integers(1, 5))
+    ncols = data.draw(st.integers(1, 4))
+    vectors = [{j: x for j in range(ncols) if (x := data.draw(st.integers(-4, 4)))}
+               for _ in range(m)]
+    basis = integer_kernel(vectors)
+    assert all(_relation(vectors, n) == {} for n in basis)
+    assert all(type(x) is int for n in basis for x in n.values())
+    # of full rank, and saturated, so the whole lattice of relations
+    assert len(basis) == m - rank([{j: Fraction(x) for j, x in v.items()} for v in vectors])
+    assert not basis or _saturated(basis, m)

@@ -6,9 +6,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from acy.scalar import (RATIONALS, FieldTower, PrimeEmbedding, Scalar, _base_field,
-                        _base_sqrt, _isprime, _sqrt_mod, base_relation, coxeter_minpoly,
-                        inverse, residue)
+from acy.scalar import (OMEGA, RATIONALS, Eisenstein, FieldTower, PrimeEmbedding, Scalar,
+                        _base_field, _base_sqrt, _isprime, _sqrt_mod, base_relation,
+                        coxeter_minpoly, inverse, residue)
 
 
 def test_quantum_examples():
@@ -402,6 +402,86 @@ def test_reduce_mod_is_a_ring_homomorphism(args):
     assert (-a).reduce_mod(emb) == -pa % p
     if pa:
         assert a.inverse().reduce_mod(emb) == pow(pa, -1, p)
+
+
+# -- Q(omega) in Eisensteins ---------------------------------------------------------
+
+_small = st.integers(-2 ** 40, 2 ** 40) | st.integers(-9, 9)
+eisensteins = st.builds(Eisenstein, _small, _small, st.integers(1, 60))
+
+
+@lru_cache(maxsize=None)
+def _d_tower():
+    """The tower of D9's cells, with its omega written as the orbifold
+    writes it, (-1 + i sqrt 3)/2 for the sqrt 3 it adjoins."""
+    from acy.cells import builtin_cells
+    from acy.quiver import parse_graph_spec
+
+    t = builtin_cells(parse_graph_spec("D9")).tower
+    t2, sqrt3 = t.adjoin_sqrt(t.from_fraction(3))
+    assert t2 is t
+    return t, t.from_fraction(Fraction(-1, 2)) + t.i_times(sqrt3 * Fraction(1, 2))
+
+
+def _in_tower(x: Eisenstein) -> Scalar:
+    t, omega = _d_tower()
+    return (t.from_fraction(x.a) + omega * x.b) * Fraction(1, x.d)
+
+
+@PROPS
+@given(eisensteins, eisensteins, eisensteins)
+def test_eisenstein_field_axioms(a, b, c):
+    one, zero = Eisenstein(1), Eisenstein(0)
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and not a * zero
+    assert not (a - a) and a - b == -(b - a)
+    assert OMEGA * OMEGA * OMEGA == 1 and OMEGA * OMEGA == -1 - OMEGA
+    # normal form: equal values are identical triples, with d > 0 and no
+    # common factor; an int is equal to itself as an Eisenstein, and hashes so
+    d = (a + b) - b
+    assert (d.a, d.b, d.d) == (a.a, a.b, a.d) and a.d > 0 and gcd(a.a, a.b, a.d) == 1
+    assert Eisenstein(7) == 7 and hash(Eisenstein(-3, 0, 1)) == hash(-3)
+
+
+@PROPS
+@given(eisensteins)
+def test_eisenstein_inverse(a):
+    assume(a)
+    inv = a.inverse()
+    assert a * inv == 1 and inv * a == Eisenstein(1)
+    assert inv.inverse() == a and inverse(a) == inv
+    with pytest.raises(ZeroDivisionError):
+        Eisenstein(0).inverse()
+
+
+def test_the_tower_omega_is_the_orbifold_omega():
+    t, omega = _d_tower()
+    assert t.omega() == omega and omega * omega * omega == 1
+    assert omega.imag().is_positive() and _in_tower(OMEGA) == omega
+    with pytest.raises(ValueError, match="sqrt"):
+        FieldTower(7).omega()
+
+
+@PROPS
+@given(eisensteins, eisensteins)
+def test_eisenstein_residue_is_a_ring_homomorphism_that_agrees_with_the_tower(a, b):
+    t, _ = _d_tower()
+    emb = PrimeEmbedding.find(t)
+    p = emb.p
+    try:
+        pa, pb = residue(a, emb), residue(b, emb)
+    except ZeroDivisionError:  # p divides a denominator
+        reject()
+    assert pa == _in_tower(a).reduce_mod(emb) and pb == _in_tower(b).reduce_mod(emb)
+    assert residue(a + b, emb) == (pa + pb) % p
+    assert residue(a * b, emb) == pa * pb % p
+    assert residue(-a, emb) == -pa % p
+    assert residue(OMEGA, emb) ** 2 % p == (-1 - residue(OMEGA, emb)) % p
+    if pa:
+        assert residue(a.inverse(), emb) == pow(pa, -1, p)
 
 
 def test_cyclotomic_matches_sympy():
