@@ -16,11 +16,12 @@ C^i = space(3 - r, -s, d + _shift(i)).  The twist only matters mod 3, so
 the matrices depend on (r, t mod 3, k); for trivial nu every twist is 0.
 
 The four maps mu_1..mu_4 of P are written once, as terms on generators
-(`differentials`), and applied by one term rule, `apply_mu`, to both
-complexes P (x)_(A^e) M that are read here: `Homology.mat` builds
-A (x)_(A^e) P over the tower, and `_Resolution` builds the one-sided complex
-P (x)_A A_0 over the algebra's image in F_p.  `verify_resolution` composes
-the table on generators in both rings, which gives d o d = 0, and then ranks
+(`differentials`), and both complexes P (x)_(A^e) M that are read here are
+built from that table: `Homology.mat` builds A (x)_(A^e) P over the tower
+by the term rule `apply_mu`, and `_Resolution` builds the one-sided complex
+P (x)_A A_0 over the algebra's image in F_p from the terms whose right
+factor is an idempotent.  `verify_resolution` composes the table on
+generators in both rings, which gives d o d = 0, and then ranks
 P (x)_A A_0 over F_p: a complex of right-free modules with d o d = 0 is
 exact iff that complex is (Butler and King, J. Algebra 212, 1999; the
 converse by graded Nakayama), and it is finite, so every degree is covered.
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import linalg, scalar, series
 from .algebra import AlgebraError, GradedAlgebra
@@ -109,10 +111,12 @@ def differentials(A: GradedAlgebra) -> dict:
 
 
 def apply_mu(A: GradedAlgebra, terms: list, k: int, x: dict, power: int = 0) -> dict:
-    """The term rule of P (x)_(A^e) M, shared by both complexes: the image of
-    gen (x) x under the terms (l, v', r, c) of mu(gen), for x a degree-k
-    vector of A, is the sum of c (v', r x b^power(l)), as {(v', j): value}
-    over the degree-j basis elements of A.
+    """The term rule of P (x)_(A^e) M: the image of gen (x) x under the
+    terms (l, v', r, c) of mu(gen), for x a degree-k vector of A, is the sum
+    of c (v', r x b^power(l)), as {(v', j): value} over the degree-j basis
+    elements of A.  On the terms whose r is an idempotent, with power 0, it
+    is also the one-sided map of `_Resolution`, which reads its products
+    off `A.red` instead.
 
     A right factor r of degree 0 acts as the identity.  Products are read
     from `A.products`, so the rule runs in whichever ring A has: the tower, or
@@ -633,13 +637,30 @@ class _Resolution:
     (d, u, v) with u the source of x and v the vertex of the simple, which
     every map preserves.  A term (l, v', r, c) of mu_r(gen) sends such an
     element to c (x l) (x) v' when r is an idempotent and to 0 otherwise, as
-    r then lies in the radical: `apply_mu`, the rule `Homology.mat` uses
-    too, on the terms with an idempotent r.  A block is nonzero only for
-    d <= top + h, so ranking every block covers every degree.  Each block is
-    ranked on its own by `linalg.rank`, the same elimination that gives the
-    exact ranks.
+    r then lies in the radical.  The left factor l of such a one-sided term
+    is an edge, whose x l is read off `A.red`, or in mu_4 the top element w
+    whose dual is an idempotent, which only an idempotent x meets, with
+    x w = w; so nothing is memoised.  A block is nonzero only for d <= top + h, so
+    ranking every block covers every degree.  Each block is ranked by
+    `linalg.rank`, the same elimination that gives the exact ranks.
 
-    The maps are the terms of `self.mu`, read when the rows are built, over
+    A block is ranked once per orbit of (d, u, v) -> (d, nu u, nu v), and
+    the orbit shares its rank rows, when the premise `shared` holds:
+    - b, the Nakayama automorphism, is an algebra automorphism of A:
+      `build_form` checks (x, y) = (y, b(x)) exactly on every pairing pair,
+      with f nondegenerate.  So is its image over F_p, which nu^3 = 1 makes
+      invertible (b^3 = 1).  b carries e_u A e_a onto e_(nu u) A e_(nu a).
+    - `shared`: for every stage r and generator gen, the one-sided terms
+      of mu_r(gen) and mu_r(nu gen) satisfy, over F_p,
+        sum c b(l) (x) nu(v') = sum c l (x) v'  (terms of gen on the left,
+      of nu gen on the right), with b(l) the nu-image of an edge l, and a
+      unit times the top element at nu m for the top element at m.
+    Then x (x) gen -> b(x) (x) nu(gen) maps block (d, u, v) of every stage
+    bijectively onto (d, nu u, nu v) and commutes with the one-sided maps,
+    as b(x l) = b(x) b(l); so the blocks of an orbit have equal ranks and
+    dimensions.  Where the premise fails, every block is ranked.
+
+    The maps are the terms of `self.mu`, read on the first `degree`, over
     the image `A.reduce_mod(emb)` of the algebra at the prime embedding,
     with the terms of `hom.mu` reduced alongside.  That image is built once,
     on construction; a denominator that vanishes mod p raises
@@ -661,6 +682,44 @@ class _Resolution:
             for (s, t), idxs in blocks.items():
                 self.ends[k].setdefault(t, []).append((s, idxs))
 
+    @cached_property
+    def one_sided(self) -> dict:
+        """{stage: {gen: [(kl, il, path, v', c)]}}: the terms (l, v', r, c)
+        of mu_stage(gen) whose right factor r is an idempotent, with l the
+        basis element il of degree kl and path its path."""
+        basis = self.A.basis
+        return {r: {gen: [(kl, il, basis[kl][il].path, v, c)
+                          for (kl, il), v, (kr, _), c in terms if not kr]
+                    for gen, terms in self.mu[r].items()}
+                for r in range(1, 5)}
+
+    @cached_property
+    def shared(self) -> bool:
+        """The premise of sharing rank rows along nu-orbits of blocks (see
+        the class): for every stage r and generator gen, sum c b(l) (x)
+        nu(v') over the one-sided terms of mu_r(gen) equals sum c l (x) v'
+        over those of mu_r(nu gen), exactly over F_p.  False for trivial
+        nu, where every orbit is one block."""
+        g, A, p = self.g, self.A, self.p
+        if g.nu_is_trivial():
+            return False
+
+        def nu(r: int, gen):  # nu on the generators of V_r
+            return g.nu_e[gen] if r in (1, 2) else g.nu_v[gen]
+
+        for r, tab in self.one_sided.items():
+            for gen, terms in tab.items():
+                image: dict = {}
+                for kl, il, _, v, c in terms:
+                    linalg.axpy(image, (((kl, j, nu(r - 1, v)), b)
+                                        for j, b in A.beta_basis(kl, il).items()), c, p)
+                own: dict = {}
+                for kl, il, _, v, c in tab[nu(r, gen)]:
+                    linalg.axpy(own, (((kl, il, v), c),), p=p)
+                if image != own:
+                    return False
+        return True
+
     def _bases(self, stage: int, d: int) -> dict:
         """The domain of stage at total degree d, {(u, b): [(gen, x)]}: the
         elements x (x) gen (x) e_b of A (x) V_stage, x running from u to a,
@@ -677,42 +736,79 @@ class _Resolution:
         """Rows of mu_stage (x) A_0 on one block, over target positions.
 
         mu_0 (x) A_0 is the identity of A_0 = S, the only degree it meets.
-        Otherwise the rows are `apply_mu` on the terms of mu_stage(gen) whose
-        right factor r is an idempotent: x (x) gen goes to c (x l) (x) v'.
-        The other terms vanish, as r then lies in the radical."""
-        one = self.A.one
+        Otherwise x (x) gen goes to c (x l) (x) v' for each one-sided term
+        of mu_stage(gen): x l off `A.red` for an edge l, l itself for the
+        idempotent x, and zero for a top element l and x of positive
+        degree.  Any other product is taken along l's path, unmemoised."""
+        A, one, p, top = self.A, self.A.one, self.p, self.A.top
         if stage == 0:
             return [{t: one} for t in range(len(dom))]
         k = d - self.gdeg[stage]
+        red = A.red[k + 1] if k < top else {}
         pos = {elt: t for t, elt in enumerate(tgt)}
-        mu, terms = self.mu[stage], {}
+        terms = self.one_sided[stage]
         rows = []
         for gen, x in dom:
-            if gen not in terms:
-                terms[gen] = [t for t in mu[gen] if not t[2][0]]
-            img = apply_mu(self.A, terms[gen], k, {x: one})
-            rows.append({pos[elt]: c for elt, c in img.items()})
+            row: dict = {}
+            for kl, il, path, v, c in terms[gen]:
+                if k + kl > top:
+                    continue
+                if kl == 1:
+                    xl = red.get((x, path[0]), {}).items()
+                elif not k:  # x is the idempotent at the source of l
+                    xl = ((il, one),)
+                else:
+                    xl = A.mul_path(k, {x: one}, path)[1].items()
+                linalg.axpy(row, ((pos[v, j], a) for j, a in xl), A.axpy_coef(c), p)
+            rows.append(row)
         return rows
 
     def degree(self, d: int) -> dict:
         """{(u, v): [(rank, dim domain, dim target) of mu_0..mu_4 (x) A_0]}
         for every block at total degree d with a nonzero space; other blocks
-        are zero."""
+        are zero.  Under `shared`, one block per nu-orbit is ranked, the
+        first one met, and the orbit shares its rows."""
         bases = [self._bases(stage, d) for stage in range(5)]
         targets = [bases[0] if d == 0 else {}] + bases[:4]
-        out = {}
-        for blk in set().union(*bases):
+        nu = self.g.nu_v
+        out: dict = {}
+        for blk in dict.fromkeys(b for stage in bases for b in stage):
+            if blk in out:
+                continue
             row = []
             for stage in range(5):
                 dom, tgt = bases[stage].get(blk, ()), targets[stage].get(blk, ())
                 rk = linalg.rank(self._rows(stage, d, dom, tgt), self.p) if dom and tgt else 0
                 row.append((rk, len(dom), len(tgt)))
             out[blk] = row
+            if self.shared:
+                u, v = blk
+                out[nu[u], nu[v]] = out[nu[nu[u]], nu[nu[v]]] = row
         return out
 
 
 # primes tried for the modular certificate before it gives up
 _PRIME_TRIES = 4
+
+
+def _left_edges(A: GradedAlgebra) -> list[dict]:
+    """left[k][(e, i)] = e x_i, for an edge e into the source of the degree-k
+    basis element x_i, k < top: the left-edge table `_d_squared` reads.
+
+    Each basis element of degree k >= 1 is a basis element x' of degree
+    k - 1 times an edge f, as the basis grows one edge at a time from the
+    surviving monomials; so the table is built upwards, e x_i = (e x') f,
+    one `mul_edge` on the row below."""
+    g = A.graph
+    left = [{(e.id, g.vindex[e.dst]): {A.index_of[1][(e.id,)]: A.one} for e in g.edges}]
+    for k in range(1, A.top):
+        below, row = left[-1], {}
+        for i, x in enumerate(A.basis[k]):
+            i0 = A.index_of[k - 1][x.path[:-1]] if k > 1 else g.vindex[x.src]
+            for e in g.in_edges[x.src]:
+                row[e.id, i] = A.mul_edge(k, below[e.id, i0], x.path[-1])
+        left.append(row)
+    return left
 
 
 def _d_squared(A: GradedAlgebra, mu: dict) -> list:
@@ -723,8 +819,39 @@ def _d_squared(A: GradedAlgebra, mu: dict) -> list:
 
     A term (l, v', r, c) of mu_r(v) and a term (l', v'', r', c') of
     mu_(r-1)(v') give c c' (l l') (x) v'' (x) (r' r~), with r~ = b(r) when
-    mu_(r-1) is mu_4 and r~ = r otherwise; mu_0 multiplies, to l r."""
-    p, prod, times = A.p, A.products, A.times
+    mu_(r-1) is mu_4 and r~ = r otherwise; mu_0 multiplies, to l r.  Each
+    composite is accumulated inline and tested for zero once, at the end.
+
+    For mu_3 mu_4 and mu_4 mu_5 this is the Casimir identity of the form's
+    dual bases: mu_3 mu_4 = 0 says sum_w w e (x) w* = sum_w w (x) e w* for
+    every edge e, and mu_4 mu_5 = 0 says sum_w e w (x) w* = sum_w w (x)
+    w* b(e), the same with the b twist.  It is checked on mu's own terms,
+    so a fault in the table shows.
+
+    Every product of the terms of `differentials` has an edge or an
+    idempotent as one factor: x e is read off `A.red`, and e x off the
+    left-edge table of `_left_edges`, which this call builds and drops.  Any
+    other product is taken along a path.  Nothing is memoised in
+    `A.products`."""
+    p, top, red, one, times = A.p, A.top, A.red, A.one, A.times
+    left = _left_edges(A) if top else []
+    edge_of = [b.path[0] for b in A.basis[1]] if top else []
+
+    def mul(k1: int, i1: int, k2: int, i2: int):
+        """The (index, value) pairs of x_i1 x_i2; the terms meet at their
+        generators' ends, so the factors compose."""
+        if k1 + k2 > top:
+            return ()
+        if not k1:
+            return ((i2, one),)
+        if not k2:
+            return ((i1, one),)
+        if k2 == 1:
+            return red[k1 + 1].get((i1, edge_of[i2]), {}).items()
+        if k1 == 1:
+            return left[k2].get((edge_of[i1], i2), {}).items()
+        return A.mul_path(k1, {i1: one}, A.basis[k2][i2].path)[1].items()
+
     check = "d2-modp" if p else "d2-exact"
     bad = []
     for r in range(1, 6):
@@ -732,21 +859,23 @@ def _d_squared(A: GradedAlgebra, mu: dict) -> list:
         for gen, terms in mu[(r - 1) % 4 + 1].items():
             acc: dict = {}
             for (kl, il), v, (kr, ir), c in terms:
-                right = A.beta_basis(kr, ir).items() if r == 5 else ((ir, A.one),)
+                right = A.beta_basis(kr, ir).items() if r == 5 else ((ir, one),)
                 for jr, b in right:
                     cb = times(c, b)
                     if lower is None:  # mu_0
-                        linalg.axpy(acc, (((kl + kr, j), a)
-                                          for j, a in prod[kl, il, kr, jr].items()),
-                                    A.axpy_coef(cb), p)
+                        for j, a in mul(kl, il, kr, jr):
+                            x, cur = times(cb, a), acc.get((kl + kr, j))
+                            acc[kl + kr, j] = x if cur is None else cur + x
                         continue
                     for (kl2, il2), w, (kr2, ir2), c2 in lower[v]:
-                        cc, rr = times(cb, c2), prod[kr2, ir2, kr, jr].items()
-                        for j, a in prod[kl, il, kl2, il2].items():
+                        cc, rr = times(cb, c2), mul(kr2, ir2, kr, jr)
+                        for j, a in mul(kl, il, kl2, il2):
                             ca = times(cc, a)
-                            linalg.axpy(acc, (((kl + kl2, j, w, kr2 + kr, jj), times(ca, bb))
-                                              for jj, bb in rr), p=p)
-            if acc:
+                            for jj, bb in rr:
+                                key = (kl + kl2, j, w, kr2 + kr, jj)
+                                x, cur = times(ca, bb), acc.get(key)
+                                acc[key] = x if cur is None else cur + x
+            if any(x % p if p else x for x in acc.values()):
                 bad.append((check, r, gen))
     return bad
 
@@ -763,9 +892,9 @@ def verify_resolution(hom: Homology) -> dict:
     (Butler and King, J. Algebra 212, 1999; both directions are in
     `_Resolution`, the converse by graded Nakayama).  That one-sided complex vanishes above degree
     top + h, the `cutoff`, and its exactness follows from ranks taken over
-    the modular image, built once per prime: a mod-p rank is at most the
-    exact rank, so mod-p ranks that meet the dimension bound pin the exact
-    ranks.  A prime whose image has a vanishing denominator is skipped, up to
+    the modular image, built once per prime, one block per nu-orbit where
+    `_Resolution.shared` holds: a mod-p rank is at most the exact rank, so
+    mod-p ranks that meet the dimension bound pin the exact ranks.  A prime whose image has a vanishing denominator is skipped, up to
     `_PRIME_TRIES` primes.  Returns `ok`, `cutoff`, `failures` (each naming
     the check and, for d o d, the index r and generator of mu_(r-1) mu_r, for
     a node its one-sided (d, u, v) block) and the `prime` that was used.

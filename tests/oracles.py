@@ -11,12 +11,17 @@
 - `structure_from_euler`, `predicted_tables`: the structure theorem's
   blocks, solved from the Euler characteristic, and the periodic HH/HC
   tables they predict.
+- `resolution_blocks`: the rank rows of every block of the one-sided
+  resolution complex, each block ranked on its own and its rows built by
+  `apply_mu`, which `_Resolution.degree` must equal.
 """
 
 from __future__ import annotations
 
+from acy import linalg
 from acy.algebra import AlgebraError
 from acy.cells import CellSystem, Relation, RelationSet, canon
+from acy.homology import apply_mu
 from acy.quiver import Graph, build_family
 from acy.scalar import FieldTower, Scalar
 
@@ -324,3 +329,34 @@ def predicted_tables(h: int, blocks: dict, trivial_nu: bool, max_i: int, max_d: 
                 if 0 <= d + lift <= max_d:
                     out[(i, d + lift)] = v
     return out_hh, out_hc
+
+
+# ---------------------------------------------------------------------------
+# the one-sided resolution complex, block by block
+# ---------------------------------------------------------------------------
+
+def resolution_blocks(res, d: int) -> dict:
+    """`_Resolution.degree(d)` with no sharing: {(u, v): [(rank, dim domain,
+    dim target) of mu_0..mu_4 (x) A_0]} for every block with a nonzero
+    space, each ranked on its own.  A row of stage r > 0 is `apply_mu`, the
+    term rule of the Hochschild matrices, on the terms of mu_r(gen) whose
+    right factor is an idempotent, over the memoised products of `res.A`."""
+    A = res.A
+    bases = [res._bases(stage, d) for stage in range(5)]
+    targets = [bases[0] if d == 0 else {}] + bases[:4]
+    out = {}
+    for blk in set().union(*bases):
+        out[blk] = []
+        for stage in range(5):
+            dom, tgt = bases[stage].get(blk, []), targets[stage].get(blk, [])
+            rk = 0
+            if dom and tgt:
+                pos = {elt: t for t, elt in enumerate(tgt)}
+                rows = [{t: A.one} for t in range(len(dom))] if stage == 0 else [
+                    {pos[elt]: c for elt, c in apply_mu(
+                        A, [t for t in res.mu[stage][gen] if not t[2][0]],
+                        d - res.gdeg[stage], {x: A.one}).items()}
+                    for gen, x in dom]
+                rk = linalg.rank(rows, res.p)
+            out[blk].append((rk, len(dom), len(tgt)))
+    return out

@@ -7,13 +7,16 @@ import acy.homology
 import acy.scalar
 from acy import cli
 from acy.algebra import AlgebraError, GradedAlgebra
+from acy.cells import derive_relations
 from acy.homology import (Homology, _generators, _Resolution, _resolution_ranks,
                           build_report, cyclic_from_hh, differentials, euler_from_hc,
                           hh0_direct, verify_resolution)
+from acy.quiver import parse_graph_spec
 from acy.scalar import PrimeEmbedding
 from acy.series import euler_characteristic_hc
+from acy.solver import solve_cells
 from conftest import own_relations
-from oracles import predicted_tables, structure_from_euler
+from oracles import predicted_tables, resolution_blocks, structure_from_euler
 
 
 def test_a4_chain_space_v_block_empty(pipe):
@@ -475,18 +478,98 @@ def test_compute_report_names_where_a_bumped_mu4_fails(monkeypatch, capsys):
 
 def test_resolution_detects_a_bumped_modular_mu4(pipe, monkeypatch):
     # the modular stage 4 applies the reduced mu_4 table, so the same +1 on
-    # its image fails the generator check mod p; the rank failures it also
-    # causes come after
+    # its image fails the generator check mod p.  The bumped term is the one
+    # the one-sided rows read at that vertex: it breaks the nu-match of the
+    # terms, so no rank rows are shared and every block is ranked, and a
+    # term scaled by a unit keeps every rank
+    made = []
+
     class Bumped(_Resolution):
         def __init__(self, hom, emb):
             super().__init__(hom, emb)
             _bump_mu4(self.mu)
+            made.append(self)
 
     monkeypatch.setattr(acy.homology, "_Resolution", Bumped)
     for spec, m in MU4_FAULT.items():
         _, _, _, hom = pipe(spec)
         out = verify_resolution(hom)
-        assert out["failures"][:2] == [("d2-modp", 4, m), ("d2-modp", 5, 0)], spec
+        assert out["failures"] == [("d2-modp", 4, m), ("d2-modp", 5, 0)], spec
+        assert made[-1].shared is False, spec
+
+
+# +1 on the first term of mu_4 at the first vertex m whose w has degree
+# top // 2, the middle of A: mu_3 mu_4 then fails at m, and mu_4 mu_5 at the
+# edges into and out of m, which meet w on the left and w* on the right
+MU4_MID_FAULT = {"A6": ("0,0", [0, 1]), "D6": ("[0,0]", [0, 1]), "E8": ("1_0", [0, 21])}
+
+
+def _bump_mu4_mid(mu: dict, top: int, one) -> dict:
+    terms = next(iter(mu[4].values()))
+    n = next(n for n, t in enumerate(terms) if t[0][0] == top // 2)
+    left, v, right, c = terms[n]
+    terms[n] = (left, v, right, c + one)
+    return mu
+
+
+def test_resolution_detects_a_bumped_mu4_of_middle_degree(pipe, monkeypatch):
+    for spec, (m, edges) in MU4_MID_FAULT.items():
+        g, _, A, hom = pipe(spec)
+        assert [e.id for e in g.edges if m in (e.src, e.dst)] == edges, spec
+        bumped = Homology(A)
+        _bump_mu4_mid(bumped.mu, A.top, A.one)
+        out = verify_resolution(bumped)
+        assert out["failures"] == [("d2-exact", 4, m)] + [("d2-exact", 5, e) for e in edges], spec
+
+        class Bumped(_Resolution):
+            def __init__(self, hom, emb):
+                super().__init__(hom, emb)
+                _bump_mu4_mid(self.mu, self.A.top, 1)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(acy.homology, "_Resolution", Bumped)
+            out = verify_resolution(hom)
+        assert out["failures"] == [("d2-modp", 4, m)] + [("d2-modp", 5, e) for e in edges], spec
+
+
+def test_the_certificate_memoises_no_product(pipe, monkeypatch):
+    # every product of the certificate is read off tables it frees: the
+    # algebra keeps only the products the report's other stages memoised,
+    # and the modular image memoises none
+    made = []
+
+    class Recorded(_Resolution):
+        def __init__(self, hom, emb):
+            super().__init__(hom, emb)
+            made.append(self)
+
+    monkeypatch.setattr(acy.homology, "_Resolution", Recorded)
+    for spec in ("A9", "D9"):
+        g, cells, _, _ = pipe(spec)
+        A = GradedAlgebra(g, derive_relations(cells))
+        assert build_report(A, cells, with_resolution=False).ok
+        before = set(A.products)
+        assert verify_resolution(Homology(A))["ok"], spec
+        assert set(A.products) == before, spec
+        assert made[-1].A.products == {}, spec
+
+
+def test_resolution_shares_rank_rows_exactly_along_nu_orbits(pipe):
+    # with nontrivial nu, one block per orbit is ranked; every block's rows
+    # equal those of the oracle, which ranks each block on its own.  A10 and
+    # A11 have no built-in cells, and are solved
+    for spec in ("A6", "A7", "A8", "A9", "A10", "A11", "A12", "E8", "E8*", "D7*"):
+        if spec in ("A10", "A11"):
+            g = parse_graph_spec(spec)
+            A = GradedAlgebra(g, derive_relations(solve_cells(g)))
+            hom = Homology(A)
+        else:
+            g, _, A, hom = pipe(spec)
+        emb = PrimeEmbedding.find(A.tower)
+        res, full = _Resolution(hom, emb), _Resolution(hom, emb)
+        assert res.shared is not g.nu_is_trivial(), spec
+        for d in range(A.top + g.h + 1):
+            assert res.degree(d) == resolution_blocks(full, d), (spec, d)
 
 
 def test_pipe_caches_the_real_differentials_under_a_patch(pipe, monkeypatch):
