@@ -12,7 +12,6 @@ coefficient, and the top degree pairs one-dimensionally along nu.
 from __future__ import annotations
 
 import copy
-import operator
 from dataclasses import dataclass
 
 from . import linalg, scalar, series
@@ -63,13 +62,14 @@ class GradedAlgebra:
     Coefficients lie in the ring of the relations, with p = 0: tower
     scalars, `Eisenstein`s over Q(omega), or Python's ints and Fractions
     over Q (`RATIONALS`); or they are ints mod p on the image `reduce_mod`
-    returns.  Multiplication and the Nakayama action serve all of them."""
+    returns.  Multiplication and the Nakayama action serve all of them with
+    `*` alone: `scalar.py`'s types skip a product by their shared unit."""
 
     def __init__(self, graph: Graph, relations: RelationSet):
         self.graph = graph
         self.relations = relations
         self.tower = relations.tower   # the tower the modular certificate embeds
-        # shared: coefficients are immutable, and over Q these are the ints 1, 0
+        # the relations' unit: `FieldTower.one()`, `scalar.ONE` or the int 1
         self.one = relations.one
         self.zero = self.one - self.one
         self.p = 0
@@ -122,7 +122,7 @@ class GradedAlgebra:
                             # (w * b_e) reduced over basis[k-1], then append c_e
                             left = self.red[k - 1][(w_i, b_e)]
                             linalg.axpy(vec, ((mono_pos[(j, c_e)], cj)
-                                              for j, cj in left.items()), self.axpy_coef(coeff))
+                                              for j, cj in left.items()), coeff)
                         elim.add(vec)
                 for elim in elim_by_block.values():
                     pivots_vec.update(elim.reduced())
@@ -185,7 +185,7 @@ class GradedAlgebra:
         for i, c in vec.items():
             hit = red.get((i, eid))
             if hit:
-                linalg.axpy(out, hit.items(), self.axpy_coef(c), self.p)
+                linalg.axpy(out, hit.items(), c, self.p)
         return out
 
     def mul_path(self, k: int, vec: dict, path: tuple[int, ...]) -> tuple[int, dict]:
@@ -206,17 +206,8 @@ class GradedAlgebra:
             for i1, c1 in v1.items():
                 prod = self.mul_basis(k1, i1, k2, i2)
                 if prod:
-                    linalg.axpy(out, prod.items(), self.axpy_coef(self.times(c1, c2)),
-                                self.p)
+                    linalg.axpy(out, prod.items(), c1 * c2, self.p)
         return out
-
-    def times(self, a: Scalar, b: Scalar) -> Scalar:
-        """a * b, with no multiply when a factor is the shared one."""
-        return b if a is self.one else a if b is self.one else a * b
-
-    def axpy_coef(self, c: Scalar) -> Scalar | None:
-        """c as an `axpy` factor: None (no multiply) for the shared one."""
-        return None if c is self.one else c
 
     def reduce_path(self, src: str, path: tuple[int, ...]) -> tuple[int, dict]:
         """Class of a raw path in the quotient."""
@@ -240,7 +231,7 @@ class GradedAlgebra:
         for _ in range(power):
             out: dict[int, Scalar] = {}
             for i, c in vec.items():
-                linalg.axpy(out, self.beta_basis(k, i).items(), self.axpy_coef(c), self.p)
+                linalg.axpy(out, self.beta_basis(k, i).items(), c, self.p)
             vec = out
         return vec
 
@@ -321,7 +312,7 @@ class GradedAlgebra:
                         for j, b in bx:
                             v = partner.get((y_i, j))
                             if v is not None:
-                                rhs = rhs + self.times(b, v)
+                                rhs = rhs + b * v
                         if own.get((i, y_i), zero) != rhs:
                             raise AlgebraError(
                                 f"(x,y) != (y,beta(x)) at degree {p}, basis {i} / {y_i}")
@@ -352,7 +343,7 @@ class GradedAlgebra:
         for i, x in vec.items():
             coeff = self.f_coeff.get(i)
             if coeff is not None:
-                acc = acc + self.times(coeff, x)
+                acc = acc + coeff * x
         return acc
 
     def reduce_mod(self, emb: PrimeEmbedding) -> "GradedAlgebra":
@@ -367,7 +358,6 @@ class GradedAlgebra:
 
         out = copy.copy(self)
         out.p, out.one = emb.p, 1
-        out.times = operator.mul  # an int product costs less than the test for one
         out.red = [{key: image(vec) for key, vec in tab.items()} for tab in self.red]
         out.duals = [{i: image(vec) for i, vec in tab.items()} for tab in self.duals]
         out.products, out._beta_cache = _Products(out), {}

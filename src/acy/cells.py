@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import linalg
 from .quiver import Graph, canon, json_field
-from .scalar import OMEGA, RATIONALS, Eisenstein, FieldTower, Scalar
+from .scalar import OMEGA, ONE, RATIONALS, FieldTower, Scalar
 
 __all__ = ["CellSystem", "RelationSet", "CellReport", "GaugeError", "compile_equations",
            "verify_type_I", "verify_type_II", "derive_relations",
@@ -73,8 +73,8 @@ class Relation:
 
 class RelationSet:
     """Relations with coefficients in one ring, whose unit is `one`: the
-    tower's by default, the int 1 over `RATIONALS`, or an Eisenstein over
-    Q(omega) in a tower that holds omega."""
+    tower's shared `one()` by default, the int 1 over `RATIONALS`, or
+    `scalar.ONE` over Q(omega) in a tower that holds omega."""
 
     def __init__(self, graph: Graph, tower: FieldTower, relations: list[Relation], one=None):
         self.graph = graph
@@ -336,17 +336,16 @@ def _cube_root_potential(cells: CellSystem):
             return None
         powers.append(0 if x == 1 else 1 if x.imag().is_positive() else 2)
     e = _omega_exponents(len(orbits), kernel, powers)
-    one = Eisenstein(1)
-    roots = [one, OMEGA, OMEGA * OMEGA]
+    roots = [ONE, OMEGA, OMEGA * OMEGA]
     W2 = [roots[e.get(T, 0)] for T in range(len(orbits))]
     for n, k in zip(kernel, powers):
-        x = _invariant(W2, n, one)
+        x = _invariant(W2, n, ONE)
         if x != roots[k]:
             raise GaugeError(f"the potential over Q(omega) has invariant {x!r} "
                              f"on the kernel vector {n}, where W has omega^{k}")
     if not any(e.values()):
         return {t: 1 for o in orbits for t in o}, RATIONALS, 1
-    return {t: w for o, w in zip(orbits, W2) for t in o}, cells.tower, one
+    return {t: w for o, w in zip(orbits, W2) for t in o}, cells.tower, ONE
 
 
 def _invariant(W: list, n: dict, one):

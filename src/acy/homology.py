@@ -121,22 +121,22 @@ def apply_mu(A: GradedAlgebra, terms: list, k: int, x: dict, power: int = 0) -> 
     A right factor r of degree 0 acts as the identity.  Products are read
     from `A.products`, so the rule runs in whichever ring A has: the tower, or
     the image `A.reduce_mod(emb)` with the terms reduced alongside."""
-    prod, times, top, one, p = A.products, A.times, A.top, A.one, A.p
+    prod, top, one, p = A.products, A.top, A.one, A.p
     out: dict = {}
     for (kl, il), v, (kr, ir), c in terms:
         if k + kl + kr > top:
             continue
         for jl, b in A.beta_vec(kl, {il: one}, power).items():
-            cb = times(c, b)
+            cb = c * b
             for i, a in x.items():
                 xl = prod[k, i, kl, jl].items()
-                cab = times(cb, a)
+                cab = cb * a
                 if not kr:
-                    linalg.axpy(out, (((v, j), e) for j, e in xl), A.axpy_coef(cab), p)
+                    linalg.axpy(out, (((v, j), e) for j, e in xl), cab, p)
                     continue
                 for j, e in xl:
                     linalg.axpy(out, (((v, jj), f) for jj, f in prod[kr, ir, k + kl, j].items()),
-                                A.axpy_coef(times(cab, e)), p)
+                                cab * e, p)
     return out
 
 
@@ -188,12 +188,6 @@ class Homology:
         return self.space(r, s, d - _shift(i, self.g.h))
 
     # -- differentials ------------------------------------------------------------
-
-    def _nu_edge_pow(self, eid: int, k: int) -> int:
-        k %= 3
-        for _ in range(k):
-            eid = self.g.nu_e[eid]
-        return eid
 
     def _pos(self, r: int, twist: int, k: int) -> dict:
         key = ("pos", r, self._tw(twist), k)
@@ -355,7 +349,7 @@ class Homology:
         for gen, i in self.space(r1, t1, k1):
             x = A.basis[k1][i]
             # r1 + r2 = 3: edges pair with reversed edges, vertices with vertices
-            gen2 = self._nu_edge_pow(gen, -self._tw(t1)) if r1 in (1, 2) else x.dst
+            gen2 = self.g.nu_edge_pow(gen, -self._tw(t1)) if r1 in (1, 2) else x.dst
             row = {}
             for y in A.block_index[k2].get((x.dst, g.nu_v[x.src]), ()):
                 col = cols.get((gen2, y))
@@ -442,9 +436,9 @@ class Homology:
                 top, ft = A.basis[T][it], A.f_coeff[it]
                 a, b = vi[top.src], vi[top.dst]
                 linalg.axpy(lhs, [((ic, b), ft)], c)
-                fa = A.times(c, ft)
+                fa = c * ft
                 for ib, cc in beta_of.get(ic, ()):
-                    linalg.axpy(rhs, [((a, ib), fa)], A.axpy_coef(cc))
+                    linalg.axpy(rhs, [((a, ib), fa)], cc)
         return lhs == rhs
 
     def verify_dim_symmetry(self, table: dict, max_d: int) -> list:
@@ -759,7 +753,7 @@ class _Resolution:
                     xl = ((il, one),)
                 else:
                     xl = A.mul_path(k, {x: one}, path)[1].items()
-                linalg.axpy(row, ((pos[v, j], a) for j, a in xl), A.axpy_coef(c), p)
+                linalg.axpy(row, ((pos[v, j], a) for j, a in xl), c, p)
             rows.append(row)
         return rows
 
@@ -833,7 +827,7 @@ def _d_squared(A: GradedAlgebra, mu: dict) -> list:
     left-edge table of `_left_edges`, which this call builds and drops.  Any
     other product is taken along a path.  Nothing is memoised in
     `A.products`."""
-    p, top, red, one, times = A.p, A.top, A.red, A.one, A.times
+    p, top, red, one = A.p, A.top, A.red, A.one
     left = _left_edges(A) if top else []
     edge_of = [b.path[0] for b in A.basis[1]] if top else []
 
@@ -861,19 +855,19 @@ def _d_squared(A: GradedAlgebra, mu: dict) -> list:
             for (kl, il), v, (kr, ir), c in terms:
                 right = A.beta_basis(kr, ir).items() if r == 5 else ((ir, one),)
                 for jr, b in right:
-                    cb = times(c, b)
+                    cb = c * b
                     if lower is None:  # mu_0
                         for j, a in mul(kl, il, kr, jr):
-                            x, cur = times(cb, a), acc.get((kl + kr, j))
+                            x, cur = cb * a, acc.get((kl + kr, j))
                             acc[kl + kr, j] = x if cur is None else cur + x
                         continue
                     for (kl2, il2), w, (kr2, ir2), c2 in lower[v]:
-                        cc, rr = times(cb, c2), mul(kr2, ir2, kr, jr)
+                        cc, rr = cb * c2, mul(kr2, ir2, kr, jr)
                         for j, a in mul(kl, il, kl2, il2):
-                            ca = times(cc, a)
+                            ca = cc * a
                             for jj, bb in rr:
                                 key = (kl + kl2, j, w, kr2 + kr, jj)
-                                x, cur = times(ca, bb), acc.get(key)
+                                x, cur = ca * bb, acc.get(key)
                                 acc[key] = x if cur is None else cur + x
             if any(x % p if p else x for x in acc.values()):
                 bad.append((check, r, gen))

@@ -117,10 +117,14 @@ class Graph:
                        for e3 in self.between.get((e2.dst, e1.src), ())})
 
     def nu_vertex_pow(self, v: str, k: int) -> str:
-        k %= 3
-        for _ in range(k):
+        for _ in range(k % 3):
             v = self.nu_v[v]
         return v
+
+    def nu_edge_pow(self, eid: int, k: int) -> int:
+        for _ in range(k % 3):
+            eid = self.nu_e[eid]
+        return eid
 
     # -- validation -------------------------------------------------------------
 

@@ -14,6 +14,9 @@ is only exercised by the orbifold cell systems on the D graphs, whose
 weights involve cube roots of unity.  The algebra of those cells runs in
 the smaller field Q(omega) instead, as `Eisenstein`s (a + b omega)/d.
 
+Each field has one shared unit, `FieldTower.one()` or `ONE` in Q(omega), for
+which `__mul__` returns the other factor: the one place a unit is skipped.
+
 Zero is decided exactly from the normal form.  Positivity of a nonzero
 element is certified by interval arithmetic with escalating precision;
 intervals never decide equality.
@@ -28,7 +31,7 @@ from math import comb, gcd
 import mpmath
 from mpmath import mp
 
-__all__ = ["FieldTower", "Scalar", "Eisenstein", "OMEGA", "PrimeEmbedding", "RATIONALS",
+__all__ = ["FieldTower", "Scalar", "Eisenstein", "ONE", "OMEGA", "PrimeEmbedding", "RATIONALS",
            "inverse", "residue", "base_relation"]
 
 
@@ -243,6 +246,8 @@ class FieldTower:
         self.degree = self.degree_base * (1 << len(self.roots))
         self._numcache: dict[int, tuple] = {}
         self.fingerprint = (h,) + self.roots
+        # the unit `one()` returns on every call, and `Scalar.__mul__` skips
+        self._one = Scalar(self, {0: (1, 1) + (0,) * (self.degree_base - 1)})
 
     # -- scalar constructors -------------------------------------------------
 
@@ -250,7 +255,7 @@ class FieldTower:
         return Scalar(self, {})
 
     def one(self) -> Scalar:
-        return self.from_fraction(1)
+        return self._one
 
     def from_fraction(self, q) -> Scalar:
         q = Fraction(q)
@@ -385,10 +390,6 @@ class FieldTower:
         return cls(h, tuple(tuple(g) for g in roots))
 
 
-# Q as a tower: the base field at h = 3 is Q, as 2cos(pi/3) = 1.
-RATIONALS = FieldTower(3)
-
-
 # ---------------------------------------------------------------------------
 # scalars
 # ---------------------------------------------------------------------------
@@ -465,6 +466,9 @@ class Scalar:
             re = {m: _bscale(b, q) for m, b in self.re.items()}
             im = {m: _bscale(b, q) for m, b in self.im.items()} if self.im else None
             return Scalar(self.tower, re, im)
+        t = self.tower
+        if other.tower is t and (self is t._one or other is t._one):
+            return other if self is t._one else self
         a, b = _coerce(self, other)
         t = a.tower
         if a.im is None and b.im is None:
@@ -627,6 +631,10 @@ class Scalar:
         return f"Scalar({mpmath.nstr(self.value(80), 12)})"
 
 
+# Q as a tower: the base field at h = 3 is Q, as 2cos(pi/3) = 1.
+RATIONALS = FieldTower(3)
+
+
 class Eisenstein:
     """An element (a + b omega) / d of Q(omega), omega = e^(2 pi i/3) =
     (-1 + i sqrt 3)/2, on Python ints: the coefficients of an algebra whose
@@ -638,7 +646,8 @@ class Eisenstein:
     The conjugate of a + b omega is (a - b) - b omega, and their product is
     the norm a^2 - ab + b^2, positive unless a = b = 0: the inverse divides
     the conjugate by it.  `inverse` and `reduce_mod` follow `Scalar`'s
-    protocol, and Python ints mix in as the rationals they are.
+    protocol, and Python ints mix in as the rationals they are.  `__mul__`
+    returns the other factor when one is the shared unit `ONE`.
     """
 
     __slots__ = ("a", "b", "d")
@@ -690,6 +699,8 @@ class Eisenstein:
             if not isinstance(other, int):
                 return NotImplemented
             return Eisenstein(self.a * other, self.b * other, self.d)
+        if self is ONE or other is ONE:
+            return other if self is ONE else self
         a, b, c, e = self.a, self.b, other.a, other.b
         be = b * e
         return Eisenstein(a * c - be, a * e + b * c - be, self.d * other.d)
@@ -716,6 +727,7 @@ class Eisenstein:
         return f"Eisenstein({self.a}, {self.b}, {self.d})"
 
 
+ONE = Eisenstein(1)  # Q(omega)'s shared unit, which `Eisenstein.__mul__` skips
 OMEGA = Eisenstein(0, 1)
 
 

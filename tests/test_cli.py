@@ -50,10 +50,11 @@ def test_compute_text_is_pinned(graph, digest):
 # sha256 of `acy compute --format json`, the `tool` block included.  A6, A5*
 # and D5* have no gauge invariants, so their algebra is built over Q.  The
 # invariants of D6, D9 and D12 are omega and its conjugate, so theirs is built
-# over Q(omega).  E8 and D7* have invariants that are not cube roots of unity,
-# and theirs is built over the cells' tower.  In every case the report, whose
-# `tool.tower` is the cells' tower, keeps the bytes it had when every algebra
-# with invariants was built over the cells' tower.
+# over Q(omega).  E8, A9*, A13* and D7* have invariants that are not cube roots
+# of unity, A9* and A13* several real ones, and theirs is built over the cells'
+# tower.  In every case the report, whose `tool.tower` is the cells' tower,
+# keeps the bytes it had when every algebra with invariants was built over the
+# cells' tower.
 @pytest.mark.parametrize("graph,digest", [
     ("A6", "3b9208d7e5aab660864f47c0b1ded37c5b4f456e46a549e12a5744257cc5eb08"),
     ("A5*", "c809538465a071381e1129056b9af3e321754771405853c203d640fef92a6b2a"),
@@ -63,6 +64,8 @@ def test_compute_text_is_pinned(graph, digest):
     ("D12", "179e26f0bdd5d67f6ea301d39a061283b45e965d72b7eaa1f117a60aa1664a99"),
     ("E8", "276ed2d28369590c958389a0bc49eca280932405306766d5d588da35ec9e729c"),
     ("D7*", "44da743b5c6f6edca399e13dbf39718653db307d3a7ec635dbc94e8b2f3e0505"),
+    ("A9*", "c90c7cbfc75ad3b69f185e85eccebe993167f039b9c50f8bcd7ea8f563d7865f"),
+    ("A13*", "16997d0aa8585096f6f4c55bdd3d5ce4e7d7cd6a3061276d50bd7e3bfe174da5"),
 ])
 def test_compute_json_is_pinned(graph, digest):
     code, out, _ = run_cli("compute", "--graph", graph, "--format", "json")

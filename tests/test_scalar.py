@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from acy.scalar import (OMEGA, RATIONALS, Eisenstein, FieldTower, PrimeEmbedding, Scalar,
+from acy.scalar import (ONE, OMEGA, RATIONALS, Eisenstein, FieldTower, PrimeEmbedding, Scalar,
                         _base_field, _base_sqrt, _isprime, _sqrt_mod, base_relation,
                         coxeter_minpoly, inverse, residue)
 
@@ -339,6 +339,22 @@ def test_inverse_property(args):
         assert inv.is_real()
 
 
+@PROPS
+@given(tower_and_scalars(n=1, cplx=True))
+def test_a_product_with_the_shared_unit_is_the_other_factor(args):
+    t, a = args
+    one = t.one()
+    assert t.one() is one and one == 1 and one.tower is t
+    for x in (a, a + t.i_times(t.generator())):  # a real or complex a, and a complex x
+        assert x * one is x and one * x is x
+        # an equal unit that is another object, in this tower or in an equal
+        # one, multiplies as any scalar does, to an equal product
+        for unit in (t.from_fraction(1), FieldTower(t.h, t.roots).one()):
+            assert unit is not one and unit == one
+            for y in (x * unit, unit * x):
+                assert y == x and y.re == x.re and (y.im or {}) == (x.im or {})
+
+
 @pytest.mark.parametrize("h", BASE_HS)
 def test_base_inverse_of_the_generator(h):
     # for D > 1, c's multiplication matrix has a zero (0,0) entry: the
@@ -455,6 +471,18 @@ def test_eisenstein_inverse(a):
     assert inv.inverse() == a and inverse(a) == inv
     with pytest.raises(ZeroDivisionError):
         Eisenstein(0).inverse()
+
+
+@PROPS
+@given(eisensteins)
+def test_a_product_with_the_shared_eisenstein_unit_is_the_other_factor(a):
+    assert a * ONE is a and ONE * a is a
+    unit = Eisenstein(1)
+    assert unit is not ONE and unit == ONE
+    for y in (a * unit, unit * a):
+        assert y == a and (y.a, y.b, y.d) == (a.a, a.b, a.d)
+    # an int factor still gives an Eisenstein
+    assert type(ONE * 3) is Eisenstein and ONE * 3 == 3 == 3 * ONE
 
 
 def test_the_tower_omega_is_the_orbifold_omega():
