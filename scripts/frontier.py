@@ -35,7 +35,7 @@ LADDER = [("A12", "builtin"), ("A13*", "builtin"), ("D9*", "builtin"),
           ("A13", "solve"), ("A15", "solve"), ("A16", "solve"), ("A18", "solve"),
           ("D15", "solve"), ("D18", "solve"), ("A15*", "solve"),
           ("A21", "solve"), ("D21", "solve"), ("A24", "solve"), ("D24", "solve"),
-          ("A27", "solve"), ("D27", "solve")]
+          ("A27", "solve"), ("D27", "solve"), ("A30", "solve"), ("D30", "solve")]
 TIMEOUT_S = 600
 RSS_CAP_MB = 4096
 REPEATS = 3

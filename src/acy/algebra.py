@@ -33,28 +33,6 @@ class BasisElt:
     dst: str
 
 
-class _Products(dict):
-    """products[k1, i1, k2, i2]: the product of two basis elements, as a
-    degree k1+k2 vector, computed on first use."""
-
-    def __init__(self, A: "GradedAlgebra"):
-        super().__init__()
-        self.A = A
-
-    def __missing__(self, key):
-        k1, i1, k2, i2 = key
-        A = self.A
-        b2 = A.basis[k2][i2]
-        if A.basis[k1][i1].dst != b2.src or k1 + k2 > A.top:
-            hit = {}
-        elif not k1:  # an idempotent is the identity on what it meets
-            hit = {i2: A.one}
-        else:
-            _, hit = A.mul_path(k1, A.unit(k1, i1), b2.path)
-        self[key] = hit
-        return hit
-
-
 class GradedAlgebra:
     """Bases, reduction tables, multiplication, the non-degenerate form and
     its dual bases, and the Nakayama action, for A = A(G, W).
@@ -79,7 +57,6 @@ class GradedAlgebra:
         self.index_of: list[dict[tuple[int, ...], int]] = []
         # reduction of monomials (prev basis index, edge id) -> vec over basis
         self.red: list[dict[tuple[int, int], dict]] = []
-        self.products = _Products(self)
         self._beta_cache: dict = {}
         self._build()
         self._form_built = False
@@ -197,8 +174,21 @@ class GradedAlgebra:
         return k, vec
 
     def mul_basis(self, k1: int, i1: int, k2: int, i2: int) -> dict:
-        """Product of two basis elements, as a degree k1+k2 vector (memoized)."""
-        return self.products[k1, i1, k2, i2]
+        """Product of two basis elements, as a degree k1+k2 vector: {} when
+        they do not compose or their degrees sum past the top, the other
+        factor when one is an idempotent, one `red` entry when the right
+        factor is an edge, and otherwise the walk along its path.  The result
+        may be a table's own dict, which the caller must not mutate."""
+        b2 = self.basis[k2][i2]
+        if self.basis[k1][i1].dst != b2.src or k1 + k2 > self.top:
+            return {}
+        if not k1:
+            return {i2: self.one}
+        if not k2:
+            return {i1: self.one}
+        if k2 == 1:
+            return self.red[k1 + 1][i1, b2.path[0]]
+        return self.mul_path(k1, {i1: self.one}, b2.path)[1]
 
     def mul(self, k1: int, v1: dict, k2: int, v2: dict) -> dict:
         out: dict[int, Scalar] = {}
@@ -242,7 +232,9 @@ class GradedAlgebra:
         along a spanning tree; then tabulate f(x y) once per pairing pair, in
         degree order, check (x,y) = (y, beta(x)) on every pair off those
         tables, and invert each pairing block for the dual bases.  The lowest
-        failing degree raises."""
+        failing degree raises.  The tables stay, as `fxy`: fxy[p][i, j] is
+        f(x_i y_j) for x_i of degree p and y_j of degree top - p, with the
+        zero values left out."""
         if self._form_built:
             return
         g, T = self.graph, self.top
@@ -332,7 +324,7 @@ class GradedAlgebra:
                     self.duals[p][x_i] = {yidx[q]: cq for q, cq in inv[r].items()}
 
         self.duals: list[dict[int, dict]] = [dict() for _ in range(T + 1)]
-        fxy = [table(p) for p in range(T + 1)]
+        self.fxy = fxy = [table(p) for p in range(T + 1)]
         for p in range(T + 1):
             pair_degree(p, fxy[p], fxy[T - p])
         self._form_built = True
@@ -348,9 +340,9 @@ class GradedAlgebra:
 
     def reduce_mod(self, emb: PrimeEmbedding) -> "GradedAlgebra":
         """The image of A over F_p: the same bases, with the structure
-        constants, the dual bases and the unit reduced once, and fresh memos
-        (the form `f` stays over the tower).  Raises ZeroDivisionError when a
-        denominator vanishes mod p."""
+        constants, the dual bases and the unit reduced once, and a fresh
+        Nakayama cache; the form `f` and its tables `fxy` stay over the
+        tower.  Raises ZeroDivisionError when a denominator vanishes mod p."""
         self.build_form()
 
         def image(vec: dict) -> dict:
@@ -360,7 +352,7 @@ class GradedAlgebra:
         out.p, out.one = emb.p, 1
         out.red = [{key: image(vec) for key, vec in tab.items()} for tab in self.red]
         out.duals = [{i: image(vec) for i, vec in tab.items()} for tab in self.duals]
-        out.products, out._beta_cache = _Products(out), {}
+        out._beta_cache = {}
         return out
 
     def __repr__(self):

@@ -118,10 +118,10 @@ def apply_mu(A: GradedAlgebra, terms: list, k: int, x: dict, power: int = 0) -> 
     is also the one-sided map of `_Resolution`, which reads its products
     off `A.red` instead.
 
-    A right factor r of degree 0 acts as the identity.  Products are read
-    from `A.products`, so the rule runs in whichever ring A has: the tower, or
+    A right factor r of degree 0 acts as the identity.  Each product is
+    `A.mul_basis`, so the rule runs in whichever ring A has: the tower, or
     the image `A.reduce_mod(emb)` with the terms reduced alongside."""
-    prod, top, one, p = A.products, A.top, A.one, A.p
+    mul, top, one, p = A.mul_basis, A.top, A.one, A.p
     out: dict = {}
     for (kl, il), v, (kr, ir), c in terms:
         if k + kl + kr > top:
@@ -129,13 +129,13 @@ def apply_mu(A: GradedAlgebra, terms: list, k: int, x: dict, power: int = 0) -> 
         for jl, b in A.beta_vec(kl, {il: one}, power).items():
             cb = c * b
             for i, a in x.items():
-                xl = prod[k, i, kl, jl].items()
+                xl = mul(k, i, kl, jl).items()
                 cab = cb * a
                 if not kr:
                     linalg.axpy(out, (((v, j), e) for j, e in xl), cab, p)
                     continue
                 for j, e in xl:
-                    linalg.axpy(out, (((v, jj), f) for jj, f in prod[kr, ir, k + kl, j].items()),
+                    linalg.axpy(out, (((v, jj), f) for jj, f in mul(kr, ir, k + kl, j).items()),
                                 cab * e, p)
     return out
 
@@ -270,14 +270,14 @@ class Homology:
             raise AlgebraError(f"negative HH{'^' if coh else ''} dimension at (i={i}, d={d})")
         return out
 
+    def _table(self, max_i: int, dmin: int, dmax: int, coh: bool) -> dict:
+        """{(i, d): dim} of the nonzero `hh_dim`s for i <= max_i and
+        dmin <= d <= dmax."""
+        return {(i, d): v for i in range(max_i + 1) for d in range(dmin, dmax + 1)
+                if (v := self.hh_dim(i, d, coh))}
+
     def hh_table(self, max_i: int, max_d: int) -> dict[tuple[int, int], int]:
-        out = {}
-        for i in range(max_i + 1):
-            for d in range(max_d + 1):
-                v = self.hh_dim(i, d)
-                if v:
-                    out[(i, d)] = v
-        return out
+        return self._table(max_i, 0, max_d, coh=False)
 
     def reduced(self, table: dict) -> dict:
         out = dict(table)
@@ -288,13 +288,7 @@ class Homology:
         return out
 
     def coh_table(self, max_i: int, dmin: int, dmax: int) -> dict[tuple[int, int], int]:
-        out = {}
-        for i in range(max_i + 1):
-            for d in range(dmin, dmax + 1):
-                v = self.hh_dim(i, d, coh=True)
-                if v:
-                    out[(i, d)] = v
-        return out
+        return self._table(max_i, dmin, dmax, coh=True)
 
     # -- verifications -----------------------------------------------------------------
 
@@ -337,7 +331,9 @@ class Homology:
         edge generators composability forces the matching a1 = nu^t1(a2), and
         a vertex generator is the source of its factor.  Since A_top lies on
         the nu-diagonal, f(x1 x2) can be nonzero only for x2 in the block
-        (r(x1), nu(s(x1))), so each row reads just that block.  The family of
+        (r(x1), nu(s(x1))), so each row reads just that block, and its
+        values off the form's table `A.fxy` of the factors' degrees, which
+        sum to the top: no product is taken.  The family of
         valid identifications is a torsor under powers of beta; this member
         is the one with untwisted products."""
         A, g, h = self.A, self.g, self.g.h
@@ -347,16 +343,14 @@ class Homology:
         cols = self._pos(r2, t2, k2)
         rows = []
         for gen, i in self.space(r1, t1, k1):
-            x = A.basis[k1][i]
+            x, fxy = A.basis[k1][i], A.fxy[k1]
             # r1 + r2 = 3: edges pair with reversed edges, vertices with vertices
             gen2 = self.g.nu_edge_pow(gen, -self._tw(t1)) if r1 in (1, 2) else x.dst
             row = {}
             for y in A.block_index[k2].get((x.dst, g.nu_v[x.src]), ()):
                 col = cols.get((gen2, y))
-                if col is not None:
-                    v = A.f(A.mul_basis(k1, i, k2, y))
-                    if v:
-                        row[col] = v
+                if col is not None and (i, y) in fxy:
+                    row[col] = fxy[i, y]
             rows.append(row)
         return rows
 
@@ -634,9 +628,10 @@ class _Resolution:
     r then lies in the radical.  The left factor l of such a one-sided term
     is an edge, whose x l is read off `A.red`, or in mu_4 the top element w
     whose dual is an idempotent, which only an idempotent x meets, with
-    x w = w; so nothing is memoised.  A block is nonzero only for d <= top + h, so
-    ranking every block covers every degree.  Each block is ranked by
-    `linalg.rank`, the same elimination that gives the exact ranks.
+    x w = w; so each product is one table entry or w itself.  A block is
+    nonzero only for d <= top + h, so ranking every block covers every
+    degree.  Each block is ranked by `linalg.rank`, the same elimination
+    that gives the exact ranks.
 
     A block is ranked once per orbit of (d, u, v) -> (d, nu u, nu v), and
     the orbit shares its rank rows, when the premise `shared` holds:
@@ -733,7 +728,9 @@ class _Resolution:
         Otherwise x (x) gen goes to c (x l) (x) v' for each one-sided term
         of mu_stage(gen): x l off `A.red` for an edge l, l itself for the
         idempotent x, and zero for a top element l and x of positive
-        degree.  Any other product is taken along l's path, unmemoised."""
+        degree.  Any other product is taken along l's path.  The products
+        are read here, not through `A.mul_basis`, to save a call per
+        product."""
         A, one, p, top = self.A, self.A.one, self.p, self.A.top
         if stage == 0:
             return [{t: one} for t in range(len(dom))]
@@ -825,8 +822,8 @@ def _d_squared(A: GradedAlgebra, mu: dict) -> list:
     Every product of the terms of `differentials` has an edge or an
     idempotent as one factor: x e is read off `A.red`, and e x off the
     left-edge table of `_left_edges`, which this call builds and drops.  Any
-    other product is taken along a path.  Nothing is memoised in
-    `A.products`."""
+    other product is taken along a path.  The reader is local, rather than
+    `A.mul_basis`, for the left-edge table and to save a call per product."""
     p, top, red, one = A.p, A.top, A.red, A.one
     left = _left_edges(A) if top else []
     edge_of = [b.path[0] for b in A.basis[1]] if top else []

@@ -340,7 +340,7 @@ def resolution_blocks(res, d: int) -> dict:
     dim target) of mu_0..mu_4 (x) A_0]} for every block with a nonzero
     space, each ranked on its own.  A row of stage r > 0 is `apply_mu`, the
     term rule of the Hochschild matrices, on the terms of mu_r(gen) whose
-    right factor is an idempotent, over the memoised products of `res.A`."""
+    right factor is an idempotent, over the products of `res.A`."""
     A = res.A
     bases = [res._bases(stage, d) for stage in range(5)]
     targets = [bases[0] if d == 0 else {}] + bases[:4]

@@ -7,7 +7,7 @@ from acy.algebra import AlgebraError, GradedAlgebra, spot_checks
 from acy.cells import CellSystem, builtin_cells, derive_relations
 from acy.homology import Homology, build_report, verify_resolution
 from acy.quiver import build_family, parse_graph_spec
-from acy.scalar import Eisenstein, Scalar, inverse
+from acy.scalar import Eisenstein, PrimeEmbedding, Scalar, inverse
 from acy.series import hilbert_closed_form
 from conftest import scalar_relations
 
@@ -54,6 +54,30 @@ def test_idempotents_and_grading(pipe):
     x = A.unit(A.top, 0)
     y = A.unit(1, 0)
     assert A.mul(A.top, x, 1, y) == {}
+
+
+@pytest.mark.parametrize("spec, modular", [("A5", False), ("A6", False), ("D6", False),
+                                           ("E8*", False), ("A5", True), ("A6", True)])
+def test_mul_basis_is_the_walk_along_both_paths(pipe, spec, modular):
+    # over Q, Q(omega), the tower and F_p at the certificate prime: every
+    # product of two basis elements is the class of the joined path when they
+    # compose within the top degree, and 0 otherwise.  A5's top degree is 2,
+    # so A6 is what reaches a right factor of degree 2, a walk along its path
+    _, _, A, _ = pipe(spec)
+    if modular:
+        A = A.reduce_mod(PrimeEmbedding.find(A.tower))
+    branches = set()
+    for k1 in range(A.top + 1):
+        for i1, x in enumerate(A.basis[k1]):
+            for k2 in range(A.top + 1):
+                for i2, y in enumerate(A.basis[k2]):
+                    got = A.mul_basis(k1, i1, k2, i2)
+                    if x.dst != y.src or k1 + k2 > A.top:
+                        assert got == {}, (spec, k1, i1, k2, i2)
+                        continue
+                    assert got == A.reduce_path(x.src, x.path + y.path)[1], (spec, k1, i1, k2, i2)
+                    branches.add("idempotent" if not k1 * k2 else min(k2, 2))
+    assert branches == ({"idempotent", 1, 2} if A.top >= 3 else {"idempotent", 1}), spec
 
 
 def test_associativity_random(pipe):
@@ -279,10 +303,10 @@ def test_the_algebra_over_q_holds_only_ints_and_fractions(pipe):
     hom = Homology(A)
     assert verify_resolution(hom)["ok"]
     values = [c for tab in A.red + A.duals for vec in tab.values() for c in vec.values()]
-    values += [c for vec in A.products.values() for c in vec.values()]
+    values += [c for tab in A.fxy for c in tab.values()]
     values += [c for tab in hom.mu.values() for terms in tab.values() for *_, c in terms]
     values += list(A.f_coeff.values())
-    assert A.products and hom.mu[4]
+    assert hom.mu[4]
     assert {type(c) for c in values} <= {int, Fraction}
 
 
@@ -295,9 +319,9 @@ def test_the_algebra_over_q_omega_holds_only_eisensteins(pipe):
     hom = Homology(A)
     assert verify_resolution(hom)["ok"]
     values = [c for tab in A.red + A.duals for vec in tab.values() for c in vec.values()]
-    values += [c for vec in A.products.values() for c in vec.values()]
+    values += [c for tab in A.fxy for c in tab.values()]
     values += [c for tab in hom.mu.values() for terms in tab.values() for *_, c in terms]
     values += list(A.f_coeff.values())
-    assert A.products and hom.mu[4]
+    assert hom.mu[4]
     assert {type(c) for c in values} == {Eisenstein}
     assert A.tower == cells.tower

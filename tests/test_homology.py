@@ -532,28 +532,6 @@ def test_resolution_detects_a_bumped_mu4_of_middle_degree(pipe, monkeypatch):
         assert out["failures"] == [("d2-modp", 4, m)] + [("d2-modp", 5, e) for e in edges], spec
 
 
-def test_the_certificate_memoises_no_product(pipe, monkeypatch):
-    # every product of the certificate is read off tables it frees: the
-    # algebra keeps only the products the report's other stages memoised,
-    # and the modular image memoises none
-    made = []
-
-    class Recorded(_Resolution):
-        def __init__(self, hom, emb):
-            super().__init__(hom, emb)
-            made.append(self)
-
-    monkeypatch.setattr(acy.homology, "_Resolution", Recorded)
-    for spec in ("A9", "D9"):
-        g, cells, _, _ = pipe(spec)
-        A = GradedAlgebra(g, derive_relations(cells))
-        assert build_report(A, cells, with_resolution=False).ok
-        before = set(A.products)
-        assert verify_resolution(Homology(A))["ok"], spec
-        assert set(A.products) == before, spec
-        assert made[-1].A.products == {}, spec
-
-
 def test_resolution_shares_rank_rows_exactly_along_nu_orbits(pipe):
     # with nontrivial nu, one block per orbit is ranked; every block's rows
     # equal those of the oracle, which ranks each block on its own.  A10 and
