@@ -58,6 +58,9 @@ class GradedAlgebra:
         # reduction of monomials (prev basis index, edge id) -> vec over basis
         self.red: list[dict[tuple[int, int], dict]] = []
         self._beta_cache: dict = {}
+        # vertex s -> (u_s, f(u_s)^(-1)) for the top generator u_s at s, once
+        # the form is built: the scale of the top-degree products off `fxy`
+        self._top_scale: dict[str, tuple[int, Scalar]] = {}
         self._build()
         self._form_built = False
 
@@ -178,9 +181,16 @@ class GradedAlgebra:
         they do not compose or their degrees sum past the top, the other
         factor when one is an idempotent, one `red` entry when the right
         factor is an edge, and otherwise the walk along its path.  The result
-        may be a table's own dict, which the caller must not mutate."""
-        b2 = self.basis[k2][i2]
-        if self.basis[k1][i1].dst != b2.src or k1 + k2 > self.top:
+        may be a table's own dict, which the caller must not mutate.
+
+        Once the form is built, a product of degree top is read off its
+        table instead: A_top is one-dimensional at each vertex s and lies on
+        the nu-diagonal, so x y = f(x y) f(u_s)^(-1) u_s for the top generator
+        u_s at x's source, and {} when (x, y) is not in `fxy[k1]`.  The image
+        `reduce_mod` returns walks these products too, as its `fxy` holds
+        the tower's values, not their residues."""
+        b1, b2 = self.basis[k1][i1], self.basis[k2][i2]
+        if b1.dst != b2.src or k1 + k2 > self.top:
             return {}
         if not k1:
             return {i2: self.one}
@@ -188,6 +198,12 @@ class GradedAlgebra:
             return {i1: self.one}
         if k2 == 1:
             return self.red[k1 + 1][i1, b2.path[0]]
+        if k1 + k2 == self.top and self._top_scale:
+            val = self.fxy[k1].get((i1, i2))
+            if val is None:
+                return {}
+            u, scale = self._top_scale[b1.src]
+            return {u: val * scale}
         return self.mul_path(k1, {i1: self.one}, b2.path)[1]
 
     def mul(self, k1: int, v1: dict, k2: int, v2: dict) -> dict:
@@ -207,13 +223,25 @@ class GradedAlgebra:
     # -- Nakayama -----------------------------------------------------------------
 
     def beta_basis(self, k: int, i: int) -> dict:
-        key = (k, i)
-        hit = self._beta_cache.get(key)
+        """beta(x_i) for the basis element x_i of degree k: the class of its
+        nu-path, from nu of its source."""
+        return self._beta(k, i)
+
+    def _beta(self, k: int, i: int) -> dict:
+        """`beta_basis`, grown one edge at a time: beta(x' e) = beta(x') nu(e)
+        for the basis prefix x' of x = x' e, with every value cached.  The
+        recursion runs here, not through `beta_basis`, so that an override of
+        `beta_basis` changes only the values it is asked for."""
+        hit = self._beta_cache.get((k, i))
         if hit is None:
-            b = self.basis[k][i]
-            nu_path = tuple(self.graph.nu_e[e] for e in b.path)
-            _, hit = self.reduce_path(self.graph.nu_v[b.src], nu_path)
-            self._beta_cache[key] = hit
+            g, b = self.graph, self.basis[k][i]
+            if k:
+                # the degree-0 paths are all (), so x' = e_s there
+                j = self.index_of[k - 1][b.path[:-1]] if k > 1 else g.vindex[b.src]
+                hit = self.mul_edge(k - 1, self._beta(k - 1, j), g.nu_e[b.path[-1]])
+            else:
+                hit = {g.vindex[g.nu_v[b.src]]: self.one}
+            self._beta_cache[k, i] = hit
         return hit
 
     def beta_vec(self, k: int, vec: dict, power: int = 1) -> dict:
@@ -234,7 +262,8 @@ class GradedAlgebra:
         tables, and invert each pairing block for the dual bases.  The lowest
         failing degree raises.  The tables stay, as `fxy`: fxy[p][i, j] is
         f(x_i y_j) for x_i of degree p and y_j of degree top - p, with the
-        zero values left out."""
+        zero values left out.  `mul_basis` reads its top-degree products off
+        them from then on; the tables themselves are walked."""
         if self._form_built:
             return
         g, T = self.graph, self.top
@@ -327,6 +356,8 @@ class GradedAlgebra:
         self.fxy = fxy = [table(p) for p in range(T + 1)]
         for p in range(T + 1):
             pair_degree(p, fxy[p], fxy[T - p])
+        self._top_scale = {self.basis[T][u].src: (u, scalar.inverse(c))
+                           for u, c in self.f_coeff.items()}
         self._form_built = True
 
     def f(self, vec: dict) -> Scalar:
@@ -342,7 +373,8 @@ class GradedAlgebra:
         """The image of A over F_p: the same bases, with the structure
         constants, the dual bases and the unit reduced once, and a fresh
         Nakayama cache; the form `f` and its tables `fxy` stay over the
-        tower.  Raises ZeroDivisionError when a denominator vanishes mod p."""
+        tower, so the image walks its top-degree products.  Raises
+        ZeroDivisionError when a denominator vanishes mod p."""
         self.build_form()
 
         def image(vec: dict) -> dict:
@@ -352,7 +384,7 @@ class GradedAlgebra:
         out.p, out.one = emb.p, 1
         out.red = [{key: image(vec) for key, vec in tab.items()} for tab in self.red]
         out.duals = [{i: image(vec) for i, vec in tab.items()} for tab in self.duals]
-        out._beta_cache = {}
+        out._beta_cache, out._top_scale = {}, {}
         return out
 
     def __repr__(self):

@@ -120,7 +120,10 @@ def apply_mu(A: GradedAlgebra, terms: list, k: int, x: dict, power: int = 0) -> 
 
     A right factor r of degree 0 acts as the identity.  Each product is
     `A.mul_basis`, so the rule runs in whichever ring A has: the tower, or
-    the image `A.reduce_mod(emb)` with the terms reduced alongside."""
+    the image `A.reduce_mod(emb)` with the terms reduced alongside.  The
+    products of degree top, such as mu_4's w* b^power(w), are read off the
+    form's tables `A.fxy` over the algebra's own ring, and walked on the
+    image."""
     mul, top, one, p = A.mul_basis, A.top, A.one, A.p
     out: dict = {}
     for (kl, il), v, (kr, ir), c in terms:

@@ -11,6 +11,9 @@
 - `structure_from_euler`, `predicted_tables`: the structure theorem's
   blocks, solved from the Euler characteristic, and the periodic HH/HC
   tables they predict.
+- `beta_walk`: the Nakayama automorphism on a basis element as the class
+  of its whole nu-path, which `GradedAlgebra.beta_basis`, grown one edge at
+  a time, must equal.
 - `resolution_blocks`: the rank rows of every block of the one-sided
   resolution complex, each block ranked on its own and its rows built by
   `apply_mu`, which `_Resolution.degree` must equal.
@@ -360,3 +363,14 @@ def resolution_blocks(res, d: int) -> dict:
                 rk = linalg.rank(rows, res.p)
             out[blk].append((rk, len(dom), len(tgt)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the Nakayama automorphism
+# ---------------------------------------------------------------------------
+
+def beta_walk(A, k: int, i: int) -> dict:
+    """beta(x) for the degree-k basis element x_i: its nu-path reduced from
+    nu of its source, one edge after another."""
+    g, b = A.graph, A.basis[k][i]
+    return A.reduce_path(g.nu_v[b.src], tuple(g.nu_e[e] for e in b.path))[1]

@@ -10,6 +10,7 @@ from acy.quiver import build_family, parse_graph_spec
 from acy.scalar import Eisenstein, PrimeEmbedding, Scalar, inverse
 from acy.series import hilbert_closed_form
 from conftest import scalar_relations
+from oracles import beta_walk
 
 
 def test_a4_dims(pipe):
@@ -58,26 +59,57 @@ def test_idempotents_and_grading(pipe):
 
 @pytest.mark.parametrize("spec, modular", [("A5", False), ("A6", False), ("D6", False),
                                            ("E8*", False), ("A5", True), ("A6", True)])
-def test_mul_basis_is_the_walk_along_both_paths(pipe, spec, modular):
+def test_mul_basis_is_the_walk_along_both_paths(pipe, monkeypatch, spec, modular):
     # over Q, Q(omega), the tower and F_p at the certificate prime: every
     # product of two basis elements is the class of the joined path when they
-    # compose within the top degree, and 0 otherwise.  A5's top degree is 2,
-    # so A6 is what reaches a right factor of degree 2, a walk along its path
+    # compose within the top degree, and 0 otherwise.  A product of degree top
+    # with a right factor of degree >= 2 is read off the form's table ("top")
+    # without a walk, except on the F_p image, which walks it.  A5's top
+    # degree is 2, so A6 is what reaches a right factor of degree 2; its top
+    # degree is 3, as is D6's, so all of those products are top products
     _, _, A, _ = pipe(spec)
     if modular:
         A = A.reduce_mod(PrimeEmbedding.find(A.tower))
+    walks = []
+    walk = GradedAlgebra.mul_path
+    monkeypatch.setattr(GradedAlgebra, "mul_path",
+                        lambda self, *args: walks.append(args) or walk(self, *args))
     branches = set()
     for k1 in range(A.top + 1):
         for i1, x in enumerate(A.basis[k1]):
             for k2 in range(A.top + 1):
                 for i2, y in enumerate(A.basis[k2]):
+                    walks.clear()
                     got = A.mul_basis(k1, i1, k2, i2)
+                    walked = bool(walks)
                     if x.dst != y.src or k1 + k2 > A.top:
                         assert got == {}, (spec, k1, i1, k2, i2)
                         continue
                     assert got == A.reduce_path(x.src, x.path + y.path)[1], (spec, k1, i1, k2, i2)
-                    branches.add("idempotent" if not k1 * k2 else min(k2, 2))
-    assert branches == ({"idempotent", 1, 2} if A.top >= 3 else {"idempotent", 1}), spec
+                    branch = ("idempotent" if not k1 * k2 else "edge" if k2 == 1 else
+                              "top" if k1 + k2 == A.top and not A.p else "walk")
+                    assert walked == (branch == "walk"), (spec, k1, i1, k2, i2)
+                    branches.add(branch)
+    want = {"A5": {"idempotent", "edge"}, "A6": {"idempotent", "edge", "top"},
+            "D6": {"idempotent", "edge", "top"},
+            "E8*": {"idempotent", "edge", "walk", "top"}}[spec]
+    if modular and "top" in want:
+        want = want - {"top"} | {"walk"}
+    assert branches == want, spec
+
+
+@pytest.mark.parametrize("spec, modular", [("A6", False), ("D6", False), ("E8*", False),
+                                           ("D7*", False), ("A6", True)])
+def test_beta_basis_is_the_nu_path_walk(pipe, spec, modular):
+    # beta grown along each basis element's prefix is the class of its whole
+    # nu-path, in every degree, over Q, Q(omega), the tower (E8* with trivial
+    # nu, D7* with a nontrivial one) and F_p at the certificate prime
+    _, _, A, _ = pipe(spec)
+    if modular:
+        A = A.reduce_mod(PrimeEmbedding.find(A.tower))
+    for k in range(A.top + 1):
+        for i in range(A.dim(k)):
+            assert A.beta_basis(k, i) == beta_walk(A, k, i), (spec, k, i)
 
 
 def test_associativity_random(pipe):

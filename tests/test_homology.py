@@ -7,7 +7,7 @@ import acy.homology
 import acy.scalar
 from acy import cli
 from acy.algebra import AlgebraError, GradedAlgebra
-from acy.cells import derive_relations
+from acy.cells import builtin_cells, derive_relations
 from acy.homology import (Homology, _generators, _Resolution, _resolution_ranks,
                           build_report, cyclic_from_hh, differentials, euler_from_hc,
                           hh0_direct, verify_resolution)
@@ -762,6 +762,23 @@ def test_hh0_cross_sees_a_faulted_commutator_table(pipe, monkeypatch):
     monkeypatch.setattr(acy.homology, "hh0_direct", bumped)
     report = build_report(A, cells, with_resolution=False)
     assert {check for check, ok in report.checks.items() if not ok} == {"hh0_cross"}
+
+
+@pytest.mark.parametrize("spec", ["A6", "D9", "E8"])
+def test_a_faulted_form_table_fails_duality(spec):
+    # twice one f(x y) with x of degree 1, after the form is built.  The
+    # duality pairings read that table, and so do the top-degree products of
+    # mu_4's Hochschild maps, so d2 and the tables built on them fail too;
+    # though both sides of the duality now read the faulted table, it fails
+    g = parse_graph_spec(spec)
+    cells = builtin_cells(g)
+    A = GradedAlgebra(g, derive_relations(cells))
+    A.build_form()
+    key = min(A.fxy[1])
+    A.fxy[1][key] = A.fxy[1][key] + A.fxy[1][key]
+    report = build_report(A, cells)
+    assert {check for check, ok in report.checks.items() if not ok} == {
+        "d2", "dim_symmetry", "duality", "euler"}
 
 
 def test_report_assembly(pipe):
