@@ -371,19 +371,21 @@ class GradedAlgebra:
 
     def reduce_mod(self, emb: PrimeEmbedding) -> "GradedAlgebra":
         """The image of A over F_p: the same bases, with the structure
-        constants, the dual bases and the unit reduced once, and a fresh
-        Nakayama cache; the form `f` and its tables `fxy` stay over the
-        tower, so the image walks its top-degree products.  Raises
-        ZeroDivisionError when a denominator vanishes mod p."""
+        constants and the unit reduced once, and a fresh Nakayama cache; the
+        form `f` and its tables `fxy` stay over the tower, so the image walks
+        its top-degree products.  The image carries no dual bases: mu_4's
+        terms are built from the tower's, by `differentials`, and reduced by
+        their reader.  Raises ZeroDivisionError when a denominator vanishes
+        mod p."""
         self.build_form()
 
         def image(vec: dict) -> dict:
             return {i: r for i, c in vec.items() if (r := scalar.residue(c, emb))}
 
         out = copy.copy(self)
+        del out.duals
         out.p, out.one = emb.p, 1
         out.red = [{key: image(vec) for key, vec in tab.items()} for tab in self.red]
-        out.duals = [{i: image(vec) for i, vec in tab.items()} for tab in self.duals]
         out._beta_cache, out._top_scale = {}, {}
         return out
 

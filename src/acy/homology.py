@@ -17,10 +17,10 @@ the matrices depend on (r, t mod 3, k); for trivial nu every twist is 0.
 
 The four maps mu_1..mu_4 of P are written once, as terms on generators
 (`differentials`), and both complexes P (x)_(A^e) M that are read here are
-built from that table: `Homology.mat` builds A (x)_(A^e) P over the tower
-by the term rule `apply_mu`, and `_Resolution` builds the one-sided complex
-P (x)_A A_0 over the algebra's image in F_p from the terms whose right
-factor is an idempotent.  `verify_resolution` composes the table on
+built from that table by one term rule, `apply_mu`: `Homology.mat` builds
+A (x)_(A^e) P over the tower, and `_Resolution` builds the one-sided
+complex P (x)_A A_0 over the algebra's image in F_p, from the terms whose
+right factor is an idempotent.  `verify_resolution` composes the table on
 generators in both rings, which gives d o d = 0, and then ranks
 P (x)_A A_0 over F_p: a complex of right-free modules with d o d = 0 is
 exact iff that complex is (Butler and King, J. Algebra 212, 1999; the
@@ -110,35 +110,52 @@ def differentials(A: GradedAlgebra) -> dict:
     return mu
 
 
-def apply_mu(A: GradedAlgebra, terms: list, k: int, x: dict, power: int = 0) -> dict:
-    """The term rule of P (x)_(A^e) M: the image of gen (x) x under the
-    terms (l, v', r, c) of mu(gen), for x a degree-k vector of A, is the sum
-    of c (v', r x b^power(l)), as {(v', j): value} over the degree-j basis
-    elements of A.  On the terms whose r is an idempotent, with power 0, it
-    is also the one-sided map of `_Resolution`, which reads its products
-    off `A.red` instead.
+def apply_mu(A: GradedAlgebra, terms: list, k: int, x: dict, pos: dict,
+             power: int = 0) -> dict:
+    """The term rule of P (x)_(A^e) M, which builds both complexes: the image
+    of gen (x) x under the terms (l, v', r, c) of mu(gen), for x a degree-k
+    vector of A, is the sum of c (v', r x b^power(l)), as a column
+    {pos[(v', j)]: value} over the target's positions.  An element (v', j)
+    that `pos` lacks raises `AlgebraError`: the image escapes the target
+    space.  `Homology.mat` applies every term, and `_Resolution` the terms
+    whose r is an idempotent, with power 0, for its one-sided rows.
 
-    A right factor r of degree 0 acts as the identity.  Each product is
+    The spaces pair each generator with the elements that meet its terms,
+    so the factors compose.  A factor of degree 0 acts as the identity, and
+    x e for an edge e is read off `A.red`.  Every other product is
     `A.mul_basis`, so the rule runs in whichever ring A has: the tower, or
     the image `A.reduce_mod(emb)` with the terms reduced alongside.  The
     products of degree top, such as mu_4's w* b^power(w), are read off the
     form's tables `A.fxy` over the algebra's own ring, and walked on the
     image."""
     mul, top, one, p = A.mul_basis, A.top, A.one, A.p
+    red = A.red[k + 1] if k < top else {}
+
+    def at(v, j) -> int:
+        q = pos.get((v, j))
+        if q is None:
+            raise AlgebraError(f"image element {(v, j)} escapes the target space")
+        return q
+
     out: dict = {}
     for (kl, il), v, (kr, ir), c in terms:
         if k + kl + kr > top:
             continue
         for jl, b in A.beta_vec(kl, {il: one}, power).items():
-            cb = c * b
+            cb, edge = c * b, A.basis[1][jl].path[0] if kl == 1 else None
             for i, a in x.items():
-                xl = mul(k, i, kl, jl).items()
+                if kl == 1:
+                    xl = red.get((i, edge), {}).items()
+                elif kl:
+                    xl = mul(k, i, kl, jl).items()
+                else:
+                    xl = ((i, one),)
                 cab = cb * a
                 if not kr:
-                    linalg.axpy(out, (((v, j), e) for j, e in xl), cab, p)
+                    linalg.axpy(out, ((at(v, j), e) for j, e in xl), cab, p)
                     continue
                 for j, e in xl:
-                    linalg.axpy(out, (((v, jj), f) for jj, f in mul(kr, ir, k + kl, j).items()),
+                    linalg.axpy(out, ((at(v, jj), f) for jj, f in mul(kr, ir, k + kl, j).items()),
                                 cab * e, p)
     return out
 
@@ -204,10 +221,12 @@ class Homology:
         """Matrix of mu_r from space(r % 4, t + (r == 4), k) to
         space(r - 1, t, k + gdeg[r] - gdeg[r - 1]), t = twist.
 
-        The term rule `apply_mu`, with power b^(-t) on the left factors: a
-        term (l, v', rt, c) of mu_r(gen) sends (gen, x) to
-        c (v', rt x~ b^(-t)(l)), where x~ = b(x) for r = 4, as b carries
-        space(0, t + 1, k) onto space(4, t, k), and x~ = x otherwise.
+        The term rule `apply_mu`, with power b^(-t) on the left factors,
+        writes each column straight into the target's positions: a term
+        (l, v', rt, c) of mu_r(gen) sends (gen, x) to c (v', rt x~ b^(-t)(l)),
+        where x~ = b(x) for r = 4, as b carries space(0, t + 1, k) onto
+        space(4, t, k), and x~ = x otherwise.  An image outside the target
+        raises `AlgebraError`.
         """
         key = (r, self._tw(twist), k)
         hit = self._mat_cache.get(key)
@@ -217,18 +236,10 @@ class Homology:
         t = self._tw(twist)
         gdeg = _gen_degrees(self.g.h)
         pos = self._pos(r - 1, t, k + gdeg[r] - gdeg[r - 1])
-
-        def at(elt) -> int:
-            p = pos.get(elt)
-            if p is None:
-                raise AlgebraError(f"image element {elt} escapes the target space")
-            return p
-
         cols = []
         for gen, i in self.space(r % 4, t + (r == 4), k):
             x = A.beta_vec(k, {i: A.one}) if r == 4 else {i: A.one}
-            img = apply_mu(A, self.mu[r][gen], k, x, (3 - t) % 3)
-            cols.append(linalg.axpy({}, [(at(elt), c) for elt, c in img.items()]))
+            cols.append(apply_mu(A, self.mu[r][gen], k, x, pos, (3 - t) % 3))
         hit = {"cols": cols, "nd": len(cols), "nt": len(pos)}
         self._mat_cache[key] = hit
         return hit
@@ -628,13 +639,13 @@ class _Resolution:
     (d, u, v) with u the source of x and v the vertex of the simple, which
     every map preserves.  A term (l, v', r, c) of mu_r(gen) sends such an
     element to c (x l) (x) v' when r is an idempotent and to 0 otherwise, as
-    r then lies in the radical.  The left factor l of such a one-sided term
-    is an edge, whose x l is read off `A.red`, or in mu_4 the top element w
-    whose dual is an idempotent, which only an idempotent x meets, with
-    x w = w; so each product is one table entry or w itself.  A block is
-    nonzero only for d <= top + h, so ranking every block covers every
-    degree.  Each block is ranked by `linalg.rank`, the same elimination
-    that gives the exact ranks.
+    r then lies in the radical.  So the rows are `apply_mu`, the term rule
+    of the Hochschild matrices, on these one-sided terms.  Their left factor
+    l is an edge, whose x l `apply_mu` reads off `A.red`, or in mu_4 the top
+    element w whose dual is an idempotent, which only an idempotent x meets,
+    with x w = w.  A block is nonzero only for d <= top + h, so ranking
+    every block covers every degree.  Each block is ranked by
+    `linalg.rank`, the same elimination that gives the exact ranks.
 
     A block is ranked once per orbit of (d, u, v) -> (d, nu u, nu v), and
     the orbit shares its rank rows, when the premise `shared` holds:
@@ -676,13 +687,9 @@ class _Resolution:
 
     @cached_property
     def one_sided(self) -> dict:
-        """{stage: {gen: [(kl, il, path, v', c)]}}: the terms (l, v', r, c)
-        of mu_stage(gen) whose right factor r is an idempotent, with l the
-        basis element il of degree kl and path its path."""
-        basis = self.A.basis
-        return {r: {gen: [(kl, il, basis[kl][il].path, v, c)
-                          for (kl, il), v, (kr, _), c in terms if not kr]
-                    for gen, terms in self.mu[r].items()}
+        """{stage: {gen: terms}}: the terms (l, v', r, c) of mu_stage(gen)
+        whose right factor r is an idempotent."""
+        return {r: {gen: [t for t in terms if not t[2][0]] for gen, terms in self.mu[r].items()}
                 for r in range(1, 5)}
 
     @cached_property
@@ -702,11 +709,11 @@ class _Resolution:
         for r, tab in self.one_sided.items():
             for gen, terms in tab.items():
                 image: dict = {}
-                for kl, il, _, v, c in terms:
+                for (kl, il), v, _, c in terms:
                     linalg.axpy(image, (((kl, j, nu(r - 1, v)), b)
                                         for j, b in A.beta_basis(kl, il).items()), c, p)
                 own: dict = {}
-                for kl, il, _, v, c in tab[nu(r, gen)]:
+                for (kl, il), v, _, c in tab[nu(r, gen)]:
                     linalg.axpy(own, (((kl, il, v), c),), p=p)
                 if image != own:
                     return False
@@ -725,37 +732,15 @@ class _Resolution:
         return out
 
     def _rows(self, stage: int, d: int, dom: list, tgt: list) -> list[dict]:
-        """Rows of mu_stage (x) A_0 on one block, over target positions.
-
-        mu_0 (x) A_0 is the identity of A_0 = S, the only degree it meets.
-        Otherwise x (x) gen goes to c (x l) (x) v' for each one-sided term
-        of mu_stage(gen): x l off `A.red` for an edge l, l itself for the
-        idempotent x, and zero for a top element l and x of positive
-        degree.  Any other product is taken along l's path.  The products
-        are read here, not through `A.mul_basis`, to save a call per
-        product."""
-        A, one, p, top = self.A, self.A.one, self.p, self.A.top
+        """Rows of mu_stage (x) A_0 on one block, over target positions:
+        the identity of A_0 = S for mu_0, the only degree it meets, and
+        otherwise `apply_mu` on the one-sided terms of mu_stage(gen)."""
+        A, one = self.A, self.A.one
         if stage == 0:
             return [{t: one} for t in range(len(dom))]
-        k = d - self.gdeg[stage]
-        red = A.red[k + 1] if k < top else {}
+        k, terms = d - self.gdeg[stage], self.one_sided[stage]
         pos = {elt: t for t, elt in enumerate(tgt)}
-        terms = self.one_sided[stage]
-        rows = []
-        for gen, x in dom:
-            row: dict = {}
-            for kl, il, path, v, c in terms[gen]:
-                if k + kl > top:
-                    continue
-                if kl == 1:
-                    xl = red.get((x, path[0]), {}).items()
-                elif not k:  # x is the idempotent at the source of l
-                    xl = ((il, one),)
-                else:
-                    xl = A.mul_path(k, {x: one}, path)[1].items()
-                linalg.axpy(row, ((pos[v, j], a) for j, a in xl), c, p)
-            rows.append(row)
-        return rows
+        return [apply_mu(A, terms[gen], k, {x: one}, pos) for gen, x in dom]
 
     def degree(self, d: int) -> dict:
         """{(u, v): [(rank, dim domain, dim target) of mu_0..mu_4 (x) A_0]}
@@ -823,17 +808,19 @@ def _d_squared(A: GradedAlgebra, mu: dict) -> list:
     so a fault in the table shows.
 
     Every product of the terms of `differentials` has an edge or an
-    idempotent as one factor: x e is read off `A.red`, and e x off the
-    left-edge table of `_left_edges`, which this call builds and drops.  Any
-    other product is taken along a path.  The reader is local, rather than
-    `A.mul_basis`, for the left-edge table and to save a call per product."""
+    idempotent as one factor, as only mu_4's factors w, w* reach degree 2:
+    its products are w e and e w* in mu_3 mu_4, and e w and w* b(e) in
+    mu_4 mu_5.  x e is read off `A.red`, and e x off the left-edge table of
+    `_left_edges`, which this call builds and drops.  The reader is local,
+    rather than `A.mul_basis`, for the left-edge table and to save a call
+    per product."""
     p, top, red, one = A.p, A.top, A.red, A.one
     left = _left_edges(A) if top else []
     edge_of = [b.path[0] for b in A.basis[1]] if top else []
 
     def mul(k1: int, i1: int, k2: int, i2: int):
-        """The (index, value) pairs of x_i1 x_i2; the terms meet at their
-        generators' ends, so the factors compose."""
+        """The (index, value) pairs of x_i1 x_i2, one factor of degree <= 1;
+        the terms meet at their generators' ends, so the factors compose."""
         if k1 + k2 > top:
             return ()
         if not k1:
@@ -842,9 +829,7 @@ def _d_squared(A: GradedAlgebra, mu: dict) -> list:
             return ((i1, one),)
         if k2 == 1:
             return red[k1 + 1].get((i1, edge_of[i2]), {}).items()
-        if k1 == 1:
-            return left[k2].get((edge_of[i1], i2), {}).items()
-        return A.mul_path(k1, {i1: one}, A.basis[k2][i2].path)[1].items()
+        return left[k2].get((edge_of[i1], i2), {}).items()
 
     check = "d2-modp" if p else "d2-exact"
     bad = []

@@ -15,8 +15,9 @@
   of its whole nu-path, which `GradedAlgebra.beta_basis`, grown one edge at
   a time, must equal.
 - `resolution_blocks`: the rank rows of every block of the one-sided
-  resolution complex, each block ranked on its own and its rows built by
-  `apply_mu`, which `_Resolution.degree` must equal.
+  resolution complex, each block ranked on its own and its rows built from
+  their definition, with each product walked along the joined path, which
+  `_Resolution.degree` must equal.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 from acy import linalg
 from acy.algebra import AlgebraError
 from acy.cells import CellSystem, Relation, RelationSet, canon
-from acy.homology import apply_mu
 from acy.quiver import Graph, build_family
 from acy.scalar import FieldTower, Scalar
 
@@ -341,12 +341,23 @@ def predicted_tables(h: int, blocks: dict, trivial_nu: bool, max_i: int, max_d: 
 def resolution_blocks(res, d: int) -> dict:
     """`_Resolution.degree(d)` with no sharing: {(u, v): [(rank, dim domain,
     dim target) of mu_0..mu_4 (x) A_0]} for every block with a nonzero
-    space, each ranked on its own.  A row of stage r > 0 is `apply_mu`, the
-    term rule of the Hochschild matrices, on the terms of mu_r(gen) whose
-    right factor is an idempotent, over the products of `res.A`."""
+    space, each ranked on its own.  A row of stage r > 0 is built from its
+    definition, not by `apply_mu`: x (x) gen goes to the sum of c (x l) (x)
+    v' over the terms (l, v', r, c) of mu_r(gen) whose right factor r is an
+    idempotent, with x l the class of the joined path in `res.A`."""
     A = res.A
     bases = [res._bases(stage, d) for stage in range(5)]
     targets = [bases[0] if d == 0 else {}] + bases[:4]
+
+    def row(stage: int, gen, x: int, pos: dict) -> dict:
+        k = d - res.gdeg[stage]
+        b, out = A.basis[k][x], {}
+        for (kl, il), v, (kr, _), c in res.mu[stage][gen]:
+            if not kr:
+                xl = A.reduce_path(b.src, b.path + A.basis[kl][il].path)[1]
+                linalg.axpy(out, ((pos[v, j], a) for j, a in xl.items()), c, res.p)
+        return out
+
     out = {}
     for blk in set().union(*bases):
         out[blk] = []
@@ -356,10 +367,7 @@ def resolution_blocks(res, d: int) -> dict:
             if dom and tgt:
                 pos = {elt: t for t, elt in enumerate(tgt)}
                 rows = [{t: A.one} for t in range(len(dom))] if stage == 0 else [
-                    {pos[elt]: c for elt, c in apply_mu(
-                        A, [t for t in res.mu[stage][gen] if not t[2][0]],
-                        d - res.gdeg[stage], {x: A.one}).items()}
-                    for gen, x in dom]
+                    row(stage, gen, x, pos) for gen, x in dom]
                 rk = linalg.rank(rows, res.p)
             out[blk].append((rk, len(dom), len(tgt)))
     return out

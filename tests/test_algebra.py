@@ -7,7 +7,7 @@ from acy.algebra import AlgebraError, GradedAlgebra, spot_checks
 from acy.cells import CellSystem, builtin_cells, derive_relations
 from acy.homology import Homology, build_report, verify_resolution
 from acy.quiver import build_family, parse_graph_spec
-from acy.scalar import Eisenstein, PrimeEmbedding, Scalar, inverse
+from acy.scalar import Eisenstein, PrimeEmbedding, Scalar, inverse, residue
 from acy.series import hilbert_closed_form
 from conftest import scalar_relations
 from oracles import beta_walk
@@ -96,6 +96,18 @@ def test_mul_basis_is_the_walk_along_both_paths(pipe, monkeypatch, spec, modular
     if modular and "top" in want:
         want = want - {"top"} | {"walk"}
     assert branches == want, spec
+
+
+def test_the_modular_image_reduces_red_and_carries_no_dual_bases(pipe):
+    # the certificate reduces mu's terms, built from the tower's duals, so
+    # the image reduces only the structure constants
+    _, _, A, _ = pipe("D7*")
+    emb = PrimeEmbedding.find(A.tower)
+    B = A.reduce_mod(emb)
+    assert A.duals and not hasattr(B, "duals")
+    assert B.red == [{key: {i: r for i, c in vec.items() if (r := residue(c, emb))}
+                      for key, vec in tab.items()} for tab in A.red]
+    assert B.fxy is A.fxy
 
 
 @pytest.mark.parametrize("spec, modular", [("A6", False), ("D6", False), ("E8*", False),

@@ -419,6 +419,40 @@ def _bump_mu4(mu: dict) -> dict:
     return mu
 
 
+def _retargeted(A):
+    """The differentials with the term e (x) e_t (x) 1 of mu_1(e), for the
+    first edge e: s -> t with s != t, sent to the generator e_s instead."""
+    mu = differentials(A)
+    e = next(e for e in A.graph.edges if e.src != e.dst)
+    left, _, right, c = mu[1][e.id][0]
+    mu[1][e.id][0] = (left, e.src, right, c)
+    return mu
+
+
+def test_an_image_that_escapes_the_target_space_raises(pipe, monkeypatch):
+    # the retargeted term's image lies in the block of e_s, which the target
+    # space of mu_1 does not hold, in the Hochschild matrices and in the
+    # certificate's one-sided rows, which share the term rule
+    monkeypatch.setattr(acy.homology, "differentials", _retargeted)
+    for spec in ("A6", "D9", "E8*"):
+        g, _, A, _ = pipe(spec)
+        hom = Homology(A)
+        with pytest.raises(AlgebraError, match="escapes the target space"):
+            for t in range(3):
+                for k in range(A.top + 1):
+                    hom.mat(1, t, k)
+        res = _Resolution(hom, PrimeEmbedding.find(A.tower))
+        with pytest.raises(AlgebraError, match="escapes the target space"):
+            for d in range(A.top + g.h + 1):
+                res.degree(d)
+
+
+def test_cli_exits_3_on_an_image_that_escapes_the_target_space(monkeypatch, capsys):
+    monkeypatch.setattr(acy.homology, "differentials", _retargeted)
+    assert cli.main(["verify", "--graph", "A6", "--check", "d2"]) == 3
+    assert "escapes the target space" in capsys.readouterr().err
+
+
 def test_resolution_detects_a_bumped_mu4(pipe, monkeypatch):
     monkeypatch.setattr(acy.homology, "differentials",
                         lambda A: _bump_mu4(differentials(A)))
