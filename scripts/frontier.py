@@ -11,12 +11,15 @@ the child only).  The record, BENCH_frontier_LABEL.json at the repository
 root, gives per rung the wall time, the peak RSS (from os.wait4), the exit
 status and the outcome: pass, fail, timeout or oom; a rung that passes also
 gets `report_sha256`, the sha256 of the report on standard output, so that a
-record shows which bytes held at each rung.  A rung that passes runs
-REPEATS times, and the record keeps the medians of its wall times and peak
-RSS, so that one slow run does not set the figure; a rung that fails or
-times out runs once.  The record's `runs` says how many runs a rung took.
+record shows which bytes held at each rung.  The package is compiled to
+bytecode once, before the first rung, so that no run times the compile.
+A rung that passes runs REPEATS times, and the record keeps the medians of
+its wall times and peak RSS, so that one slow run does not set the figure;
+a rung that fails or times out runs once.  The record's `runs` says how
+many runs a rung took.
 """
 
+import compileall
 import hashlib
 import json
 import os
@@ -109,6 +112,9 @@ def main(argv=None) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     label = argv[0]
+    if not compileall.compile_dir(str(ROOT / "src" / "acy"), quiet=1):
+        print("cannot compile src/acy to bytecode", file=sys.stderr)
+        return 1
     rungs = []
     for graph, cells in LADDER:
         rungs.append(measure_rung(graph, cells))

@@ -54,7 +54,12 @@ class GradedAlgebra:
         self.top = graph.h - 3
         self.basis: list[list[BasisElt]] = []
         self.block_index: list[dict[tuple[str, str], list[int]]] = []
-        self.index_of: list[dict[tuple[int, ...], int]] = []
+        # edge id -> its index in degree 1, which the edges span: the
+        # relations start in degree 2
+        self.edge_index: dict[int, int] = {}
+        # prefix[k][i], k >= 1: the index in degree k - 1 of the prefix x' of
+        # x_i = x' e, which is the vertex index at degree 1; prefix[0] is empty
+        self.prefix: list[list[int]] = []
         # reduction of monomials (prev basis index, edge id) -> vec over basis
         self.red: list[dict[tuple[int, int], dict]] = []
         self._beta_cache: dict = {}
@@ -71,7 +76,7 @@ class GradedAlgebra:
         verts = g.vertices
         b0 = [BasisElt((), v, v) for v in verts]
         self.basis.append(b0)
-        self.index_of.append({b.path: i for i, b in enumerate(b0)})
+        self.prefix.append([])
         self.block_index.append({(v, v): [i] for i, v in enumerate(verts)})
         self.red.append({})
         rels_at = {}
@@ -108,7 +113,7 @@ class GradedAlgebra:
                     pivots_vec.update(elim.reduced())
             # surviving monomials form the basis
             new_basis: list[BasisElt] = []
-            new_index: dict[tuple[int, ...], int] = {}
+            new_prefix: list[int] = []
             new_blocks: dict[tuple[str, str], list[int]] = {}
             basis_of_mono: dict[int, int] = {}
             for t, (i, e) in enumerate(monos):
@@ -117,7 +122,7 @@ class GradedAlgebra:
                 idx = len(new_basis)
                 b = BasisElt(prev[i].path + (e.id,), prev[i].src, e.dst)
                 new_basis.append(b)
-                new_index[b.path] = idx
+                new_prefix.append(i)
                 new_blocks.setdefault((b.src, b.dst), []).append(idx)
                 basis_of_mono[t] = idx
             red_k: dict[tuple[int, int], dict] = {}
@@ -130,7 +135,7 @@ class GradedAlgebra:
                                         if s != t}
             if k <= self.top:
                 self.basis.append(new_basis)
-                self.index_of.append(new_index)
+                self.prefix.append(new_prefix)
                 self.block_index.append(new_blocks)
                 self.red.append(red_k)
             for a in verts:
@@ -143,6 +148,8 @@ class GradedAlgebra:
                             f"block {a}->{b}: dim {got}, closed form {expect}")
             if k == self.top + 1 and new_basis:
                 raise AlgebraError(f"A_{k} is nonzero above the top degree for {g.name}")
+        if self.top:
+            self.edge_index = {b.path[0]: i for i, b in enumerate(self.basis[1])}
 
     # -- dimensions -----------------------------------------------------------
 
@@ -181,7 +188,10 @@ class GradedAlgebra:
         they do not compose or their degrees sum past the top, the other
         factor when one is an idempotent, one `red` entry when the right
         factor is an edge, and otherwise the walk along its path.  The result
-        may be a table's own dict, which the caller must not mutate.
+        may be a table's own dict, which the caller must not mutate.  It is
+        the one product rule outside the d o d check of `homology`: `mul`,
+        `build_form` and both complexes' term rule take every basis product
+        here.
 
         Once the form is built, a product of degree top is read off its
         table instead: A_top is one-dimensional at each vertex s and lies on
@@ -189,15 +199,19 @@ class GradedAlgebra:
         u_s at x's source, and {} when (x, y) is not in `fxy[k1]`.  The image
         `reduce_mod` returns walks these products too, as its `fxy` holds
         the tower's values, not their residues."""
+        if k1 + k2 > self.top:
+            return {}
+        if k2 == 1:
+            # `red` holds (i1, e) exactly when x_i1 ends where e starts, and
+            # for an idempotent x_i1 its entry is the edge itself
+            return self.red[k1 + 1].get((i1, self.basis[1][i2].path[0]), {})
         b1, b2 = self.basis[k1][i1], self.basis[k2][i2]
-        if b1.dst != b2.src or k1 + k2 > self.top:
+        if b1.dst != b2.src:
             return {}
         if not k1:
             return {i2: self.one}
         if not k2:
             return {i1: self.one}
-        if k2 == 1:
-            return self.red[k1 + 1][i1, b2.path[0]]
         if k1 + k2 == self.top and self._top_scale:
             val = self.fxy[k1].get((i1, i2))
             if val is None:
@@ -215,11 +229,6 @@ class GradedAlgebra:
                     linalg.axpy(out, prod.items(), c1 * c2, self.p)
         return out
 
-    def reduce_path(self, src: str, path: tuple[int, ...]) -> tuple[int, dict]:
-        """Class of a raw path in the quotient."""
-        vec = {self.graph.vindex[src]: self.one}
-        return self.mul_path(0, vec, path)
-
     # -- Nakayama -----------------------------------------------------------------
 
     def beta_basis(self, k: int, i: int) -> dict:
@@ -236,9 +245,8 @@ class GradedAlgebra:
         if hit is None:
             g, b = self.graph, self.basis[k][i]
             if k:
-                # the degree-0 paths are all (), so x' = e_s there
-                j = self.index_of[k - 1][b.path[:-1]] if k > 1 else g.vindex[b.src]
-                hit = self.mul_edge(k - 1, self._beta(k - 1, j), g.nu_e[b.path[-1]])
+                hit = self.mul_edge(k - 1, self._beta(k - 1, self.prefix[k][i]),
+                                    g.nu_e[b.path[-1]])
             else:
                 hit = {g.vindex[g.nu_v[b.src]]: self.one}
             self._beta_cache[k, i] = hit
@@ -256,14 +264,15 @@ class GradedAlgebra:
     # -- non-degenerate form and dual bases ------------------------------------------
 
     def build_form(self):
-        """Choose top generators u_j and propagate f by (x,y) = (y, beta(x))
-        along a spanning tree; then tabulate f(x y) once per pairing pair, in
-        degree order, check (x,y) = (y, beta(x)) on every pair off those
-        tables, and invert each pairing block for the dual bases.  The lowest
-        failing degree raises.  The tables stay, as `fxy`: fxy[p][i, j] is
-        f(x_i y_j) for x_i of degree p and y_j of degree top - p, with the
-        zero values left out.  `mul_basis` reads its top-degree products off
-        them from then on; the tables themselves are walked."""
+        """Tabulate the top coefficient [x y] of x y once per pairing pair,
+        propagate the scale c_s of f on A_T at s along a spanning tree off
+        those tables, and scale them to f(x y) = c_s [x y]; then check
+        (x,y) = (y, beta(x)) on every pair off the tables, in degree order,
+        and invert each pairing block for the dual bases.  The lowest failing
+        degree raises.  The tables stay, as `fxy`: fxy[p][i, j] is f(x_i y_j)
+        for x_i of degree p and y_j of degree top - p, with the zero values
+        left out.  Every product is one `mul_basis` call, which reads its
+        top-degree products off the tables from then on."""
         if self._form_built:
             return
         g, T = self.graph, self.top
@@ -278,7 +287,36 @@ class GradedAlgebra:
         if set(tops) != set(g.vertices):
             missing = sorted(set(g.vertices) - set(tops))
             raise AlgebraError(f"no top-degree generator at vertices {missing}")
-        # propagate the scale c_j of f on j A_T nu(j) along a spanning tree
+
+        # the pairing pairs: x in a block (s, d) of degree p and y in its
+        # partner block (d, nu s) of degree T - p.  A_T lies on the
+        # nu-diagonal and is one-dimensional at s, so x y = [x y] u_s, and
+        # every other product of degree T vanishes
+        def blocks(p: int) -> list:
+            return [(s, d, idxs, self.block_index[T - p].get((d, g.nu_v[s]), []))
+                    for (s, d), idxs in self.block_index[p].items()]
+
+        fxy = [
+            {(x_i, y_i): val for s, _, idxs, yidx in blocks(p)
+             for x_i in idxs for y_i in yidx
+             if (val := self.mul_basis(p, x_i, T - p, y_i).get(tops[s]))}
+            for p in range(T + 1)]
+
+        def y_beta_x(partner: dict, y: int, bx) -> Scalar:
+            """sum beta(x)[x'] partner[y, x'] for bx = beta(x).items(): the
+            value of y beta(x) off the partner table of (y, x')."""
+            acc = self.zero
+            for j, b in bx:
+                v = partner.get((y, j))
+                if v is not None:
+                    acc = acc + b * v
+            return acc
+
+        # propagate the scale c_s of f on A_T at s along a spanning tree: for
+        # the edge x: j -> m and the first y with [x y] != 0, (x, y) =
+        # (y, beta(x)) reads c_j [x y] = c_m [y beta(x)], where
+        # [y beta(x)] = sum beta(x)[x'] [y x'] and (y, x') is a pair of
+        # degree T - 1.  Only edges reach here, so T >= 1
         c: dict[str, Scalar] = {g.vertices[0]: self.one}
         queue = [g.vertices[0]]
         while queue:
@@ -287,54 +325,36 @@ class GradedAlgebra:
                 m = a.dst
                 if m in c:
                     continue
-                x = self.reduce_path(j, (a.id,))[1]
-                block = self.block_index[T - 1].get((m, g.nu_v[j]), []) if T >= 1 else []
-                lam = lam2 = None
-                for y_i in block:
-                    xy = self.mul(1, x, T - 1, self.unit(T - 1, y_i))
-                    if not xy:
-                        continue
-                    lam = xy[tops[j]]
-                    ybx = self.mul(T - 1, self.unit(T - 1, y_i), 1, self.beta_vec(1, x))
-                    if not ybx:
-                        raise AlgebraError("form propagation hit a vanishing pair")
-                    lam2 = ybx[tops[m]]
-                    break
+                x, lam = self.edge_index[a.id], None
+                for y in self.block_index[T - 1].get((m, g.nu_v[j]), ()):
+                    lam = fxy[1].get((x, y))
+                    if lam is not None:
+                        break
                 if lam is None:
                     raise AlgebraError(f"cannot propagate the form along edge {j}->{m}")
+                lam2 = y_beta_x(fxy[T - 1], y, self.beta_basis(1, x).items())
+                if not lam2:
+                    raise AlgebraError("form propagation hit a vanishing pair")
                 c[m] = c[j] * lam * scalar.inverse(lam2)
                 queue.append(m)
         if set(c) != set(g.vertices):
             raise AlgebraError("graph is not strongly connected; form propagation failed")
         self.f_coeff = {tops[j]: c[j] for j in g.vertices}
-        # f(x y) once per pairing pair: x in a block (s, d) of degree p and y
-        # in its partner block (d, nu s) of degree T - p.  A_T lies on the
-        # nu-diagonal, so f vanishes on every other product.
-        def blocks(p: int) -> list:
-            return [(s, d, idxs, self.block_index[T - p].get((d, g.nu_v[s]), []))
-                    for (s, d), idxs in self.block_index[p].items()]
-
-        def table(p: int) -> dict:
-            return {(x_i, y_i): val for _, _, idxs, yidx in blocks(p)
-                    for x_i in idxs for y_i in yidx
-                    if (val := self.f(self.mul_basis(p, x_i, T - p, y_i)))}
+        for p, tab in enumerate(fxy):  # f(x y) = c_s [x y] for x at s
+            scale = [c[b.src] for b in self.basis[p]]
+            for key, val in tab.items():
+                tab[key] = scale[key[0]] * val
 
         def pair_degree(p: int, own: dict, partner: dict) -> None:
             """Check (x, y) = (y, beta(x)) at degree p off the tables of p and
             T - p, and invert each pairing block of degree p for the duals."""
             zero = self.zero
             for s, d, idxs, yidx in blocks(p):
-                # y beta(x) = sum beta(x)[x'] y x', and (y, x') is a pair of
-                # the partner block
+                # (y, x') is a pair of the partner block
                 for i in idxs:
                     bx = self.beta_basis(p, i).items()
                     for y_i in yidx:
-                        rhs = zero
-                        for j, b in bx:
-                            v = partner.get((y_i, j))
-                            if v is not None:
-                                rhs = rhs + b * v
-                        if own.get((i, y_i), zero) != rhs:
+                        if own.get((i, y_i), zero) != y_beta_x(partner, y_i, bx):
                             raise AlgebraError(
                                 f"(x,y) != (y,beta(x)) at degree {p}, basis {i} / {y_i}")
                 # duals[p][i] = w_i* in degree T - p with f(w_i w_j*) = delta_ij
@@ -352,31 +372,22 @@ class GradedAlgebra:
                 for r, x_i in enumerate(idxs):
                     self.duals[p][x_i] = {yidx[q]: cq for q, cq in inv[r].items()}
 
+        self.fxy = fxy
         self.duals: list[dict[int, dict]] = [dict() for _ in range(T + 1)]
-        self.fxy = fxy = [table(p) for p in range(T + 1)]
         for p in range(T + 1):
             pair_degree(p, fxy[p], fxy[T - p])
         self._top_scale = {self.basis[T][u].src: (u, scalar.inverse(c))
                            for u, c in self.f_coeff.items()}
         self._form_built = True
 
-    def f(self, vec: dict) -> Scalar:
-        """The functional f on A_top (zero on other degrees by convention)."""
-        acc = self.zero
-        for i, x in vec.items():
-            coeff = self.f_coeff.get(i)
-            if coeff is not None:
-                acc = acc + coeff * x
-        return acc
-
     def reduce_mod(self, emb: PrimeEmbedding) -> "GradedAlgebra":
         """The image of A over F_p: the same bases, with the structure
         constants and the unit reduced once, and a fresh Nakayama cache; the
-        form `f` and its tables `fxy` stay over the tower, so the image walks
-        its top-degree products.  The image carries no dual bases: mu_4's
-        terms are built from the tower's, by `differentials`, and reduced by
-        their reader.  Raises ZeroDivisionError when a denominator vanishes
-        mod p."""
+        form's scales `f_coeff` and its tables `fxy` stay over the tower, so
+        the image walks its top-degree products.  The image carries no dual
+        bases: mu_4's terms are built from the tower's, by `differentials`,
+        and reduced by their reader.  Raises ZeroDivisionError when a
+        denominator vanishes mod p."""
         self.build_form()
 
         def image(vec: dict) -> dict:

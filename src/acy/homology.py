@@ -85,7 +85,7 @@ def differentials(A: GradedAlgebra) -> dict:
     minus = -one
 
     def edge(eid: int) -> tuple[int, int]:
-        return 1, A.index_of[1][(eid,)]
+        return 1, A.edge_index[eid]
 
     def idem(v: str) -> tuple[int, int]:
         return 0, g.vindex[v]
@@ -121,15 +121,13 @@ def apply_mu(A: GradedAlgebra, terms: list, k: int, x: dict, pos: dict,
     whose r is an idempotent, with power 0, for its one-sided rows.
 
     The spaces pair each generator with the elements that meet its terms,
-    so the factors compose.  A factor of degree 0 acts as the identity, and
-    x e for an edge e is read off `A.red`.  Every other product is
-    `A.mul_basis`, so the rule runs in whichever ring A has: the tower, or
-    the image `A.reduce_mod(emb)` with the terms reduced alongside.  The
-    products of degree top, such as mu_4's w* b^power(w), are read off the
-    form's tables `A.fxy` over the algebra's own ring, and walked on the
-    image."""
+    so the factors compose.  Every product x l and r (x l) is one
+    `A.mul_basis` call, so the rule runs in whichever ring A has: the
+    tower, or the image `A.reduce_mod(emb)` with the terms reduced
+    alongside.  The products of degree top, such as mu_4's w* b^power(w),
+    are read off the form's tables `A.fxy` over the algebra's own ring, and
+    walked on the image."""
     mul, top, one, p = A.mul_basis, A.top, A.one, A.p
-    red = A.red[k + 1] if k < top else {}
 
     def at(v, j) -> int:
         q = pos.get((v, j))
@@ -142,15 +140,9 @@ def apply_mu(A: GradedAlgebra, terms: list, k: int, x: dict, pos: dict,
         if k + kl + kr > top:
             continue
         for jl, b in A.beta_vec(kl, {il: one}, power).items():
-            cb, edge = c * b, A.basis[1][jl].path[0] if kl == 1 else None
+            cb = c * b
             for i, a in x.items():
-                if kl == 1:
-                    xl = red.get((i, edge), {}).items()
-                elif kl:
-                    xl = mul(k, i, kl, jl).items()
-                else:
-                    xl = ((i, one),)
-                cab = cb * a
+                xl, cab = mul(k, i, kl, jl).items(), cb * a
                 if not kr:
                     linalg.axpy(out, ((at(v, j), e) for j, e in xl), cab, p)
                     continue
@@ -507,32 +499,19 @@ class Homology:
                 bad.append(i)
         return bad
 
-    def hh0_cohomology(self) -> tuple[dict[int, int], dict[int, int]]:
-        """(graded dims of HH^0 = ker mu_1^*, graded dims of L)."""
-        out: dict[int, int] = {}
-        for d in range(-3 * self.g.h, self.A.top + 1):
-            dim = len(self.chain_space(0, d, coh=True))
-            if dim == 0:
-                continue
-            v = dim - self.rank_at(1, d, coh=True)
-            if v:
-                out[d] = v
-        L = {}
-        nfix = sum(1 for v in self.g.vertices if self.g.nu_v[v] == v)
-        if nfix:
-            L[self.A.top] = nfix
-        return out, L
-
-    def verify_hh0_cohomology(self, hh: dict) -> bool:
-        """HH^0 = HH_3'[-3] (+) L with L spanned by the u_j at fixed vertices."""
-        got, L = self.hh0_cohomology()
+    def verify_hh0_cohomology(self, hh: dict, coh: dict) -> bool:
+        """HH^0 = HH_3'[-3] (+) L with L spanned by the u_j at fixed vertices.
+        HH^0 = ker mu_1^* is row 0 of the cohomology table `coh`, whose
+        range starts below degree 0, where the chain spaces vanish."""
+        got = {d: v for (i, d), v in coh.items() if i == 0}
         want: dict[int, int] = {}
         for d in range(3, self.g.h):
             v = hh.get((3, d), 0)
             if v:
                 want[d - 3] = v
-        for d, v in L.items():
-            want[d] = want.get(d, 0) + v
+        nfix = sum(1 for v in self.g.vertices if self.g.nu_v[v] == v)
+        if nfix:
+            want[self.A.top] = want.get(self.A.top, 0) + nfix
         return got == want
 
 
@@ -640,12 +619,13 @@ class _Resolution:
     every map preserves.  A term (l, v', r, c) of mu_r(gen) sends such an
     element to c (x l) (x) v' when r is an idempotent and to 0 otherwise, as
     r then lies in the radical.  So the rows are `apply_mu`, the term rule
-    of the Hochschild matrices, on these one-sided terms.  Their left factor
-    l is an edge, whose x l `apply_mu` reads off `A.red`, or in mu_4 the top
-    element w whose dual is an idempotent, which only an idempotent x meets,
-    with x w = w.  A block is nonzero only for d <= top + h, so ranking
-    every block covers every degree.  Each block is ranked by
-    `linalg.rank`, the same elimination that gives the exact ranks.
+    of the Hochschild matrices, on these one-sided terms, with each product
+    x l one `A.mul_basis` call.  Their left factor l is an edge, whose x l
+    is a `red` entry, or in mu_4 the top element w whose dual is an
+    idempotent, which only an idempotent x meets, with x w = w.  A block
+    is nonzero only for d <= top + h, so ranking every block covers every
+    degree.  Each block is ranked by `linalg.rank`, the same elimination
+    that gives the exact ranks.
 
     A block is ranked once per orbit of (d, u, v) -> (d, nu u, nu v), and
     the orbit shares its rank rows, when the premise `shared` holds:
@@ -775,15 +755,15 @@ def _left_edges(A: GradedAlgebra) -> list[dict]:
     basis element x_i, k < top: the left-edge table `_d_squared` reads.
 
     Each basis element of degree k >= 1 is a basis element x' of degree
-    k - 1 times an edge f, as the basis grows one edge at a time from the
-    surviving monomials; so the table is built upwards, e x_i = (e x') f,
-    one `mul_edge` on the row below."""
+    k - 1, its recorded prefix `A.prefix`, times an edge f, as the basis
+    grows one edge at a time from the surviving monomials; so the table is
+    built upwards, e x_i = (e x') f, one `mul_edge` on the row below."""
     g = A.graph
-    left = [{(e.id, g.vindex[e.dst]): {A.index_of[1][(e.id,)]: A.one} for e in g.edges}]
+    left = [{(e.id, g.vindex[e.dst]): {A.edge_index[e.id]: A.one} for e in g.edges}]
     for k in range(1, A.top):
         below, row = left[-1], {}
         for i, x in enumerate(A.basis[k]):
-            i0 = A.index_of[k - 1][x.path[:-1]] if k > 1 else g.vindex[x.src]
+            i0 = A.prefix[k][i]
             for e in g.in_edges[x.src]:
                 row[e.id, i] = A.mul_edge(k, below[e.id, i0], x.path[-1])
         left.append(row)
@@ -811,9 +791,10 @@ def _d_squared(A: GradedAlgebra, mu: dict) -> list:
     idempotent as one factor, as only mu_4's factors w, w* reach degree 2:
     its products are w e and e w* in mu_3 mu_4, and e w and w* b(e) in
     mu_4 mu_5.  x e is read off `A.red`, and e x off the left-edge table of
-    `_left_edges`, which this call builds and drops.  The reader is local,
-    rather than `A.mul_basis`, for the left-edge table and to save a call
-    per product."""
+    `_left_edges`, which this call builds and drops.  This reader is the one
+    product rule besides `A.mul_basis`, which has no left-edge table: it
+    would walk every e x below the top degree along the path of x, and on
+    the image over F_p those of degree top too."""
     p, top, red, one = A.p, A.top, A.red, A.one
     left = _left_edges(A) if top else []
     edge_of = [b.path[0] for b in A.basis[1]] if top else []
@@ -1024,7 +1005,7 @@ def build_report(A: GradedAlgebra, cells: CellSystem, max_index: int = 13,
     checks["euler"] = euler_from_hc(hc_red, cutoff) == chi
     failures["cohomology_routes"] = hom.verify_cohomology_routes(
         hh_full, coh, min(max_index, 13))
-    checks["hh0_cohomology"] = hom.verify_hh0_cohomology(hh_full)
+    checks["hh0_cohomology"] = hom.verify_hh0_cohomology(hh_full, coh)
     if with_resolution:
         # the certificate checks d o d on generators first, which sees the
         # faults in mu_4 that the Hochschild maps miss

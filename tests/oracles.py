@@ -11,6 +11,9 @@
 - `structure_from_euler`, `predicted_tables`: the structure theorem's
   blocks, solved from the Euler characteristic, and the periodic HH/HC
   tables they predict.
+- `path_class`: the class of a raw path in the quotient, walked one edge
+  after another with `GradedAlgebra.mul_path`, which every product
+  `GradedAlgebra.mul_basis` takes must equal.
 - `beta_walk`: the Nakayama automorphism on a basis element as the class
   of its whole nu-path, which `GradedAlgebra.beta_basis`, grown one edge at
   a time, must equal.
@@ -354,7 +357,7 @@ def resolution_blocks(res, d: int) -> dict:
         b, out = A.basis[k][x], {}
         for (kl, il), v, (kr, _), c in res.mu[stage][gen]:
             if not kr:
-                xl = A.reduce_path(b.src, b.path + A.basis[kl][il].path)[1]
+                xl = path_class(A, b.src, b.path + A.basis[kl][il].path)
                 linalg.axpy(out, ((pos[v, j], a) for j, a in xl.items()), c, res.p)
         return out
 
@@ -374,11 +377,17 @@ def resolution_blocks(res, d: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the Nakayama automorphism
+# paths in the quotient, and the Nakayama automorphism
 # ---------------------------------------------------------------------------
+
+def path_class(A, src: str, path: tuple[int, ...]) -> dict:
+    """The class of the raw path from src in A, as a vector of its degree:
+    the idempotent at src times one edge after another, by `A.mul_path`."""
+    return A.mul_path(0, {A.graph.vindex[src]: A.one}, path)[1]
+
 
 def beta_walk(A, k: int, i: int) -> dict:
     """beta(x) for the degree-k basis element x_i: its nu-path reduced from
     nu of its source, one edge after another."""
     g, b = A.graph, A.basis[k][i]
-    return A.reduce_path(g.nu_v[b.src], tuple(g.nu_e[e] for e in b.path))[1]
+    return path_class(A, g.nu_v[b.src], tuple(g.nu_e[e] for e in b.path))

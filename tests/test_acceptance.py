@@ -230,7 +230,7 @@ def test_criterion_5_cohomology():
         assert got == want, (name, "HH^*")
         _, _, hh_full = computed_tables(name)
         assert hom.verify_cohomology_routes(hh_full, got, 13) == []
-        assert hom.verify_hh0_cohomology(hh_full)
+        assert hom.verify_hh0_cohomology(hh_full, got)
     print(f"\nACCEPTANCE criterion 5 (cohomology, {len(TABLE_GRAPHS)} graphs): PASS")
 
 

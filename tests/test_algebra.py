@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from acy import cli
 from acy.algebra import AlgebraError, GradedAlgebra, spot_checks
 from acy.cells import CellSystem, builtin_cells, derive_relations
 from acy.homology import Homology, build_report, verify_resolution
@@ -10,7 +11,7 @@ from acy.quiver import build_family, parse_graph_spec
 from acy.scalar import Eisenstein, PrimeEmbedding, Scalar, inverse, residue
 from acy.series import hilbert_closed_form
 from conftest import scalar_relations
-from oracles import beta_walk
+from oracles import beta_walk, path_class
 
 
 def test_a4_dims(pipe):
@@ -85,7 +86,7 @@ def test_mul_basis_is_the_walk_along_both_paths(pipe, monkeypatch, spec, modular
                     if x.dst != y.src or k1 + k2 > A.top:
                         assert got == {}, (spec, k1, i1, k2, i2)
                         continue
-                    assert got == A.reduce_path(x.src, x.path + y.path)[1], (spec, k1, i1, k2, i2)
+                    assert got == path_class(A, x.src, x.path + y.path), (spec, k1, i1, k2, i2)
                     branch = ("idempotent" if not k1 * k2 else "edge" if k2 == 1 else
                               "top" if k1 + k2 == A.top and not A.p else "walk")
                     assert walked == (branch == "walk"), (spec, k1, i1, k2, i2)
@@ -141,6 +142,12 @@ def test_associativity_random(pipe):
         checked += 1
 
 
+def _f(A, vec: dict):
+    """The form f on a vector: the scale `f_coeff` of each top generator
+    in its support, and zero on every other basis element."""
+    return sum((A.f_coeff[i] * x for i, x in vec.items() if i in A.f_coeff), A.zero)
+
+
 def _top_generators(A) -> dict:
     """The normalized generators u_j of A_T, with f(u_j) = 1, by vertex j."""
     return {A.basis[A.top][i].src: {i: inverse(c)} for i, c in A.f_coeff.items()}
@@ -153,7 +160,7 @@ def test_form_and_top_generators(pipe):
         u = _top_generators(A)
         assert set(u) == set(g.vertices)
         for j in g.vertices:
-            assert A.f(u[j]) == 1
+            assert _f(A, u[j]) == 1
         # f vanishes implicitly below the top degree: pair() uses top products
         # and the pairing matrices were inverted during build_form
 
@@ -171,7 +178,7 @@ def test_dual_bases(pipe):
             # mixed products vanish under f
             for i2 in range(A.dim(p)):
                 if i2 != i:
-                    val = A.f(A.mul(p, A.unit(p, i2), T - p, wstar))
+                    val = _f(A, A.mul(p, A.unit(p, i2), T - p, wstar))
                     assert val == 0
     # degree 0: the dual of a vertex idempotent is the normalized generator
     for j in g.vertices:
@@ -238,9 +245,9 @@ def test_nakayama(pipe):
     g4, _, A4, _ = pipe("A4")
     A4.build_form()
     for e in g4.edges:
-        i = A4.index_of[1][(e.id,)]
+        i = A4.edge_index[e.id]
         img = A4.beta_basis(1, i)
-        assert img == A4.unit(1, A4.index_of[1][(g4.nu_e[e.id],)])
+        assert img == A4.unit(1, A4.edge_index[g4.nu_e[e.id]])
     # beta is an algebra automorphism of order 3 preserving f
     g5, _, A5, _ = pipe("A5")
     A5.build_form()
@@ -256,8 +263,8 @@ def test_nakayama(pipe):
         x = A5.unit(2, i)
         assert A5.beta_vec(2, A5.beta_vec(2, A5.beta_vec(2, x))) == x
     for i in range(A5.dim(A5.top)):
-        assert A5.f(A5.beta_vec(A5.top, A5.unit(A5.top, i))) == \
-            A5.f(A5.unit(A5.top, i))
+        assert _f(A5, A5.beta_vec(A5.top, A5.unit(A5.top, i))) == \
+            _f(A5, A5.unit(A5.top, i))
 
 
 def test_form_detects_a_wrong_nakayama_action(monkeypatch):
@@ -277,9 +284,58 @@ def test_form_detects_a_wrong_nakayama_action(monkeypatch):
             A.build_form()
 
 
-def _a6():
-    g = parse_graph_spec("A6")
+def _fresh(spec: str) -> GradedAlgebra:
+    g = parse_graph_spec(spec)
     return GradedAlgebra(g, derive_relations(builtin_cells(g)))
+
+
+def _no_edge_products(monkeypatch):
+    # every product of an edge with degree T - 1 vanishes before the form is
+    # built, so no pairing pair of degree 1 carries the form along an edge
+    real = GradedAlgebra.mul_basis
+
+    def mul_basis(self, k1, i1, k2, i2):
+        if k1 == 1 and k2 == self.top - 1 and not self._form_built:
+            return {}
+        return real(self, k1, i1, k2, i2)
+
+    monkeypatch.setattr(GradedAlgebra, "mul_basis", mul_basis)
+
+
+def _no_beta_on_edges(monkeypatch):
+    # beta vanishes in degree 1, so [y beta(x)] = 0 for every edge x
+    real = GradedAlgebra.beta_basis
+    monkeypatch.setattr(GradedAlgebra, "beta_basis",
+                        lambda self, k, i: {} if k == 1 else real(self, k, i))
+
+
+@pytest.mark.parametrize("fault, message", [
+    (_no_edge_products, "cannot propagate the form along edge"),
+    (_no_beta_on_edges, "form propagation hit a vanishing pair")])
+def test_form_propagation_errors_fire_and_exit_3(monkeypatch, capsys, fault, message):
+    fault(monkeypatch)
+    with pytest.raises(AlgebraError, match=message):
+        _fresh("A6").build_form()
+    assert cli.main(["verify", "--graph", "A6", "--check", "duality"]) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, pairs", [("A6", 56), ("D6", 36), ("E8*", 56)])
+def test_build_form_takes_one_product_per_pairing_pair(monkeypatch, spec, pairs):
+    # the pairing pairs: x in a block (s, d) of degree p, y in (d, nu s) of
+    # degree T - p.  The propagation reads the same tables as the checks
+    A = _fresh(spec)
+    nu, T = A.graph.nu_v, A.top
+    want = [(p, x, T - p, y) for p in range(T + 1)
+            for (s, d), xs in A.block_index[p].items() for x in xs
+            for y in A.block_index[T - p].get((d, nu[s]), ())]
+    calls = []
+    real = GradedAlgebra.mul_basis
+    monkeypatch.setattr(GradedAlgebra, "mul_basis",
+                        lambda self, *args: calls.append(args) or real(self, *args))
+    A.build_form()
+    assert len(want) == pairs
+    assert sorted(calls) == sorted(want)
 
 
 def test_spot_associativity_sees_an_in_block_fault():
@@ -287,9 +343,9 @@ def test_spot_associativity_sees_an_in_block_fault():
     # it to twice itself, which stays in its block.  A uniform sample drew no
     # composable triple of positive degrees on A6 at seed 0; the composable
     # sample multiplies through the fault and sees (x y) z != x (y z)
-    assert spot_checks(_a6(), 0)["spot_associativity"] is True
-    A = _a6()
-    key, i = (A.index_of[1][(0,)], 7), A.index_of[2][(0, 7)]
+    assert spot_checks(_fresh("A6"), 0)["spot_associativity"] is True
+    A = _fresh("A6")
+    key, i = (A.edge_index[0], 7), [b.path for b in A.basis[2]].index((0, 7))
     assert A.red[2][key] == {i: A.one}
     A.red[2][key] = {i: A.one + A.one}
     assert spot_checks(A, 0)["spot_associativity"] is False
@@ -297,8 +353,8 @@ def test_spot_associativity_sees_an_in_block_fault():
 
 def test_spot_nakayama_sees_a_faulted_beta_coefficient():
     # beta(x) = 2 nu(x) for the degree-1 basis element 10, and nu elsewhere
-    assert spot_checks(_a6(), 0)["spot_nakayama"] is True
-    A = _a6()
+    assert spot_checks(_fresh("A6"), 0)["spot_nakayama"] is True
+    A = _fresh("A6")
     (j, c), = A.beta_basis(1, 10).items()
     A._beta_cache[(1, 10)] = {j: c + A.one}
     assert spot_checks(A, 0)["spot_nakayama"] is False
@@ -308,7 +364,7 @@ def test_spot_nakayama_sees_a_fault_off_the_uniform_sample():
     # beta(x) = 2 nu(x) for the degree-1 basis element 17.  A sample of
     # uniform pairs, mostly not composable, passed this fault at seeds 0-4;
     # pairs with y starting where x ends catch it at each of them
-    A = _a6()
+    A = _fresh("A6")
     (j, c), = A.beta_basis(1, 17).items()
     A._beta_cache[(1, 17)] = {j: c + A.one}
     for seed in range(5):

@@ -51,3 +51,24 @@ def test_frontier_repeats_a_passing_rung_only(monkeypatch):
         row = frontier.measure_rung(outcome, "builtin")
         assert (row["outcome"], row["runs"], row["wall_s"]) == (outcome, 1, walls[outcome][0])
     assert calls == ["pass"] * 3 + ["fail", "timeout"]
+
+
+def test_frontier_compiles_the_package_once_before_the_first_rung(tmp_path, monkeypatch):
+    frontier = _frontier()
+    events = []
+
+    def compile_dir(path, **kwargs):
+        events.append(("compile", pathlib.Path(path)))
+        return True
+
+    def run_rung(graph, cells):
+        events.append(("rung", graph))
+        return {"graph": graph, "cells": cells, "outcome": "fail", "exit": 3,
+                "wall_s": 0.1, "peak_rss_mb": 10.0}
+
+    monkeypatch.setattr(frontier.compileall, "compile_dir", compile_dir)
+    monkeypatch.setattr(frontier, "run_rung", run_rung)
+    monkeypatch.setattr(frontier, "LADDER", [("A4", "builtin"), ("A5", "builtin")])
+    monkeypatch.setattr(frontier, "OUT_DIR", tmp_path)
+    assert frontier.main(["t"]) == 0
+    assert events == [("compile", frontier.ROOT / "src" / "acy"), ("rung", "A4"), ("rung", "A5")]

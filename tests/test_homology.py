@@ -669,29 +669,30 @@ def test_euler_two_way(pipe):
 
 
 def test_cohomology_hh0_l_space(pipe):
-    # A6 has exactly one nu-fixed vertex: H_L = t^3
-    _, _, A, hom = pipe("A6")
-    got, L = hom.hh0_cohomology()
-    assert L == {3: 1}
-    hh = hom.hh_table(5, 4 * 6)
-    assert hom.verify_hh0_cohomology(hh)
-    # A4 has no fixed vertices: no L contribution
-    _, _, _, hom4 = pipe("A4")
-    _, L4 = hom4.hh0_cohomology()
-    assert L4 == {}
+    # HH^0 = HH_3'[-3] (+) L, with L spanned by the top generators at the
+    # nu-fixed vertices; HH_3'[-3] stops below the top degree, so HH^0 there
+    # is L alone.  A6 has exactly one fixed vertex, H_L = t^3; A4 has none
+    for spec, fixed in (("A6", 1), ("A4", 0)):
+        g, _, A, hom = pipe(spec)
+        assert sum(g.nu_v[v] == v for v in g.vertices) == fixed
+        hh = hom.hh_table(5, 4 * g.h)
+        coh = hom.coh_table(0, -3 * g.h - 3, A.top)
+        assert hom.verify_hh0_cohomology(hh, coh)
+        assert coh.get((0, A.top), 0) == fixed, spec
 
 
 def test_hh0_cohomology_sees_a_rank_fault(pipe):
-    # +1 on the rank of mu_1^* at the lowest degree of HH^0, after the HH table
-    # that the check compares with was taken
+    # +1 on the rank of mu_1^* at the lowest degree of HH^0, after the HH
+    # table that the check compares with was taken; the cohomology table is
+    # taken after the fault, as the report takes it from the same ranks
     g, _, A, _ = pipe("A6")
     hom = Homology(A)
     hh = hom.hh_table(3, g.h)
-    assert hom.verify_hh0_cohomology(hh)
-    got, _ = hom.hh0_cohomology()
-    r, twist, k = hom._coh_params(1, min(got))
+    coh = hom.coh_table(0, -3 * g.h - 3, A.top)
+    assert hom.verify_hh0_cohomology(hh, coh)
+    r, twist, k = hom._coh_params(1, min(d for _, d in coh))
     hom._rank_cache[(r, hom._tw(twist), k)] += 1
-    assert not hom.verify_hh0_cohomology(hh)
+    assert not hom.verify_hh0_cohomology(hh, hom.coh_table(0, -3 * g.h - 3, A.top))
 
 
 def _rank_fault_outcomes(spec, pipe, monkeypatch) -> dict:
