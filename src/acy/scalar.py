@@ -17,19 +17,22 @@ the smaller field Q(omega) instead, as `Eisenstein`s (a + b omega)/d.
 Each field has one shared unit, `FieldTower.one()` or `ONE` in Q(omega), for
 which `__mul__` returns the other factor: the one place a unit is skipped.
 
-Zero is decided exactly from the normal form.  Positivity of a nonzero
-element is certified by interval arithmetic with escalating precision;
-intervals never decide equality.
+Zero is decided exactly from the normal form.  The sign of a nonzero real
+element is certified on an integer box at scale 2^p, p = 80, 160, ...: c is
+isolated as the largest root of its minimal polynomial, each sqrt(g_i) is
+bounded by `math.isqrt`, and the element's bounds follow from theirs; boxes
+never decide equality.  The square test reads a root off the real
+conjugates of the radicand in the same fixed-point integers.  No exact path
+imports mpmath: only the numeric values (`Scalar.value`,
+`FieldTower.numeric`) and the PSLQ of `base_relation` do, for the solver's
+least-squares route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, gcd
-
-import mpmath
-from mpmath import mp
+from math import comb, cos, gcd, isqrt, ldexp, pi
 
 __all__ = ["FieldTower", "Scalar", "Eisenstein", "ONE", "OMEGA", "PrimeEmbedding", "RATIONALS",
            "inverse", "residue", "base_relation"]
@@ -217,9 +220,93 @@ def _base_field(h: int) -> _BaseField:
     return _BaseField(h)
 
 
+# ---------------------------------------------------------------------------
+# fixed point: the real conjugates of c, and certified boxes
+# ---------------------------------------------------------------------------
+
+def _cos_start(h: int, j: int) -> float:
+    """2cos(j pi/h) as a float: where Newton's method on psi starts."""
+    return 2 * cos(j * pi / h)
+
+
+def _newton_root(h: int, j: int, prec: int) -> int:
+    """The root 2cos(j pi/h) of psi = `coxeter_minpoly(h)`, times 2^prec and
+    rounded, by Newton's method from `_cos_start`.  The iteration runs at
+    32 guard bits in fixed-point integers; psi and psi' come from one
+    Horner pass.  Not certified: a start that does not converge gives a
+    wrong number, which the callers' certificates reject."""
+    psi = coxeter_minpoly(h)
+    work = prec + 32
+    x = int(ldexp(_cos_start(h, j), 53))
+    x = x << work - 53 if work >= 53 else x >> 53 - work
+    for _ in range(2 * work.bit_length()):   # 53 correct bits double per step
+        v, d = psi[-1] << work, 0
+        for a in reversed(psi[:-1]):
+            d = (d * x >> work) + v
+            v = (v * x >> work) + (a << work)
+        if not d:
+            break
+        step = (v << work) // d
+        x -= step
+        if -1 <= step <= 1:
+            break
+    return (x + (1 << 31)) >> 32
+
+
+@lru_cache(maxsize=None)
+def _coxeter_box(h: int, prec: int) -> tuple[tuple[int, int], ...]:
+    """Certified bounds lo_k <= c^k 2^prec <= hi_k for k < D, c = 2cos(pi/h).
+
+    c is the largest root of psi = `coxeter_minpoly(h)`.  Newton's root x
+    gives the box lo, hi = x -+ 2, and the certificate is exact, on the
+    integer polynomial Q(X) = 2^(prec D) psi(X / 2^prec): Q(lo) < 0 < Q(hi)
+    puts a root between them, and the Taylor shift Q(hi + z) with every
+    coefficient positive puts none at or above hi, so that root is c.
+    Raises ArithmeticError when either fails.  The powers round outward
+    from the box; it lies within 4 units of c >= 1, so above 0, where the
+    powers are monotone."""
+    psi = coxeter_minpoly(h)
+    D = len(psi) - 1
+    x = _newton_root(h, 1, prec)
+    lo, hi = x - 2, x + 2
+    q = [a << prec * (D - i) for i, a in enumerate(psi)]   # Q(X) = sum q_i X^i
+    at_lo = 0
+    for a in reversed(q):
+        at_lo = at_lo * lo + a
+    shift = q[:]   # Q(hi + z), by D rounds of synthetic division
+    for k in range(D):
+        for i in range(D - 1, k - 1, -1):
+            shift[i] += hi * shift[i + 1]
+    if not (at_lo < 0 and all(a > 0 for a in shift)):
+        raise ArithmeticError(f"no certified box of 2cos(pi/{h}) at {prec} bits "
+                              f"around the Newton root {x}/2^{prec}")
+    pows, a, b = [], 1 << prec, 1 << prec
+    for _ in range(D):
+        pows.append((a, b))
+        a, b = a * lo >> prec, -(-b * hi >> prec)
+    return tuple(pows)
+
+
+def _bbox(b: tuple[int, ...], pows: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+    """Certified bounds lo <= b(c) 2^prec <= hi of a base-field element, from
+    the bounds `pows` of the powers of c at scale 2^prec (`_coxeter_box`)."""
+    lo = hi = 0
+    for n, (a, z) in zip(b[1:], pows):
+        if n > 0:
+            lo += n * a
+            hi += n * z
+        elif n:
+            lo += n * z
+            hi += n * a
+    den = b[0]
+    if den < 0:
+        lo, hi, den = -hi, -lo, -den
+    return lo // den, -(-hi // den)
+
+
 def _beval(b: tuple[int, ...], c, zero):
     """A base-field element at c, by Horner's rule in the number type of
-    `zero` (mpf, or iv.mpf for a certified interval)."""
+    `zero`."""
     acc = zero
     for n in reversed(b[1:]):
         acc = acc * c + n
@@ -245,6 +332,7 @@ class FieldTower:
         self.roots = tuple(roots)
         self.degree = self.degree_base * (1 << len(self.roots))
         self._numcache: dict[int, tuple] = {}
+        self._root_boxes: dict[int, tuple] = {}
         self.fingerprint = (h,) + self.roots
         # the unit `one()` returns on every call, and `Scalar.__mul__` skips
         self._one = Scalar(self, {0: (1, 1) + (0,) * (self.degree_base - 1)})
@@ -340,12 +428,26 @@ class FieldTower:
         cached = self._numcache.get(prec)
         if cached is not None:
             return cached
+        import mpmath
         with mpmath.workprec(prec):
-            c = mp.mpf(2) * mpmath.cos(mp.pi / self.h)
-            vals = tuple(mpmath.sqrt(_beval(g, c, mp.mpf(0))) for g in self.roots)
+            c = 2 * mpmath.cos(mpmath.pi / self.h)
+            vals = tuple(mpmath.sqrt(_beval(g, c, mpmath.mpf(0))) for g in self.roots)
         out = (c, vals)
         self._numcache[prec] = out
         return out
+
+    def root_boxes(self, prec: int) -> tuple[tuple[int, int], ...]:
+        """Certified bounds lo <= sqrt(g_i) 2^prec <= hi per adjoined root,
+        by `math.isqrt` from the bounds of g_i on the box of c."""
+        boxes = self._root_boxes.get(prec)
+        if boxes is None:
+            pows = _coxeter_box(self.h, prec)
+            boxes = []
+            for g in self.roots:
+                lo, hi = _bbox(g, pows)
+                boxes.append((isqrt(max(lo, 0) << prec), isqrt(max(hi, 0) << prec) + 1))
+            boxes = self._root_boxes[prec] = tuple(boxes)
+        return boxes
 
     # -- identity -------------------------------------------------------------------
 
@@ -554,28 +656,33 @@ class Scalar:
 
     def value(self, prec: int = 80):
         """mpf/mpc approximation at binary precision prec (not certified)."""
+        import mpmath
         c, rootvals = self.tower.numeric(prec)
         with mpmath.workprec(prec):
-            re = _deval(self.re, c, rootvals, mp.mpf(0))
+            re = _deval(self.re, c, rootvals, mpmath.mpf(0))
             if not self.im:
                 return +re
-            return mpmath.mpc(re, _deval(self.im, c, rootvals, mp.mpf(0)))
+            return mpmath.mpc(re, _deval(self.im, c, rootvals, mpmath.mpf(0)))
 
-    def interval(self, prec: int = 80):
-        """Certified enclosing iv.mpf (real scalars only)."""
+    def box(self, prec: int = 80) -> tuple[int, int]:
+        """Certified integer bounds lo <= x 2^prec <= hi of a real scalar x:
+        each monomial's base coefficient is bounded on the box of c, then
+        scaled by the boxes of its roots, rounding outward."""
         if self.im:
-            raise ValueError("interval evaluation requires a real scalar")
-        iv = mpmath.iv
-        old = iv.prec
-        try:
-            iv.prec = prec
-            c = 2 * iv.cos(iv.pi / self.tower.h)
-            rootvals = []
-            for g in self.tower.roots:
-                rootvals.append(iv.sqrt(_beval(g, c, iv.mpf(0))))
-            return _deval(self.re, c, rootvals, iv.mpf(0))
-        finally:
-            iv.prec = old
+            raise ValueError("a box requires a real scalar")
+        pows = _coxeter_box(self.tower.h, prec)
+        roots = self.tower.root_boxes(prec)
+        lo = hi = 0
+        for m, b in self.re.items():
+            blo, bhi = _bbox(b, pows)
+            while m:
+                r, s = roots[(m & -m).bit_length() - 1]   # 0 <= r <= s
+                blo = blo * (r if blo >= 0 else s) >> prec
+                bhi = -(-bhi * (s if bhi >= 0 else r) >> prec)
+                m &= m - 1
+            lo += blo
+            hi += bhi
+        return lo, hi
 
     def is_positive(self) -> bool:
         """Certified sign of a real scalar; False for zero."""
@@ -585,10 +692,10 @@ class Scalar:
             return False
         prec = 80
         while True:
-            box = self.interval(prec)
-            if box.a > 0:
+            lo, hi = self.box(prec)
+            if lo > 0:
                 return True
-            if box.b < 0:
+            if hi < 0:
                 return False
             prec *= 2
 
@@ -628,6 +735,7 @@ class Scalar:
         return cls(tower, *parts)
 
     def __repr__(self):
+        import mpmath
         return f"Scalar({mpmath.nstr(self.value(80), 12)})"
 
 
@@ -1056,6 +1164,7 @@ def base_relation(h: int, value, prec: int) -> tuple[int, ...] | None:
     0.75 prec bits only, which determines D + 1 coefficients of up to
     0.75 prec / (D + 1) bits each; PSLQ gives up beyond that bound rather
     than return a spurious relation.  The caller certifies what it gets."""
+    import mpmath
     D = _base_field(h).D
     with mpmath.workprec(prec):
         c, _ = FieldTower(h).numeric(prec)
@@ -1067,51 +1176,69 @@ def base_relation(h: int, value, prec: int) -> tuple[int, ...] | None:
 
 
 @lru_cache(maxsize=None)
-def _conjugates(h: int, prec: int) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
-    """(taus, W) at `prec` bits: taus the real conjugates tau_j(c) = 2cos(j pi/h)
-    for the j of the split-prime scan, and W the inverse of V_jk = tau_j(c)^k
-    in fixed point, W[j][k] = V^-1_kj 2^prec, so that row j is column j of V^-1."""
-    js = _split_primes(h).js
-    with mpmath.workprec(prec):
-        taus = tuple(2 * mpmath.cos(j * mp.pi / h) for j in js)
-        inv = mpmath.inverse(mpmath.matrix([[t ** k for k in range(len(js))] for t in taus]))
-        W = tuple(tuple(int(mpmath.ldexp(inv[k, j], prec)) for k in range(len(js)))
-                  for j in range(len(js)))
-    return taus, W
+def _conjugates(h: int, prec: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(taus, W) in fixed point at scale 2^prec: taus the real conjugates
+    tau_j(c) = 2cos(j pi/h) for the j of the split-prime scan, each refined
+    by `_newton_root`, and W[j] column j of V^-1, V_jk = tau_j^k.  That
+    column holds the coefficients of the Lagrange polynomial
+    L_j = prod_(m != j) (X - tau_m) / (tau_j - tau_m): its numerator is
+    psi / (X - tau_j), by synthetic division, and its denominator that
+    quotient's value at tau_j."""
+    psi = coxeter_minpoly(h)
+    D = len(psi) - 1
+    taus = tuple(_newton_root(h, j, prec) for j in _split_primes(h).js)
+    W = []
+    for t in taus:
+        quot, acc = [0] * D, psi[D] << prec
+        for i in range(D - 1, -1, -1):
+            quot[i] = acc
+            acc = (acc * t >> prec) + (psi[i] << prec)
+        at = 0
+        for a in reversed(quot):
+            at = (at * t >> prec) + a
+        W.append(tuple((a << prec) // at for a in quot))
+    return taus, tuple(W)
 
 
-def _root_conjugates(h: int, G: tuple[int, ...], prec: int) -> list | None:
-    """sqrt(tau_j(G)) for each real conjugate of G in Z[c] (denominator 1), at
-    `prec` bits; None when a conjugate is not positive, as no square's is."""
+def _root_conjugates(h: int, G: tuple[int, ...], prec: int) -> list[int] | None:
+    """sqrt(tau_j(G)) 2^prec for each real conjugate of G in Z[c] (denominator
+    1), by `math.isqrt`; None when a conjugate is not positive at this
+    precision, as no square's is."""
     taus, _ = _conjugates(h, prec)
-    with mpmath.workprec(prec):
-        vals = [_beval(G, t, mp.mpf(0)) for t in taus]
-        if min(vals) <= 0:
+    roots = []
+    for t in taus:
+        v = 0
+        for n in reversed(G[1:]):
+            v = (v * t >> prec) + (n << prec)
+        if v <= 0:
             return None
-        return [mpmath.sqrt(v) for v in vals]
+        roots.append(isqrt(v << prec))
+    return roots
 
 
 def _conjugate_sqrt(h: int, g: tuple[int, ...], prec: int) -> tuple[int, ...] | None:
     """The root of g in Q(c) that is positive at c, read off the real
-    conjugates of g at `prec` bits, or None when no candidate squares back.
+    conjugates of g in fixed point at scale 2^prec, or None when no
+    candidate squares back.
 
     G = den^2 g lies in Z[c], the ring of integers of the real subfield of
     Q(zeta_2h) (Washington, Prop. 2.16), so a square root of G is integral:
     its coordinates x are integers with V x = (e_j a_j), a_j = sqrt(tau_j(G))
     and signs e_j = +-1, and sqrt(g) = x / den.  e_1 = +1 at j = 1, acy's
     embedding, as -x has the opposite signs; the other 2^(D-1) sign
-    patterns are walked in Gray code, one fixed-point column of V^-1 per
-    step.  Each pattern's coordinates are rounded, and the candidate is a
-    root only if it squares back to g exactly.  Rounding can still land on
-    the negative root when the root is small at c, so its sign is then
-    certified (`Scalar.is_positive`)."""
+    patterns are walked in Gray code, one fixed-point column a_j V^-1[:, j]
+    per step.  The a_j come from `math.isqrt` and the columns of V^-1 from
+    the Lagrange polynomials of the conjugates (`_conjugates`).  Each
+    pattern's coordinates are rounded, and the candidate is a root only if
+    it squares back to g exactly.  Rounding can still land on the negative
+    root when the root is small at c, so its sign is then certified
+    (`Scalar.is_positive`)."""
     den = g[0]
     roots = _root_conjugates(h, (1,) + tuple(den * n for n in g[1:]), prec)
     if roots is None:
         return None
     _, W = _conjugates(h, prec)
-    with mpmath.workprec(prec):
-        cols = [[int(a * w) for w in row] for a, row in zip(roots, W)]   # a_j V^-1[:, j] 2^prec
+    cols = [[a * w >> prec for w in row] for a, row in zip(roots, W)]   # a_j V^-1[:, j] 2^prec
     x = [sum(col) for col in zip(*cols)]
     sign = [1] * len(cols)
     half = 1 << (prec - 1)

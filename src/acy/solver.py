@@ -8,8 +8,9 @@ least-squares kernel runs on the compiled type I/II system, in fixed-point
 integers: at scale 2^64 from random starts, and then at scale 2^prec from the
 first start that converges; each distinct squared weight is recognised in
 the base field by one integer relation (PSLQ), the only lattice search of
-the solver.  Both routes then adjoin the square root of each distinct |w|^2
-to the tower unless the tower already holds it.  That test
+the solver.  This route alone imports mpmath.  Both routes then adjoin the
+square root of each distinct |w|^2 to the tower unless the tower already
+holds it.  That test
 (`FieldTower.adjoin_sqrt`) is exact: quadratic characters refute a
 non-square, and a square's root is read off its real conjugates and
 squared back.  The cells are then re-verified exactly; a system that
@@ -21,8 +22,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import isqrt
-
-import mpmath
 
 from . import linalg
 from .cells import (CellSystem, compile_equations, nu_orbit, orbit_incidence, verify_type_I,
@@ -95,12 +94,14 @@ class _NumericSystem:
                               Fraction(1 << 2 * prec, 10 ** (2 * digits)), prec)
         if max(abs(v) for v in r) * 10 ** ((digits + 1) // 2) >= 1 << prec:
             raise SolverError("high-precision refinement did not converge")
+        import mpmath
         with mpmath.workprec(prec):
             return [mpmath.ldexp(v, -prec) for v in x]
 
 
 def _fixed(v, prec: int) -> int:
     """v * 2^prec, truncated to an integer, for a float or an mpf v."""
+    import mpmath
     return int(mpmath.ldexp(v, prec))
 
 
@@ -306,6 +307,7 @@ def _numeric_squares(sys: _NumericSystem, graph: Graph, seed: int, digits: int):
     """(|w|^2 or None for a zero weight, sign) per unknown, from a least
     squares root.  Unknowns whose |w|^2 agree as floats share one relation;
     should two unequal values tie, the exact verification rejects the cells."""
+    import mpmath
     x = sys.root(seed, digits)
     prec = int(digits * 3.32)   # ~ the digits to which the refinement fixes x
     classes: dict[float, list[int]] = {}   # float |w|^2 -> its unknowns

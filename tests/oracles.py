@@ -17,6 +17,9 @@
 - `beta_walk`: the Nakayama automorphism on a basis element as the class
   of its whole nu-path, which `GradedAlgebra.beta_basis`, grown one edge at
   a time, must equal.
+- `iv_sign`: the sign of a nonzero real scalar from mpmath's interval
+  arithmetic at escalating precision, which the integer boxes of
+  `Scalar.is_positive` must equal.
 - `resolution_blocks`: the rank rows of every block of the one-sided
   resolution complex, each block ranked on its own and its rows built from
   their definition, with each product walked along the joined path, which
@@ -29,7 +32,7 @@ from acy import linalg
 from acy.algebra import AlgebraError
 from acy.cells import CellSystem, Relation, RelationSet, canon
 from acy.quiver import Graph, build_family
-from acy.scalar import FieldTower, Scalar
+from acy.scalar import FieldTower, Scalar, _beval, _deval
 
 
 # ---------------------------------------------------------------------------
@@ -391,3 +394,35 @@ def beta_walk(A, k: int, i: int) -> dict:
     nu of its source, one edge after another."""
     g, b = A.graph, A.basis[k][i]
     return path_class(A, g.nu_v[b.src], tuple(g.nu_e[e] for e in b.path))
+
+
+# ---------------------------------------------------------------------------
+# signs by interval arithmetic
+# ---------------------------------------------------------------------------
+
+def iv_interval(x: Scalar, prec: int):
+    """An enclosing mpmath iv.mpf of a real scalar, from interval values of
+    c = 2cos(pi/h) and of each adjoined root at `prec` bits."""
+    import mpmath
+    iv = mpmath.iv
+    old = iv.prec
+    try:
+        iv.prec = prec
+        c = 2 * iv.cos(iv.pi / x.tower.h)
+        roots = [iv.sqrt(_beval(g, c, iv.mpf(0))) for g in x.tower.roots]
+        return _deval(x.re, c, roots, iv.mpf(0))
+    finally:
+        iv.prec = old
+
+
+def iv_sign(x: Scalar) -> int:
+    """+1 or -1, the sign of a nonzero real scalar, from `iv_interval` at 80
+    bits and doubling until the interval excludes zero."""
+    prec = 80
+    while True:
+        box = iv_interval(x, prec)
+        if box.a > 0:
+            return 1
+        if box.b < 0:
+            return -1
+        prec *= 2

@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import cos, pi
 
 import mpmath
 import pytest
@@ -73,12 +74,17 @@ def test_normal_form_random():
 
 
 def test_is_zero_and_interval_consistency():
+    # on the integer boxes at scale 2^prec
     t = FieldTower(7)
-    x = t.quantum(2) * t.quantum(4) - t.quantum(3) - t.quantum(5)  # product rule: zero
+    left, right = t.quantum(2) * t.quantum(4), t.quantum(3) + t.quantum(5)
+    x = left - right  # product rule: zero
     assert x.is_zero()
     for prec in (80, 120, 200):
-        box = x.interval(prec)
-        assert box.a <= 0 <= box.b
+        lo, hi = x.box(prec)
+        assert lo <= 0 <= hi
+        # the boxes of the two equal sides overlap
+        (a, b), (c, d) = left.box(prec), right.box(prec)
+        assert a <= d and c <= b
 
 
 def test_adjoin_sqrt():
@@ -236,7 +242,8 @@ def test_characters_refute_sqrt3_at_h9():
 
 
 def test_solve_loads_no_sympy():
-    # nor numpy or scipy: both stages of the solver run on floats and mpmath
+    # nor numpy or scipy: the least-squares refinement runs in fixed-point
+    # ints and PSLQ in mpmath
     code = ("import sys\n"
             "from acy.quiver import build_family\n"
             "from acy.solver import solve_cells\n"
@@ -247,6 +254,31 @@ def test_solve_loads_no_sympy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_the_certified_path_loads_no_mpmath():
+    # signs are decided on integer boxes and square roots read off the real
+    # conjugates in fixed point, so builtin reports and the A11 solve, on the
+    # exact type I route, never import mpmath; the least-squares route of
+    # the A6* solve does
+    code = ("import sys\n"
+            "from acy.algebra import GradedAlgebra\n"
+            "from acy.cells import builtin_cells, derive_relations\n"
+            "from acy.homology import build_report\n"
+            "from acy.quiver import build_family, parse_graph_spec\n"
+            "from acy.solver import solve_cells\n"
+            "for spec in ('A9', 'D9', 'A12', 'E8*', 'D7*'):\n"
+            "    g = parse_graph_spec(spec)\n"
+            "    cells = builtin_cells(g)\n"
+            "    A = GradedAlgebra(g, derive_relations(cells))\n"
+            "    assert all(build_report(A, cells, with_resolution=spec != 'A12').checks.values())\n"
+            "solve_cells(build_family('A', 11))\n"
+            "print('mpmath' in sys.modules)\n"
+            "solve_cells(parse_graph_spec('A6*'))\n"
+            "print('mpmath' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.split() == ["False", "True"]
+
+
 # -- properties (Hypothesis) ----------------------------------------------------------
 
 from functools import lru_cache  # noqa: E402
@@ -255,6 +287,7 @@ from hypothesis import assume, example, given, reject, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from acy.scalar import _bnormalize, _bone, _cyclotomic  # noqa: E402
+from oracles import iv_sign  # noqa: E402
 
 PROPS = settings(deadline=None, max_examples=60)
 BASE_HS = (3, 4, 5, 6, 7, 8, 9, 12, 13, 15, 18)
@@ -268,6 +301,13 @@ def _chain(name):
     if name == "h8":
         t = FieldTower(8)
         return (t, t.adjoin_sqrt(t.quantum(3))[0])
+    if name == "h9":
+        t = FieldTower(9)
+        t1 = t.adjoin_sqrt(t.from_fraction(2))[0]
+        t2 = t1.adjoin_sqrt(t.generator() + 3)[0]
+        t3 = t2.adjoin_sqrt(t.from_fraction(5))[0]
+        assert t3.degree == 24
+        return (t, t1, t2, t3)
     t = FieldTower(5)
     t1 = t.adjoin_sqrt(t.from_fraction(2))[0]
     t2 = t1.adjoin_sqrt(t.from_fraction(3))[0]
@@ -418,6 +458,66 @@ def test_reduce_mod_is_a_ring_homomorphism(args):
     assert (-a).reduce_mod(emb) == -pa % p
     if pa:
         assert a.inverse().reduce_mod(emb) == pow(pa, -1, p)
+
+
+# -- signs on integer boxes against interval arithmetic -------------------------------
+
+def _h24_near_zero():
+    c = FieldTower(24).generator()   # 2cos(pi/24) = 1.983
+    return (2 - c) * (c - 1)
+
+
+def _below_2_to_the_80():
+    c = FieldTower(24).generator()
+    return (2 - c) ** 15   # about 3.2e-27, with coordinates up to 3e7
+
+
+@PROPS
+@given(st.sampled_from(("h7", "h8", "h5", "h9")).flatmap(lambda name: scalars(_tower(name))))
+@example(_h24_near_zero())
+@example(_below_2_to_the_80())
+@example(-_below_2_to_the_80())
+def test_the_integer_sign_is_the_interval_sign(x):
+    # real scalars over towers with 0 to 3 adjoined roots
+    assume(not x.is_zero())
+    sign = iv_sign(x)
+    assert x.is_positive() == (sign > 0) and (-x).is_positive() == (sign < 0)
+    lo, hi = x.box(80)
+    assert lo <= hi and (-hi, -lo) == (-x).box(80)
+
+
+def test_an_element_below_2_to_the_minus_80_needs_escalation():
+    x = _below_2_to_the_80()
+    lo, hi = x.box(80)
+    assert lo < 0 < hi   # undecided at the first precision
+    assert x.is_positive() and not (-x).is_positive()
+    lo, hi = x.box(320)
+    assert 0 < lo <= hi < 1 << 320 - 80
+
+
+@pytest.mark.parametrize("h, start, why", [
+    (7, lambda h, j: 2 * cos(3 * pi / h), "the middle root: psi falls across the box"),
+    (7, lambda h, j: 2 * cos(5 * pi / h), "the smallest root: psi rises, but a root lies above"),
+    (4, lambda h, j: 0.0, "psi' = 0: Newton stays put, and psi keeps its sign"),
+])
+def test_a_bad_start_for_c_raises_and_gives_no_sign(monkeypatch, h, start, why):
+    from acy import scalar
+
+    monkeypatch.setattr(scalar, "_cos_start", start)
+    scalar._coxeter_box.cache_clear()
+    x = FieldTower(h).generator() - 1
+    with pytest.raises(ArithmeticError, match="no certified box"):
+        x.is_positive()
+    if "smallest" in why:
+        # the sign change alone would accept this box: the Taylor shift is
+        # what rejects it
+        root = scalar._newton_root(h, 1, 80)
+        psi = coxeter_minpoly(h)
+        at = [sum(a * Fraction(v, 1 << 80) ** i for i, a in enumerate(psi))
+              for v in (root - 2, root + 2)]
+        assert at[0] < 0 < at[1]
+    monkeypatch.undo()
+    assert x.is_positive()
 
 
 # -- Q(omega) in Eisensteins ---------------------------------------------------------

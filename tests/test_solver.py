@@ -208,16 +208,16 @@ def test_the_a_family_reaches_no_pslq(monkeypatch):
 
 
 def test_a_perturbed_conjugate_gives_no_root_and_a_solver_error(monkeypatch):
-    # the last conjugate root off by 2 moves the c coordinate of every sign
-    # pattern by 2 V^-1[1, 2] = -0.87 at h = 7, past what rounding absorbs:
-    # the sign search returns nothing, the square test stays undecided at
-    # every precision, and the A7 solve, whose radicands include squares,
-    # stops with a SolverError
+    # the last conjugate root off by 2 (2 << prec in fixed point) moves the c
+    # coordinate of every sign pattern by 2 V^-1[1, 2] = -0.87 at h = 7, past
+    # what rounding absorbs: the sign search returns nothing, the square test
+    # stays undecided at every precision, and the A7 solve, whose radicands
+    # include squares, stops with a SolverError
     import acy.scalar as scalar
 
     def perturbed(h, G, prec):
         roots = root_conjugates(h, G, prec)
-        return roots[:-1] + [roots[-1] + 2]
+        return roots[:-1] + [roots[-1] + (2 << prec)]
 
     root_conjugates = scalar._root_conjugates
     mul = scalar._base_field(7).mul
